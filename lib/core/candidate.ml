@@ -157,9 +157,6 @@ let electrical params hnet topo =
   of_labels params hnet topo
     (Array.make (Topology.node_count topo) Electrical)
 
-let crossings_between a b =
-  Segment.count_crossings a.opt_segments b.opt_segments
-
 let crossing_loss_on_path params c p other =
   if p < 0 || p >= Array.length c.paths then
     invalid_arg "Candidate.crossing_loss_on_path: bad path index";

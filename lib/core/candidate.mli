@@ -65,9 +65,6 @@ val electrical : Params.t -> Hypernet.t -> Topology.t -> t
 (** The all-electrical labelling of a topology — the [a_ie] fallback
     variable of Formula (3), always loss-feasible. *)
 
-val crossings_between : t -> t -> int
-(** Proper crossings between the optical segments of two candidates. *)
-
 val crossing_loss_on_path : Params.t -> t -> int -> t -> float
 (** [crossing_loss_on_path params c p other] — the Formula (3c) term
     [l_x(i,j,m,n,p)]: beta times the number of crossings between path [p]

@@ -2,19 +2,23 @@ open Operon_geom
 open Operon_graph
 open Operon_util
 
-type entry = { net : int; seg : Segment.t }
+type entry = {
+  net : int;
+  seg : Segment.t;
+  ci : int;
+  cj : int;  (* first cell (column, row) of the segment's bbox range *)
+}
 
 type index = {
   die : Rect.t;
   cells : int;
-  buckets : entry list array;  (* cells x cells, row-major *)
-  flat : entry array option;
-      (* small indexes keep the raw entries and answer queries by linear
-         scan: a query visits every cell of its bbox rectangle, so a long
-         diagonal segment walks hundreds of near-empty buckets — far more
-         work than testing a few dozen entries directly. Both schemes
-         count exactly the proper crossings with an intersection point,
-         each once, so which one answers is pure performance. *)
+  entries : entry array;  (* every indexed segment, in input order *)
+  buckets : entry array array;
+      (* cells x cells, row-major. Empty in a flat index, which answers
+         queries by linear scan over [entries]: a bucket visit is a few
+         integer checks per entry, but a long diagonal query still walks
+         every bucket of its bbox rectangle, and for a small index that
+         walk costs more than testing every entry once. *)
 }
 
 let flat_threshold = 256
@@ -28,86 +32,68 @@ let cell_range idx (r : Rect.t) =
   (fx r.Rect.xmin, fy r.Rect.ymin, fx r.Rect.xmax, fy r.Rect.ymax)
 
 let build_index ~die ?(cells = 32) segments =
-  if Array.length segments <= flat_threshold then
-    { die;
-      cells;
-      buckets = [||];
-      flat = Some (Array.map (fun (net, seg) -> { net; seg }) segments) }
-  else begin
-    let idx =
-      { die; cells; buckets = Array.make (cells * cells) []; flat = None }
-    in
-    Array.iter
+  let idx = { die; cells; entries = [||]; buckets = [||] } in
+  let entries =
+    Array.map
       (fun (net, seg) ->
-        let i0, j0, i1, j1 = cell_range idx (Segment.bbox seg) in
-        for j = j0 to j1 do
-          for i = i0 to i1 do
-            idx.buckets.((j * cells) + i) <- { net; seg } :: idx.buckets.((j * cells) + i)
-          done
-        done)
-      segments;
-    idx
+        let ci, cj, _, _ = cell_range idx (Segment.bbox seg) in
+        { net; seg; ci; cj })
+      segments
+  in
+  if Array.length entries <= flat_threshold then { idx with entries }
+  else begin
+    (* Size every bucket first, then fill it: no intermediate lists. *)
+    let fill = Array.make (cells * cells) 0 in
+    let each_bucket f =
+      Array.iter
+        (fun e ->
+          let _, _, i1, j1 = cell_range idx (Segment.bbox e.seg) in
+          for j = e.cj to j1 do
+            for i = e.ci to i1 do
+              f e ((j * cells) + i)
+            done
+          done)
+        entries
+    in
+    each_bucket (fun _ b -> fill.(b) <- fill.(b) + 1);
+    let buckets = Array.map (fun k -> Array.make k entries.(0)) fill in
+    Array.fill fill 0 (Array.length fill) 0;
+    each_bucket (fun e b ->
+        buckets.(b).(fill.(b)) <- e;
+        fill.(b) <- fill.(b) + 1);
+    { idx with entries; buckets }
   end
 
-let flatten idx =
-  match idx.flat with
-  | Some _ -> idx
-  | None ->
-      (* Collapse the grid back to its distinct entries (a segment sits
-         in every bucket its bbox overlaps). Queries against the result
-         count exactly as against the grid — linear scan and bucket
-         attribution both count each proper crossing with an
-         intersection point once — but a query is one pass over the
-         entries instead of a walk over its bbox's bucket rectangle,
-         which is the cheaper regime when only a few nets are queried
-         (the ECO recount path). *)
-      let tbl = Hashtbl.create 256 in
-      Array.iter
-        (List.iter (fun e -> Hashtbl.replace tbl (e.net, e.seg) e))
-        idx.buckets;
-      let entries = Array.make (Hashtbl.length tbl) { net = 0; seg = Segment.make Point.origin Point.origin } in
-      let i = ref 0 in
-      Hashtbl.iter (fun _ e -> entries.(!i) <- e; incr i) tbl;
-      { idx with buckets = [||]; flat = Some entries }
+let flatten idx = { idx with buckets = [||] }
 
-let cell_of_point idx p =
-  let i0, j0, _, _ =
-    cell_range idx (Rect.make ~xmin:p.Point.x ~ymin:p.Point.y ~xmax:p.Point.x ~ymax:p.Point.y)
-  in
-  (i0, j0)
+(* The counted event: a proper crossing with an intersection point. *)
+let counts e ~exclude_net query =
+  e.net <> exclude_net
+  && Segment.crosses_properly e.seg query
+  && Segment.has_intersection_point e.seg query
 
 let count_crossings idx ~exclude_net query =
-  match idx.flat with
-  | Some entries ->
-      let count = ref 0 in
-      Array.iter
-        (fun e ->
-          if
-            e.net <> exclude_net
-            && Segment.crosses_properly e.seg query
-            && Segment.intersection_point e.seg query <> None
-          then incr count)
-        entries;
-      !count
-  | None ->
-  let i0, j0, i1, j1 = cell_range idx (Segment.bbox query) in
-  (* A segment sits in every bucket its bbox overlaps; to count each
-     crossing exactly once without a seen-set, attribute it to the single
-     bucket containing the intersection point. *)
   let count = ref 0 in
-  for j = j0 to j1 do
-    for i = i0 to i1 do
-      List.iter
-        (fun e ->
-          if e.net <> exclude_net && Segment.crosses_properly e.seg query then
-            match Segment.intersection_point e.seg query with
-            | Some p ->
-                let pi, pj = cell_of_point idx p in
-                if pi = i && pj = j then incr count
-            | None -> ())
-        idx.buckets.((j * idx.cells) + i)
+  if Array.length idx.buckets = 0 then
+    for k = 0 to Array.length idx.entries - 1 do
+      if counts idx.entries.(k) ~exclude_net query then incr count
     done
-  done;
+  else begin
+    let i0, j0, i1, j1 = cell_range idx (Segment.bbox query) in
+    (* An entry and the query share every bucket in the overlap of their
+       bbox ranges. Only the first of those, (max ci i0, max cj j0), tests
+       the pair, so each pair is tested exactly once, as in the scan. *)
+    for j = j0 to j1 do
+      for i = i0 to i1 do
+        let bucket = idx.buckets.((j * idx.cells) + i) in
+        for k = 0 to Array.length bucket - 1 do
+          let e = bucket.(k) in
+          if Int.max e.ci i0 = i && Int.max e.cj j0 = j && counts e ~exclude_net query
+          then incr count
+        done
+      done
+    done
+  end;
   !count
 
 let estimator idx ~net seg = count_crossings idx ~exclude_net:net seg

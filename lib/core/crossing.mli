@@ -16,19 +16,22 @@ type index
 
 val build_index : die:Rect.t -> ?cells:int -> (int * Segment.t) array -> index
 (** [build_index ~die segments] indexes [(net_id, segment)] pairs on a
-    uniform [cells] x [cells] bucket grid (default 32). *)
+    uniform [cells] x [cells] bucket grid (default 32); an index of at
+    most 256 segments is scanned linearly instead. *)
 
 val flatten : index -> index
 (** Convert a bucket-grid index into one that answers queries by linear
-    scan over its distinct entries. Counts are identical either way;
-    the flat form is faster when only a few nets will ever be queried
-    (a long segment's bbox covers most of the grid, so a bucket walk
-    touches far more entries than a single pass). Used by the ECO
+    scan over its entries. Counts are identical either way (the grid
+    tests each entry whose bbox cell range meets the query's exactly
+    once); the flat form is faster when only a few nets will ever be
+    queried (a long segment's bbox covers most of the grid, so a bucket
+    walk touches far more entries than a single pass). Used by the ECO
     recount path. Identity on already-flat indexes. *)
 
 val count_crossings : index -> exclude_net:int -> Segment.t -> int
-(** Proper crossings between a query segment and every indexed segment
-    belonging to a different net. *)
+(** Proper crossings that have an intersection point
+    ({!Segment.has_intersection_point}) between a query segment and every
+    indexed segment belonging to a different net. *)
 
 val estimator : index -> net:int -> Segment.t -> int
 (** Estimation closure handed to {!Codesign.for_hypernet}. *)

@@ -1267,8 +1267,10 @@ let prepare_eco ?sink ~(prev : prepared) config design =
             in
             (* Dirty nets recount against the whole design, but only a
                few nets ever query — the flat form of the same index
-               answers each query in one pass instead of a bucket walk,
-               with identical counts. *)
+               answers each query in one pass instead of a bucket walk.
+               Its counts equal the grid's because the grid tests each
+               (entry, query) pair in exactly one bucket, so a recount
+               here agrees with a cold run. *)
             let flat_index = Crossing.flatten index in
             let full_recount i (hnet : Hypernet.t) =
               let crossing_est =

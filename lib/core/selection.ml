@@ -105,7 +105,7 @@ let make_ctx ?(exec = Executor.sequential) ?(cache = true) ?reuse params
   let crossing_pair i j =
     match (bboxes.(i), bboxes.(j)) with
     | Some bi, Some bj ->
-        Rect.overlaps bi bj && Segment.count_crossings pooled.(i) pooled.(j) > 0
+        Rect.overlaps bi bj && Segment.exists_crossing pooled.(i) pooled.(j)
     | _ -> false
   in
   let linked =

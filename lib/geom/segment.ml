@@ -14,8 +14,14 @@ let is_vertical ?(eps = eps_default) s = Float.abs (s.a.Point.x -. s.b.Point.x) 
 
 let bbox s = Rect.of_points [| s.a; s.b |]
 
+(* [Point.cross (Point.sub q p) (Point.sub r p)] spelled out on the float
+   fields: the same IEEE operations in the same order, so every sign is
+   bit-identical, but no intermediate point is allocated. *)
 let orientation p q r =
-  let v = Point.cross (Point.sub q p) (Point.sub r p) in
+  let v =
+    ((q.Point.x -. p.Point.x) *. (r.Point.y -. p.Point.y))
+    -. ((q.Point.y -. p.Point.y) *. (r.Point.x -. p.Point.x))
+  in
   if v > eps_default then 1 else if v < -.eps_default then -1 else 0
 
 let on_segment pt s =
@@ -38,35 +44,52 @@ let intersects s1 s2 =
     || (o4 = 0 && on_segment s1.b s2)
 
 let crosses_properly s1 s2 =
-  let o1 = orientation s1.a s1.b s2.a in
-  let o2 = orientation s1.a s1.b s2.b in
-  let o3 = orientation s2.a s2.b s1.a in
-  let o4 = orientation s2.a s2.b s1.b in
   (* Strict sign changes on both segments mean the crossing point is interior
-     to both; any zero orientation is an endpoint touch or collinearity. *)
-  o1 * o2 < 0 && o3 * o4 < 0
+     to both; any zero orientation is an endpoint touch or collinearity.
+     The second pair is only evaluated when the first straddles. *)
+  orientation s1.a s1.b s2.a * orientation s1.a s1.b s2.b < 0
+  && orientation s2.a s2.b s1.a * orientation s2.a s2.b s1.b < 0
+
+(* Whether the lines meet within both segments (parameters within eps of
+   [0, 1]), computed on the float fields without allocating. *)
+let has_intersection_point s1 s2 =
+  let rx = s1.b.Point.x -. s1.a.Point.x and ry = s1.b.Point.y -. s1.a.Point.y in
+  let sx = s2.b.Point.x -. s2.a.Point.x and sy = s2.b.Point.y -. s2.a.Point.y in
+  let denom = (rx *. sy) -. (ry *. sx) in
+  if Float.abs denom <= eps_default then false
+  else
+    let qx = s2.a.Point.x -. s1.a.Point.x and qy = s2.a.Point.y -. s1.a.Point.y in
+    let t = ((qx *. sy) -. (qy *. sx)) /. denom in
+    let u = ((qx *. ry) -. (qy *. rx)) /. denom in
+    t >= -.eps_default && t <= 1.0 +. eps_default && u >= -.eps_default
+    && u <= 1.0 +. eps_default
 
 let intersection_point s1 s2 =
-  let open Point in
-  let r = sub s1.b s1.a and s = sub s2.b s2.a in
-  let denom = cross r s in
-  if Float.abs denom <= eps_default then None
+  if not (has_intersection_point s1 s2) then None
   else
-    let qp = sub s2.a s1.a in
-    let t = cross qp s /. denom in
-    let u = cross qp r /. denom in
-    if t >= -.eps_default && t <= 1.0 +. eps_default && u >= -.eps_default
-       && u <= 1.0 +. eps_default
-    then Some (add s1.a (scale t r))
-    else None
+    let open Point in
+    let r = sub s1.b s1.a and s = sub s2.b s2.a in
+    let t = cross (sub s2.a s1.a) s /. cross r s in
+    Some (add s1.a (scale t r))
 
 let count_crossings fam1 fam2 =
   let count = ref 0 in
-  Array.iter
-    (fun s1 ->
-      Array.iter (fun s2 -> if crosses_properly s1 s2 then incr count) fam2)
-    fam1;
+  for i = 0 to Array.length fam1 - 1 do
+    let s1 = fam1.(i) in
+    for j = 0 to Array.length fam2 - 1 do
+      if crosses_properly s1 fam2.(j) then incr count
+    done
+  done;
   !count
+
+let exists_crossing fam1 fam2 =
+  let n1 = Array.length fam1 and n2 = Array.length fam2 in
+  let rec scan i j =
+    if i >= n1 then false
+    else if j >= n2 then scan (i + 1) 0
+    else crosses_properly fam1.(i) fam2.(j) || scan i (j + 1)
+  in
+  scan 0 0
 
 let count_self_crossings fam =
   let n = Array.length fam in

@@ -39,8 +39,14 @@ val crosses_properly : t -> t -> bool
 val intersection_point : t -> t -> Point.t option
 (** Intersection point of two non-parallel segments if they meet. *)
 
+val has_intersection_point : t -> t -> bool
+(** [intersection_point s1 s2 <> None], computed without allocating. *)
+
 val count_crossings : t array -> t array -> int
 (** Number of proper crossings between two segment families. *)
+
+val exists_crossing : t array -> t array -> bool
+(** [count_crossings fam1 fam2 > 0], stopping at the first crossing. *)
 
 val count_self_crossings : t array -> int
 (** Proper crossings among distinct pairs within one family. *)

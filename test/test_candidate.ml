@@ -156,12 +156,15 @@ let test_crossing_between_candidates () =
   let h2 = hnet_of_centers centers in
   let t2 = Topology.make ~positions:centers ~nterminals:2 ~edges:[ (0, 1) ] ~root:0 in
   let c2 = Candidate.of_labels params h2 t2 [| Candidate.Electrical; Candidate.Optical |] in
-  Alcotest.(check int) "one crossing" 1 (Candidate.crossings_between c1 c2);
+  let crossings a b =
+    Segment.count_crossings a.Candidate.opt_segments b.Candidate.opt_segments
+  in
+  Alcotest.(check int) "one crossing" 1 (crossings c1 c2);
   close "crossing loss on path" (Loss.crossing_bundled params 1)
     (Candidate.crossing_loss_on_path params c1 0 c2);
   (* electrical candidate has no optical geometry: no crossings *)
   let e2 = Candidate.electrical params h2 t2 in
-  Alcotest.(check int) "no optical no crossing" 0 (Candidate.crossings_between c1 e2)
+  Alcotest.(check int) "no optical no crossing" 0 (crossings c1 e2)
 
 let test_loss_feasible () =
   let hnet, topo = two_pin () in

@@ -56,6 +56,50 @@ let test_index_matches_brute_force () =
       (Crossing.count_crossings idx ~exclude_net:exclude q)
   done
 
+(* The bucket grid answers indexes above [flat_threshold] (256) entries.
+   Half the queries are axis-aligned and lie exactly on a cell boundary
+   (the die's 32 cells are 0.3125 wide), where a computed intersection
+   point can round into the neighbouring cell; the count must still be
+   the brute-force one, and the flattened index must agree with it. *)
+let prop_grid_matches_brute_force =
+  QCheck.Test.make ~name:"grid index matches brute force" ~count:20
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Operon_util.Prng.create seed in
+      let coord () = Operon_util.Prng.float rng 10.0 in
+      let random_seg () = seg (coord ()) (coord ()) (coord ()) (coord ()) in
+      let entries = Array.init 300 (fun i -> (i mod 7, random_seg ())) in
+      let idx = Crossing.build_index ~die entries in
+      let flat = Crossing.flatten idx in
+      let boundary () = float_of_int (Operon_util.Prng.int rng 33) *. 10.0 /. 32.0 in
+      let query k =
+        match k mod 4 with
+        | 0 | 1 -> random_seg ()
+        | 2 ->
+            let x = boundary () in
+            seg x (coord ()) x (coord ())
+        | _ ->
+            let y = boundary () in
+            seg (coord ()) y (coord ()) y
+      in
+      List.for_all
+        (fun k ->
+          let q = query k and exclude = Operon_util.Prng.int rng 7 in
+          let want =
+            Array.fold_left
+              (fun acc (net, s) ->
+                if
+                  net <> exclude
+                  && Segment.crosses_properly s q
+                  && Segment.intersection_point s q <> None
+                then acc + 1
+                else acc)
+              0 entries
+          in
+          Crossing.count_crossings idx ~exclude_net:exclude q = want
+          && Crossing.count_crossings flat ~exclude_net:exclude q = want)
+        (List.init 200 Fun.id))
+
 let test_estimator_closure () =
   let idx = Crossing.build_index ~die [| (0, seg 0.0 5.0 10.0 5.0) |] in
   let est = Crossing.estimator idx ~net:1 in
@@ -124,6 +168,7 @@ let () =
           Alcotest.test_case "excludes own net" `Quick test_index_excludes_own_net;
           Alcotest.test_case "no double counting" `Quick test_index_no_double_counting;
           Alcotest.test_case "matches brute force" `Quick test_index_matches_brute_force;
+          QCheck_alcotest.to_alcotest prop_grid_matches_brute_force;
           Alcotest.test_case "estimator closure" `Quick test_estimator_closure ] );
       ( "interaction",
         [ Alcotest.test_case "components" `Quick test_components;

@@ -250,6 +250,75 @@ let prop_proper_implies_intersects =
       let s1 = seg a b and s2 = seg c d in
       (not (Segment.crosses_properly s1 s2)) || Segment.intersects s1 s2)
 
+(* The boxed formulation of [Segment.orientation] (intermediate points
+   from [Point.sub], then [Point.cross]), kept as the oracle the
+   allocation-free predicate must match bit for bit. *)
+let orientation_oracle p q r =
+  let v = Point.cross (Point.sub q p) (Point.sub r p) in
+  if v > 1e-9 then 1 else if v < -1e-9 then -1 else 0
+
+let crosses_properly_oracle (s1 : Segment.t) (s2 : Segment.t) =
+  let o = orientation_oracle in
+  o s1.a s1.b s2.a * o s1.a s1.b s2.b < 0 && o s2.a s2.b s1.a * o s2.a s2.b s1.b < 0
+
+(* The boxed intersection-parameter test, likewise. *)
+let has_intersection_point_oracle (s1 : Segment.t) (s2 : Segment.t) =
+  let r = Point.sub s1.b s1.a and s = Point.sub s2.b s2.a in
+  let denom = Point.cross r s in
+  Float.abs denom > 1e-9
+  &&
+  let qp = Point.sub s2.a s1.a in
+  let t = Point.cross qp s /. denom and u = Point.cross qp r /. denom in
+  t >= -1e-9 && t <= 1.0 +. 1e-9 && u >= -1e-9 && u <= 1.0 +. 1e-9
+
+(* Segment pairs from four families: uniform in a 10 x 10 box, nearly
+   collinear (the second segment's endpoints within ~1e-10 of the first's
+   line, where the sign sits at the eps threshold or in rounding noise),
+   sharing an endpoint, and all but the shared family again at ~1e4
+   coordinates. *)
+let segment_pair_gen =
+  let open QCheck.Gen in
+  let pt scale = map2 (fun x y -> p x y) (float_bound_exclusive scale) (float_bound_exclusive scale) in
+  let near_line scale =
+    pt scale >>= fun a ->
+    pt scale >>= fun b ->
+    let on_line = map2 (fun t e -> p (a.x +. (t *. (b.x -. a.x)) +. e) (a.y +. (t *. (b.y -. a.y)) -. e))
+        (float_range (-0.5) 1.5) (float_range (-1e-10) 1e-10)
+    in
+    map2 (fun c d -> (seg a b, seg c d)) on_line on_line
+  in
+  let shared =
+    pt 10.0 >>= fun a ->
+    map3 (fun b c first -> (seg a b, if first then seg a c else seg c a)) (pt 10.0) (pt 10.0) bool
+  in
+  let uniform scale = map2 (fun (a, b) (c, d) -> (seg a b, seg c d)) (pair (pt scale) (pt scale)) (pair (pt scale) (pt scale)) in
+  oneof [ uniform 10.0; near_line 10.0; near_line 1e4; shared; uniform 1e4 ]
+
+let arb_segment_pair =
+  QCheck.make
+    ~print:(fun (s1, s2) -> Format.asprintf "%a %a" Segment.pp s1 Segment.pp s2)
+    segment_pair_gen
+
+let prop_predicate_parity =
+  QCheck.Test.make ~name:"predicates match the boxed oracle" ~count:4000 arb_segment_pair
+    (fun ((s1 : Segment.t), (s2 : Segment.t)) ->
+      Segment.orientation s1.a s1.b s2.a = orientation_oracle s1.a s1.b s2.a
+      && Segment.orientation s1.a s1.b s2.b = orientation_oracle s1.a s1.b s2.b
+      && Segment.orientation s2.a s2.b s1.a = orientation_oracle s2.a s2.b s1.a
+      && Segment.orientation s2.a s2.b s1.b = orientation_oracle s2.a s2.b s1.b
+      && Segment.crosses_properly s1 s2 = crosses_properly_oracle s1 s2
+      && Segment.has_intersection_point s1 s2 = has_intersection_point_oracle s1 s2
+      && (Segment.intersection_point s1 s2 <> None) = has_intersection_point_oracle s1 s2)
+
+let prop_exists_crossing =
+  QCheck.Test.make ~name:"exists_crossing = count_crossings > 0" ~count:500
+    QCheck.(pair (array_of_size Gen.(int_range 0 8) (pair arb_point arb_point))
+              (array_of_size Gen.(int_range 0 8) (pair arb_point arb_point)))
+    (fun (f1, f2) ->
+      let fam = Array.map (fun (a, b) -> seg a b) in
+      let f1 = fam f1 and f2 = fam f2 in
+      Segment.exists_crossing f1 f2 = (Segment.count_crossings f1 f2 > 0))
+
 let prop_bbox_contains_endpoints =
   QCheck.Test.make ~name:"bbox contains its points" ~count:500
     QCheck.(array_of_size Gen.(int_range 1 20) arb_point)
@@ -288,7 +357,9 @@ let () =
           Alcotest.test_case "self crossings" `Quick test_self_crossings;
           Alcotest.test_case "distance to point" `Quick test_distance_point;
           QCheck_alcotest.to_alcotest prop_crossing_symmetric;
-          QCheck_alcotest.to_alcotest prop_proper_implies_intersects ] );
+          QCheck_alcotest.to_alcotest prop_proper_implies_intersects;
+          QCheck_alcotest.to_alcotest prop_predicate_parity;
+          QCheck_alcotest.to_alcotest prop_exists_crossing ] );
       ( "gridmap",
         [ Alcotest.test_case "point deposit" `Quick test_grid_point_deposit;
           Alcotest.test_case "clamping" `Quick test_grid_clamping;

@@ -119,6 +119,50 @@ let test_counters_and_modes () =
   ignore (Xmatrix.count direct ~i:0 ~j:0 ~p:0 ~m:1 ~n:0);
   Alcotest.(check int) "direct queries are misses" 1 (Xmatrix.stats direct).Xmatrix.misses
 
+(* Candidates of one net that label the same topology value share its
+   edge crossing table; equal but physically distinct topologies (two
+   [Topology.make] calls) get separate tables. Net 0 runs along y = 2
+   with three labellings of one topology; net 1 (a vertical edge across
+   net 0's first edge, then a diagonal across its second) labels two
+   equal, physically distinct topologies. Every stored count must equal
+   [Segment.count_crossings] on the path's segments, sequential and with
+   four workers. *)
+let shared_topology_cands () =
+  let l = Array.map (fun o -> if o then Candidate.Optical else Candidate.Electrical) in
+  let net id centers labellings =
+    let hnet = hnet_of_centers ~id centers in
+    let topo () =
+      Operon_steiner.Topology.make ~positions:centers ~nterminals:3
+        ~edges:[ (0, 1); (1, 2) ] ~root:0
+    in
+    let topos = [| topo (); topo () |] in
+    List.map (fun (k, labels) -> Candidate.of_labels params hnet topos.(k) (l labels))
+      labellings
+    @ [ Candidate.electrical params hnet topos.(0) ]
+  in
+  [| net 0 [| p 0.0 2.0; p 2.0 2.0; p 4.0 2.0 |]
+       [ (0, [| false; true; true |]); (0, [| false; true; false |]);
+         (0, [| false; false; true |]) ];
+     net 1 [| p 1.0 0.0; p 1.0 4.0; p 3.5 0.0 |]
+       [ (0, [| false; true; true |]); (0, [| false; true; false |]);
+         (1, [| false; false; true |]); (1, [| false; true; true |]) ] |]
+
+let test_shared_topology_parity () =
+  List.iter
+    (fun jobs ->
+      let exec = Executor.create ~jobs in
+      let ctx = Selection.make_ctx ~exec params (shared_topology_cands ()) in
+      Alcotest.(check (array int)) "nets are neighbours" [| 1 |] ctx.Selection.neighbors.(0);
+      Alcotest.(check (array int)) "two crossings on the two-edge path" [| 1; 2 |]
+        (Xmatrix.path_counts ctx.Selection.xmat ~i:0 ~j:0 ~m:1 ~n:0);
+      check_counts_against_geometry ctx;
+      let _, design_ctx =
+        Flow.prepare_with (Flow.Config.with_jobs jobs (Flow.Config.default params))
+          (Cases.tiny ~seed:5 ())
+      in
+      check_counts_against_geometry design_ctx)
+    [ 1; 4 ]
+
 (* Parallel build (jobs=4) produces exactly the sequential matrix. *)
 let test_parallel_build_deterministic () =
   let design = Cases.small ~seed:7 () in
@@ -296,7 +340,9 @@ let () =
             test_loss_matches_candidate_formula;
           Alcotest.test_case "counters and modes" `Quick test_counters_and_modes;
           Alcotest.test_case "parallel build deterministic" `Quick
-            test_parallel_build_deterministic ] );
+            test_parallel_build_deterministic;
+          Alcotest.test_case "shared-topology tables (jobs 1/4)" `Quick
+            test_shared_topology_parity ] );
       ( "parity",
         [ QCheck_alcotest.to_alcotest prop_random_design_parity;
           Alcotest.test_case "small design" `Slow test_small_design_parity;
