@@ -216,11 +216,21 @@ type scale_row = {
   g_gen_s : float;
   g_prep_s : float;
   g_select_s : float;
+      (** selection plus WDM placement and assignment, which the two
+          fields below break out *)
+  g_wdm_s : float;  (** WDM placement and legalization *)
+  g_assign_s : float;  (** track retirement and min-cost assignment *)
+  g_initial_tracks : int;
+  g_final_tracks : int;
   g_power : float;
   g_met : bool;  (** total wall-clock within the tier target *)
   g_part_regions : int;  (** regions the partitioned run formed *)
   g_part_prep_s : float;  (** partitioned-mode preparation wall-clock *)
   g_part_select_s : float;  (** partitioned selection incl. stitch *)
+  g_part_wdm_s : float;
+  g_part_assign_s : float;
+  g_part_initial_tracks : int;
+  g_part_final_tracks : int;
   g_part_power : float;
   g_part_speedup : float;  (** flat / partitioned (prepare + select) *)
   g_part_power_delta_pct : float;
@@ -332,14 +342,20 @@ let write_results () =
       {|    {"name":"%s","target_nets":%d,"target_seconds":%s,
      "nets":%d,"hnets":%d,"power":%s,
      "generate_seconds":%s,"prepare_seconds":%s,"select_seconds":%s,
+     "wdm_seconds":%s,"assign_seconds":%s,
+     "initial_tracks":%d,"final_tracks":%d,
      "total_seconds":%s,"target_met":%b,
      "partitioned":{"regions":%d,"prepare_seconds":%s,"select_seconds":%s,
+       "wdm_seconds":%s,"assign_seconds":%s,
+       "initial_tracks":%d,"final_tracks":%d,
        "power":%s,"speedup":%s,"power_delta_pct":%s}}|}
       r.g_name r.g_target_nets (jf r.g_target_s) r.g_nets r.g_hnets
       (jf r.g_power) (jf r.g_gen_s) (jf r.g_prep_s) (jf r.g_select_s)
+      (jf r.g_wdm_s) (jf r.g_assign_s) r.g_initial_tracks r.g_final_tracks
       (jf (r.g_gen_s +. r.g_prep_s +. r.g_select_s))
       r.g_met r.g_part_regions (jf r.g_part_prep_s) (jf r.g_part_select_s)
-      (jf r.g_part_power) (jf r.g_part_speedup)
+      (jf r.g_part_wdm_s) (jf r.g_part_assign_s) r.g_part_initial_tracks
+      r.g_part_final_tracks (jf r.g_part_power) (jf r.g_part_speedup)
       (jf r.g_part_power_delta_pct)
   in
   let thermal_json r =
@@ -732,14 +748,16 @@ let scale_bench () =
         let prep_s = Timer.now () -. t1 in
         let nets, hn, _ = Processing.stats hnets in
         let t2 = Timer.now () in
-        let r = Flow.select_with config design hnets ctx in
+        let sink = Instrument.create () in
+        let r = Flow.select_with ~sink config design hnets ctx in
         let select_s = Timer.now () -. t2 in
         let total = gen_s +. prep_s +. select_s in
         let t3 = Timer.now () in
         let p_hnets, p_ctx = Flow.prepare_with part_config design in
         let part_prep_s = Timer.now () -. t3 in
         let t4 = Timer.now () in
-        let pr = Flow.select_with part_config design p_hnets p_ctx in
+        let part_sink = Instrument.create () in
+        let pr = Flow.select_with ~sink:part_sink part_config design p_hnets p_ctx in
         let part_select_s = Timer.now () -. t4 in
         let part_regions =
           match pr.Flow.partition with
@@ -754,11 +772,19 @@ let scale_bench () =
           g_gen_s = gen_s;
           g_prep_s = prep_s;
           g_select_s = select_s;
+          g_wdm_s = stage_seconds sink Instrument.Wdm;
+          g_assign_s = stage_seconds sink Instrument.Assign;
+          g_initial_tracks = r.Flow.assignment.Assign.initial_count;
+          g_final_tracks = r.Flow.assignment.Assign.final_count;
           g_power = r.Flow.power;
           g_met = total <= t.Cases.t_target_seconds;
           g_part_regions = part_regions;
           g_part_prep_s = part_prep_s;
           g_part_select_s = part_select_s;
+          g_part_wdm_s = stage_seconds part_sink Instrument.Wdm;
+          g_part_assign_s = stage_seconds part_sink Instrument.Assign;
+          g_part_initial_tracks = pr.Flow.assignment.Assign.initial_count;
+          g_part_final_tracks = pr.Flow.assignment.Assign.final_count;
           g_part_power = pr.Flow.power;
           g_part_speedup =
             (prep_s +. select_s)
@@ -777,11 +803,15 @@ let scale_bench () =
       Printf.sprintf "%.2f" r.g_gen_s;
       Printf.sprintf "%.2f" r.g_prep_s;
       Printf.sprintf "%.2f" r.g_select_s;
+      Printf.sprintf "%.2f" r.g_wdm_s;
+      Printf.sprintf "%.2f" r.g_assign_s;
+      Printf.sprintf "%d/%d" r.g_final_tracks r.g_initial_tracks;
       Printf.sprintf "%.2f" (r.g_gen_s +. r.g_prep_s +. r.g_select_s);
       Printf.sprintf "%.0f" r.g_target_s;
       (if r.g_met then "yes" else "NO");
       string_of_int r.g_part_regions;
       Printf.sprintf "%.2f" (r.g_part_prep_s +. r.g_part_select_s);
+      Printf.sprintf "%.2f" r.g_part_assign_s;
       Printf.sprintf "%.2fx" r.g_part_speedup;
       Printf.sprintf "%+.2f%%" r.g_part_power_delta_pct ]
   in
@@ -789,12 +819,10 @@ let scale_bench () =
     (Report.table
        ~headers:
          [ "tier"; "#Net"; "#HNet"; "gen(s)"; "prepare(s)"; "select(s)";
-           "total(s)"; "target(s)"; "met"; "regions"; "part(s)"; "speedup";
-           "dPower" ]
+           "wdm(s)"; "assign(s)"; "tracks"; "total(s)"; "target(s)"; "met";
+           "regions"; "part(s)"; "part assign(s)"; "speedup"; "dPower" ]
        ~align:
-         [ Report.Left; Report.Right; Report.Right; Report.Right; Report.Right;
-           Report.Right; Report.Right; Report.Right; Report.Right;
-           Report.Right; Report.Right; Report.Right; Report.Right ]
+         (Report.Left :: List.init 16 (fun _ -> Report.Right))
        (List.map render rows));
   print_endline "";
   scale_results := rows;

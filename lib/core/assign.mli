@@ -13,7 +13,14 @@
     lightest-loaded first, and a track is removed whenever a max-flow
     check proves the remaining tracks still carry every connection bit.
     The final min-cost max-flow computes the cheapest concurrent
-    assignment onto the surviving tracks. *)
+    assignment onto the surviving tracks.
+
+    Connections only reach tracks within [dis_u], so the network splits
+    into the connected components of the connection–track eligibility
+    graph, and no bit ever moves between them. Both steps are solved one
+    component at a time: retirement returns exactly what one network
+    would, and the assignment has the same flow value and cost, though
+    among equal-cost optima it may pick a different one. *)
 
 open Operon_optical
 
@@ -40,13 +47,20 @@ val survivors :
 (** Indices (into the full track array) of one orientation's surviving
     tracks, in retirement order (lightest-loaded first): visiting tracks
     lightest-first, a track is retired whenever {!feasible} holds for
-    the remaining set. Computed on a single incrementally-edited flow
-    network; the result is identical to probing each subset from
-    scratch. *)
+    the remaining set. Computed on one incrementally-edited flow network
+    per eligibility component (a track no connection reaches is retired
+    outright); the result is identical to probing each subset from
+    scratch. When even the full set is infeasible, every track is
+    kept. *)
 
 val run : Params.t -> Wdm_place.placement -> result
-(** Raises nothing on well-formed placements; a placement is always a
-    feasible assignment, so [final_count <= initial_count]. *)
+(** On a feasible placement [final_count <= initial_count]. A placement
+    can be infeasible: legalization pushes stacked tracks [dis_l] apart,
+    which may move some beyond [dis_u] of every connection they were
+    opened for. Then [run] raises [Operon_engine.Fault.Error] with stage
+    [Assign] and kind [Capacity]; its one-line detail names the
+    orientation, the unroutable bits and the lowest connection index of
+    the first short component. *)
 
 val reduction_ratio : result -> float
 (** [(initial - final) / initial]; 0 when no track could be removed. The

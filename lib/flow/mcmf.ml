@@ -49,6 +49,8 @@ let add_edge t ~src ~dst ~cap ~cost =
   if src < 0 || src >= t.n || dst < 0 || dst >= t.n then
     invalid_arg "Mcmf.add_edge: vertex out of range";
   if cap < 0 then invalid_arg "Mcmf.add_edge: negative capacity";
+  (* [not (cost >= 0.0)] also rejects NaN. *)
+  if not (cost >= 0.0) then invalid_arg "Mcmf.add_edge: negative cost";
   ensure_capacity t;
   let handle = t.arcs in
   push_arc t src dst cap cost;
@@ -59,141 +61,129 @@ let flow_on t handle =
   if handle < 0 || handle >= t.arcs then invalid_arg "Mcmf.flow_on: bad handle";
   t.orig_caps.(handle) - t.caps.(handle)
 
-(* Bellman-Ford over residual arcs to initialise the potentials; needed only
-   when some arc cost is negative. *)
-let initial_potentials t source =
-  let pot = Array.make t.n infinity in
-  pot.(source) <- 0.0;
-  let changed = ref true in
-  let rounds = ref 0 in
-  while !changed do
-    changed := false;
-    incr rounds;
-    if !rounds > t.n then failwith "Mcmf: negative cycle";
-    for u = 0 to t.n - 1 do
-      if pot.(u) < infinity then begin
-        let a = ref t.heads.(u) in
-        while !a <> -1 do
-          if t.caps.(!a) > 0 && pot.(u) +. t.costs.(!a) < pot.(t.dsts.(!a)) -. 1e-12
-          then begin
-            pot.(t.dsts.(!a)) <- pot.(u) +. t.costs.(!a);
-            changed := true
-          end;
-          a := t.nexts.(!a)
-        done
-      end
-    done
+(* Lazy binary min-heap over (dist, vertex), ordered lexicographically —
+   the same selection order as an array scan (minimum distance, lowest
+   vertex on ties). Improvements push duplicates; stale entries are
+   skipped on pop via the visited flag (a vertex's first pop always
+   carries its final distance, since later improvements pushed strictly
+   smaller keys). A caller reserves room, writes the key straight into
+   [keys.(size)], then calls [heap_push] with the vertex: passing the
+   float as an argument would box it without flambda. *)
+type heap = {
+  mutable keys : float array;
+  mutable verts : int array;
+  mutable size : int;
+}
+
+let heap_less h i j =
+  let ki = h.keys.(i) and kj = h.keys.(j) in
+  ki < kj || (ki = kj && h.verts.(i) < h.verts.(j))
+
+let heap_swap h i j =
+  let k = h.keys.(i) and v = h.verts.(i) in
+  h.keys.(i) <- h.keys.(j);
+  h.verts.(i) <- h.verts.(j);
+  h.keys.(j) <- k;
+  h.verts.(j) <- v
+
+(* Make room for one more entry at index [h.size]. *)
+let heap_reserve h =
+  if h.size = Array.length h.keys then begin
+    let cap = 2 * h.size in
+    let keys = Array.make cap 0.0 and verts = Array.make cap 0 in
+    Array.blit h.keys 0 keys 0 h.size;
+    Array.blit h.verts 0 verts 0 h.size;
+    h.keys <- keys;
+    h.verts <- verts
+  end
+
+(* Sift up the entry whose key was just stored at [h.size]. *)
+let heap_push h vertex =
+  h.verts.(h.size) <- vertex;
+  h.size <- h.size + 1;
+  let i = ref (h.size - 1) in
+  while !i > 0 && heap_less h !i ((!i - 1) / 2) do
+    heap_swap h !i ((!i - 1) / 2);
+    i := (!i - 1) / 2
+  done
+
+let heap_pop h =
+  let top = h.verts.(0) in
+  h.size <- h.size - 1;
+  h.keys.(0) <- h.keys.(h.size);
+  h.verts.(0) <- h.verts.(h.size);
+  let i = ref 0 in
+  let stop = ref false in
+  while not !stop do
+    let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
+    let m = ref !i in
+    if l < h.size && heap_less h l !m then m := l;
+    if r < h.size && heap_less h r !m then m := r;
+    if !m = !i then stop := true
+    else begin
+      heap_swap h !i !m;
+      i := !m
+    end
   done;
-  Array.map (fun d -> if d = infinity then 0.0 else d) pot
+  top
 
-let has_negative_cost t =
-  let rec scan i = i < t.arcs && (t.costs.(i) < 0.0 && t.caps.(i) > 0 || scan (i + 1)) in
-  scan 0
-
-let solve_bounded t ~source ~sink ~max_flow =
+let solve t ~source ~sink =
   if source = sink then invalid_arg "Mcmf.solve: source = sink";
-  let pot =
-    if has_negative_cost t then initial_potentials t source
-    else Array.make t.n 0.0
-  in
+  (* Costs are non-negative ({!add_edge}), so zero potentials are
+     feasible to start with. *)
+  let pot = Array.make t.n 0.0 in
   let dist = Array.make t.n infinity in
   let prev_arc = Array.make t.n (-1) in
   let visited = Array.make t.n false in
-  (* Lazy binary min-heap over (dist, vertex), ordered lexicographically —
-     the same selection order as an array scan (minimum distance, lowest
-     vertex on ties), so the augmenting paths and therefore the final
-     flows are identical, at O(E log V) per round instead of O(V^2).
-     Improvements push duplicates; stale entries are skipped on pop via
-     the visited flag (a vertex's first pop always carries its final
-     distance, since later improvements pushed strictly smaller keys). *)
-  let hd = ref (Array.make 256 0.0) in
-  let hv = ref (Array.make 256 0) in
-  let hsize = ref 0 in
-  let hless i j =
-    let d = !hd and v = !hv in
-    d.(i) < d.(j) || (d.(i) = d.(j) && v.(i) < v.(j))
-  in
-  let hswap i j =
-    let d = !hd and v = !hv in
-    let td = d.(i) and tv = v.(i) in
-    d.(i) <- d.(j); v.(i) <- v.(j);
-    d.(j) <- td; v.(j) <- tv
-  in
-  let hpush key vertex =
-    if !hsize = Array.length !hd then begin
-      let cap = 2 * !hsize in
-      let nd = Array.make cap 0.0 and nv = Array.make cap 0 in
-      Array.blit !hd 0 nd 0 !hsize;
-      Array.blit !hv 0 nv 0 !hsize;
-      hd := nd;
-      hv := nv
-    end;
-    !hd.(!hsize) <- key;
-    !hv.(!hsize) <- vertex;
-    incr hsize;
-    let i = ref (!hsize - 1) in
-    while !i > 0 && hless !i ((!i - 1) / 2) do
-      hswap !i ((!i - 1) / 2);
-      i := (!i - 1) / 2
-    done
-  in
-  let hpop () =
-    let top = !hv.(0) in
-    decr hsize;
-    !hd.(0) <- !hd.(!hsize);
-    !hv.(0) <- !hv.(!hsize);
-    let i = ref 0 in
-    let stop = ref false in
-    while not !stop do
-      let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-      let m = ref !i in
-      if l < !hsize && hless l !m then m := l;
-      if r < !hsize && hless r !m then m := r;
-      if !m = !i then stop := true
-      else begin
-        hswap !i !m;
-        i := !m
-      end
-    done;
-    top
-  in
+  let h = { keys = Array.make 256 0.0; verts = Array.make 256 0; size = 0 } in
   let total_flow = ref 0 and total_cost = ref 0.0 in
   let continue = ref true in
-  while !continue && !total_flow < max_flow do
-    (* Dijkstra with reduced costs cost + pot(u) - pot(v) >= 0. *)
+  while !continue do
+    (* Dijkstra with reduced costs cost + pot(u) - pot(v) >= 0, stopped
+       once the sink is settled: the path to it is final by then. *)
     Array.fill dist 0 t.n infinity;
     Array.fill prev_arc 0 t.n (-1);
     Array.fill visited 0 t.n false;
     dist.(source) <- 0.0;
-    hsize := 0;
-    hpush 0.0 source;
-    while !hsize > 0 do
-      let u = hpop () in
+    h.size <- 0;
+    h.keys.(0) <- 0.0;
+    heap_push h source;
+    while h.size > 0 do
+      let u = heap_pop h in
       if not visited.(u) then begin
         visited.(u) <- true;
-        let a = ref t.heads.(u) in
-        while !a <> -1 do
-          let v = t.dsts.(!a) in
-          if t.caps.(!a) > 0 && not visited.(v) then begin
-            let reduced = t.costs.(!a) +. pot.(u) -. pot.(v) in
-            let nd = dist.(u) +. Float.max 0.0 reduced in
-            if nd < dist.(v) -. 1e-15 then begin
-              dist.(v) <- nd;
-              prev_arc.(v) <- !a;
-              hpush nd v
-            end
-          end;
-          a := t.nexts.(!a)
-        done
+        if u = sink then h.size <- 0
+        else begin
+          let a = ref t.heads.(u) in
+          while !a <> -1 do
+            let v = t.dsts.(!a) in
+            if t.caps.(!a) > 0 && not visited.(v) then begin
+              let reduced = t.costs.(!a) +. pot.(u) -. pot.(v) in
+              let nd = dist.(u) +. (if reduced > 0.0 then reduced else 0.0) in
+              if nd < dist.(v) -. 1e-15 then begin
+                dist.(v) <- nd;
+                prev_arc.(v) <- !a;
+                heap_reserve h;
+                h.keys.(h.size) <- nd;
+                heap_push h v
+              end
+            end;
+            a := t.nexts.(!a)
+          done
+        end
       end
     done;
-    if dist.(sink) = infinity then continue := false
+    if not visited.(sink) then continue := false
     else begin
+      (* Settled vertices move by their own distance, every other vertex
+         by the sink's, which is no larger than any unsettled tentative
+         distance: each residual arc keeps a non-negative reduced cost. *)
+      let ds = dist.(sink) in
       for v = 0 to t.n - 1 do
-        if dist.(v) < infinity then pot.(v) <- pot.(v) +. dist.(v)
+        pot.(v) <- pot.(v) +. (if visited.(v) then dist.(v) else ds)
       done;
       (* Bottleneck along the shortest path. *)
-      let bottleneck = ref (max_flow - !total_flow) in
+      let bottleneck = ref max_int in
       let v = ref sink in
       while !v <> source do
         let a = prev_arc.(!v) in
@@ -212,5 +202,3 @@ let solve_bounded t ~source ~sink ~max_flow =
     end
   done;
   (!total_flow, !total_cost)
-
-let solve t ~source ~sink = solve_bounded t ~source ~sink ~max_flow:max_int

@@ -3,7 +3,9 @@
    selection parity, registry LRU capacity, the resubmit protocol op,
    and the incremental track-retirement rewrite of Assign. *)
 
+open Operon_geom
 open Operon_optical
+open Operon_flow
 open Operon
 open Operon_benchgen
 open Operon_service
@@ -352,6 +354,159 @@ let test_survivors_equivalence () =
         [ Wdm.Horizontal; Wdm.Vertical ])
     [ ("tiny", Cases.tiny ()); ("small", Cases.small ()) ]
 
+(* Stacked tracks that legalization pushes beyond [dis_u]: 300 identical
+   32-bit connections open 300 tracks at y = 1.0, and the [dis_l] spread
+   leaves the top ~100 out of every connection's reach. The assignment
+   must fail with a structured capacity fault, not an assertion. *)
+let stacked_placement n =
+  let seg = Segment.make (Point.make 0.0 1.0) (Point.make 1.0 1.0) in
+  let conns = Array.init n (fun id -> { Wdm.id; net = id; seg; bits = 32 }) in
+  let placement = Wdm_place.place params conns in
+  ignore (Wdm_place.legalize params placement.Wdm_place.tracks);
+  placement
+
+let test_infeasible_placement_faults () =
+  let ok = stacked_placement 150 in
+  Alcotest.(check int) "150 stacked connections fit" 150
+    (Assign.run params ok).Assign.final_count;
+  let bad = stacked_placement 300 in
+  Alcotest.(check int) "infeasible: survivors keeps every track" 300
+    (List.length
+       (Assign.survivors params bad.Wdm_place.conns Wdm.Horizontal
+          bad.Wdm_place.tracks));
+  match Assign.run params bad with
+  | _ -> Alcotest.fail "an infeasible placement was assigned"
+  | exception Operon_engine.Fault.Error f ->
+      Alcotest.(check string) "stage" "assign"
+        (Operon_engine.Instrument.stage_name f.Operon_engine.Fault.stage);
+      Alcotest.(check string) "kind" "capacity"
+        (Operon_engine.Fault.kind_name f.Operon_engine.Fault.kind);
+      let detail = f.Operon_engine.Fault.detail in
+      let mentions sub =
+        let n = String.length sub in
+        let rec go i =
+          i + n <= String.length detail
+          && (String.sub detail i n = sub || go (i + 1))
+        in
+        go 0
+      in
+      List.iter
+        (fun sub ->
+          Alcotest.(check bool) ("detail mentions " ^ sub) true (mentions sub))
+        [ "horizontal"; "connection 0" ];
+      Alcotest.(check bool) "one line" false (String.contains detail '\n')
+
+(* The per-component solve against the single global network it
+   replaced. Each instance holds several clusters of connections, every
+   cluster more than [dis_u] from the next so it forms its own
+   eligibility components, with coordinates drawn from a few repeated
+   offsets so equal-cost alternatives abound. Survivors must match the
+   rebuild-per-subset oracle exactly; the assignment must match a global
+   min-cost flow over the surviving tracks in value and in total cost
+   (displacement plus usage). *)
+let global_assignment_cost params conns orient tracks =
+  let live =
+    List.filter (fun t -> t.Wdm.orient = orient) (Array.to_list tracks)
+    |> Array.of_list
+  in
+  let nc = Array.length conns and nw = Array.length live in
+  let source = 0 and sink = nc + nw + 1 in
+  let g = Mcmf.create (nc + nw + 2) in
+  Array.iteri
+    (fun ci c ->
+      if Wdm.orientation_of c.Wdm.seg = orient then begin
+        ignore (Mcmf.add_edge g ~src:source ~dst:(1 + ci) ~cap:c.Wdm.bits ~cost:0.0);
+        Array.iteri
+          (fun wi t ->
+            let d = Wdm.track_distance t c in
+            if d <= params.Params.dis_u then
+              ignore
+                (Mcmf.add_edge g ~src:(1 + ci) ~dst:(1 + nc + wi) ~cap:c.Wdm.bits
+                   ~cost:d))
+          live
+      end)
+    conns;
+  Array.iteri
+    (fun wi t ->
+      ignore
+        (Mcmf.add_edge g ~src:(1 + nc + wi) ~dst:sink ~cap:t.Wdm.capacity
+           ~cost:(1e-3 *. (1.0 +. Wdm.track_length t))))
+    live;
+  Mcmf.solve g ~source ~sink
+
+let gen_clustered_conns =
+  QCheck.Gen.(
+    int_range 2 5 >>= fun clusters ->
+    list_size (int_range 1 12)
+      (quad (int_range 0 (clusters - 1)) bool (int_range 0 3)
+         (triple (int_range 0 4) (float_range 0.0 2.0) (float_range 0.1 2.0)))
+    >|= fun specs ->
+    List.mapi
+      (fun id (cluster, horizontal, offset, (b, lo, len)) ->
+        (* Clusters sit 0.5 apart (dis_u = 0.1); offsets repeat. *)
+        let coord = (0.5 *. float_of_int cluster) +. [| 0.0; 0.02; 0.05; 0.08 |].(offset) in
+        let seg =
+          if horizontal then Segment.make (Point.make lo coord) (Point.make (lo +. len) coord)
+          else Segment.make (Point.make coord lo) (Point.make coord (lo +. len))
+        in
+        { Wdm.id; net = id; seg; bits = [| 1; 4; 8; 16; 32 |].(b) })
+      specs
+    |> Array.of_list)
+
+let prop_components_match_global =
+  QCheck.Test.make ~name:"per-component assignment = one global network"
+    ~count:200
+    (QCheck.make
+       ~print:(fun conns -> Printf.sprintf "%d connections" (Array.length conns))
+       gen_clustered_conns)
+    (fun conns ->
+      let placement = Wdm_place.place params conns in
+      ignore (Wdm_place.legalize params placement.Wdm_place.tracks);
+      let all = placement.Wdm_place.tracks in
+      List.iter
+        (fun orient ->
+          if
+            reference_survivors params conns orient all
+            <> Assign.survivors params conns orient all
+          then QCheck.Test.fail_report "survivors differ from the oracle")
+        [ Wdm.Horizontal; Wdm.Vertical ];
+      let r = Assign.run params placement in
+      let load = Array.make (Array.length r.Assign.tracks) 0 in
+      let cost = ref 0.0 in
+      Array.iteri
+        (fun ci fl ->
+          let c = conns.(ci) in
+          if List.fold_left (fun acc (_, b) -> acc + b) 0 fl <> c.Wdm.bits then
+            QCheck.Test.fail_reportf "connection %d not fully carried" ci;
+          List.iter
+            (fun (wi, b) ->
+              let t = r.Assign.tracks.(wi) in
+              let d = Wdm.track_distance t c in
+              if d > params.Params.dis_u then
+                QCheck.Test.fail_reportf "connection %d rides a far track" ci;
+              load.(wi) <- load.(wi) + b;
+              cost :=
+                !cost +. (float_of_int b *. (d +. (1e-3 *. (1.0 +. Wdm.track_length t)))))
+            fl)
+        r.Assign.flows;
+      Array.iteri
+        (fun wi t ->
+          if load.(wi) > t.Wdm.capacity then
+            QCheck.Test.fail_reportf "track %d over capacity" wi)
+        r.Assign.tracks;
+      let flow, global_cost =
+        List.fold_left
+          (fun (f, c) orient ->
+            let f', c' = global_assignment_cost params conns orient r.Assign.tracks in
+            (f + f', c +. c'))
+          (0, 0.0) [ Wdm.Horizontal; Wdm.Vertical ]
+      in
+      let bits = Array.fold_left (fun acc c -> acc + c.Wdm.bits) 0 conns in
+      if flow <> bits then QCheck.Test.fail_report "global flow differs";
+      if Float.abs (!cost -. global_cost) > 1e-9 *. Float.max 1.0 global_cost then
+        QCheck.Test.fail_reportf "cost %.12g vs global %.12g" !cost global_cost;
+      true)
+
 let () =
   Alcotest.run "eco"
     [ ( "design-diff",
@@ -373,4 +528,7 @@ let () =
             test_resubmit_requires_completed_parent ] );
       ( "assign",
         [ Alcotest.test_case "incremental survivors" `Quick
-            test_survivors_equivalence ] ) ]
+            test_survivors_equivalence;
+          Alcotest.test_case "infeasible placement raises a capacity fault"
+            `Quick test_infeasible_placement_faults;
+          QCheck_alcotest.to_alcotest prop_components_match_global ] ) ]

@@ -72,23 +72,20 @@ let test_mcmf_prefers_cheap_path () =
   Alcotest.(check int) "max flow 2" 2 flow;
   check_float "cost" 13.0 cost
 
-let test_mcmf_single_unit_cheapest () =
-  let g = Mcmf.create 4 in
-  ignore (Mcmf.add_edge g ~src:0 ~dst:1 ~cap:5 ~cost:1.0);
-  ignore (Mcmf.add_edge g ~src:0 ~dst:2 ~cap:5 ~cost:2.0);
-  ignore (Mcmf.add_edge g ~src:1 ~dst:3 ~cap:5 ~cost:1.0);
-  ignore (Mcmf.add_edge g ~src:2 ~dst:3 ~cap:5 ~cost:0.5);
-  let flow, cost = Mcmf.solve_bounded g ~source:0 ~sink:3 ~max_flow:1 in
-  Alcotest.(check int) "one unit" 1 flow;
-  check_float "cheapest route" 2.0 cost
-
-let test_mcmf_negative_costs () =
+let test_mcmf_rejects_negative_costs () =
   let g = Mcmf.create 3 in
-  ignore (Mcmf.add_edge g ~src:0 ~dst:1 ~cap:2 ~cost:(-3.0));
+  Alcotest.check_raises "negative cost"
+    (Invalid_argument "Mcmf.add_edge: negative cost") (fun () ->
+      ignore (Mcmf.add_edge g ~src:0 ~dst:1 ~cap:2 ~cost:(-3.0)));
+  Alcotest.check_raises "NaN cost"
+    (Invalid_argument "Mcmf.add_edge: negative cost") (fun () ->
+      ignore (Mcmf.add_edge g ~src:0 ~dst:1 ~cap:2 ~cost:Float.nan));
+  (* A rejected arc leaves the network untouched. *)
+  ignore (Mcmf.add_edge g ~src:0 ~dst:1 ~cap:2 ~cost:0.0);
   ignore (Mcmf.add_edge g ~src:1 ~dst:2 ~cap:2 ~cost:1.0);
   let flow, cost = Mcmf.solve g ~source:0 ~sink:2 in
   Alcotest.(check int) "flow" 2 flow;
-  check_float "negative total" (-4.0) cost
+  check_float "cost" 2.0 cost
 
 let test_mcmf_flow_on () =
   let g = Mcmf.create 3 in
@@ -164,6 +161,91 @@ let prop_mcmf_flow_equals_maxflow =
       let f2, _ = Mcmf.solve mc ~source:0 ~sink:(n - 1) in
       f1 = f2)
 
+(* Property: the min-cost flow is optimal. A maximum flow has minimum
+   cost exactly when its residual graph holds no negative-cost cycle, so
+   Bellman-Ford from a virtual root (every distance starting at 0) must
+   stop improving within n rounds. Half the instances hang most vertices
+   behind expensive arcs off a cheap source-sink route, so each early
+   Dijkstra settles the sink while most vertices are unsettled or not
+   even discovered: exactly where a wrong early-exit potential rule
+   leaves negative reduced costs behind. *)
+let residual_has_negative_cycle n arcs =
+  let dist = Array.make n 0.0 in
+  let relax () =
+    List.fold_left
+      (fun changed (u, v, cost) ->
+        if dist.(u) +. cost < dist.(v) -. 1e-9 then begin
+          dist.(v) <- dist.(u) +. cost;
+          true
+        end
+        else changed)
+      false arcs
+  in
+  let rec rounds k = if k = 0 then relax () else relax () && rounds (k - 1) in
+  rounds n
+
+let prop_mcmf_optimality_certificate =
+  let uniform =
+    QCheck.Gen.(
+      int_range 3 10 >>= fun n ->
+      list_size (int_range 2 30)
+        (quad (int_range 0 (n - 1)) (int_range 0 (n - 1)) (int_range 1 10)
+           (float_range 0.0 10.0))
+      >|= fun edges -> (n, edges))
+  in
+  let early_sink =
+    QCheck.Gen.(
+      int_range 6 14 >>= fun n ->
+      int_range 1 4 >>= fun cheap ->
+      list_size (int_range 4 40)
+        (quad (int_range 1 (n - 1)) (int_range 1 (n - 1)) (int_range 1 10)
+           (float_range 0.0 3.0))
+      >>= fun inner ->
+      list_size (int_range 1 6)
+        (pair (int_range 2 (n - 2)) (float_range 20.0 60.0))
+      >|= fun fans ->
+      let sink = n - 1 in
+      let route = [ (0, 1, cheap, 0.0); (1, sink, cheap, 0.5) ] in
+      let fan = List.map (fun (v, c) -> (0, v, 10, c)) fans in
+      (n, route @ fan @ inner))
+  in
+  QCheck.Test.make ~name:"mcmf residual graph has no negative cycle" ~count:500
+    (QCheck.make
+       ~print:(fun (n, e) ->
+         Printf.sprintf "n=%d edges=[%s]" n
+           (String.concat "; "
+              (List.map
+                 (fun (u, v, c, w) -> Printf.sprintf "%d->%d cap %d cost %g" u v c w)
+                 e)))
+       QCheck.Gen.(oneof [ uniform; early_sink ]))
+    (fun (n, edges) ->
+      let edges = List.filter (fun (u, v, _, _) -> u <> v) edges in
+      let mf = Maxflow.create n and mc = Mcmf.create n in
+      let handles =
+        List.map
+          (fun (u, v, c, w) ->
+            ignore (Maxflow.add_edge mf ~src:u ~dst:v ~cap:c);
+            (Mcmf.add_edge mc ~src:u ~dst:v ~cap:c ~cost:w, (u, v, c, w)))
+          edges
+      in
+      let flow, cost = Mcmf.solve mc ~source:0 ~sink:(n - 1) in
+      let residual =
+        List.concat_map
+          (fun (h, (u, v, c, w)) ->
+            let f = Mcmf.flow_on mc h in
+            (if f < c then [ (u, v, w) ] else [])
+            @ if f > 0 then [ (v, u, -.w) ] else [])
+          handles
+      in
+      let recomputed =
+        List.fold_left
+          (fun acc (h, (_, _, _, w)) -> acc +. (w *. float_of_int (Mcmf.flow_on mc h)))
+          0.0 handles
+      in
+      flow = Maxflow.max_flow mf ~source:0 ~sink:(n - 1)
+      && Float.abs (cost -. recomputed) <= 1e-9 *. Float.max 1.0 (Float.abs cost)
+      && not (residual_has_negative_cycle n residual))
+
 let () =
   Alcotest.run "flownet"
     [ ( "maxflow",
@@ -175,9 +257,10 @@ let () =
           Alcotest.test_case "invalid args" `Quick test_maxflow_invalid ] );
       ( "mcmf",
         [ Alcotest.test_case "cheap path first" `Quick test_mcmf_prefers_cheap_path;
-          Alcotest.test_case "bounded single unit" `Quick test_mcmf_single_unit_cheapest;
-          Alcotest.test_case "negative costs" `Quick test_mcmf_negative_costs;
+          Alcotest.test_case "rejects negative costs" `Quick
+            test_mcmf_rejects_negative_costs;
           Alcotest.test_case "flow readback" `Quick test_mcmf_flow_on;
           Alcotest.test_case "wdm transportation" `Quick test_mcmf_wdm_shape;
           Alcotest.test_case "matches brute force" `Quick test_mcmf_matches_brute_force;
-          QCheck_alcotest.to_alcotest prop_mcmf_flow_equals_maxflow ] ) ]
+          QCheck_alcotest.to_alcotest prop_mcmf_flow_equals_maxflow;
+          QCheck_alcotest.to_alcotest prop_mcmf_optimality_certificate ] ) ]
