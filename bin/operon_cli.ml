@@ -350,9 +350,11 @@ let run_cmd =
          | Some r ->
              Printf.printf
                "  ILP: components=%d timed_out=%d nodes=%d pivots=%d \
-                refactorizations=%d proven=%b (%s core)\n"
+                refactorizations=%d blocks_solved=%d blocks_skipped=%d \
+                proven=%b (%s core)\n"
                r.Ilp_select.components r.Ilp_select.timed_out r.Ilp_select.nodes
                r.Ilp_select.pivots r.Ilp_select.refactorizations
+               r.Ilp_select.blocks_solved r.Ilp_select.blocks_skipped
                r.Ilp_select.proven
                (Operon_solver.Solver.core_name config.Flow.Config.solver_core)
          | None -> ());

@@ -422,6 +422,9 @@ let stage_select partition =
         Instrument.incr sink Instrument.Select "pivots" r.Ilp_select.pivots;
         Instrument.incr sink Instrument.Select "refactorizations"
           r.Ilp_select.refactorizations;
+        Instrument.incr sink Instrument.Select "blocks_solved" r.Ilp_select.blocks_solved;
+        Instrument.incr sink Instrument.Select "blocks_skipped"
+          r.Ilp_select.blocks_skipped;
         (r.Ilp_select.choice, r.Ilp_select.elapsed, Some r, None)
       in
       let run_lr () =
@@ -638,7 +641,11 @@ let stage_select partition =
                      Instrument.incr sink Instrument.Select "pivots"
                        res.Ilp_select.pivots;
                      Instrument.incr sink Instrument.Select "refactorizations"
-                       res.Ilp_select.refactorizations
+                       res.Ilp_select.refactorizations;
+                     Instrument.incr sink Instrument.Select "blocks_solved"
+                       res.Ilp_select.blocks_solved;
+                     Instrument.incr sink Instrument.Select "blocks_skipped"
+                       res.Ilp_select.blocks_skipped
                  | None -> ());
                 (match out.ro_lr with
                  | Some res ->

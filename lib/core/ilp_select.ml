@@ -13,44 +13,71 @@ type result = {
   lp_solves : int;
   pivots : int;
   refactorizations : int;
+  blocks_solved : int;
+  blocks_skipped : int;
   elapsed : float;
 }
+
+(* Per-[select] membership masks over all nets, so that building a block
+   program costs no hash lookups: [pos.(i)] is net [i]'s index in the
+   current block (-1 outside it) and [seen.(m)] marks a frozen neighbour
+   whose guard rows are already built. [solve_block] sets them for its
+   block and clears them again before returning. *)
+type masks = { pos : int array; seen : bool array }
 
 (* Solve the Formula (3) ILP for the nets of [block], with every net
    outside the block frozen at [current]. Frozen neighbours contribute
    constants to the block nets' path constraints, and the frozen nets'
    own paths become x-linear rows so a block move can never break them —
    the invariant "the global selection stays feasible" holds after every
-   block. Returns the updated choices and whether optimality was proven. *)
+   block. The program reads [current] only within two hops of the block.
+   Returns whether optimality was proven, and the solver statistics. *)
 let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
-    ?(core = Solver.Sparse) ctx ~budget ~current block =
+    ?(core = Solver.Sparse) ctx masks ~budget ~current block =
   let params = ctx.Selection.params in
   let l_max = params.Params.l_max in
-  let in_block = Hashtbl.create 16 in
-  Array.iter (fun i -> Hashtbl.add in_block i ()) block;
+  let cands = ctx.Selection.cands and neighbors = ctx.Selection.neighbors in
+  let pos = masks.pos in
+  Array.iteri (fun b i -> pos.(i) <- b) block;
+  let in_block m = pos.(m) >= 0 in
+  (* Crossing losses read once per neighbour slot and added path by path
+     onto [sums], each path's terms in neighbour order. A candidate
+     without optical paths reads nothing. Small counts take their
+     [Loss.crossing_bundled] value from a table, which saves a call and
+     a boxed float per term. *)
+  let xmat = ctx.Selection.xmat in
+  let bundled = Array.init 64 (Loss.crossing_bundled params) in
+  let add_losses sums ~i ~k ~j ~m ~n =
+    if Array.length sums > 0 then begin
+      let counts = Xmatrix.slot_counts xmat ~i ~k ~j ~m ~n in
+      for p = 0 to Array.length sums - 1 do
+        let c = counts.(p) in
+        sums.(p) <-
+          sums.(p)
+          +. (if c < Array.length bundled then bundled.(c)
+              else Loss.crossing_bundled params c)
+      done
+    end
+  in
   (* Admissible candidates per block net: the frozen-crossing-adjusted
      intrinsic loss must leave room under the budget. The current choice
      and the electrical fallback always qualify. To keep the linearized
      model dense-simplex-sized, only the cheapest few candidates per net
      enter the block program (the rest are dominated in practice). *)
-  let xmat = ctx.Selection.xmat in
   let thermal = ctx.Selection.thermal in
   let frozen_intrinsic i j =
-    let c = ctx.Selection.cands.(i).(j) in
+    let c = cands.(i).(j) in
+    let frozen = Array.make (Array.length c.Candidate.paths) 0.0 in
+    Array.iteri
+      (fun k m ->
+        if not (in_block m) then add_losses frozen ~i ~k ~j ~m ~n:current.(m))
+      neighbors.(i);
     Array.mapi
       (fun p (path : Candidate.path) ->
-        let frozen =
-          Array.fold_left
-            (fun acc m ->
-              if Hashtbl.mem in_block m then acc
-              else
-                acc +. Xmatrix.loss_on_path xmat params ~i ~j ~p ~m ~n:current.(m))
-            0.0 ctx.Selection.neighbors.(i)
-        in
         match thermal with
-        | None -> path.Candidate.intrinsic_loss +. frozen
+        | None -> path.Candidate.intrinsic_loss +. frozen.(p)
         | Some t ->
-            path.Candidate.intrinsic_loss +. frozen
+            path.Candidate.intrinsic_loss +. frozen.(p)
             +. t.Selection.penalty.(i).(j).(p))
       c.Candidate.paths
   in
@@ -64,7 +91,7 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
             if Array.for_all (fun l -> l <= l_max +. 1e-9) adjusted
                || j = current.(i)
             then js := (j, adjusted) :: !js)
-          ctx.Selection.cands.(i);
+          cands.(i);
         let all = List.rev !js in
         let keep =
           List.sort
@@ -83,17 +110,23 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
         (i, keep))
       block
   in
-  (* Variable layout: x variables per admissible candidate, then y. *)
-  let x_var = Hashtbl.create 64 in
+  (* Variable layout: x variables per admissible candidate, then y.
+     [x_var.(pos.(i)).(j)] is candidate (i, j)'s variable, -1 when the
+     candidate is not admissible. *)
   let nx = ref 0 in
-  Array.iter
-    (fun (i, js) ->
-      List.iter
-        (fun (j, _) ->
-          Hashtbl.add x_var (i, j) !nx;
-          incr nx)
-        js)
-    admissible;
+  let x_var =
+    Array.map
+      (fun (i, js) ->
+        let vars = Array.make (Array.length cands.(i)) (-1) in
+        List.iter
+          (fun (j, _) ->
+            vars.(j) <- !nx;
+            incr nx)
+          js;
+        vars)
+      admissible
+  in
+  let xv i j = x_var.(pos.(i)).(j) in
   let y_var = Hashtbl.create 64 in
   let ny = ref 0 in
   let y_of a b =
@@ -106,6 +139,31 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
         incr ny;
         v
   in
+  (* Per-path counts of candidate (i, j) against every admissible
+     candidate of the block neighbours [keep] accepts, in neighbour then
+     candidate order: one slot read serves all of (i, j)'s paths. *)
+  let block_counts ~i ~j ~keep =
+    let acc = ref [] in
+    let has_paths = Array.length cands.(i).(j).Candidate.paths > 0 in
+    Array.iteri
+      (fun k m ->
+        if has_paths && in_block m && keep m then
+          Array.iteri
+            (fun n v ->
+              if v >= 0 then
+                acc := (m, n, Xmatrix.slot_counts xmat ~i ~k ~j ~m ~n) :: !acc)
+            x_var.(pos.(m)))
+      neighbors.(i);
+    List.rev !acc
+  in
+  (* Coupling terms of path [p] against [counts], in reading order. *)
+  let coupling counts p term =
+    List.fold_left
+      (fun terms (m, n, c) ->
+        if c.(p) > 0 then term m n (Loss.crossing_bundled params c.(p)) :: terms
+        else terms)
+      [] counts
+  in
   (* Path rows of block candidates: adjusted intrinsic * x + coupling to
      other block nets via y. *)
   let block_rows = ref [] in
@@ -113,86 +171,53 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
     (fun (i, js) ->
       List.iter
         (fun (j, adjusted) ->
-          let c = ctx.Selection.cands.(i).(j) in
+          let counts = block_counts ~i ~j ~keep:(fun m -> m <> i) in
           Array.iteri
-            (fun p _ ->
-              let terms = ref [] in
-              Array.iter
-                (fun m ->
-                  if Hashtbl.mem in_block m && m <> i then
-                    Array.iteri
-                      (fun n _ ->
-                        if Hashtbl.mem x_var (m, n) then begin
-                          let crossings = Xmatrix.count xmat ~i ~j ~p ~m ~n in
-                          if crossings > 0 then
-                            terms :=
-                              (y_of (i, j) (m, n), Loss.crossing_bundled params crossings)
-                              :: !terms
-                        end)
-                      ctx.Selection.cands.(m))
-                ctx.Selection.neighbors.(i);
-              if !terms <> [] then
-                block_rows := ((i, j), adjusted.(p), !terms) :: !block_rows)
-            c.Candidate.paths)
+            (fun p intrinsic ->
+              let terms = coupling counts p (fun m n w -> (y_of (i, j) (m, n), w)) in
+              if terms <> [] then block_rows := ((i, j), intrinsic, terms) :: !block_rows)
+            adjusted)
         js)
     admissible;
   (* Guard rows for frozen neighbours' paths: their loss must stay within
-     budget as block nets move. *)
+     budget as block nets move. Each row's constant is the path's
+     intrinsic loss (plus its thermal penalty) plus the crossings from all
+     non-block neighbours of m, which are frozen too. *)
   let frozen_rows = ref [] in
-  let frozen_seen = Hashtbl.create 16 in
+  let seen = masks.seen in
+  let seen_list = ref [] in
   Array.iter
     (fun i ->
       Array.iter
         (fun m ->
-          if (not (Hashtbl.mem in_block m)) && not (Hashtbl.mem frozen_seen m)
-          then begin
-            Hashtbl.add frozen_seen m ();
-            let fc = ctx.Selection.cands.(m).(current.(m)) in
-            Array.iteri
-              (fun q (path : Candidate.path) ->
-                (* Constant: intrinsic + crossings from all non-block
-                   neighbours of m (also frozen). *)
-                let base =
+          if (not (in_block m)) && not seen.(m) then begin
+            seen.(m) <- true;
+            seen_list := m :: !seen_list;
+            let jm = current.(m) in
+            let const =
+              Array.mapi
+                (fun q (path : Candidate.path) ->
                   match thermal with
                   | None -> path.Candidate.intrinsic_loss
                   | Some t ->
-                      path.Candidate.intrinsic_loss
-                      +. t.Selection.penalty.(m).(current.(m)).(q)
-                in
-                let const =
-                  Array.fold_left
-                    (fun acc k ->
-                      if Hashtbl.mem in_block k then acc
-                      else
-                        acc
-                        +. Xmatrix.loss_on_path xmat params ~i:m ~j:current.(m) ~p:q
-                             ~m:k ~n:current.(k))
-                    base
-                    ctx.Selection.neighbors.(m)
-                in
-                let terms = ref [] in
-                Array.iter
-                  (fun k ->
-                    if Hashtbl.mem in_block k then
-                      Array.iteri
-                        (fun n _ ->
-                          if Hashtbl.mem x_var (k, n) then begin
-                            let crossings =
-                              Xmatrix.count xmat ~i:m ~j:current.(m) ~p:q ~m:k ~n
-                            in
-                            if crossings > 0 then
-                              terms :=
-                                ((k, n), Loss.crossing_bundled params crossings) :: !terms
-                          end)
-                        ctx.Selection.cands.(k))
-                  ctx.Selection.neighbors.(m);
-                if !terms <> [] then frozen_rows := (const, !terms) :: !frozen_rows)
-              fc.Candidate.paths
+                      path.Candidate.intrinsic_loss +. t.Selection.penalty.(m).(jm).(q))
+                cands.(m).(jm).Candidate.paths
+            in
+            Array.iteri
+              (fun k f ->
+                if not (in_block f) then add_losses const ~i:m ~k ~j:jm ~m:f ~n:current.(f))
+              neighbors.(m);
+            let counts = block_counts ~i:m ~j:jm ~keep:(fun _ -> true) in
+            Array.iteri
+              (fun q c ->
+                let terms = coupling counts q (fun k n w -> (xv k n, w)) in
+                if terms <> [] then frozen_rows := (c, terms) :: !frozen_rows)
+              const
           end)
-        ctx.Selection.neighbors.(i))
+        neighbors.(i))
     block;
+  List.iter (fun m -> seen.(m) <- false) !seen_list;
   let total_vars = Stdlib.max 1 (!nx + !ny) in
-  let xv key = Hashtbl.find x_var key in
   let yv idx = !nx + idx in
   (* Assemble the whole program as one immutable Problem: minimize the
      selected candidates' power; x binaries carry their [0,1] range as
@@ -202,33 +227,31 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
     Array.to_list admissible
     |> List.concat_map (fun (i, js) ->
            List.map
-             (fun (j, _) -> (xv (i, j), Selection.objective ctx i j))
+             (fun (j, _) -> (xv i j, Selection.objective ctx i j))
              js)
   in
   let pick_rows =
     Array.to_list admissible
     |> List.map (fun (i, js) ->
-           (List.map (fun (j, _) -> (xv (i, j), 1.0)) js, Problem.Eq, 1.0))
+           (List.map (fun (j, _) -> (xv i j, 1.0)) js, Problem.Eq, 1.0))
   in
   let path_rows =
     List.map
       (fun ((i, j), intrinsic, terms) ->
-        ( (xv (i, j), intrinsic) :: List.map (fun (y, w) -> (yv y, w)) terms,
+        ( (xv i j, intrinsic) :: List.map (fun (y, w) -> (yv y, w)) terms,
           Problem.Le, l_max ))
       !block_rows
   in
   let guard_rows =
     List.map
-      (fun (const, terms) ->
-        (List.map (fun (key, w) -> (xv key, w)) terms, Problem.Le,
-         l_max -. const))
+      (fun (const, terms) -> (terms, Problem.Le, l_max -. const))
       !frozen_rows
   in
   let link_rows = ref [] in
   Hashtbl.iter
-    (fun (a, b) y ->
+    (fun ((i, j), (m, n)) y ->
       link_rows :=
-        ([ (xv a, 1.0); (xv b, 1.0); (yv y, -1.0) ], Problem.Le, 1.0)
+        ([ (xv i j, 1.0); (xv m n, 1.0); (yv y, -1.0) ], Problem.Le, 1.0)
         :: !link_rows)
     y_var;
   let rows = pick_rows @ path_rows @ guard_rows @ !link_rows in
@@ -237,7 +260,7 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
   let problem = Problem.of_rows ~nvars:total_vars ~obj ~upper ~integer rows in
   (* Incumbent: the current (feasible) selection restricted to the block. *)
   let seed_values = Array.make total_vars 0.0 in
-  Array.iter (fun i -> seed_values.(xv (i, current.(i))) <- 1.0) block;
+  Array.iter (fun i -> seed_values.(xv i current.(i)) <- 1.0) block;
   Hashtbl.iter
     (fun ((i, j), (m, n)) y ->
       if current.(i) = j && current.(m) = n then seed_values.(yv y) <- 1.0)
@@ -261,7 +284,7 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
         let best = ref current.(i) and best_val = ref 0.5 in
         List.iter
           (fun (j, _) ->
-            let v = sol.Solver.values.(xv (i, j)) in
+            let v = sol.Solver.values.(xv i j) in
             if v > !best_val then begin
               best_val := v;
               best := j
@@ -270,17 +293,22 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
         current.(i) <- !best)
       admissible
   in
-  match res.Solver.Result.status with
-  | Solver.Optimal sol ->
-      adopt sol;
-      (true, stats)
-  | Solver.Feasible sol ->
-      adopt sol;
-      (false, stats)
-  | Solver.Infeasible | Solver.Unbounded | Solver.Unknown -> (false, stats)
+  let proven =
+    match res.Solver.Result.status with
+    | Solver.Optimal sol ->
+        adopt sol;
+        true
+    | Solver.Feasible sol ->
+        adopt sol;
+        false
+    | Solver.Infeasible | Solver.Unbounded | Solver.Unknown -> false
+  in
+  Array.iter (fun i -> pos.(i) <- -1) block;
+  (proven, stats)
 
-(* Split an oversized component into geographically compact blocks of at
-   most [max_block] nets (sorted by bounding-box centre, snake order). *)
+(* Split an oversized component into blocks of at most [max_block]
+   consecutive nets in bounding-box-centre order ([Point.compare]: by x,
+   then y), so each block is a narrow vertical strip of the component. *)
 let blocks_of_component ctx comp ~max_block =
   let keyed =
     Array.map
@@ -349,6 +377,12 @@ let select ?(budget_seconds = 3000.0) ?(max_pivots = max_int)
     pivots := !pivots + s.Solver.pivots;
     refactorizations := !refactorizations + s.Solver.refactorizations
   in
+  let blocks_solved = ref 0 and blocks_skipped = ref 0 in
+  let n = Array.length ctx.Selection.cands in
+  let masks = { pos = Array.make n (-1); seen = Array.make n false } in
+  (* Descent bookkeeping: each net's block index in the component under
+     descent, -1 elsewhere. *)
+  let block_of = Array.make n (-1) in
   let remaining = ref (Array.length comps) in
   let overall = Timer.budget budget_seconds in
   Array.iter
@@ -377,7 +411,7 @@ let select ?(budget_seconds = 3000.0) ?(max_pivots = max_int)
         in
         let budget = Timer.budget comp_budget_s in
         if var_estimate <= max_component_vars then begin
-          let ok, stats = solve_block ~max_pivots ~core ctx ~budget ~current comp in
+          let ok, stats = solve_block ~max_pivots ~core ctx masks ~budget ~current comp in
           absorb stats;
           if not ok then begin
             proven := false;
@@ -387,28 +421,51 @@ let select ?(budget_seconds = 3000.0) ?(max_pivots = max_int)
         else begin
           (* Oversized component: block-coordinate descent with exact
              block ILPs. The result is an incumbent, never a proof —
-             reproducing the paper's time-limit rows. *)
+             reproducing the paper's time-limit rows. A block's program
+             reads [current] only within two hops of its nets, so a block
+             is solved again only when a net that close changed choice
+             since its last solve, or that solve was not proven optimal:
+             otherwise the same program and incumbent would return the
+             same answer, which changes nothing. *)
           proven := false;
           incr timed_out;
           let max_block = 6 in
-          let blocks = blocks_of_component ctx comp ~max_block in
+          let blocks = Array.of_list (blocks_of_component ctx comp ~max_block) in
+          Array.iteri (fun b block -> Array.iter (fun i -> block_of.(i) <- b) block) blocks;
+          let dirty = Array.make (Array.length blocks) true in
+          let mark i = if block_of.(i) >= 0 then dirty.(block_of.(i)) <- true in
+          let changed i =
+            mark i;
+            Array.iter
+              (fun m ->
+                mark m;
+                Array.iter mark ctx.Selection.neighbors.(m))
+              ctx.Selection.neighbors.(i)
+          in
           let passes = 2 in
           let per_solve =
-            comp_budget_s /. float_of_int (Stdlib.max 1 (passes * List.length blocks))
+            comp_budget_s /. float_of_int (Stdlib.max 1 (passes * Array.length blocks))
           in
           for _ = 1 to passes do
-            List.iter
-              (fun block ->
-                if not (Timer.expired budget) then begin
+            Array.iteri
+              (fun b block ->
+                if not dirty.(b) then incr blocks_skipped
+                else if not (Timer.expired budget) then begin
+                  dirty.(b) <- false;
+                  let before = Array.map (fun i -> current.(i)) block in
                   let block_budget = Timer.budget per_solve in
-                  let _, stats =
-                    solve_block ~max_cands_per_net:5 ~max_pivots ~core ctx
+                  let ok, stats =
+                    solve_block ~max_cands_per_net:5 ~max_pivots ~core ctx masks
                       ~budget:block_budget ~current block
                   in
-                  absorb stats
+                  absorb stats;
+                  incr blocks_solved;
+                  if not ok then dirty.(b) <- true;
+                  Array.iteri (fun x i -> if current.(i) <> before.(x) then changed i) block
                 end)
               blocks
-          done
+          done;
+          Array.iter (fun i -> block_of.(i) <- -1) comp
         end
       end)
     comps;
@@ -425,4 +482,6 @@ let select ?(budget_seconds = 3000.0) ?(max_pivots = max_int)
     lp_solves = !lp_solves;
     pivots = !pivots;
     refactorizations = !refactorizations;
+    blocks_solved = !blocks_solved;
+    blocks_skipped = !blocks_skipped;
     elapsed = Timer.now () -. t0 }

@@ -19,14 +19,20 @@
     - the interaction graph is decomposed into connected components, each
       an independent ILP (a consequence of the first reduction).
 
-    Small components are solved exactly. Oversized components (model
-    above [max_component_vars]) run block-coordinate descent with exact
-    block ILPs: each block of nets is re-optimized while the rest stays
-    frozen, with guard rows keeping the frozen nets' paths legal, so the
-    global selection remains feasible and its power decreases
-    monotonically. Those components are reported as timed out — the
-    analogue of the paper's ">3000 s" GUROBI rows, where the incumbent at
-    the time limit is what gets reported. *)
+    Small components are solved exactly. Oversized components (more than
+    [max_component_vars] candidates summed over their nets) run two
+    passes of block-coordinate descent with exact block ILPs: each block
+    of nets is re-optimized while the rest stays frozen, with guard rows
+    keeping the frozen nets' paths legal, so the global selection remains
+    feasible and its power decreases monotonically. A block's program
+    reads the current selection only within two hops of its nets (the
+    block, its neighbours and theirs), so the second pass solves a block
+    again only when a net within two hops changed choice since the
+    block's last solve, or that solve was not proven optimal; any other
+    block would see the same program and incumbent and change nothing.
+    Those components are reported as timed out — the analogue of the
+    paper's ">3000 s" GUROBI rows, where the incumbent at the time limit
+    is what gets reported. *)
 
 type result = {
   choice : int array;  (** selected candidate index per hyper net *)
@@ -38,6 +44,10 @@ type result = {
   lp_solves : int;  (** total LP relaxations solved *)
   pivots : int;  (** total simplex pivots (incl. bound flips) *)
   refactorizations : int;  (** sparse-core basis rebuilds; 0 on dense *)
+  blocks_solved : int;  (** descent block programs solved *)
+  blocks_skipped : int;
+      (** descent blocks not solved again because their program could
+          not have changed since their last solve *)
   elapsed : float;  (** seconds *)
 }
 
@@ -61,6 +71,7 @@ val select :
     simplex pivots, downgrading affected components to unproven;
     [core] picks the LP engine (default [Sparse]; [Dense] is the
     pre-redesign tableau core kept for parity testing);
-    [max_component_vars] (default 150) is the model-size cap above which
-    a component is declared timed out immediately. The returned
-    selection is always feasible. *)
+    [max_component_vars] (default 150) caps the candidate count summed
+    over a component's nets (not the model size): a component above it
+    is descended in two block passes and reported as timed out. The
+    returned selection is always feasible. *)

@@ -245,22 +245,28 @@ let direct cands = { cands; table = None; counters = { hits = 0; misses = 0 } }
 
 let enabled t = t.table <> None
 
+let miss t i j m n =
+  t.counters.misses <- t.counters.misses + 1;
+  compute_counts t.cands i j m n
+
+let slot_counts t ~i ~k ~j ~m ~n =
+  match t.table with
+  | Some tb -> (
+      t.counters.hits <- t.counters.hits + 1;
+      match tb.rows.(i).(k).(j).(n) with
+      | Some counts -> counts
+      | None -> tb.zeros.(i).(j))
+  | None -> miss t i j m n
+
 let path_counts t ~i ~j ~m ~n =
   match t.table with
   | Some tb -> (
       match Hashtbl.find_opt tb.pos.(i) m with
-      | Some k ->
-          t.counters.hits <- t.counters.hits + 1;
-          (match tb.rows.(i).(k).(j).(n) with
-           | Some counts -> counts
-           | None -> tb.zeros.(i).(j))
+      | Some k -> slot_counts t ~i ~k ~j ~m ~n
       | None ->
           (* Not a neighbour pair: fall through to the geometry. *)
-          t.counters.misses <- t.counters.misses + 1;
-          compute_counts t.cands i j m n)
-  | None ->
-      t.counters.misses <- t.counters.misses + 1;
-      compute_counts t.cands i j m n
+          miss t i j m n)
+  | None -> miss t i j m n
 
 let count t ~i ~j ~p ~m ~n =
   match t.table with

@@ -72,6 +72,13 @@ val path_counts : t -> i:int -> j:int -> m:int -> n:int -> int array
     of [(i, j)]. The returned array is shared with the cache — do not
     mutate it. *)
 
+val slot_counts : t -> i:int -> k:int -> j:int -> m:int -> n:int -> int array
+(** [path_counts] addressed by neighbour slot: [m] must be
+    [neighbors.(i).(k)] of the neighbour rows the matrix was built with.
+    A table read skips the neighbour-id lookup of {!path_counts}; a
+    {!direct} matrix recomputes from [m]'s geometry. Each call counts one
+    hit (table) or one miss (direct). *)
+
 val count : t -> i:int -> j:int -> p:int -> m:int -> n:int -> int
 (** Single-path variant of {!path_counts}. *)
 

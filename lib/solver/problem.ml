@@ -1,38 +1,5 @@
 type relation = Le | Ge | Eq
 
-type column = {
-  c_obj : float;
-  c_lower : float;
-  c_upper : float;
-  c_integer : bool;
-  c_entries : (int * float) list; (* ascending row, deduplicated *)
-}
-
-let column ?(obj = 0.0) ?(lower = 0.0) ?(upper = infinity) ?(integer = false)
-    entries =
-  if Float.is_nan obj || Float.is_nan lower || Float.is_nan upper then
-    invalid_arg "Problem.column: NaN objective or bound";
-  if lower > upper then invalid_arg "Problem.column: lower > upper";
-  if integer && not (Float.is_finite lower && Float.is_finite upper) then
-    invalid_arg "Problem.column: integer variable needs finite bounds";
-  List.iter
-    (fun (_, c) ->
-      if Float.is_nan c then invalid_arg "Problem.column: NaN coefficient")
-    entries;
-  (* Sort by row and merge duplicates so the CSC column is canonical. *)
-  let sorted = List.sort (fun (a, _) (b, _) -> compare a b) entries in
-  let merged =
-    List.fold_left
-      (fun acc (r, c) ->
-        match acc with
-        | (r', c') :: rest when r' = r -> (r', c' +. c) :: rest
-        | _ -> (r, c) :: acc)
-      [] sorted
-    |> List.rev
-  in
-  { c_obj = obj; c_lower = lower; c_upper = upper; c_integer = integer;
-    c_entries = merged }
-
 type t = {
   nvars : int;
   nrows : int;
@@ -46,44 +13,6 @@ type t = {
   rel : relation array;
   rhs : float array;
 }
-
-let make ~rows cols =
-  let nvars = Array.length cols in
-  if nvars = 0 then invalid_arg "Problem.make: need at least one variable";
-  let nrows = Array.length rows in
-  let nnz = Array.fold_left (fun acc c -> acc + List.length c.c_entries) 0 cols in
-  let col_ptr = Array.make (nvars + 1) 0 in
-  let row_ind = Array.make nnz 0 in
-  let values = Array.make nnz 0.0 in
-  let k = ref 0 in
-  Array.iteri
-    (fun v c ->
-      col_ptr.(v) <- !k;
-      List.iter
-        (fun (r, coeff) ->
-          if r < 0 || r >= nrows then
-            invalid_arg "Problem.make: row index out of range";
-          row_ind.(!k) <- r;
-          values.(!k) <- coeff;
-          incr k)
-        c.c_entries)
-    cols;
-  col_ptr.(nvars) <- !k;
-  Array.iter
-    (fun (_, b) ->
-      if Float.is_nan b then invalid_arg "Problem.make: NaN right-hand side")
-    rows;
-  { nvars;
-    nrows;
-    obj = Array.map (fun c -> c.c_obj) cols;
-    lower = Array.map (fun c -> c.c_lower) cols;
-    upper = Array.map (fun c -> c.c_upper) cols;
-    integer = Array.map (fun c -> c.c_integer) cols;
-    col_ptr;
-    row_ind;
-    values;
-    rel = Array.map fst rows;
-    rhs = Array.map snd rows }
 
 let of_rows ~nvars ?(obj = []) ?(lower = []) ?(upper = []) ?(integer = [])
     rows =
@@ -100,19 +29,92 @@ let of_rows ~nvars ?(obj = []) ?(lower = []) ?(upper = []) ?(integer = [])
   List.iter (fun (v, b) -> check v; lowers.(v) <- b) lower;
   List.iter (fun (v, b) -> check v; uppers.(v) <- b) upper;
   List.iter (fun v -> check v; ints.(v) <- true) integer;
-  (* Transpose the row list into per-variable entry lists. *)
-  let entries = Array.make nvars [] in
-  List.iteri
-    (fun r (coeffs, _, _) ->
-      List.iter (fun (v, c) -> check v; entries.(v) <- (r, c) :: entries.(v)) coeffs)
-    rows;
-  let cols =
-    Array.init nvars (fun v ->
-        column ~obj:objs.(v) ~lower:lowers.(v) ~upper:uppers.(v)
-          ~integer:ints.(v) (List.rev entries.(v)))
+  (* Transpose straight into CSC: count each column's entries, then fill
+     the columns visiting rows in order, so every column comes out in
+     ascending row order with a row's repeated entries adjacent. *)
+  let col_ptr = Array.make (nvars + 1) 0 in
+  let nrows = ref 0 in
+  let rec count = function
+    | [] -> ()
+    | (v, _) :: rest ->
+        check v;
+        col_ptr.(v + 1) <- col_ptr.(v + 1) + 1;
+        count rest
   in
-  let row_meta = Array.of_list (List.map (fun (_, rel, rhs) -> (rel, rhs)) rows) in
-  make ~rows:row_meta cols
+  List.iter
+    (fun (coeffs, _, _) ->
+      count coeffs;
+      incr nrows)
+    rows;
+  let nrows = !nrows in
+  for v = 0 to nvars - 1 do
+    col_ptr.(v + 1) <- col_ptr.(v + 1) + col_ptr.(v)
+  done;
+  let raw = col_ptr.(nvars) in
+  let row_ind = Array.make raw 0 in
+  let values = Array.make raw 0.0 in
+  let rel = Array.make nrows Le in
+  let rhs = Array.make nrows 0.0 in
+  let next = Array.sub col_ptr 0 nvars in
+  let rec fill r = function
+    | [] -> ()
+    | (v, c) :: rest ->
+        let k = next.(v) in
+        row_ind.(k) <- r;
+        values.(k) <- c;
+        next.(v) <- k + 1;
+        fill r rest
+  in
+  List.iteri
+    (fun r (coeffs, relation, b) ->
+      fill r coeffs;
+      rel.(r) <- relation;
+      rhs.(r) <- b)
+    rows;
+  (* Per-variable validation, in variable order. *)
+  for v = 0 to nvars - 1 do
+    if Float.is_nan objs.(v) || Float.is_nan lowers.(v) || Float.is_nan uppers.(v)
+    then invalid_arg "Problem.column: NaN objective or bound";
+    if lowers.(v) > uppers.(v) then invalid_arg "Problem.column: lower > upper";
+    if ints.(v) && not (Float.is_finite lowers.(v) && Float.is_finite uppers.(v))
+    then invalid_arg "Problem.column: integer variable needs finite bounds";
+    for k = col_ptr.(v) to col_ptr.(v + 1) - 1 do
+      if Float.is_nan values.(k) then invalid_arg "Problem.column: NaN coefficient"
+    done
+  done;
+  (* Merge each column's repeated rows in place, summing in order of
+     appearance. *)
+  let nnz = ref 0 in
+  for v = 0 to nvars - 1 do
+    let first = col_ptr.(v) and last = col_ptr.(v + 1) - 1 in
+    col_ptr.(v) <- !nnz;
+    for k = first to last do
+      if !nnz > col_ptr.(v) && row_ind.(!nnz - 1) = row_ind.(k) then
+        values.(!nnz - 1) <- values.(!nnz - 1) +. values.(k)
+      else begin
+        row_ind.(!nnz) <- row_ind.(k);
+        values.(!nnz) <- values.(k);
+        incr nnz
+      end
+    done
+  done;
+  col_ptr.(nvars) <- !nnz;
+  Array.iter
+    (fun b ->
+      if Float.is_nan b then invalid_arg "Problem.make: NaN right-hand side")
+    rhs;
+  let trim a = if !nnz = raw then a else Array.sub a 0 !nnz in
+  { nvars;
+    nrows;
+    obj = objs;
+    lower = lowers;
+    upper = uppers;
+    integer = ints;
+    col_ptr;
+    row_ind = trim row_ind;
+    values = trim values;
+    rel;
+    rhs }
 
 let nvars t = t.nvars
 let nrows t = t.nrows

@@ -15,29 +15,7 @@
 
 type relation = Le | Ge | Eq
 
-type column
-(** One variable: objective coefficient, bounds, integrality and its
-    sparse constraint-coefficient column. *)
-
-val column :
-  ?obj:float ->
-  ?lower:float ->
-  ?upper:float ->
-  ?integer:bool ->
-  (int * float) list ->
-  column
-(** [column entries] builds a variable from its [(row, coeff)] list.
-    Defaults: [obj 0.], [lower 0.], [upper infinity], [integer false].
-    Duplicate row entries are summed. Raises [Invalid_argument] on
-    [lower > upper], a non-finite bound pair for an integer variable,
-    or NaN anywhere. *)
-
 type t
-
-val make : rows:(relation * float) array -> column array -> t
-(** [make ~rows cols] assembles a problem from per-row relations/RHS and
-    per-variable columns. Raises [Invalid_argument] on an out-of-range
-    row index or an empty variable set. *)
 
 val of_rows :
   nvars:int ->
@@ -47,9 +25,14 @@ val of_rows :
   ?integer:int list ->
   ((int * float) list * relation * float) list ->
   t
-(** Row-major convenience constructor (the shape the old [Lp] builder
-    exposed): [of_rows ~nvars rows] with sparse objective/bound
-    overrides. Unlisted variables keep the {!column} defaults. *)
+(** [of_rows ~nvars rows] builds a problem from its rows, each
+    [(coeffs, rel, rhs)] with [(variable, coeff)] entries, plus sparse
+    objective/bound/integrality overrides. Unlisted variables default to
+    [obj 0.], [lower 0.], [upper infinity], [integer false]. Entries
+    repeating a variable within a row are summed in order of appearance.
+    Raises [Invalid_argument] on an empty variable set, an out-of-range
+    variable, [lower > upper], an integer variable without finite
+    bounds, or NaN anywhere. *)
 
 (* --- accessors --- *)
 

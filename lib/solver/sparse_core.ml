@@ -174,8 +174,13 @@ let lu_ftran lu v =
   let m = Array.length lu.perm in
   for k = 0 to m - 1 do
     let t = v.(lu.perm.(k)) in
-    if t <> 0.0 then
-      Array.iter (fun (r, l) -> v.(r) <- v.(r) -. (l *. t)) lu.lcol.(k)
+    if t <> 0.0 then begin
+      let col = lu.lcol.(k) in
+      for e = 0 to Array.length col - 1 do
+        let r, l = col.(e) in
+        v.(r) <- v.(r) -. (l *. t)
+      done
+    end
   done;
   let y = Array.make m 0.0 in
   for k = 0 to m - 1 do
@@ -185,8 +190,13 @@ let lu_ftran lu v =
   for j = m - 1 downto 0 do
     let xj = y.(j) /. lu.udiag.(j) in
     x.(j) <- xj;
-    if xj <> 0.0 then
-      Array.iter (fun (k, u) -> y.(k) <- y.(k) -. (u *. xj)) lu.ucol.(j)
+    if xj <> 0.0 then begin
+      let col = lu.ucol.(j) in
+      for e = 0 to Array.length col - 1 do
+        let k, u = col.(e) in
+        y.(k) <- y.(k) -. (u *. xj)
+      done
+    end
   done;
   x
 
@@ -197,15 +207,21 @@ let lu_btran lu c =
   let w = Array.make m 0.0 in
   for j = 0 to m - 1 do
     let s = ref c.(j) in
-    Array.iter (fun (k, u) -> s := !s -. (u *. w.(k))) lu.ucol.(j);
+    let col = lu.ucol.(j) in
+    for e = 0 to Array.length col - 1 do
+      let k, u = col.(e) in
+      s := !s -. (u *. w.(k))
+    done;
     w.(j) <- !s /. lu.udiag.(j)
   done;
   let t = Array.make m 0.0 in
   for k = m - 1 downto 0 do
     let s = ref w.(k) in
-    Array.iter
-      (fun (r, l) -> s := !s -. (l *. t.(lu.pos_of_row.(r))))
-      lu.lcol.(k);
+    let col = lu.lcol.(k) in
+    for e = 0 to Array.length col - 1 do
+      let r, l = col.(e) in
+      s := !s -. (l *. t.(lu.pos_of_row.(r)))
+    done;
     t.(k) <- !s
   done;
   let y = Array.make m 0.0 in
@@ -226,11 +242,17 @@ let eta_ftran e x =
   let xr = x.(e.e_pos) /. e.e_piv in
   x.(e.e_pos) <- xr;
   if xr <> 0.0 then
-    Array.iter (fun (i, w) -> x.(i) <- x.(i) -. (w *. xr)) e.e_ents
+    for k = 0 to Array.length e.e_ents - 1 do
+      let i, w = e.e_ents.(k) in
+      x.(i) <- x.(i) -. (w *. xr)
+    done
 
 let eta_btran e y =
   let s = ref y.(e.e_pos) in
-  Array.iter (fun (i, w) -> s := !s -. (w *. y.(i))) e.e_ents;
+  for k = 0 to Array.length e.e_ents - 1 do
+    let i, w = e.e_ents.(k) in
+    s := !s -. (w *. y.(i))
+  done;
   y.(e.e_pos) <- !s /. e.e_piv
 
 (* --- tolerances --- *)
@@ -404,7 +426,6 @@ let solve std ~lower ~upper ?start ~max_pivots ~pivots ~refactors () =
          in
          let y = btran cb in
          (* ---- pricing ---- *)
-         let cost_of j = if phase1 then 0.0 else std.obj.(j) in
          let use_bland = !degen_streak > 2 * (n + m) in
          let enter = ref (-1) and enter_d = ref 0.0 in
          let best_score = ref dj_eps in
@@ -413,8 +434,10 @@ let solve std ~lower ~upper ?start ~max_pivots ~pivots ~refactors () =
             else if stat.(j) <> st_basic
                     && (stat.(j) = st_free || up.(j) > lo.(j))
             then begin
-              let d = ref (cost_of j) in
-              iter_col j (fun r a -> d := !d -. (y.(r) *. a));
+              let d = ref (if phase1 then 0.0 else std.obj.(j)) in
+              for k = std.colp.(j) to std.colp.(j + 1) - 1 do
+                d := !d -. (y.(std.rowi.(k)) *. std.vals.(k))
+              done;
               let d = !d in
               let eligible =
                 (stat.(j) = st_lower && d < -.dj_eps)

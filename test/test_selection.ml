@@ -206,6 +206,142 @@ let test_core_parity () =
           (Operon_solver.Solver.Dense, 4) ])
     designs
 
+(* Block descent, pinned to the selections of the descent that solved
+   every block in both passes. [max_component_vars = 20] forces descent
+   on small and on I1/I4 at a third of their signal groups: plain, under
+   a synthetic thermal map at weight 1, and with each node LP capped at
+   20 pivots, so that some block solves end unproven. [nodes] is that
+   descent's branch-and-bound node count, which skipping blocks may only
+   lower. [blocks] (solved, skipped) pins the re-solve rule itself: every
+   choice here stays the same if the rule looks one hop out instead of
+   two (two blocks of I4/3+thermal are then wrongly skipped), or if it
+   skips unproven blocks (small+pivots20 then skips two). *)
+type descent_case = {
+  name : string;
+  nodes : int;
+  blocks : int * int;
+  choice : int array;
+}
+
+let descent_cases =
+  [
+    { name = "small";
+      nodes = 4;
+      blocks = (2, 2);
+      choice =
+        [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |] };
+    { name = "small+thermal";
+      nodes = 4;
+      blocks = (2, 2);
+      choice =
+        [| 2; 0; 1; 2; 2; 6; 2; 3; 1; 0; 2; 3 |] };
+    { name = "small+pivots20";
+      nodes = 4;
+      blocks = (4, 0);
+      choice =
+        [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |] };
+    { name = "I1/3";
+      nodes = 40;
+      blocks = (20, 20);
+      choice =
+        [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0 |] };
+    { name = "I1/3+thermal";
+      nodes = 64;
+      blocks = (33, 7);
+      choice =
+        [| 0; 3; 3; 0; 0; 3; 0; 0; 0; 2; 3; 0; 1; 10; 3; 0; 0; 0; 3; 0; 0; 0;
+           2; 2; 1; 3; 0; 4; 0; 4; 3; 0; 2; 0; 3; 0; 3; 3; 3; 4; 0; 3; 0; 1;
+           3; 2; 1; 2; 0; 0; 2; 1; 0; 4; 4; 2; 0; 3; 0; 2; 0; 0; 2; 4; 0; 0;
+           0; 2; 3; 2; 0; 0; 4; 0; 2; 2; 1; 2; 0; 0; 3; 0; 2; 2; 0; 2; 3; 4;
+           0; 0; 3; 0; 4; 3; 0; 2; 0; 3; 0; 3; 0; 0; 0; 3; 0; 0; 0; 0; 1; 3;
+           2; 2; 4; 0; 4; 0; 0; 0 |] };
+    { name = "I1/3+pivots20";
+      nodes = 40;
+      blocks = (30, 10);
+      choice =
+        [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0 |] };
+    { name = "I4/3";
+      nodes = 46;
+      blocks = (23, 23);
+      choice =
+        [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0 |] };
+    { name = "I4/3+thermal";
+      nodes = 276;
+      blocks = (46, 0);
+      choice =
+        [| 3; 6; 0; 3; 0; 0; 0; 0; 4; 2; 4; 0; 2; 0; 1; 0; 3; 1; 7; 2; 2; 2;
+           1; 3; 1; 1; 0; 0; 2; 2; 0; 0; 2; 4; 3; 0; 2; 0; 2; 3; 1; 7; 4; 0;
+           0; 0; 4; 1; 3; 0; 3; 0; 2; 0; 1; 2; 2; 0; 2; 2; 0; 0; 0; 0; 0; 2;
+           4; 4; 2; 0; 1; 3; 2; 0; 0; 4; 2; 3; 1; 0; 3; 0; 2; 0; 0; 3; 0; 3;
+           1; 2; 0; 3; 3; 2; 3; 3; 0; 2; 0; 2; 3; 2; 4; 2; 4; 4; 3; 0; 2; 1;
+           0; 3; 2; 3; 2; 0; 0; 1; 4; 2; 0; 3; 0; 1; 3; 0; 3; 3; 4; 3; 3; 1;
+           0; 0 |] };
+    { name = "I4/3+pivots20";
+      nodes = 46;
+      blocks = (33, 13);
+      choice =
+        [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0 |] };
+  ]
+
+let test_block_descent_pinned () =
+  let open Operon_benchgen in
+  let third (spec : Gen.spec) =
+    Gen.generate { spec with Gen.n_groups = Stdlib.max 1 (spec.Gen.n_groups / 3) }
+  in
+  let runs =
+    List.concat_map
+      (fun (name, design) ->
+        let _, ctx = Flow.prepare_with (Flow.Config.default params) design in
+        let map =
+          Operon_thermal.Thermal_map.synthetic ~hotspots:4 ~amplitude:30.0 ~decay:0.2
+            ~die:design.Signal.die (Operon_util.Prng.create 7)
+        in
+        let hot =
+          Selection.with_thermal ctx (Selection.thermal_profile ctx map) ~weight:1.0
+        in
+        [ (name, (ctx, None));
+          (name ^ "+thermal", (hot, None));
+          (name ^ "+pivots20", (ctx, Some 20)) ])
+      [ ("small", Cases.small ()); ("I1/3", third Cases.i1); ("I4/3", third Cases.i4) ]
+  in
+  List.iter
+    (fun c ->
+      let ctx, max_pivots = List.assoc c.name runs in
+      let r =
+        Ilp_select.select ~budget_seconds:1e6 ?max_pivots ~max_component_vars:20 ctx
+      in
+      Alcotest.(check bool) (c.name ^ ": descended") true (r.Ilp_select.timed_out > 0);
+      Alcotest.(check (array int)) (c.name ^ ": choice") c.choice r.Ilp_select.choice;
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: nodes %d <= %d" c.name r.Ilp_select.nodes c.nodes)
+        true (r.Ilp_select.nodes <= c.nodes);
+      Alcotest.(check (pair int int))
+        (c.name ^ ": blocks solved, skipped") c.blocks
+        (r.Ilp_select.blocks_solved, r.Ilp_select.blocks_skipped))
+    descent_cases
+
 let prop_engines_feasible_random =
   QCheck.Test.make ~name:"both engines feasible on random scenes" ~count:15
     QCheck.(int_range 0 1000)
@@ -247,4 +383,5 @@ let () =
       ( "engines",
         [ Alcotest.test_case "star consistent" `Quick test_star_engines_consistent;
           Alcotest.test_case "core parity" `Quick test_core_parity;
+          Alcotest.test_case "block descent pinned" `Quick test_block_descent_pinned;
           QCheck_alcotest.to_alcotest prop_engines_feasible_random ] ) ]

@@ -49,24 +49,239 @@ let test_problem_model () =
   Alcotest.(check bool) "below lower bound" false
     (Solver.Problem.feasible p [| -1.0; 0.0; 0.0 |])
 
+(* The list-based builder that [Problem.of_rows] replaced: per-variable
+   entry lists, stably sorted by row and merged, validated column by
+   column, then the right-hand sides. It is the reference for the direct
+   CSC transpose: same entries, bounds, relations and right-hand sides
+   bit for bit, and the same [Invalid_argument] message on malformed
+   input. *)
+module Reference = struct
+  type column = {
+    c_obj : float;
+    c_lower : float;
+    c_upper : float;
+    c_integer : bool;
+    c_entries : (int * float) list;
+  }
+
+  let column ?(obj = 0.0) ?(lower = 0.0) ?(upper = infinity) ?(integer = false)
+      entries =
+    if Float.is_nan obj || Float.is_nan lower || Float.is_nan upper then
+      invalid_arg "Problem.column: NaN objective or bound";
+    if lower > upper then invalid_arg "Problem.column: lower > upper";
+    if integer && not (Float.is_finite lower && Float.is_finite upper) then
+      invalid_arg "Problem.column: integer variable needs finite bounds";
+    List.iter
+      (fun (_, c) ->
+        if Float.is_nan c then invalid_arg "Problem.column: NaN coefficient")
+      entries;
+    let sorted = List.sort (fun (a, _) (b, _) -> compare a b) entries in
+    let merged =
+      List.fold_left
+        (fun acc (r, c) ->
+          match acc with
+          | (r', c') :: rest when r' = r -> (r', c' +. c) :: rest
+          | _ -> (r, c) :: acc)
+        [] sorted
+      |> List.rev
+    in
+    { c_obj = obj; c_lower = lower; c_upper = upper; c_integer = integer;
+      c_entries = merged }
+
+  let of_rows ~nvars ?(obj = []) ?(lower = []) ?(upper = []) ?(integer = [])
+      rows =
+    if nvars <= 0 then invalid_arg "Problem.of_rows: need at least one variable";
+    let objs = Array.make nvars 0.0 in
+    let lowers = Array.make nvars 0.0 in
+    let uppers = Array.make nvars infinity in
+    let ints = Array.make nvars false in
+    let check v =
+      if v < 0 || v >= nvars then
+        invalid_arg "Problem.of_rows: variable out of range"
+    in
+    List.iter (fun (v, c) -> check v; objs.(v) <- c) obj;
+    List.iter (fun (v, b) -> check v; lowers.(v) <- b) lower;
+    List.iter (fun (v, b) -> check v; uppers.(v) <- b) upper;
+    List.iter (fun v -> check v; ints.(v) <- true) integer;
+    let entries = Array.make nvars [] in
+    List.iteri
+      (fun r (coeffs, _, _) ->
+        List.iter
+          (fun (v, c) -> check v; entries.(v) <- (r, c) :: entries.(v))
+          coeffs)
+      rows;
+    let cols =
+      Array.init nvars (fun v ->
+          column ~obj:objs.(v) ~lower:lowers.(v) ~upper:uppers.(v)
+            ~integer:ints.(v) (List.rev entries.(v)))
+    in
+    let rows = Array.of_list (List.map (fun (_, rel, rhs) -> (rel, rhs)) rows) in
+    Array.iter
+      (fun (_, b) ->
+        if Float.is_nan b then invalid_arg "Problem.make: NaN right-hand side")
+      rows;
+    (cols, rows)
+end
+
+(* [p] read through the accessors and [iter_col] equals the reference
+   bit for bit. *)
+let same_as_reference ((cols, rows) : Reference.column array * _) p =
+  let module P = Solver.Problem in
+  let bits = Int64.bits_of_float in
+  let same_float a b = Int64.equal (bits a) (bits b) in
+  let entries v =
+    let acc = ref [] in
+    P.iter_col p v (fun r c -> acc := (r, c) :: !acc);
+    List.rev !acc
+  in
+  P.nvars p = Array.length cols
+  && P.nrows p = Array.length rows
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun v (c : Reference.column) ->
+            same_float (P.objective_coeff p v) c.Reference.c_obj
+            && same_float (P.lower_bound p v) c.Reference.c_lower
+            && same_float (P.upper_bound p v) c.Reference.c_upper
+            && P.is_integer p v = c.Reference.c_integer
+            && List.equal
+                 (fun (r, a) (r', b) -> r = r' && same_float a b)
+                 (entries v) c.Reference.c_entries)
+          cols)
+  && Array.for_all Fun.id
+       (Array.mapi
+          (fun r (rel, rhs) -> P.row_relation p r = rel && same_float (P.row_rhs p r) rhs)
+          rows)
+
+type problem_input = {
+  nvars : int;
+  obj : (int * float) list;
+  lower : (int * float) list;
+  upper : (int * float) list;
+  integer : int list;
+  rows : ((int * float) list * Solver.Problem.relation * float) list;
+}
+
+let build_with f (x : problem_input) =
+  match f ~nvars:x.nvars ~obj:x.obj ~lower:x.lower ~upper:x.upper ~integer:x.integer x.rows with
+  | r -> Ok r
+  | exception Invalid_argument msg -> Error msg
+
+let build_reference = build_with (fun ~nvars ~obj ~lower ~upper ~integer rows ->
+    Reference.of_rows ~nvars ~obj ~lower ~upper ~integer rows)
+
+let build_problem = build_with (fun ~nvars ~obj ~lower ~upper ~integer rows ->
+    Solver.Problem.of_rows ~nvars ~obj ~lower ~upper ~integer rows)
+
+(* Both builders accept [x] and agree, or both reject it with the same
+   message. *)
+let agrees_with_reference x =
+  match (build_reference x, build_problem x) with
+  | Ok r, Ok p -> same_as_reference r p
+  | Error a, Error b -> a = b
+  | _ -> false
+
+let input ?(obj = []) ?(lower = []) ?(upper = []) ?(integer = []) ~nvars rows =
+  { nvars; obj; lower; upper; integer; rows }
+
+let malformed =
+  let le = Solver.Problem.Le in
+  [ ("var out of range", "Problem.of_rows: variable out of range",
+     input ~nvars:2 [ ([ (5, 1.0) ], le, 1.0) ]);
+    ("lower > upper", "Problem.column: lower > upper",
+     input ~nvars:1 ~lower:[ (0, 2.0) ] ~upper:[ (0, 1.0) ] []);
+    ("integer needs finite bounds",
+     "Problem.column: integer variable needs finite bounds",
+     input ~nvars:1 ~integer:[ 0 ] []);
+    ("NaN coefficient", "Problem.column: NaN coefficient",
+     input ~nvars:2 [ ([ (1, 1.0); (0, Float.nan) ], le, 1.0) ]);
+    ("NaN right-hand side", "Problem.make: NaN right-hand side",
+     input ~nvars:1 [ ([ (0, 1.0) ], le, Float.nan) ]) ]
+
 let test_problem_invalid () =
-  Alcotest.check_raises "var out of range"
-    (Invalid_argument "Problem.of_rows: variable out of range") (fun () ->
-      ignore (lp ~nvars:2 [ ([ (5, 1.0) ], Solver.Problem.Le, 1.0) ]));
-  Alcotest.check_raises "lower > upper"
-    (Invalid_argument "Problem.column: lower > upper") (fun () ->
-      ignore (lp ~nvars:1 ~lower:[ (0, 2.0) ] ~upper:[ (0, 1.0) ] []));
-  Alcotest.check_raises "integer needs finite bounds"
-    (Invalid_argument "Problem.column: integer variable needs finite bounds")
-    (fun () -> ignore (lp ~nvars:1 ~integer:[ 0 ] []))
+  List.iter
+    (fun (name, msg, x) ->
+      Alcotest.(check (result reject string)) name (Error msg) (build_problem x);
+      Alcotest.(check bool) (name ^ ": reference agrees") true (agrees_with_reference x))
+    malformed
 
 let test_problem_merges_duplicate_entries () =
   (* x + x <= 4 must behave as 2x <= 4. *)
-  let p =
-    lp ~nvars:1 ~obj:[ (0, -1.0) ] ~upper:[ (0, 10.0) ]
+  let x =
+    input ~nvars:1 ~obj:[ (0, -1.0) ] ~upper:[ (0, 10.0) ]
       [ ([ (0, 1.0); (0, 1.0) ], Solver.Problem.Le, 4.0) ]
   in
-  check_float "merged coeff" (-2.0) (objective_of "merged" (solve p))
+  Alcotest.(check bool) "reference agrees" true (agrees_with_reference x);
+  match build_problem x with
+  | Ok p -> check_float "merged coeff" (-2.0) (objective_of "merged" (solve p))
+  | Error msg -> Alcotest.fail msg
+
+(* Random row sets over a few variables: repeated variables within a
+   row, empty columns, all three relations, bound and integrality
+   overrides, and up to two injected faults (NaN coefficient, NaN
+   right-hand side, lower > upper, unbounded integer, out-of-range
+   variable), so both which input is rejected and which check fires
+   first are compared. Coefficients like 0.1/0.2/0.3 make the summation
+   order of merged duplicates visible in the bits. *)
+let problem_input_gen =
+  QCheck.Gen.(
+    int_range 1 5 >>= fun nvars ->
+    let var = int_range 0 (nvars - 1) in
+    let coeff = oneofl [ 0.1; 0.2; 0.3; -0.7; 1.0; 0.0; -0.0; 3.5; 1e-17 ] in
+    let rel = oneofl Solver.Problem.[ Le; Ge; Eq ] in
+    let row = triple (list_size (int_range 0 5) (pair var coeff)) rel (float_range (-5.0) 5.0) in
+    list_size (int_range 0 6) row >>= fun rows ->
+    list_size (int_range 0 3) (pair var coeff) >>= fun obj ->
+    list_size (int_range 0 2) (pair var (oneofl [ 0.0; -1.0; 0.5; neg_infinity ]))
+    >>= fun lower ->
+    list_size (int_range 0 2) (pair var (oneofl [ 1.0; 2.0; 0.5; infinity ]))
+    >>= fun upper ->
+    list_size (int_range 0 3) var >>= fun integer ->
+    (* Integer variables get finite bounds unless a fault removes them. *)
+    let lower = lower @ List.map (fun v -> (v, 0.0)) integer in
+    let upper = upper @ List.map (fun v -> (v, 1.0)) integer in
+    let fault =
+      oneof
+        [ map2 (fun v at -> `Nan_coeff (v, at)) var nat;
+          map (fun at -> `Nan_rhs at) nat;
+          map (fun v -> `Lower_above_upper v) var;
+          map (fun v -> `Unbounded_integer v) var;
+          map (fun at -> `Out_of_range (nvars, at)) nat ]
+    in
+    list_size (int_range 0 2) fault >>= fun faults ->
+    let x = { nvars; obj; lower; upper; integer; rows } in
+    let on_row at f x =
+      let rows = if x.rows = [] then [ ([], Solver.Problem.Le, 0.0) ] else x.rows in
+      let at = at mod List.length rows in
+      { x with rows = List.mapi (fun r row -> if r = at then f row else row) rows }
+    in
+    let inject x = function
+      | `Nan_coeff (v, at) -> on_row at (fun (cs, rel, b) -> (cs @ [ (v, Float.nan) ], rel, b)) x
+      | `Nan_rhs at -> on_row at (fun (cs, rel, _) -> (cs, rel, Float.nan)) x
+      | `Lower_above_upper v ->
+          { x with lower = x.lower @ [ (v, 3.0) ]; upper = x.upper @ [ (v, 1.0) ] }
+      | `Unbounded_integer v ->
+          { x with upper = x.upper @ [ (v, infinity) ]; integer = v :: x.integer }
+      | `Out_of_range (v, at) -> on_row at (fun (cs, rel, b) -> ((v, 1.0) :: cs, rel, b)) x
+    in
+    return (List.fold_left inject x faults))
+
+let print_problem_input x =
+  let rel = function
+    | Solver.Problem.Le -> "<=" | Solver.Problem.Ge -> ">=" | Solver.Problem.Eq -> "="
+  in
+  let entries l = String.concat " " (List.map (fun (v, c) -> Printf.sprintf "%d:%h" v c) l) in
+  Printf.sprintf "nvars=%d obj=[%s] lower=[%s] upper=[%s] integer=[%s]\n%s" x.nvars
+    (entries x.obj) (entries x.lower) (entries x.upper)
+    (String.concat " " (List.map string_of_int x.integer))
+    (String.concat "\n"
+       (List.map
+          (fun (cs, r, b) -> Printf.sprintf "%s %s %h" (entries cs) (rel r) b)
+          x.rows))
+
+let prop_of_rows_matches_reference =
+  QCheck.Test.make ~name:"of_rows = list-based reference" ~count:1000
+    (QCheck.make ~print:print_problem_input problem_input_gen)
+    agrees_with_reference
 
 (* --- lp cores --- *)
 
@@ -459,7 +674,8 @@ let () =
          [ Alcotest.test_case "model" `Quick test_problem_model;
            Alcotest.test_case "invalid" `Quick test_problem_invalid;
            Alcotest.test_case "duplicate entries" `Quick
-             test_problem_merges_duplicate_entries ] ) ]
+             test_problem_merges_duplicate_entries;
+           QCheck_alcotest.to_alcotest prop_of_rows_matches_reference ] ) ]
     @ [ ( "lp",
           both "classic" test_classic
           @ both "equality" test_equality

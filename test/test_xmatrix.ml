@@ -232,6 +232,50 @@ let prop_random_design_parity =
         (Cases.tiny ~seed ());
       true)
 
+(* [slot_counts] addressed by neighbour slot answers exactly what
+   [path_counts] answers by neighbour id, cached and direct, and each
+   call counts one hit (cached) or one miss (direct). *)
+let check_slot_counts xmat (ctx : Selection.ctx) =
+  let hits_misses () =
+    let s = Xmatrix.stats xmat in
+    (s.Xmatrix.hits, s.Xmatrix.misses)
+  in
+  let cached = Xmatrix.enabled xmat in
+  let ok = ref true in
+  Array.iteri
+    (fun i ms ->
+      Array.iteri
+        (fun k m ->
+          Array.iteri
+            (fun j _ ->
+              Array.iteri
+                (fun n _ ->
+                  let h0, m0 = hits_misses () in
+                  let got = Xmatrix.slot_counts xmat ~i ~k ~j ~m ~n in
+                  let h1, m1 = hits_misses () in
+                  let counted =
+                    if cached then (h1, m1) = (h0 + 1, m0) else (h1, m1) = (h0, m0 + 1)
+                  in
+                  if not (counted && got = Xmatrix.path_counts xmat ~i ~j ~m ~n) then
+                    ok := false)
+                ctx.Selection.cands.(m))
+            ctx.Selection.cands.(i))
+        ms)
+    ctx.Selection.neighbors;
+  !ok
+
+let prop_slot_counts =
+  QCheck.Test.make ~name:"slot_counts = path_counts (cached and direct)" ~count:8
+    QCheck.(int_range 1 10000)
+    (fun seed ->
+      let _, ctx =
+        Flow.prepare_with (Flow.Config.default params) (Cases.tiny ~seed ())
+      in
+      let direct = (Selection.uncached ctx).Selection.xmat in
+      Xmatrix.enabled ctx.Selection.xmat
+      && check_slot_counts ctx.Selection.xmat ctx
+      && check_slot_counts direct ctx)
+
 let test_small_design_parity () =
   check_design_parity ~ilp:false "small" (Cases.small ~seed:3 ())
 
@@ -345,6 +389,7 @@ let () =
             test_shared_topology_parity ] );
       ( "parity",
         [ QCheck_alcotest.to_alcotest prop_random_design_parity;
+          QCheck_alcotest.to_alcotest prop_slot_counts;
           Alcotest.test_case "small design" `Slow test_small_design_parity;
           Alcotest.test_case "flow cache identity (jobs 1/4)" `Quick
             test_flow_cache_identity ] );
