@@ -42,22 +42,11 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
   let in_block m = pos.(m) >= 0 in
   (* Crossing losses read once per neighbour slot and added path by path
      onto [sums], each path's terms in neighbour order. A candidate
-     without optical paths reads nothing. Small counts take their
-     [Loss.crossing_bundled] value from a table, which saves a call and
-     a boxed float per term. *)
+     without optical paths reads nothing. *)
   let xmat = ctx.Selection.xmat in
-  let bundled = Array.init 64 (Loss.crossing_bundled params) in
   let add_losses sums ~i ~k ~j ~m ~n =
-    if Array.length sums > 0 then begin
-      let counts = Xmatrix.slot_counts xmat ~i ~k ~j ~m ~n in
-      for p = 0 to Array.length sums - 1 do
-        let c = counts.(p) in
-        sums.(p) <-
-          sums.(p)
-          +. (if c < Array.length bundled then bundled.(c)
-              else Loss.crossing_bundled params c)
-      done
-    end
+    if Array.length sums > 0 then
+      Xmatrix.add_losses xmat ctx.Selection.bundled ~i ~k ~j ~m ~n sums 0
   in
   (* Admissible candidates per block net: the frozen-crossing-adjusted
      intrinsic loss must leave room under the budget. The current choice

@@ -15,8 +15,7 @@ let select ?(max_iterations = 10) ?(budget_seconds = 0.0)
     ?(converge_ratio = 0.01) ?initial ctx =
   let t0 = Timer.now () in
   let budget = Timer.budget budget_seconds in
-  let params = ctx.Selection.params in
-  let l_max = params.Params.l_max in
+  let l_max = ctx.Selection.params.Params.l_max in
   let n = Array.length ctx.Selection.cands in
   let xmat = ctx.Selection.xmat in
   let thermal = ctx.Selection.thermal in
@@ -50,65 +49,89 @@ let select ?(max_iterations = 10) ?(budget_seconds = 0.0)
   (* The subgradient iterates are not monotone; keep the best feasible
      selection seen along the way. *)
   let best_feasible = ref None in
-  let consider candidate =
-    if Selection.feasible ctx candidate then begin
+  let consider feasible candidate =
+    if feasible then begin
       let obj = Selection.total_objective ctx candidate in
       match !best_feasible with
       | Some (best_obj, _) when best_obj <= obj -> ()
       | _ -> best_feasible := Some (obj, Array.copy candidate)
     end
   in
+  (* Re-selection scratch, sized to the largest net: [cross] holds the
+     crossing loss of every path of every candidate of the net under
+     re-selection, candidate [j]'s paths from [base.(i).(j)] on;
+     [foreign.(j)] the multiplier-weighted loss candidate [j] puts on the
+     neighbours' previously selected paths. *)
+  let cands = ctx.Selection.cands and neighbors = ctx.Selection.neighbors in
+  let bundled = ctx.Selection.bundled in
+  let base =
+    Array.map
+      (fun (arr : Candidate.t array) ->
+        let b = Array.make (Array.length arr + 1) 0 in
+        Array.iteri
+          (fun j (c : Candidate.t) -> b.(j + 1) <- b.(j) + Array.length c.Candidate.paths)
+          arr;
+        b)
+      cands
+  in
+  let largest f = Array.fold_left (fun acc x -> Stdlib.max acc (f x)) 0 in
+  let cross = Array.make (largest (fun b -> b.(Array.length b - 1)) base) 0.0 in
+  let foreign = Array.make (largest Array.length cands) 0.0 in
   let iterations = ref 0 in
   let converged = ref false in
   while (not !converged) && !iterations < max_iterations && not (Timer.expired budget) do
     incr iterations;
     let prev = Array.copy !choice in
-    (* Candidate re-selection with the relaxed weighted objective. *)
+    (* Candidate re-selection with the relaxed weighted objective, the
+       crossing terms linearized around [prev] (Eq. 5). Neighbours are
+       the outer loop, and one read per (neighbour, candidate) serves
+       all of the candidate's paths; every sum still runs over the
+       neighbours in order from +0.0. *)
     let next = Array.make n 0 in
     for i = 0 to n - 1 do
+      let cs = cands.(i) and off = base.(i) in
+      let nc = Array.length cs in
+      Array.fill cross 0 off.(nc) 0.0;
+      Array.fill foreign 0 nc 0.0;
+      let nbrs = neighbors.(i) in
+      for k = 0 to Array.length nbrs - 1 do
+        let m = nbrs.(k) in
+        let sel = prev.(m) in
+        (* Own paths against the neighbour's previous selection (the
+           a'_mn * a_ij half of Eq. 5)... *)
+        for j = 0 to nc - 1 do
+          if off.(j + 1) > off.(j) then
+            Xmatrix.add_losses xmat bundled ~i ~k ~j ~m ~n:sel cross off.(j)
+        done;
+        (* ...and the crossings picking (i, j) adds onto that selection's
+           paths (the a_mn * a'_ij half). *)
+        let w = lambda.(m).(sel) in
+        if Array.length w > 0 then
+          for j = 0 to nc - 1 do
+            Xmatrix.add_weighted xmat bundled ~i ~k ~j ~m ~n:sel w foreign j
+          done
+      done;
       let best = ref 0 and best_w = ref infinity in
-      Array.iteri
-        (fun j (c : Candidate.t) ->
-          (* Own paths: multiplier-weighted intrinsic loss plus crossing
-             against the neighbours' previous selections (the a'_mn * a_ij
-             half of Eq. 5). *)
-          let own = ref 0.0 in
-          Array.iteri
-            (fun p (path : Candidate.path) ->
-              let crossing =
-                Array.fold_left
-                  (fun acc m ->
-                    acc +. Xmatrix.loss_on_path xmat params ~i ~j ~p ~m ~n:prev.(m))
-                  0.0 ctx.Selection.neighbors.(i)
-              in
-              let path_loss =
-                match thermal with
-                | None -> path.Candidate.intrinsic_loss +. crossing
-                | Some t ->
-                    path.Candidate.intrinsic_loss +. crossing
-                    +. t.Selection.penalty.(i).(j).(p)
-              in
-              own := !own +. (lambda.(i).(j).(p) *. path_loss))
-            c.Candidate.paths;
-          (* Foreign paths: picking (i,j) adds crossings onto neighbours'
-             previously selected paths (the a_mn * a'_ij half). *)
-          let foreign = ref 0.0 in
-          Array.iter
-            (fun m ->
-              let nsel = prev.(m) in
-              let counts = Xmatrix.path_counts xmat ~i:m ~j:nsel ~m:i ~n:j in
-              Array.iteri
-                (fun p cnt ->
-                  foreign :=
-                    !foreign +. (lambda.(m).(nsel).(p) *. Loss.crossing_bundled params cnt))
-                counts)
-            ctx.Selection.neighbors.(i);
-          let w = Selection.objective ctx i j +. !own +. !foreign in
-          if w < !best_w then begin
-            best_w := w;
-            best := j
-          end)
-        ctx.Selection.cands.(i);
+      for j = 0 to nc - 1 do
+        (* Multiplier-weighted loss of the candidate's own paths. *)
+        let paths = cs.(j).Candidate.paths and mult = lambda.(i).(j) in
+        let own = ref 0.0 in
+        for p = 0 to Array.length paths - 1 do
+          let intrinsic = paths.(p).Candidate.intrinsic_loss in
+          let crossing = cross.(off.(j) + p) in
+          let path_loss =
+            match thermal with
+            | None -> intrinsic +. crossing
+            | Some t -> intrinsic +. crossing +. t.Selection.penalty.(i).(j).(p)
+          in
+          own := !own +. (mult.(p) *. path_loss)
+        done;
+        let w = Selection.objective ctx i j +. !own +. foreign.(j) in
+        if w < !best_w then begin
+          best_w := w;
+          best := j
+        end
+      done;
       next.(i) <- !best
     done;
     choice := next;
@@ -135,8 +158,11 @@ let select ?(max_iterations = 10) ?(budget_seconds = 0.0)
     done;
     (* Track the best answer this iterate yields once its violations are
        repaired away (repair is a no-op on feasible iterates). *)
-    if !total_violation <= 0.0 then consider next
-    else consider (Selection.polish ~rounds:0 ctx next);
+    if !total_violation <= 0.0 then consider (Selection.Eval.feasible ev) next
+    else begin
+      let repaired = Selection.polish ~rounds:0 ctx next in
+      consider (Selection.feasible ctx repaired) repaired
+    end;
     let power = Selection.total_objective ctx next in
     let power_stable =
       Float.abs (power -. !prev_power) <= converge_ratio *. Float.max power 1e-9

@@ -18,7 +18,19 @@
     its electrical fallback, so the result is always feasible; because
     subgradient iterates are not monotone, the best feasible selection
     seen across iterations is returned when it beats the repaired final
-    iterate. *)
+    iterate.
+
+    The re-selection of a net loops over its neighbours outermost: per
+    (neighbour slot, candidate) it makes one {!Xmatrix.add_losses} read
+    for the candidate's own paths against the neighbour's previous
+    choice and one {!Xmatrix.add_weighted} read for the loss the
+    candidate puts on that choice's paths, accumulating into scratch
+    arrays allocated once per call. Each sum keeps the neighbour order
+    and the [+0.0] start of the path-by-path formulation, so the result
+    is bit-identical to it, and to a run on a direct (uncached) matrix.
+    A feasible iterate's feasibility is read from the persistent
+    {!Selection.Eval}, which already holds its losses after the
+    subgradient step. *)
 
 type result = {
   choice : int array;

@@ -24,6 +24,7 @@ type ctx = {
   neighbors : int array array;
   elec_idx : int array;
   xmat : Xmatrix.t;
+  bundled : Xmatrix.bundled;
   thermal : thermal option;
 }
 
@@ -173,7 +174,14 @@ let make_ctx ?(exec = Executor.sequential) ?(cache = true) ?reuse params
       Xmatrix.build ~exec ?reuse:xreuse cands neighbors
     else Xmatrix.direct cands
   in
-  { params; cands; bboxes; neighbors; elec_idx; xmat; thermal = None }
+  { params;
+    cands;
+    bboxes;
+    neighbors;
+    elec_idx;
+    xmat;
+    bundled = Xmatrix.bundled params;
+    thermal = None }
 
 let uncached ctx = { ctx with xmat = Xmatrix.direct ctx.cands }
 
@@ -243,29 +251,29 @@ let total_objective ctx choice =
 
 (* Canonical per-net loss evaluation; everything else (full recompute,
    incremental Eval, signoff) derives its numbers from this one function
-   so they are bit-identical by construction. Summation runs over the
-   neighbours in array order; a neighbour without optical geometry
-   contributes a bundled zero (exactly 0.0), matching the pre-cache
-   skip. With a thermal scenario, each path additionally pays its
-   precomputed detuning penalty — feasibility and margins then speak the
-   temperature-aware loss; without one, the expression tree is exactly
-   the historical one. *)
+   so they are bit-identical by construction. Each path's crossing loss
+   is summed from +0.0 over the neighbours in array order, one matrix
+   read per neighbour serving every path. With a thermal scenario, each
+   path additionally pays its precomputed detuning penalty — feasibility
+   and margins then speak the temperature-aware loss; without one, the
+   expression tree is exactly the historical one. *)
 let net_path_losses ctx choice i =
   let j = choice.(i) in
-  let c = ctx.cands.(i).(j) in
-  Array.mapi
+  let paths = ctx.cands.(i).(j).Candidate.paths in
+  let losses = Array.make (Array.length paths) 0.0 in
+  if Array.length paths > 0 then
+    Array.iteri
+      (fun k m ->
+        Xmatrix.add_losses ctx.xmat ctx.bundled ~i ~k ~j ~m ~n:choice.(m) losses 0)
+      ctx.neighbors.(i);
+  Array.iteri
     (fun p (path : Candidate.path) ->
-      let crossing =
-        Array.fold_left
-          (fun acc m ->
-            acc +. Xmatrix.loss_on_path ctx.xmat ctx.params ~i ~j ~p ~m ~n:choice.(m))
-          0.0 ctx.neighbors.(i)
-      in
-      match ctx.thermal with
-      | None -> path.Candidate.intrinsic_loss +. crossing
-      | Some t ->
-          path.Candidate.intrinsic_loss +. crossing +. t.penalty.(i).(j).(p))
-    c.Candidate.paths
+      losses.(p) <-
+        (match ctx.thermal with
+        | None -> path.Candidate.intrinsic_loss +. losses.(p)
+        | Some t -> path.Candidate.intrinsic_loss +. losses.(p) +. t.penalty.(i).(j).(p)))
+    paths;
+  losses
 
 let worst_violation ctx choice =
   let l_max = ctx.params.Params.l_max in

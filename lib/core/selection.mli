@@ -47,6 +47,9 @@ type ctx = {
   xmat : Xmatrix.t;
       (** shared crossing-count matrix over the neighbour pairs; a direct
           (uncached) oracle when the context was built with [~cache:false] *)
+  bundled : Xmatrix.bundled;
+      (** [params]' crossing loss per count, tabulated for the matrix
+          readers *)
   thermal : thermal option;
       (** thermal scenario of this context ([None] = the historical,
           temperature-blind model — bit-identical to pre-thermal runs) *)

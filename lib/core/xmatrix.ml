@@ -12,16 +12,20 @@ type stats = {
   misses : int;
 }
 
-(* Live counters; [stats] snapshots them. Coordinator-domain only. *)
+(* Live counters; [stats] snapshots them. Owned by the one domain that
+   reads the matrix. *)
 type counters = { mutable hits : int; mutable misses : int }
 
 type table = {
-  (* rows.(i).(k).(j).(n) = per-path crossing counts of candidate (i, j)
-     against candidate (neighbors.(i).(k), n); [None] rows are all-zero
-     and resolve to the shared [zeros.(i).(j)] array. *)
-  rows : int array option array array array array;
-  pos : (int, int) Hashtbl.t array;  (* net i -> neighbour id -> slot k *)
-  zeros : int array array array;  (* i -> j -> canonical all-zero counts *)
+  (* rows.(i).(k): every candidate pair of net i against its k-th
+     neighbour m = neighbors.(i).(k), in one array. The first
+     [ni * nm] cells are a header (ni, nm the two candidate counts): cell
+     [j * nm + n] holds the offset within the row of the per-path counts
+     of candidate (i, j) against candidate (m, n), or 0 when every one of
+     those counts is zero. The non-zero entries follow the header. *)
+  rows : int array array array;
+  mirror : int array array;  (* mirror.(i).(k): the slot of i in neighbors.(m) *)
+  neighbors : int array array;  (* the ascending rows the table was built over *)
   pairs : int;
   entries : int;
   reused : int;  (* directed pairs whose row came from a previous table *)
@@ -33,6 +37,15 @@ type t = {
   table : table option;  (* [None] = direct (uncached) mode *)
   counters : counters;
 }
+
+(* [Loss.crossing_bundled] of one parameter set, tabulated for the small
+   counts that make up nearly every entry; larger counts call through. *)
+type bundled = { params : Params.t; small : float array }
+
+let bundled params = { params; small = Array.init 64 (Loss.crossing_bundled params) }
+
+let[@inline] bundled_loss b c =
+  if c < Array.length b.small then b.small.(c) else Loss.crossing_bundled b.params c
 
 let compute_counts cands i j m n =
   let c = cands.(i).(j) and other = cands.(m).(n) in
@@ -133,41 +146,99 @@ let edge_table si a sm b =
   done;
   if Bytes.length !tbl = 0 then None else Some (!tbl, width)
 
-(* Crossings between one path's edges and another candidate's optical
-   edges, read off their slots' edge table. *)
-let path_count tbl width edges opt =
-  let c = ref 0 in
-  for x = 0 to Array.length edges - 1 do
-    let row = edges.(x) * width in
-    for y = 0 to Array.length opt - 1 do
-      c := !c + Char.code (Bytes.get tbl (row + opt.(y)))
-    done
-  done;
-  !c
-
-(* One directed pair (i, m): counts for every candidate pair, sparsified.
-   Each count equals [Segment.count_crossings] of the path's segments
-   against the other candidate's optical segments. *)
+(* One directed pair (i, m) as its contiguous row (layout at [table]).
+   For each candidate (m, n), each live edge of each of i's topology
+   slots is counted once against n's optical edges; a path's count is
+   then the sum over its edges, which equals [Segment.count_crossings]
+   of the path's segments against n's optical segments. [scratch] holds
+   the header and, in (n, j) order, the entries found so far; it is sized
+   for the worst case, and the row is cut from it in one copy. *)
 let build_pair shapes i m =
   let si = shapes.(i) and sm = shapes.(m) in
+  let ni = Array.length si.slot and nm = Array.length sm.slot in
   let tables =
     Array.init (Array.length si.segs) (fun a ->
         Array.init (Array.length sm.segs) (fun b -> edge_table si a sm b))
   in
-  Array.init (Array.length si.slot) (fun j ->
-      let paths = si.path_edges.(j) in
-      Array.init (Array.length sm.slot) (fun n ->
-          let opt = sm.opt_edges.(n) in
-          if Array.length paths = 0 || Array.length opt = 0 then None
-          else
-            match tables.(si.slot.(j)).(sm.slot.(n)) with
-            | None -> None
-            | Some (tbl, width) ->
-                let counts = Array.map (fun edges -> path_count tbl width edges opt) paths in
-                if Array.for_all (fun x -> x = 0) counts then None else Some counts))
+  let edge_counts = Array.map (fun segs -> Array.make (Array.length segs) 0) si.segs in
+  let header = ni * nm in
+  let total_paths = Array.fold_left (fun acc ps -> acc + Array.length ps) 0 si.path_edges in
+  let scratch = Array.make (header + (total_paths * nm)) 0 in
+  let used = ref header in
+  for n = 0 to nm - 1 do
+    let opt = sm.opt_edges.(n) and b = sm.slot.(n) in
+    if Array.length opt > 0 then begin
+      Array.iteri
+        (fun a counts ->
+          match tables.(a).(b) with
+          | None -> ()
+          | Some (tbl, width) ->
+              for u = 0 to Array.length counts - 1 do
+                let row = u * width and c = ref 0 in
+                for y = 0 to Array.length opt - 1 do
+                  c := !c + Char.code (Bytes.get tbl (row + opt.(y)))
+                done;
+                counts.(u) <- !c
+              done)
+        edge_counts;
+      for j = 0 to ni - 1 do
+        let a = si.slot.(j) and paths = si.path_edges.(j) in
+        if Option.is_some tables.(a).(b) && Array.length paths > 0 then begin
+          let counts = edge_counts.(a) and start = !used in
+          let nonzero = ref false in
+          Array.iteri
+            (fun p edges ->
+              let c = ref 0 in
+              for x = 0 to Array.length edges - 1 do
+                c := !c + counts.(edges.(x))
+              done;
+              if !c > 0 then nonzero := true;
+              scratch.(start + p) <- !c)
+            paths;
+          if !nonzero then begin
+            scratch.((j * nm) + n) <- start;
+            used := start + Array.length paths
+          end
+        end
+      done
+    end
+  done;
+  Array.sub scratch 0 !used
+
+(* Position of [m] in the ascending row [arr], if present. *)
+let find_slot arr m =
+  let lo = ref 0 and hi = ref (Array.length arr) and found = ref None in
+  while Option.is_none !found && !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    let v = arr.(mid) in
+    if v = m then found := Some mid else if v < m then lo := mid + 1 else hi := mid
+  done;
+  !found
 
 let build ?(exec = Executor.sequential) ?reuse cands neighbors =
   let t0 = Timer.now () in
+  (* Mirror slots. Visiting the nets in ascending order meets the
+     partners of each row in ascending order too, so with symmetric
+     ascending rows the slot of i in m's row is the number of m's
+     partners visited before i. *)
+  let malformed () =
+    invalid_arg "Xmatrix.build: neighbour rows must be symmetric and ascending"
+  in
+  let cursor = Array.make (Array.length neighbors) 0 in
+  let mirror =
+    Array.mapi
+      (fun i ms ->
+        Array.map
+          (fun m ->
+            let km = cursor.(m) in
+            if km >= Array.length neighbors.(m) || neighbors.(m).(km) <> i then
+              malformed ();
+            cursor.(m) <- km + 1;
+            km)
+          ms)
+      neighbors
+  in
+  Array.iteri (fun m ms -> if cursor.(m) <> Array.length ms then malformed ()) neighbors;
   (* ECO row sharing: a directed pair (i, m) whose two candidate arrays
      were carried over unchanged has bit-identical crossing geometry, so
      the previous table's row (an immutable array, safe to alias) is the
@@ -179,9 +250,7 @@ let build ?(exec = Executor.sequential) ?reuse cands neighbors =
     | Some ({ table = Some ptb; _ }, keep) ->
         fun i m ->
           if keep i m then
-            match Hashtbl.find_opt ptb.pos.(i) m with
-            | Some k -> Some ptb.rows.(i).(k)
-            | None -> None
+            Option.map (fun k -> ptb.rows.(i).(k)) (find_slot ptb.neighbors.(i) m)
           else None
     | _ -> fun _ _ -> None
   in
@@ -204,37 +273,28 @@ let build ?(exec = Executor.sequential) ?reuse cands neighbors =
         | None -> build_pair shapes i m)
       tasks
   in
-  let n = Array.length cands in
-  let rows = Array.map (fun ms -> Array.make (Array.length ms) [||]) neighbors in
-  let pos =
-    Array.map
-      (fun ms ->
-        let h = Hashtbl.create (Stdlib.max 1 (Array.length ms)) in
-        Array.iteri (fun k m -> Hashtbl.replace h m k) ms;
-        h)
-      neighbors
-  in
-  let entries = ref 0 in
-  Array.iteri
-    (fun t (i, m) ->
-      let k = Hashtbl.find pos.(i) m in
-      rows.(i).(k) <- built.(t);
-      Array.iter
-        (Array.iter (function Some _ -> incr entries | None -> ()))
-        built.(t))
-    tasks;
-  let zeros =
-    Array.init n (fun i ->
+  (* Tasks run in (net, slot) order, so the rows fill in that order. *)
+  let next = ref 0 and entries = ref 0 in
+  let rows =
+    Array.mapi
+      (fun i ms ->
         Array.map
-          (fun (c : Candidate.t) -> Array.make (Array.length c.Candidate.paths) 0)
-          cands.(i))
+          (fun m ->
+            let row = built.(!next) in
+            incr next;
+            for h = 0 to (Array.length cands.(i) * Array.length cands.(m)) - 1 do
+              if row.(h) > 0 then incr entries
+            done;
+            row)
+          ms)
+      neighbors
   in
   { cands;
     table =
       Some
         { rows;
-          pos;
-          zeros;
+          mirror;
+          neighbors;
           pairs = Array.length tasks;
           entries = !entries;
           reused;
@@ -245,40 +305,68 @@ let direct cands = { cands; table = None; counters = { hits = 0; misses = 0 } }
 
 let enabled t = t.table <> None
 
-let miss t i j m n =
-  t.counters.misses <- t.counters.misses + 1;
-  compute_counts t.cands i j m n
-
-let slot_counts t ~i ~k ~j ~m ~n =
+let mirror t ~i ~k =
   match t.table with
-  | Some tb -> (
+  | Some tb -> tb.mirror.(i).(k)
+  | None -> invalid_arg "Xmatrix.mirror: direct matrix"
+
+(* The readers. A table read finds the entry's offset in the row header
+   and counts one hit; a direct matrix counts the entry's crossings from
+   the geometry and one miss. Zero counts add nothing: every sum they
+   feed starts at (or above) +0.0 and only grows, where adding +0.0
+   changes no bit. *)
+
+let add_losses t b ~i ~k ~j ~m ~n acc off =
+  let paths = t.cands.(i).(j).Candidate.paths in
+  match t.table with
+  | Some tb ->
       t.counters.hits <- t.counters.hits + 1;
-      match tb.rows.(i).(k).(j).(n) with
-      | Some counts -> counts
-      | None -> tb.zeros.(i).(j))
-  | None -> miss t i j m n
-
-let path_counts t ~i ~j ~m ~n =
-  match t.table with
-  | Some tb -> (
-      match Hashtbl.find_opt tb.pos.(i) m with
-      | Some k -> slot_counts t ~i ~k ~j ~m ~n
-      | None ->
-          (* Not a neighbour pair: fall through to the geometry. *)
-          miss t i j m n)
-  | None -> miss t i j m n
-
-let count t ~i ~j ~p ~m ~n =
-  match t.table with
-  | Some _ -> (path_counts t ~i ~j ~m ~n).(p)
+      let row = tb.rows.(i).(k) in
+      let e = row.((j * Array.length t.cands.(m)) + n) in
+      if e > 0 then
+        for p = 0 to Array.length paths - 1 do
+          let c = row.(e + p) in
+          if c > 0 then acc.(off + p) <- acc.(off + p) +. bundled_loss b c
+        done
   | None ->
       t.counters.misses <- t.counters.misses + 1;
-      Segment.count_crossings
-        t.cands.(i).(j).Candidate.paths.(p).Candidate.segments
-        t.cands.(m).(n).Candidate.opt_segments
+      let other = t.cands.(m).(n).Candidate.opt_segments in
+      for p = 0 to Array.length paths - 1 do
+        let c = Segment.count_crossings paths.(p).Candidate.segments other in
+        if c > 0 then acc.(off + p) <- acc.(off + p) +. bundled_loss b c
+      done
 
-let loss_on_path t params ~i ~j ~p ~m ~n =
-  Loss.crossing_bundled params (count t ~i ~j ~p ~m ~n)
+let add_weighted t b ~i ~k ~j ~m ~n w acc idx =
+  let paths = t.cands.(m).(n).Candidate.paths in
+  match t.table with
+  | Some tb ->
+      t.counters.hits <- t.counters.hits + 1;
+      let row = tb.rows.(m).(tb.mirror.(i).(k)) in
+      let e = row.((n * Array.length t.cands.(i)) + j) in
+      if e > 0 then
+        for q = 0 to Array.length paths - 1 do
+          let c = row.(e + q) in
+          if c > 0 then acc.(idx) <- acc.(idx) +. (w.(q) *. bundled_loss b c)
+        done
+  | None ->
+      t.counters.misses <- t.counters.misses + 1;
+      let other = t.cands.(i).(j).Candidate.opt_segments in
+      for q = 0 to Array.length paths - 1 do
+        let c = Segment.count_crossings paths.(q).Candidate.segments other in
+        if c > 0 then acc.(idx) <- acc.(idx) +. (w.(q) *. bundled_loss b c)
+      done
+
+let slot_counts t ~i ~k ~j ~m ~n =
+  let np = Array.length t.cands.(i).(j).Candidate.paths in
+  match t.table with
+  | Some tb ->
+      t.counters.hits <- t.counters.hits + 1;
+      let row = tb.rows.(i).(k) in
+      let e = row.((j * Array.length t.cands.(m)) + n) in
+      if e > 0 then Array.sub row e np else Array.make np 0
+  | None ->
+      t.counters.misses <- t.counters.misses + 1;
+      compute_counts t.cands i j m n
 
 let stats t =
   let pairs, entries, build_seconds =

@@ -4,28 +4,37 @@
     candidate selections in Formula (3): each optical path of a chosen
     candidate pays for the waveguide crossings against every neighbour's
     chosen candidate. The same (path, candidate) crossing counts are
-    queried over and over — by the ILP linearization, by every Lagrangian
-    subgradient iteration, by the greedy feasibility repair and by the
+    queried over and over — by every Lagrangian re-selection, by the ILP
+    block programs, by the greedy feasibility repair and by the
     post-route signoff. This module computes them {e once}: for every
-    neighbour pair of the selection context, the per-path crossing counts
-    between every candidate pair are precomputed (Domain-parallel over
-    neighbour pairs via {!Operon_util.Executor}) and stored sparsely —
-    all-zero rows share one canonical zero array.
+    directed neighbour pair of the selection context, the per-path
+    crossing counts between every candidate pair are precomputed
+    (Domain-parallel over neighbour pairs via {!Operon_util.Executor}).
 
-    Counts are exact integers, so a loss derived from a cached count
-    ([Loss.crossing_bundled] of it) is bit-identical to recomputing the
-    geometry from scratch; consumers reading through the matrix make the
-    same floating-point decisions as the uncached path, at any [--jobs]
-    setting.
+    Each directed pair [(i, m)] is stored as one contiguous [int array]:
+    a header with one cell per candidate pair holding the offset of that
+    entry's per-path counts in the same array ([0] when every count is
+    zero), followed by the non-zero entries. Each pair also records its
+    mirror slot, the slot of [i] in [m]'s neighbour row. The layout is
+    private: consumers address an entry by net, neighbour slot and the two
+    candidates, and a reader adds that entry's losses into a float array
+    the consumer owns.
 
-    A {!direct} matrix answers the same queries by recomputing the
-    geometry per query (every query counts as a miss) — the uncached
-    reference mode used by the parity tests and the cache benchmark.
+    Counts are exact integers, so a loss derived from a cached count is
+    bit-identical to recomputing the geometry from scratch; consumers
+    reading through the matrix make the same floating-point decisions as
+    the uncached path, at any [--jobs] setting.
+
+    A {!direct} matrix answers the same reads by recomputing the one
+    entry asked for from the geometry (every read counts as a miss) — the
+    uncached reference mode used by the parity tests and the cache
+    benchmark. Cached and direct matrices go through the same readers.
 
     Like {!Operon_engine.Instrument}, the hit/miss statistics are plain
-    mutable state owned by the coordinating domain: queries must not be
-    issued from worker domains (the selection engines run on the
-    coordinator only; the parallel {e build} mutates nothing shared). *)
+    mutable state owned by the domain that reads the matrix: reads must
+    not be issued from several domains at once (each selection runs on
+    one domain with its own context; the parallel {e build} mutates
+    nothing shared). *)
 
 open Operon_optical
 
@@ -34,10 +43,10 @@ type t
 type stats = {
   enabled : bool;  (** false for a {!direct} matrix *)
   pairs : int;  (** directed neighbour pairs precomputed at build time *)
-  entries : int;  (** non-zero candidate-pair rows actually stored *)
+  entries : int;  (** candidate pairs with a non-zero count actually stored *)
   build_seconds : float;  (** wall-clock spent precomputing *)
-  hits : int;  (** queries answered from the table *)
-  misses : int;  (** queries that recomputed the geometry *)
+  hits : int;  (** reads answered from the table *)
+  misses : int;  (** reads that recomputed the geometry *)
 }
 
 val build :
@@ -50,8 +59,8 @@ val build :
     directed neighbour pair [(i, m)] with [m] in [neighbors.(i)]. The
     per-pair work fans out on [exec] (default sequential); results are
     merged in deterministic order, so the matrix contents do not depend
-    on the backend. [neighbors] must be symmetric (as built by
-    [Selection.make_ctx]).
+    on the backend. [neighbors] must be symmetric with ascending rows (as
+    built by [Selection.make_ctx]); raises [Invalid_argument] otherwise.
 
     [reuse = (prev, keep)] is the ECO fast path: when [keep i m] holds —
     the caller certifies both nets' candidate arrays are carried over
@@ -61,30 +70,52 @@ val build :
     [prev] contributes nothing. *)
 
 val direct : Candidate.t array array -> t
-(** A cache-free matrix over the same candidates: every query recomputes
-    [Segment.count_crossings] on the spot and is counted as a miss. *)
+(** A cache-free matrix over the same candidates: every read recomputes
+    [Segment.count_crossings] of the one entry it reads and is counted as
+    a miss. *)
 
 val enabled : t -> bool
 
-val path_counts : t -> i:int -> j:int -> m:int -> n:int -> int array
-(** Crossings between each optical path of candidate [(i, j)] and the
-    optical segments of candidate [(m, n)]; length equals the path count
-    of [(i, j)]. The returned array is shared with the cache — do not
-    mutate it. *)
+(** {2 Readers}
+
+    Every reader addresses a neighbour by its slot: [m] must be
+    [neighbors.(i).(k)] of the rows the matrix was built with (a direct
+    matrix ignores [k]). Each call counts exactly one hit (table) or one
+    miss (direct). A count of zero adds nothing, so every sum a reader
+    feeds must start at or above [+0.0]. *)
+
+type bundled
+(** [Loss.crossing_bundled] of one parameter set, tabulated for small
+    counts. *)
+
+val bundled : Params.t -> bundled
+
+val add_losses :
+  t -> bundled -> i:int -> k:int -> j:int -> m:int -> n:int -> float array -> int -> unit
+(** [add_losses t b ~i ~k ~j ~m ~n acc off] adds, for every optical path
+    [p] of candidate [(i, j)], the bundled crossing loss of [p] against
+    the optical segments of candidate [(m, n)] onto [acc.(off + p)] — the
+    Formula (3c) term [l_x(i,j,m,n,p)]. *)
+
+val add_weighted :
+  t -> bundled -> i:int -> k:int -> j:int -> m:int -> n:int -> float array ->
+  float array -> int -> unit
+(** [add_weighted t b ~i ~k ~j ~m ~n w acc idx] adds the loss candidate
+    [(i, j)] puts on the paths of neighbour candidate [(m, n)], path [q]
+    weighted by [w.(q)]: for each path [q] of [(m, n)] in order,
+    [acc.(idx) <- acc.(idx) +. w.(q) *. loss_q]. Read through [m]'s
+    mirror slot, so the caller addresses it from [i]'s side. *)
 
 val slot_counts : t -> i:int -> k:int -> j:int -> m:int -> n:int -> int array
-(** [path_counts] addressed by neighbour slot: [m] must be
-    [neighbors.(i).(k)] of the neighbour rows the matrix was built with.
-    A table read skips the neighbour-id lookup of {!path_counts}; a
-    {!direct} matrix recomputes from [m]'s geometry. Each call counts one
-    hit (table) or one miss (direct). *)
+(** The crossings between each optical path of candidate [(i, j)] and
+    the optical segments of candidate [(m, n)], as a fresh array as long
+    as [(i, j)]'s path list. *)
 
-val count : t -> i:int -> j:int -> p:int -> m:int -> n:int -> int
-(** Single-path variant of {!path_counts}. *)
+val mirror : t -> i:int -> k:int -> int
+(** The slot of [i] in the neighbour row of [neighbors.(i).(k)]. Raises
+    [Invalid_argument] on a {!direct} matrix. *)
 
-val loss_on_path : t -> Params.t -> i:int -> j:int -> p:int -> m:int -> n:int -> float
-(** [Loss.crossing_bundled params (count ...)] — the Formula (3c) term
-    [l_x(i,j,m,n,p)], bit-identical to [Candidate.crossing_loss_on_path]. *)
+(** {2 Statistics} *)
 
 val stats : t -> stats
 (** Immutable snapshot of the matrix statistics at this instant. *)

@@ -342,6 +342,135 @@ let test_block_descent_pinned () =
         (r.Ilp_select.blocks_solved, r.Ilp_select.blocks_skipped))
     descent_cases
 
+(* Lagrangian relaxation, pinned to the results recorded before LR
+   re-selection read the crossing table by neighbour slot. Runs small and
+   I1/I4 at a third of their signal groups, plain and under a synthetic
+   thermal map at weight 1, each on the cached and the direct matrix with
+   the table built by one and by four workers. The cached = uncached
+   parity tests cannot see a change of summation order (both modes would
+   change together); these literals see any such change that moves a
+   choice, [power] or [final_violation], the last two compared bit for
+   bit. *)
+type lr_case = {
+  lr_name : string;
+  lr_power : float;
+  lr_iterations : int;
+  lr_demoted : int;
+  lr_final_violation : float;
+  lr_choice : int array;
+}
+
+let lr_cases =
+  [
+    { lr_name = "small";
+      lr_power = 0x1.e374bc6a7ef9ep+3;
+      lr_iterations = 3;
+      lr_demoted = 0;
+      lr_final_violation = 0x0p+0;
+      lr_choice =
+        [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |] };
+    { lr_name = "small+thermal";
+      lr_power = 0x1.e3ae7e4dfc45ep+3;
+      lr_iterations = 3;
+      lr_demoted = 0;
+      lr_final_violation = 0x0p+0;
+      lr_choice =
+        [| 2; 0; 1; 2; 2; 6; 2; 3; 1; 0; 2; 3 |] };
+    { lr_name = "I1/3";
+      lr_power = 0x1.4cbc22bf708c9p+7;
+      lr_iterations = 4;
+      lr_demoted = 0;
+      lr_final_violation = 0x0p+0;
+      lr_choice =
+        [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0 |] };
+    { lr_name = "I1/3+thermal";
+      lr_power = 0x1.8ea7c4c586b98p+7;
+      lr_iterations = 8;
+      lr_demoted = 7;
+      lr_final_violation = 0x1.2a84caf82b1ep-1;
+      lr_choice =
+        [| 0; 10; 0; 0; 0; 3; 0; 0; 0; 2; 3; 0; 1; 0; 3; 0; 0; 0; 3; 0; 0; 0;
+           2; 2; 0; 0; 0; 4; 0; 4; 3; 0; 2; 0; 3; 0; 0; 3; 3; 4; 0; 3; 0; 1;
+           3; 2; 1; 2; 0; 0; 2; 1; 0; 4; 4; 0; 0; 0; 3; 0; 0; 0; 2; 4; 0; 0;
+           0; 2; 2; 2; 0; 0; 4; 0; 2; 0; 1; 2; 0; 2; 3; 0; 2; 0; 0; 2; 2; 3;
+           0; 0; 3; 0; 4; 0; 1; 2; 0; 0; 0; 3; 0; 0; 0; 1; 1; 0; 0; 0; 1; 3;
+           0; 2; 4; 0; 3; 0; 1; 0 |] };
+    { lr_name = "I4/3";
+      lr_power = 0x1.954c6217fc7ddp+7;
+      lr_iterations = 3;
+      lr_demoted = 0;
+      lr_final_violation = 0x0p+0;
+      lr_choice =
+        [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
+           0; 0 |] };
+    { lr_name = "I4/3+thermal";
+      lr_power = 0x1.0bd9895677c35p+9;
+      lr_iterations = 10;
+      lr_demoted = 33;
+      lr_final_violation = 0x1.5960a6b685e9p+1;
+      lr_choice =
+        [| 10; 3; 0; 5; 10; 0; 0; 0; 10; 10; 8; 0; 4; 0; 2; 2; 6; 2; 4; 2; 2; 9;
+           4; 7; 0; 1; 0; 3; 4; 2; 0; 5; 4; 0; 7; 7; 3; 0; 3; 7; 4; 2; 9; 3;
+           0; 0; 7; 1; 3; 0; 3; 3; 3; 2; 1; 4; 7; 0; 3; 3; 0; 0; 0; 0; 5; 2;
+           7; 0; 4; 0; 2; 9; 2; 0; 0; 4; 8; 8; 2; 1; 6; 4; 4; 0; 3; 7; 0; 3;
+           2; 2; 0; 3; 6; 4; 8; 1; 0; 2; 0; 3; 5; 2; 7; 3; 4; 9; 6; 0; 2; 2;
+           0; 3; 2; 5; 4; 3; 0; 3; 4; 2; 0; 4; 0; 1; 4; 0; 6; 7; 4; 4; 9; 7;
+           0; 0 |] };
+  ]
+
+let test_lr_pinned () =
+  let open Operon_benchgen in
+  let third (spec : Gen.spec) =
+    Gen.generate { spec with Gen.n_groups = Stdlib.max 1 (spec.Gen.n_groups / 3) }
+  in
+  let bits = Int64.bits_of_float in
+  List.iter
+    (fun (name, design) ->
+      let map =
+        Operon_thermal.Thermal_map.synthetic ~hotspots:4 ~amplitude:30.0 ~decay:0.2
+          ~die:design.Signal.die (Operon_util.Prng.create 7)
+      in
+      List.iter
+        (fun jobs ->
+          let _, ctx =
+            Flow.prepare_with
+              (Flow.Config.with_jobs jobs (Flow.Config.default params))
+              design
+          in
+          let hot =
+            Selection.with_thermal ctx (Selection.thermal_profile ctx map) ~weight:1.0
+          in
+          List.iter
+            (fun (variant, ctx) ->
+              let c = List.find (fun c -> c.lr_name = variant) lr_cases in
+              List.iter
+                (fun (mode, ctx) ->
+                  let tag = Printf.sprintf "%s jobs=%d %s" variant jobs mode in
+                  let r = Lr_select.select ctx in
+                  Alcotest.(check (array int)) (tag ^ ": choice") c.lr_choice
+                    r.Lr_select.choice;
+                  Alcotest.(check int64) (tag ^ ": power bits") (bits c.lr_power)
+                    (bits r.Lr_select.power);
+                  Alcotest.(check int) (tag ^ ": iterations") c.lr_iterations
+                    r.Lr_select.iterations;
+                  Alcotest.(check int) (tag ^ ": demoted") c.lr_demoted r.Lr_select.demoted;
+                  Alcotest.(check int64) (tag ^ ": final_violation bits")
+                    (bits c.lr_final_violation) (bits r.Lr_select.final_violation))
+                [ ("cached", ctx); ("direct", Selection.uncached ctx) ])
+            [ (name, ctx); (name ^ "+thermal", hot) ])
+        [ 1; 4 ])
+    [ ("small", Cases.small ()); ("I1/3", third Cases.i1); ("I4/3", third Cases.i4) ]
+
 let prop_engines_feasible_random =
   QCheck.Test.make ~name:"both engines feasible on random scenes" ~count:15
     QCheck.(int_range 0 1000)
@@ -384,4 +513,5 @@ let () =
         [ Alcotest.test_case "star consistent" `Quick test_star_engines_consistent;
           Alcotest.test_case "core parity" `Quick test_core_parity;
           Alcotest.test_case "block descent pinned" `Quick test_block_descent_pinned;
+          Alcotest.test_case "lr pinned" `Quick test_lr_pinned;
           QCheck_alcotest.to_alcotest prop_engines_feasible_random ] ) ]

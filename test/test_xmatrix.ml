@@ -42,59 +42,97 @@ let crossing_pair () =
 (* Xmatrix unit tests                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(* Every (i,j,m,n) over actual neighbour pairs: the cached per-path
-   counts equal a from-scratch Segment.count_crossings. *)
-let check_counts_against_geometry ctx =
-  let xmat = ctx.Selection.xmat in
+(* Every entry of a matrix, read through each reader, against the raw
+   geometry: [slot_counts] equals [Segment.count_crossings] of each path
+   against the other candidate's optical segments, [add_losses] adds
+   exactly each path's bundled loss at the given offset, and
+   [add_weighted] under a unit weight adds exactly the bundled loss that
+   (i, j) puts on the weighted path of (m, n). Each read counts one hit
+   (table) or one miss (direct) and nothing else; on a table every
+   mirror slot points back and [stats.entries] is the number of entries
+   with a non-zero count. *)
+let check_rows xmat (ctx : Selection.ctx) =
+  let cached = Xmatrix.enabled xmat in
+  let bundled = ctx.Selection.bundled in
+  let loss = Loss.crossing_bundled ctx.Selection.params in
+  let ok = ref true and nonzero = ref 0 in
+  let read f =
+    let s0 = Xmatrix.stats xmat in
+    let r = f () in
+    let s1 = Xmatrix.stats xmat in
+    let want =
+      if cached then (s0.Xmatrix.hits + 1, s0.Xmatrix.misses)
+      else (s0.Xmatrix.hits, s0.Xmatrix.misses + 1)
+    in
+    if (s1.Xmatrix.hits, s1.Xmatrix.misses) <> want then ok := false;
+    r
+  in
+  let crossings (c : Candidate.t) (other : Candidate.t) =
+    Array.map
+      (fun (path : Candidate.path) ->
+        Segment.count_crossings path.Candidate.segments other.Candidate.opt_segments)
+      c.Candidate.paths
+  in
   Array.iteri
     (fun i ms ->
-      Array.iter
-        (fun m ->
+      Array.iteri
+        (fun k m ->
+          if cached && ctx.Selection.neighbors.(m).(Xmatrix.mirror xmat ~i ~k) <> i then
+            ok := false;
           Array.iteri
             (fun j (c : Candidate.t) ->
               Array.iteri
                 (fun n (other : Candidate.t) ->
-                  let got = Xmatrix.path_counts xmat ~i ~j ~m ~n in
-                  let want =
-                    Array.map
-                      (fun (path : Candidate.path) ->
-                        Segment.count_crossings path.Candidate.segments
-                          other.Candidate.opt_segments)
-                      c.Candidate.paths
-                  in
-                  Alcotest.(check (array int))
-                    (Printf.sprintf "counts (%d,%d)x(%d,%d)" i j m n)
-                    want got)
+                  let own = crossings c other and foreign = crossings other c in
+                  if Array.exists (fun x -> x > 0) own then incr nonzero;
+                  if read (fun () -> Xmatrix.slot_counts xmat ~i ~k ~j ~m ~n) <> own then
+                    ok := false;
+                  let acc = Array.make (Array.length own + 1) 0.0 in
+                  read (fun () -> Xmatrix.add_losses xmat bundled ~i ~k ~j ~m ~n acc 1);
+                  if acc <> Array.append [| 0.0 |] (Array.map loss own) then ok := false;
+                  Array.iteri
+                    (fun q count ->
+                      let w =
+                        Array.init (Array.length foreign) (fun x -> if x = q then 1.0 else 0.0)
+                      in
+                      let acc = [| 0.0; 0.0 |] in
+                      read (fun () ->
+                          Xmatrix.add_weighted xmat bundled ~i ~k ~j ~m ~n w acc 1);
+                      if acc <> [| 0.0; loss count |] then ok := false)
+                    foreign)
                 ctx.Selection.cands.(m))
             ctx.Selection.cands.(i))
         ms)
-    ctx.Selection.neighbors
+    ctx.Selection.neighbors;
+  let entries = (Xmatrix.stats xmat).Xmatrix.entries in
+  !ok && entries = (if cached then !nonzero else 0)
 
 let test_counts_match_geometry () =
   let ctx = Selection.make_ctx params (crossing_pair ()) in
   Alcotest.(check bool) "cache built" true (Xmatrix.enabled ctx.Selection.xmat);
-  check_counts_against_geometry ctx
+  Alcotest.(check bool) "rows match geometry" true (check_rows ctx.Selection.xmat ctx)
 
 let test_loss_matches_candidate_formula () =
   let ctx = Selection.make_ctx params (crossing_pair ()) in
   let xmat = ctx.Selection.xmat in
   Array.iteri
     (fun i ms ->
-      Array.iter
-        (fun m ->
+      Array.iteri
+        (fun k m ->
           Array.iteri
             (fun j (c : Candidate.t) ->
               Array.iteri
                 (fun n (other : Candidate.t) ->
+                  let losses = Array.make (Array.length c.Candidate.paths) 0.0 in
+                  Xmatrix.add_losses xmat ctx.Selection.bundled ~i ~k ~j ~m ~n losses 0;
                   Array.iteri
-                    (fun pidx _ ->
+                    (fun pidx loss ->
                       Alcotest.(check (float 0.0))
-                        "loss_on_path = Candidate.crossing_loss_on_path"
+                        "add_losses = Candidate.crossing_loss_on_path"
                         (Candidate.crossing_loss_on_path ctx.Selection.params c
                            pidx other)
-                        (Xmatrix.loss_on_path xmat ctx.Selection.params ~i ~j
-                           ~p:pidx ~m ~n))
-                    c.Candidate.paths)
+                        loss)
+                    losses)
                 ctx.Selection.cands.(m))
             ctx.Selection.cands.(i))
         ms)
@@ -107,7 +145,7 @@ let test_counters_and_modes () =
   Alcotest.(check bool) "enabled" true s0.Xmatrix.enabled;
   Alcotest.(check bool) "pairs precomputed" true (s0.Xmatrix.pairs > 0);
   Alcotest.(check int) "fresh hits" 0 s0.Xmatrix.hits;
-  ignore (Xmatrix.path_counts xmat ~i:0 ~j:0 ~m:1 ~n:0);
+  ignore (Xmatrix.slot_counts xmat ~i:0 ~k:0 ~j:0 ~m:1 ~n:0);
   let s1 = Xmatrix.stats xmat in
   Alcotest.(check int) "one hit" 1 s1.Xmatrix.hits;
   Xmatrix.reset_counters xmat;
@@ -116,7 +154,7 @@ let test_counters_and_modes () =
   Alcotest.(check int) "build stats survive reset" s0.Xmatrix.pairs s2.Xmatrix.pairs;
   let direct = (Selection.uncached ctx).Selection.xmat in
   Alcotest.(check bool) "direct disabled" false (Xmatrix.enabled direct);
-  ignore (Xmatrix.count direct ~i:0 ~j:0 ~p:0 ~m:1 ~n:0);
+  ignore (Xmatrix.slot_counts direct ~i:0 ~k:0 ~j:0 ~m:1 ~n:0);
   Alcotest.(check int) "direct queries are misses" 1 (Xmatrix.stats direct).Xmatrix.misses
 
 (* Candidates of one net that label the same topology value share its
@@ -154,13 +192,16 @@ let test_shared_topology_parity () =
       let ctx = Selection.make_ctx ~exec params (shared_topology_cands ()) in
       Alcotest.(check (array int)) "nets are neighbours" [| 1 |] ctx.Selection.neighbors.(0);
       Alcotest.(check (array int)) "two crossings on the two-edge path" [| 1; 2 |]
-        (Xmatrix.path_counts ctx.Selection.xmat ~i:0 ~j:0 ~m:1 ~n:0);
-      check_counts_against_geometry ctx;
+        (Xmatrix.slot_counts ctx.Selection.xmat ~i:0 ~k:0 ~j:0 ~m:1 ~n:0);
+      Alcotest.(check bool) "rows match geometry" true (check_rows ctx.Selection.xmat ctx);
+      Alcotest.(check bool) "direct reads match geometry" true
+        (check_rows (Selection.uncached ctx).Selection.xmat ctx);
       let _, design_ctx =
         Flow.prepare_with (Flow.Config.with_jobs jobs (Flow.Config.default params))
           (Cases.tiny ~seed:5 ())
       in
-      check_counts_against_geometry design_ctx)
+      Alcotest.(check bool) "tiny rows match geometry" true
+        (check_rows design_ctx.Selection.xmat design_ctx))
     [ 1; 4 ]
 
 (* Parallel build (jobs=4) produces exactly the sequential matrix. *)
@@ -203,7 +244,8 @@ let check_losses_parity name ctx ctx_u choice =
 let check_design_parity ~ilp name design =
   let _, ctx = Flow.prepare_with (Flow.Config.default params) design in
   let ctx_u = Selection.uncached ctx in
-  check_counts_against_geometry ctx;
+  Alcotest.(check bool) (name ^ ": rows match geometry") true
+    (check_rows ctx.Selection.xmat ctx);
   List.iter
     (fun (cname, choice) -> check_losses_parity (name ^ "/" ^ cname) ctx ctx_u choice)
     [ ("greedy", Selection.greedy ctx);
@@ -232,49 +274,28 @@ let prop_random_design_parity =
         (Cases.tiny ~seed ());
       true)
 
-(* [slot_counts] addressed by neighbour slot answers exactly what
-   [path_counts] answers by neighbour id, cached and direct, and each
-   call counts one hit (cached) or one miss (direct). *)
-let check_slot_counts xmat (ctx : Selection.ctx) =
-  let hits_misses () =
-    let s = Xmatrix.stats xmat in
-    (s.Xmatrix.hits, s.Xmatrix.misses)
-  in
-  let cached = Xmatrix.enabled xmat in
-  let ok = ref true in
-  Array.iteri
-    (fun i ms ->
-      Array.iteri
-        (fun k m ->
-          Array.iteri
-            (fun j _ ->
-              Array.iteri
-                (fun n _ ->
-                  let h0, m0 = hits_misses () in
-                  let got = Xmatrix.slot_counts xmat ~i ~k ~j ~m ~n in
-                  let h1, m1 = hits_misses () in
-                  let counted =
-                    if cached then (h1, m1) = (h0 + 1, m0) else (h1, m1) = (h0, m0 + 1)
-                  in
-                  if not (counted && got = Xmatrix.path_counts xmat ~i ~j ~m ~n) then
-                    ok := false)
-                ctx.Selection.cands.(m))
-            ctx.Selection.cands.(i))
-        ms)
-    ctx.Selection.neighbors;
-  !ok
-
-let prop_slot_counts =
-  QCheck.Test.make ~name:"slot_counts = path_counts (cached and direct)" ~count:8
+(* The contiguous rows on random tiny designs, built by one and by four
+   workers, with their direct counterparts; and the table an ECO
+   preparation of a random small design builds by carrying rows over
+   from the previous one (at a 10% change most rows are carried). *)
+let prop_contiguous_rows =
+  QCheck.Test.make ~name:"contiguous rows = geometry (jobs 1/4, direct, eco)" ~count:6
     QCheck.(int_range 1 10000)
     (fun seed ->
-      let _, ctx =
-        Flow.prepare_with (Flow.Config.default params) (Cases.tiny ~seed ())
-      in
-      let direct = (Selection.uncached ctx).Selection.xmat in
-      Xmatrix.enabled ctx.Selection.xmat
-      && check_slot_counts ctx.Selection.xmat ctx
-      && check_slot_counts direct ctx)
+      let small = Cases.small ~seed () in
+      List.for_all
+        (fun jobs ->
+          let cfg = Flow.Config.with_jobs jobs (Flow.Config.default params) in
+          let tiny = Flow.prepare cfg (Cases.tiny ~seed ()) in
+          let prev = Flow.prepare cfg small in
+          let eco = Flow.prepare_eco ~prev cfg (Mutate.design ~ratio:0.1 ~seed small) in
+          List.for_all
+            (fun (ctx : Selection.ctx) ->
+              Xmatrix.enabled ctx.Selection.xmat
+              && check_rows ctx.Selection.xmat ctx
+              && check_rows (Selection.uncached ctx).Selection.xmat ctx)
+            [ tiny.Flow.p_ctx; eco.Flow.p_ctx ])
+        [ 1; 4 ])
 
 let test_small_design_parity () =
   check_design_parity ~ilp:false "small" (Cases.small ~seed:3 ())
@@ -389,7 +410,7 @@ let () =
             test_shared_topology_parity ] );
       ( "parity",
         [ QCheck_alcotest.to_alcotest prop_random_design_parity;
-          QCheck_alcotest.to_alcotest prop_slot_counts;
+          QCheck_alcotest.to_alcotest prop_contiguous_rows;
           Alcotest.test_case "small design" `Slow test_small_design_parity;
           Alcotest.test_case "flow cache identity (jobs 1/4)" `Quick
             test_flow_cache_identity ] );
