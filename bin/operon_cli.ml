@@ -85,10 +85,11 @@ let no_cache_arg =
 
 let inject_arg =
   let doc =
-    "Inject a deterministic fault at STAGE:NET:KIND (net may be * for \
-     any; kind is one of injected, crash, capacity, budget, validation). \
-     Repeatable; merged with the $(b,OPERON_FAULTS) environment \
-     variable (comma-separated specs)."
+    "Inject a deterministic fault at STAGE:NET:KIND. STAGE is baselines \
+     or codesign (net is a hyper-net id or * for any) or select (net \
+     must be *); kind is one of injected, crash, capacity, budget, \
+     validation. Repeatable; merged with the $(b,OPERON_FAULTS) \
+     environment variable (comma-separated specs)."
   in
   Arg.(value & opt_all string []
        & info [ "inject-fault" ] ~docv:"STAGE:NET:KIND" ~doc)

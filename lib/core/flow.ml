@@ -41,21 +41,6 @@ module Config = struct
 
   let default_thermal_weights = [| 0.0; 0.5; 1.0; 2.0; 4.0; 8.0 |]
 
-  let default params =
-    { params;
-      processing = None;
-      mode = Lr;
-      ilp_budget = 3000.0;
-      max_cands_per_net = 10;
-      jobs = 1;
-      strict = false;
-      injections = [];
-      cache = true;
-      seed = 42;
-      solver_core = Operon_solver.Solver.Sparse;
-      thermal = None;
-      partition = Off }
-
   let make ?processing ?(mode = Lr) ?(ilp_budget = 3000.0)
       ?(max_cands_per_net = 10) ?(jobs = 1) ?(strict = false)
       ?(injections = []) ?(cache = true) ?(seed = 42)
@@ -64,13 +49,10 @@ module Config = struct
     { params; processing; mode; ilp_budget; max_cands_per_net; jobs; strict;
       injections; cache; seed; solver_core; thermal; partition }
 
-  let with_mode mode t = { t with mode }
+  let default params = make params
+
   let with_jobs jobs t = { t with jobs }
   let with_cache cache t = { t with cache }
-  let with_processing processing t = { t with processing = Some processing }
-  let with_seed seed t = { t with seed }
-  let with_solver_core solver_core t = { t with solver_core }
-  let with_partition partition t = { t with partition }
 
   let with_thermal ?(weights = default_thermal_weights) map t =
     if Array.length weights = 0 then
@@ -163,28 +145,13 @@ type t = {
 let auto_region_nets = 1024
 
 let resolve_partition (p : Config.partition) ~nets =
-  match p with
-  | Config.Off -> None
-  | Config.Regions r ->
-      let r = Stdlib.min r nets in
-      if r >= 2 then Some r else None
-  | Config.Auto ->
-      let r = Stdlib.min 64 (nets / auto_region_nets) in
-      if r >= 2 then Some r else None
-
-(* ------------------------------------------------------------------ *)
-(* Fault handling at stage boundaries.                                *)
-(* ------------------------------------------------------------------ *)
-
-(* Per-item failure policy of the fan-out stages: strict runs re-raise
-   the structured fault (lowest-index first, since results arrive in
-   input order), degraded runs record it and let the caller substitute a
-   deterministic fallback. *)
-let degrade_or_raise rc ~stage ?net e bt =
-  let fault = Fault.of_exn ~stage ?net e bt in
-  if rc.Runctx.config.Runctx.strict then
-    Printexc.raise_with_backtrace (Fault.Error fault) bt;
-  Runctx.record_fault rc fault
+  let r =
+    match p with
+    | Config.Off -> 0
+    | Config.Regions r -> Stdlib.min r nets
+    | Config.Auto -> Stdlib.min 64 (nets / auto_region_nets)
+  in
+  if r >= 2 then Some r else None
 
 (* ------------------------------------------------------------------ *)
 (* The six pipeline stages (paper Figure 2).                          *)
@@ -239,7 +206,7 @@ let stage_baselines =
             match result with
             | Ok segs -> segs
             | Error (e, bt) ->
-                degrade_or_raise rc ~stage:Instrument.Baselines
+                Runctx.degrade rc ~stage:Instrument.Baselines
                   ~net:hnets.(i).Hypernet.id e bt;
                 [||])
           results
@@ -249,6 +216,52 @@ let stage_baselines =
         (Array.length segments);
       let index = Crossing.build_index ~die:design.Signal.die segments in
       (design, params, hnets, index))
+
+(* The outcome of a net quarantined upstream, which skips the DP: its
+   all-electrical fallback as its only candidate. *)
+let quarantined_cands params hnet =
+  `Fresh
+    ( Codesign.electrical_only params hnet,
+      { Codesign.raw = 1; deduped = 1; kept = 1 },
+      ([||] : Codesign.xcounts) )
+
+(* Merge per-net co-design outcomes on the coordinator, in net-id order:
+   a [`Fresh] net's DP counters are charged, a [`Kept] net (an ECO
+   reuse) carries its previous candidate list over, and a failed net is
+   quarantined onto its all-electrical fallback. The fallback is built
+   here, after the fan-out, so healthy nets' results are untouched.
+   Returns the candidate lists, their crossing counts and the reuse
+   mask. *)
+let merge_codesign rc params hnets results =
+  let sink = rc.Runctx.sink in
+  let xcounts = Array.make (Array.length hnets) ([||] : Codesign.xcounts) in
+  let reused = Array.make (Array.length hnets) false in
+  let cand_lists =
+    Array.mapi
+      (fun i result ->
+        match result with
+        | Ok (`Kept (cands, counts)) ->
+            reused.(i) <- true;
+            xcounts.(i) <- counts;
+            cands
+        | Ok (`Fresh (cands, s, counts)) ->
+            Instrument.incr sink Instrument.Codesign "raw" s.Codesign.raw;
+            Instrument.incr sink Instrument.Codesign "kept" s.Codesign.kept;
+            Instrument.incr sink Instrument.Codesign "pruned"
+              (s.Codesign.raw - s.Codesign.kept);
+            xcounts.(i) <- counts;
+            cands
+        | Error (e, bt) ->
+            Runctx.degrade rc ~stage:Instrument.Codesign
+              ~net:hnets.(i).Hypernet.id e bt;
+            Codesign.electrical_only params hnets.(i))
+      results
+  in
+  let quarantined = Runctx.quarantined rc in
+  if Array.length quarantined > 0 then
+    Instrument.incr sink Instrument.Codesign "quarantined"
+      (Array.length quarantined);
+  (cand_lists, xcounts, reused)
 
 let stage_codesign =
   Pipeline.stage Instrument.Codesign (fun rc (design, params, hnets, index) ->
@@ -271,44 +284,17 @@ let stage_codesign =
             Runctx.check_inject rc ~stage:Instrument.Codesign ~net:hnet.Hypernet.id ();
             let _net_rng = net_rngs.(i) in
             if is_quarantined hnet.Hypernet.id then
-              (Codesign.electrical_only params hnet,
-               { Codesign.raw = 1; deduped = 1; kept = 1 },
-               [||])
+              quarantined_cands params hnet
             else
               let crossing_est = Crossing.estimator index ~net:hnet.Hypernet.id in
               let counts = Codesign.crossing_counts ~crossing_est hnet in
               let cands, stats =
                 Codesign.for_hypernet_counted ~max_total ~counts params hnet
               in
-              (cands, stats, counts))
+              `Fresh (cands, stats, counts))
           hnets
       in
-      (* Merge counters — and quarantine per-net failures — on the
-         coordinator, in net-id order. The fallback candidate is built
-         here, after the fan-out, so healthy nets' results are untouched. *)
-      let sink = rc.Runctx.sink in
-      let xcounts = Array.make (Array.length hnets) ([||] : Codesign.xcounts) in
-      let cand_lists =
-        Array.mapi
-          (fun i result ->
-            match result with
-            | Ok (cands, s, counts) ->
-                Instrument.incr sink Instrument.Codesign "raw" s.Codesign.raw;
-                Instrument.incr sink Instrument.Codesign "kept" s.Codesign.kept;
-                Instrument.incr sink Instrument.Codesign "pruned"
-                  (s.Codesign.raw - s.Codesign.kept);
-                xcounts.(i) <- counts;
-                cands
-            | Error (e, bt) ->
-                degrade_or_raise rc ~stage:Instrument.Codesign
-                  ~net:hnets.(i).Hypernet.id e bt;
-                Codesign.electrical_only params hnets.(i))
-          results
-      in
-      let quarantined = Runctx.quarantined rc in
-      if Array.length quarantined > 0 then
-        Instrument.incr sink Instrument.Codesign "quarantined"
-          (Array.length quarantined);
+      let cand_lists, xcounts, _ = merge_codesign rc params hnets results in
       (design, params, hnets, cand_lists, xcounts))
 
 (* Building the selection context is charged to Codesign, as it was when
@@ -350,16 +336,11 @@ type selected = {
   s_ilp : Ilp_select.result option;
   s_lr : Lr_select.result option;
   s_solver_path : string;
-  s_partition : partition_stats option;
-  s_cache : Xmatrix.stats option;
-      (* overrides the final context's own cache stats when selection ran
-         partitioned: the aggregate over the per-region matrices, which
-         is what a flat run's single matrix would have reported when the
-         cut severs no interactions *)
-  s_plan : Partition.t option;
-      (* the region plan when selection ran partitioned — carried forward
-         so the WDM realization stages can decompose along the same
-         regions *)
+  s_partition : (Partition.t * partition_stats * Xmatrix.stats) option;
+      (* when selection ran partitioned: the plan, carried forward so the
+         WDM stages decompose along the same cut; its shape; and the sum
+         of the per-region crossing-matrix stats, which stands in for the
+         final context's own *)
 }
 
 (* Outcome of one region's selection, computed inside a Domain task.
@@ -368,537 +349,379 @@ type selected = {
    merged choice are identical at any --jobs. *)
 type region_out = {
   ro_choice : int array;
-  ro_depth : int;  (* fallback hops consumed; 0 = the primary engine *)
+  ro_path : string list;  (* engines tried, in order *)
   ro_ilp : Ilp_select.result option;
   ro_lr : Lr_select.result option;
+  ro_counters : (string * int) list;  (* the answering engine's *)
   ro_faults : Fault.t list;  (* in occurrence order *)
   ro_cache : Xmatrix.stats;
 }
 
-(* Selection runs a fallback chain with explicit budgets: the configured
-   engine first (ILP under its wall-clock/pivot budget, LR under its
-   iteration/wall-clock budget), then the cheaper engines in order, down
-   to the solver-free greedy feasibility repair. Every hop is recorded as
-   a Select-stage fault; strict mode stops at the first one.
+let engine_names = function
+  | Ilp -> [ "ilp"; "lr"; "greedy" ]
+  | Lr -> [ "lr"; "greedy" ]
 
-   With an active partition spec, selection instead plans a region
-   decomposition, solves every region independently on the Domain pool
-   through the same engine chain (full budget each — regions run
+(* The selection engine: a fallback chain with explicit budgets. The
+   configured engine runs first (ILP under its wall-clock/pivot budget,
+   LR under its iteration/wall-clock budget), then the cheaper engines
+   in order, down to the solver-free greedy feasibility repair; if even
+   that crashes, the all-electrical selection (the paper's Eq. 6
+   baseline) cannot fail. Every failed hop is a Select fault, returned
+   as data; a strict run raises the first one instead. Safe in a Domain
+   task: besides [ctx], it reads only [rc]'s immutable config. *)
+let select_region rc ?initial ctx =
+  let cfg = rc.Runctx.config in
+  let budget_seconds = cfg.Runctx.ilp_budget in
+  let run = function
+    | "ilp" ->
+        Runctx.check_inject rc ~stage:Instrument.Select ();
+        let r =
+          Ilp_select.select ~budget_seconds ~core:cfg.Runctx.solver_core
+            ?initial ctx
+        in
+        ( r.Ilp_select.choice, Some r, None,
+          [ ("components", r.Ilp_select.components);
+            ("timed_out", r.Ilp_select.timed_out);
+            ("nodes", r.Ilp_select.nodes);
+            ("lp_solves", r.Ilp_select.lp_solves);
+            ("pivots", r.Ilp_select.pivots);
+            ("refactorizations", r.Ilp_select.refactorizations);
+            ("blocks_solved", r.Ilp_select.blocks_solved);
+            ("blocks_skipped", r.Ilp_select.blocks_skipped) ] )
+    | "lr" ->
+        Runctx.check_inject rc ~stage:Instrument.Select ();
+        let r = Lr_select.select ~budget_seconds ?initial ctx in
+        ( r.Lr_select.choice, None, Some r,
+          [ ("iterations", r.Lr_select.iterations);
+            ("demoted", r.Lr_select.demoted) ] )
+    | _ (* greedy *) ->
+        (Selection.polish ctx (Selection.greedy ctx), None, None, [])
+  in
+  let rec go path faults = function
+    | [] ->
+        ( "electrical" :: path,
+          faults,
+          (Selection.all_electrical ctx, None, None, []) )
+    | name :: rest -> (
+        match run name with
+        | r -> (name :: path, faults, r)
+        | exception e ->
+            let bt = Printexc.get_raw_backtrace () in
+            let fault = Fault.of_exn ~stage:Instrument.Select e bt in
+            if cfg.Runctx.strict then
+              Printexc.raise_with_backtrace (Fault.Error fault) bt;
+            go (name :: path) (fault :: faults) rest)
+  in
+  let path, faults, (choice, ilp, lr, counters) =
+    go [] [] (engine_names cfg.Runctx.mode)
+  in
+  { ro_choice = choice;
+    ro_path = List.rev path;
+    ro_ilp = ilp;
+    ro_lr = lr;
+    ro_counters = counters;
+    ro_faults = List.rev faults;
+    ro_cache = Xmatrix.stats ctx.Selection.xmat }
+
+(* One region of a partitioned plan: the engine on the region's slice
+   of the design-wide context — its member nets' candidate lists under a
+   private crossing matrix, plus the matching rows of the thermal
+   profile and of the warm start. *)
+let select_slice rc ?initial (ctx : Selection.ctx) ids =
+  let rows a = Array.map (fun i -> a.(i)) ids in
+  let sub =
+    Selection.make_ctx ~cache:rc.Runctx.config.Runctx.cache
+      ctx.Selection.params
+      (Array.map Array.to_list (rows ctx.Selection.cands))
+  in
+  let sub =
+    match ctx.Selection.thermal with
+    | None -> sub
+    | Some th ->
+        (* The penalty tensor is per-net and choice-independent, so a
+           slice of it is exactly the profile a regional
+           [thermal_profile] would compute. *)
+        Selection.with_thermal sub
+          { Selection.penalty = rows th.Selection.penalty;
+            tcost = rows th.Selection.tcost;
+            weight = 0.0 }
+          ~weight:th.Selection.weight
+  in
+  let initial =
+    match initial with
+    | Some init when Array.length init = Array.length ctx.Selection.cands ->
+        (* Per-net candidate indices translate directly; the engines
+           sanitize out-of-range entries themselves. *)
+        Some (rows init)
+    | _ -> None
+  in
+  select_region rc ?initial sub
+
+(* Selection runs the engine chain on every region of a plan, on the
+   Domain pool, and merges in region order. The flat flow is the
+   one-region plan over the full context: nothing is sliced, so the
+   design-wide crossing matrix and LR's global convergence state are
+   exactly the flat engine's.
+
+   An active partition spec plans a spatial decomposition instead. Each
+   region selects on its own slice with the full budget (regions run
    concurrently, so the wall-clock budget is per region by
-   construction), merges in region order and repairs the corridor nets
-   with a restricted polish pass. When the cut severs no interactions
-   the merged ILP/greedy result is bit-identical to the flat run's; LR
-   couples nets globally through its convergence tests, so partitioned
-   LR is only power-bounded, not bit-equal (DESIGN.md §16). A partition
-   failure of any kind degrades to the flat chain. *)
+   construction), and a restricted polish pass repairs the corridor
+   nets. When the cut severs no interactions the merged ILP/greedy
+   result is bit-identical to the flat run's; LR couples nets globally
+   through its convergence tests, so partitioned LR is only
+   power-bounded, not bit-equal (DESIGN.md §16). A real exception in the
+   plan or the stitch degrades to the one-region plan. *)
 let stage_select partition =
   Pipeline.stage Instrument.Select (fun rc (design, hnets, ctx, initial) ->
       let cfg = rc.Runctx.config in
       let sink = rc.Runctx.sink in
-      (match initial with
-       | Some _ -> Instrument.incr sink Instrument.Select "warm_start" 1
-       | None -> ());
-      let path = ref [] in
-      let attempt name f =
-        path := name :: !path;
-        match f () with
-        | r -> Some r
-        | exception e ->
-            let bt = Printexc.get_raw_backtrace () in
-            degrade_or_raise rc ~stage:Instrument.Select ?net:None e bt;
-            Instrument.incr sink Instrument.Select "fallbacks" 1;
-            None
-      in
-      let run_ilp () =
-        Runctx.check_inject rc ~stage:Instrument.Select ();
-        let r =
-          Ilp_select.select ~budget_seconds:cfg.Runctx.ilp_budget
-            ~core:cfg.Runctx.solver_core ?initial ctx
-        in
-        Instrument.incr sink Instrument.Select "components" r.Ilp_select.components;
-        Instrument.incr sink Instrument.Select "timed_out" r.Ilp_select.timed_out;
-        Instrument.incr sink Instrument.Select "nodes" r.Ilp_select.nodes;
-        Instrument.incr sink Instrument.Select "lp_solves" r.Ilp_select.lp_solves;
-        Instrument.incr sink Instrument.Select "pivots" r.Ilp_select.pivots;
-        Instrument.incr sink Instrument.Select "refactorizations"
-          r.Ilp_select.refactorizations;
-        Instrument.incr sink Instrument.Select "blocks_solved" r.Ilp_select.blocks_solved;
-        Instrument.incr sink Instrument.Select "blocks_skipped"
-          r.Ilp_select.blocks_skipped;
-        (r.Ilp_select.choice, r.Ilp_select.elapsed, Some r, None)
-      in
-      let run_lr () =
-        Runctx.check_inject rc ~stage:Instrument.Select ();
-        let r =
-          Lr_select.select ~budget_seconds:cfg.Runctx.ilp_budget ?initial ctx
-        in
-        Instrument.incr sink Instrument.Select "iterations" r.Lr_select.iterations;
-        Instrument.incr sink Instrument.Select "demoted" r.Lr_select.demoted;
-        (r.Lr_select.choice, r.Lr_select.elapsed, None, Some r)
-      in
-      let run_greedy () =
-        (* Terminal repair: deterministic, solver-free, always feasible. *)
-        let choice, dt =
-          Timer.time (fun () -> Selection.polish ctx (Selection.greedy ctx))
-        in
-        (choice, dt, None, None)
-      in
-      let chain =
-        match cfg.Runctx.mode with
-        | Ilp -> [ ("ilp", run_ilp); ("lr", run_lr); ("greedy", run_greedy) ]
-        | Lr -> [ ("lr", run_lr); ("greedy", run_greedy) ]
-      in
-      let rec first = function
-        | [] ->
-            (* Even the greedy repair crashed: the all-electrical
-               selection (the paper's Eq. 6 baseline) cannot fail. *)
-            path := "electrical" :: !path;
-            (Selection.all_electrical ctx, 0.0, None, None)
-        | (name, f) :: rest -> (
-            match attempt name f with Some r -> r | None -> first rest)
-      in
-      let flat_select () =
-        let before = Xmatrix.stats ctx.Selection.xmat in
-        let choice, seconds, ilp, lr = first chain in
-        let after = Xmatrix.stats ctx.Selection.xmat in
-        Instrument.incr sink Instrument.Select "cache_hits"
-          (after.Xmatrix.hits - before.Xmatrix.hits);
-        Instrument.incr sink Instrument.Select "cache_misses"
-          (after.Xmatrix.misses - before.Xmatrix.misses);
-        { s_design = design; s_hnets = hnets; s_ctx = ctx; s_choice = choice;
-          s_seconds = seconds; s_ilp = ilp; s_lr = lr;
-          s_solver_path = String.concat "->" (List.rev !path);
-          s_partition = None; s_cache = None; s_plan = None }
-      in
-      let chain_names =
-        match cfg.Runctx.mode with
-        | Ilp -> [ "ilp"; "lr"; "greedy" ]
-        | Lr -> [ "lr"; "greedy" ]
-      in
-      (* The deepest fallback any region reached names the whole run's
-         solver path — a prefix chain of the same engine names the flat
-         run would print, so a clean partitioned ILP run reports "ilp"
-         exactly like a clean flat one. *)
-      let path_of_depth d =
-        let names = chain_names @ [ "electrical" ] in
-        let rec take k = function
-          | x :: rest when k > 0 -> x :: take (k - 1) rest
-          | _ -> []
-        in
-        String.concat "->" (take (d + 1) names)
-      in
-      (* One region's selection, on a context sliced to its member nets.
-         Runs inside a Domain task: no sink, no run-context, no shared
-         mutation — everything observable is returned and merged by the
-         coordinator. Each region gets the full selection budget
-         (regions run concurrently). *)
-      let region_select ids =
-        let sub_lists =
-          Array.map (fun i -> Array.to_list ctx.Selection.cands.(i)) ids
-        in
-        let sub_ctx =
-          Selection.make_ctx ~cache:cfg.Runctx.cache ctx.Selection.params
-            sub_lists
-        in
-        let sub_ctx =
-          match ctx.Selection.thermal with
-          | None -> sub_ctx
-          | Some th ->
-              (* The penalty tensor is per-net and choice-independent, so
-                 a slice of it is exactly the profile a regional
-                 [thermal_profile] would compute. *)
-              let profile =
-                { Selection.penalty =
-                    Array.map (fun i -> th.Selection.penalty.(i)) ids;
-                  tcost = Array.map (fun i -> th.Selection.tcost.(i)) ids;
-                  weight = 0.0 }
-              in
-              Selection.with_thermal sub_ctx profile ~weight:th.Selection.weight
-        in
-        let sub_initial =
-          match initial with
-          | Some init when Array.length init = Array.length ctx.Selection.cands
-            ->
-              (* Per-net candidate indices translate directly; the region
-                 engines sanitize out-of-range entries themselves, as the
-                 flat engines would. *)
-              Some (Array.map (fun i -> init.(i)) ids)
-          | _ -> None
-        in
-        let faults = ref [] in
-        let caught f =
-          match f () with
-          | r -> Some r
-          | exception e ->
-              let bt = Printexc.get_raw_backtrace () in
-              faults := Fault.of_exn ~stage:Instrument.Select e bt :: !faults;
-              None
-        in
-        let engines =
-          let ilp () =
-            let r =
-              Ilp_select.select ~budget_seconds:cfg.Runctx.ilp_budget
-                ~core:cfg.Runctx.solver_core ?initial:sub_initial sub_ctx
-            in
-            (r.Ilp_select.choice, Some r, None)
-          in
-          let lr () =
-            let r =
-              Lr_select.select ~budget_seconds:cfg.Runctx.ilp_budget
-                ?initial:sub_initial sub_ctx
-            in
-            (r.Lr_select.choice, None, Some r)
-          in
-          let greedy () =
-            (Selection.polish sub_ctx (Selection.greedy sub_ctx), None, None)
-          in
-          match cfg.Runctx.mode with
-          | Ilp -> [ ilp; lr; greedy ]
-          | Lr -> [ lr; greedy ]
-        in
-        let rec go depth = function
-          | [] -> (Selection.all_electrical sub_ctx, depth, None, None)
-          | f :: rest -> (
-              match caught f with
-              | Some (choice, ilp, lr) -> (choice, depth, ilp, lr)
-              | None -> go (depth + 1) rest)
-        in
-        let choice, depth, ilp, lr = go 0 engines in
-        { ro_choice = choice;
-          ro_depth = depth;
-          ro_ilp = ilp;
-          ro_lr = lr;
-          ro_faults = List.rev !faults;
-          ro_cache = Xmatrix.stats sub_ctx.Selection.xmat }
-      in
-      let run_partitioned regions =
-        Runctx.check_inject rc ~stage:Instrument.Select ();
+      let count key v = Instrument.incr sink Instrument.Select key v in
+      (match initial with Some _ -> count "warm_start" 1 | None -> ());
+      let n = Array.length ctx.Selection.cands in
+      let solve ?(hops = []) regions region =
         let t0 = Timer.now () in
-        let plan, plan_dt =
-          Instrument.timed sink Instrument.Partition (fun () ->
-              Timer.time (fun () ->
-                  Partition.make ~regions ctx.Selection.bboxes
-                    ~neighbors:ctx.Selection.neighbors))
+        (* A region whose task died outside the engine chain (slicing)
+           falls to its electrical candidates, the chain's own floor. *)
+        let floor r =
+          { ro_choice =
+              Array.map (fun i -> ctx.Selection.elec_idx.(i)) regions.(r);
+            ro_path = engine_names cfg.Runctx.mode @ [ "electrical" ];
+            ro_ilp = None;
+            ro_lr = None;
+            ro_counters = [];
+            ro_faults = [];
+            ro_cache = Xmatrix.stats (Xmatrix.direct [||]) }
         in
-        let n = Array.length ctx.Selection.cands in
-        let nregions = Array.length plan.Partition.regions in
-        let largest =
-          Array.fold_left
-            (fun acc ids -> Stdlib.max acc (Array.length ids))
-            0 plan.Partition.regions
+        let outs =
+          Fanout.map rc ~stage:Instrument.Select ~floor region regions
         in
-        Instrument.incr sink Instrument.Partition "regions" nregions;
-        Instrument.incr sink Instrument.Partition "corridor_nets"
-          (Array.length plan.Partition.corridor);
-        Instrument.incr sink Instrument.Partition "cut_pairs"
-          plan.Partition.cut_pairs;
-        Instrument.incr sink Instrument.Partition "total_pairs"
-          plan.Partition.total_pairs;
-        Instrument.incr sink Instrument.Partition "boundary_components"
-          (Array.length plan.Partition.boundary);
-        Instrument.incr sink Instrument.Partition "cut_permille"
-          (int_of_float (Float.round (1000.0 *. Partition.cut_fraction plan)));
-        let results =
-          Executor.try_parallel_mapi rc.Runctx.exec
-            (fun _ ids -> region_select ids)
-            plan.Partition.regions
-        in
-        (* Merge on the coordinator, in region order. *)
-        let merged = Array.make n 0 in
-        let depth = ref 0 in
-        let chain_len = List.length chain_names in
-        let agg =
-          ref
-            { Xmatrix.enabled = cfg.Runctx.cache;
-              pairs = 0;
-              entries = 0;
-              build_seconds = 0.0;
-              hits = 0;
-              misses = 0 }
-        in
+        let choice = Array.make n 0 in
         Array.iteri
-          (fun r ids ->
-            match results.(r) with
-            | Ok out ->
-                Array.iteri (fun k i -> merged.(i) <- out.ro_choice.(k)) ids;
-                if out.ro_depth > !depth then depth := out.ro_depth;
-                List.iter
-                  (fun f ->
-                    if cfg.Runctx.strict then raise (Fault.Error f);
-                    Runctx.record_fault rc f;
-                    Instrument.incr sink Instrument.Select "fallbacks" 1)
-                  out.ro_faults;
-                (match out.ro_ilp with
-                 | Some res ->
-                     Instrument.incr sink Instrument.Select "components"
-                       res.Ilp_select.components;
-                     Instrument.incr sink Instrument.Select "timed_out"
-                       res.Ilp_select.timed_out;
-                     Instrument.incr sink Instrument.Select "nodes"
-                       res.Ilp_select.nodes;
-                     Instrument.incr sink Instrument.Select "lp_solves"
-                       res.Ilp_select.lp_solves;
-                     Instrument.incr sink Instrument.Select "pivots"
-                       res.Ilp_select.pivots;
-                     Instrument.incr sink Instrument.Select "refactorizations"
-                       res.Ilp_select.refactorizations;
-                     Instrument.incr sink Instrument.Select "blocks_solved"
-                       res.Ilp_select.blocks_solved;
-                     Instrument.incr sink Instrument.Select "blocks_skipped"
-                       res.Ilp_select.blocks_skipped
-                 | None -> ());
-                (match out.ro_lr with
-                 | Some res ->
-                     Instrument.incr sink Instrument.Select "iterations"
-                       res.Lr_select.iterations;
-                     Instrument.incr sink Instrument.Select "demoted"
-                       res.Lr_select.demoted
-                 | None -> ());
-                let c = out.ro_cache in
-                agg :=
-                  { !agg with
-                    Xmatrix.pairs = !agg.Xmatrix.pairs + c.Xmatrix.pairs;
-                    entries = !agg.Xmatrix.entries + c.Xmatrix.entries;
-                    build_seconds =
-                      !agg.Xmatrix.build_seconds +. c.Xmatrix.build_seconds;
-                    hits = !agg.Xmatrix.hits + c.Xmatrix.hits;
-                    misses = !agg.Xmatrix.misses + c.Xmatrix.misses }
-            | Error (e, bt) ->
-                (* The whole region task died outside the engine chain
-                   (context construction, slicing): its nets fall back to
-                   their electrical candidates — the same floor the chain
-                   bottoms out on. *)
-                degrade_or_raise rc ~stage:Instrument.Select e bt;
-                Instrument.incr sink Instrument.Select "fallbacks" 1;
-                depth := chain_len;
-                Array.iter (fun i -> merged.(i) <- ctx.Selection.elec_idx.(i)) ids)
-          plan.Partition.regions;
+          (fun r out ->
+            Array.iteri
+              (fun k i -> choice.(i) <- out.ro_choice.(k))
+              regions.(r);
+            List.iter
+              (fun f ->
+                Runctx.record_fault rc f;
+                count "fallbacks" 1)
+              out.ro_faults;
+            List.iter (fun (key, v) -> count key v) out.ro_counters)
+          outs;
+        (* The deepest fallback any region reached names the run's solver
+           path: a prefix of the same chain, so a clean partitioned run
+           reports exactly the flat run's path. *)
+        let path =
+          Array.fold_left
+            (fun p o ->
+              if List.length o.ro_path > List.length p then o.ro_path else p)
+            [] outs
+        in
+        ( { s_design = design;
+            s_hnets = hnets;
+            s_ctx = ctx;
+            s_choice = choice;
+            s_seconds = Timer.now () -. t0;
+            s_ilp = (match outs with [| o |] -> o.ro_ilp | _ -> None);
+            s_lr = (match outs with [| o |] -> o.ro_lr | _ -> None);
+            s_solver_path = String.concat "->" (hops @ path);
+            s_partition = None },
+          outs )
+      in
+      let flat hops =
+        let before = Xmatrix.stats ctx.Selection.xmat in
+        let sel, outs =
+          solve ~hops [| Array.init n Fun.id |] (fun _ ->
+              select_region rc ?initial ctx)
+        in
+        let after = outs.(0).ro_cache in
+        count "cache_hits" (after.Xmatrix.hits - before.Xmatrix.hits);
+        count "cache_misses" (after.Xmatrix.misses - before.Xmatrix.misses);
+        sel
+      in
+      let partitioned regions =
+        let timed f =
+          Instrument.timed sink Instrument.Partition (fun () -> Timer.time f)
+        in
+        let plan, plan_dt =
+          timed (fun () ->
+              Partition.make ~regions ctx.Selection.bboxes
+                ~neighbors:ctx.Selection.neighbors)
+        in
+        let sel, outs =
+          solve plan.Partition.regions (select_slice rc ?initial ctx)
+        in
         (* Corridor stitch: regional solutions are feasible within their
            regions, so repairing (and then improving) just the corridor
            nets restores global feasibility. A cut severing no
            interactions needs no stitch — the merge is already the flat
            answer for the component-local engines. *)
+        let merged = sel.s_choice in
         let stitched, stitch_dt =
           if plan.Partition.cut_pairs = 0 then (merged, 0.0)
           else
-            Instrument.timed sink Instrument.Partition (fun () ->
-                Timer.time (fun () ->
-                    Selection.polish ~only:plan.Partition.corridor ctx merged))
+            timed (fun () ->
+                Selection.polish ~only:plan.Partition.corridor ctx merged)
         in
         let changed = ref 0 in
         Array.iteri (fun i j -> if merged.(i) <> j then incr changed) stitched;
-        Instrument.incr sink Instrument.Partition "stitch_changed" !changed;
-        { s_design = design;
-          s_hnets = hnets;
-          s_ctx = ctx;
+        let stats =
+          { pt_regions = Array.length plan.Partition.regions;
+            pt_corridor_nets = Array.length plan.Partition.corridor;
+            pt_cut_pairs = plan.Partition.cut_pairs;
+            pt_total_pairs = plan.Partition.total_pairs;
+            pt_boundary_components = Array.length plan.Partition.boundary;
+            pt_largest_region =
+              Array.fold_left
+                (fun acc ids -> Stdlib.max acc (Array.length ids))
+                0 plan.Partition.regions;
+            pt_stitch_changed = !changed;
+            pt_plan_seconds = plan_dt;
+            pt_stitch_seconds = stitch_dt }
+        in
+        List.iter
+          (fun (key, v) -> Instrument.incr sink Instrument.Partition key v)
+          [ ("regions", stats.pt_regions);
+            ("corridor_nets", stats.pt_corridor_nets);
+            ("cut_pairs", stats.pt_cut_pairs);
+            ("total_pairs", stats.pt_total_pairs);
+            ("boundary_components", stats.pt_boundary_components);
+            ( "cut_permille",
+              int_of_float
+                (Float.round (1000.0 *. Partition.cut_fraction plan)) );
+            ("stitch_changed", !changed) ];
+        let sum f = Array.fold_left (fun acc o -> f acc o.ro_cache) in
+        { sel with
           s_choice = stitched;
-          s_seconds = Timer.now () -. t0;
-          s_ilp = None;
-          s_lr = None;
-          s_solver_path = path_of_depth !depth;
+          s_seconds = plan_dt +. sel.s_seconds +. stitch_dt;
           s_partition =
             Some
-              { pt_regions = nregions;
-                pt_corridor_nets = Array.length plan.Partition.corridor;
-                pt_cut_pairs = plan.Partition.cut_pairs;
-                pt_total_pairs = plan.Partition.total_pairs;
-                pt_boundary_components = Array.length plan.Partition.boundary;
-                pt_largest_region = largest;
-                pt_stitch_changed = !changed;
-                pt_plan_seconds = plan_dt;
-                pt_stitch_seconds = stitch_dt };
-          s_cache = Some !agg;
-          s_plan = Some plan }
+              ( plan,
+                stats,
+                { Xmatrix.enabled = cfg.Runctx.cache;
+                  pairs = sum (fun a c -> a + c.Xmatrix.pairs) 0 outs;
+                  entries = sum (fun a c -> a + c.Xmatrix.entries) 0 outs;
+                  build_seconds =
+                    sum (fun a c -> a +. c.Xmatrix.build_seconds) 0.0 outs;
+                  hits = sum (fun a c -> a + c.Xmatrix.hits) 0 outs;
+                  misses = sum (fun a c -> a + c.Xmatrix.misses) 0 outs } ) }
       in
-      match
-        resolve_partition partition ~nets:(Array.length ctx.Selection.cands)
-      with
+      match resolve_partition partition ~nets:n with
+      | None -> flat []
       | Some regions -> (
-          match attempt "partition" (fun () -> run_partitioned regions) with
-          | Some sel -> sel
-          | None -> flat_select ())
-      | None -> flat_select ())
+          match partitioned regions with
+          | sel -> sel
+          | exception e ->
+              let bt = Printexc.get_raw_backtrace () in
+              Runctx.degrade rc ~stage:Instrument.Select e bt;
+              count "fallbacks" 1;
+              flat [ "partition" ]))
 
-(* Per-region WDM realization, produced by [stage_wdm] when selection
-   ran partitioned and consumed by [stage_assign]: each region's
-   connections were placed on that region's own tracks (with local
-   dense connection ids), so the superlinear retirement/min-cost-flow
-   solves decompose along the same cut as selection did.
-   [rw_globals.(r).(k)] is the global connection id of region [r]'s
-   local connection [k]. *)
-type region_wdm = {
-  rw_placements : Wdm_place.placement array;
-  rw_globals : int array array;
-}
+(* The realization stages' fan-out: [f] on every region's part on the
+   pool, merged in region order — track arrays concatenated, and each
+   local connection's entry moved to its global id [globals.(r).(k)],
+   its track indices shifted past the earlier regions' tracks. Tasks are
+   pure, so the merge is identical at any --jobs. A failed region sends
+   the stage down to [whole], the monolithic one-part split, whose
+   failure propagates. *)
+let rec realize_regions rc ~stage ~whole f (parts, globals) ~nconns ~empty
+    ~tracks ~entries =
+  let results =
+    Fanout.map rc ~stage ~floor:(fun _ -> None) (fun p -> Some (f p)) parts
+  in
+  if Array.exists Option.is_none results then
+    realize_regions rc ~stage ~whole f whole ~nconns ~empty ~tracks ~entries
+  else begin
+    let rs = Array.map Option.get results in
+    let merged = Array.make nconns empty in
+    let base = ref 0 in
+    Array.iteri
+      (fun r p ->
+        let b = !base in
+        Array.iteri (fun k e -> merged.(globals.(r).(k)) <- e) (entries b p);
+        base := b + Array.length (tracks p))
+      rs;
+    if Array.length rs > 1 then
+      Instrument.incr rc.Runctx.sink stage "regions" (Array.length rs);
+    (rs, globals, Array.concat (Array.to_list (Array.map tracks rs)), merged)
+  end
 
+(* Per-region WDM realization: each region's connections are placed on
+   that region's own tracks, with local dense connection ids, so the
+   superlinear retirement/min-cost-flow solves of [stage_assign]
+   decompose along the same cut as selection did. The merged track
+   array is legalized once: track spacing is a global constraint, and
+   running the pass at the same point as the flat flow means the
+   per-region assignment sees exactly the coordinates a flat one
+   would. *)
 let stage_wdm =
   Pipeline.stage Instrument.Wdm (fun rc sel ->
       let params = sel.s_ctx.Selection.params in
-      let sink = rc.Runctx.sink in
       let conns = Wdm_place.connections_of_selection sel.s_ctx sel.s_choice in
-      let monolithic () =
-        let placement = Wdm_place.place params conns in
-        ignore (Wdm_place.legalize params placement.Wdm_place.tracks);
-        (placement, None)
+      let all = [| Array.init (Array.length conns) Fun.id |] in
+      let globals =
+        match sel.s_partition with
+        | None -> all
+        | Some (plan, _, _) ->
+            let buckets = Array.make (Array.length plan.Partition.regions) [] in
+            for i = Array.length conns - 1 downto 0 do
+              let net = conns.(i).Operon_optical.Wdm.net in
+              let r = plan.Partition.region_of.(net) in
+              buckets.(r) <- i :: buckets.(r)
+            done;
+            Array.map Array.of_list buckets
       in
-      (* Place each region's connections on its own tracks (pool tasks
-         are pure; the merge below is in region order, so the result is
-         identical at any --jobs), then legalize the merged array once:
-         track spacing is a global constraint, and running the pass at
-         the same point as the flat flow means the per-region assignment
-         sees exactly the coordinates a flat assignment would. *)
-      let per_region (plan : Partition.t) =
-        let nregions = Array.length plan.Partition.regions in
-        let buckets = Array.make nregions [] in
-        for i = Array.length conns - 1 downto 0 do
-          let r = plan.Partition.region_of.(conns.(i).Operon_optical.Wdm.net) in
-          buckets.(r) <- i :: buckets.(r)
-        done;
-        let globals = Array.map Array.of_list buckets in
-        let results =
-          Executor.try_parallel_mapi rc.Runctx.exec
-            (fun _ ids ->
-              let local =
-                Array.mapi (fun k gi -> { conns.(gi) with Operon_optical.Wdm.id = k }) ids
-              in
-              Wdm_place.place params local)
-            globals
-        in
-        if
-          Array.exists
-            (function Error _ -> true | Ok _ -> false)
-            results
-        then begin
-          Array.iter
-            (function
-              | Error (e, bt) ->
-                  degrade_or_raise rc ~stage:Instrument.Wdm e bt;
-                  Instrument.incr sink Instrument.Wdm "fallbacks" 1
-              | Ok _ -> ())
-            results;
-          monolithic ()
-        end
-        else begin
-          let placements =
-            Array.map (function Ok p -> p | Error _ -> assert false) results
-          in
-          let offsets = Array.make nregions 0 in
-          let total = ref 0 in
-          Array.iteri
-            (fun r p ->
-              offsets.(r) <- !total;
-              total := !total + Array.length p.Wdm_place.tracks)
-            placements;
-          let tracks =
-            Array.concat
-              (Array.to_list
-                 (Array.map (fun p -> p.Wdm_place.tracks) placements))
-          in
-          let assignment = Array.make (Array.length conns) (-1) in
-          Array.iteri
-            (fun r p ->
-              Array.iteri
-                (fun k t ->
-                  if t >= 0 then
-                    assignment.(globals.(r).(k)) <- offsets.(r) + t)
-                p.Wdm_place.assignment)
-            placements;
-          ignore (Wdm_place.legalize params tracks);
-          Instrument.incr sink Instrument.Wdm "regions" nregions;
-          ( { Wdm_place.conns; tracks; assignment },
-            Some { rw_placements = placements; rw_globals = globals } )
-        end
+      let placements, globals, tracks, assignment =
+        realize_regions rc ~stage:Instrument.Wdm ~whole:(all, all)
+          (fun ids ->
+            Wdm_place.place params
+              (Array.mapi
+                 (fun k gi -> { conns.(gi) with Operon_optical.Wdm.id = k })
+                 ids))
+          (globals, globals) ~nconns:(Array.length conns) ~empty:(-1)
+          ~tracks:(fun p -> p.Wdm_place.tracks)
+          ~entries:(fun b p ->
+            Array.map
+              (fun t -> if t >= 0 then b + t else t)
+              p.Wdm_place.assignment)
       in
-      let placement, regional =
-        match sel.s_plan with
-        | Some plan when Array.length plan.Partition.regions > 1 ->
-            per_region plan
-        | _ -> monolithic ()
-      in
-      Instrument.incr sink Instrument.Wdm "connections" (Array.length conns);
-      Instrument.incr sink Instrument.Wdm "tracks"
-        (Array.length placement.Wdm_place.tracks);
-      (sel, placement, regional))
+      ignore (Wdm_place.legalize params tracks);
+      let count key v = Instrument.incr rc.Runctx.sink Instrument.Wdm key v in
+      count "connections" (Array.length conns);
+      count "tracks" (Array.length tracks);
+      (sel, { Wdm_place.conns; tracks; assignment }, (placements, globals)))
 
+(* Retirement and min-cost re-assignment per region: a region's
+   connections are only eligible for its own tracks, so the region
+   solves are exact sub-problems. Cross-region track sharing is
+   forfeited; the bench and the partition-smoke CI job bound the
+   resulting track-count delta. *)
 let stage_assign =
   Pipeline.stage Instrument.Assign (fun rc (sel, placement, regional) ->
       let params = sel.s_ctx.Selection.params in
       let sink = rc.Runctx.sink in
-      let monolithic () = Assign.run params placement in
-      (* Retirement and min-cost re-assignment per region: a region's
-         connections are only eligible for its own tracks, so the region
-         solves are exact sub-problems and the merge (tracks in region
-         order, flow track-indices rebased) is deterministic at any
-         --jobs. Cross-region track sharing is forfeited; the bench and
-         the partition-smoke CI job bound the resulting track-count
-         delta. *)
+      let all = Array.init (Array.length placement.Wdm_place.conns) Fun.id in
+      let rs, _, tracks, flows =
+        realize_regions rc ~stage:Instrument.Assign
+          ~whole:([| placement |], [| all |])
+          (Assign.run params) regional ~nconns:(Array.length all) ~empty:[]
+          ~tracks:(fun (a : Assign.result) -> a.Assign.tracks)
+          ~entries:(fun b (a : Assign.result) ->
+            Array.map (List.map (fun (wi, f) -> (b + wi, f))) a.Assign.flows)
+      in
       let assignment =
-        match regional with
-        | None -> monolithic ()
-        | Some rw -> (
-            let results =
-              Executor.try_parallel_mapi rc.Runctx.exec
-                (fun _ p -> Assign.run params p)
-                rw.rw_placements
-            in
-            if
-              Array.exists
-                (function Error _ -> true | Ok _ -> false)
-                results
-            then begin
-              Array.iter
-                (function
-                  | Error (e, bt) ->
-                      degrade_or_raise rc ~stage:Instrument.Assign e bt;
-                      Instrument.incr sink Instrument.Assign "fallbacks" 1
-                  | Ok _ -> ())
-                results;
-              monolithic ()
-            end
-            else
-              let rs =
-                Array.map
-                  (function Ok r -> r | Error _ -> assert false)
-                  results
-              in
-              let offsets = Array.make (Array.length rs) 0 in
-              let total = ref 0 in
-              Array.iteri
-                (fun r (a : Assign.result) ->
-                  offsets.(r) <- !total;
-                  total := !total + a.Assign.final_count)
-                rs;
-              let tracks =
-                Array.concat
-                  (Array.to_list
-                     (Array.map (fun (a : Assign.result) -> a.Assign.tracks) rs))
-              in
-              let flows =
-                Array.make (Array.length placement.Wdm_place.conns) []
-              in
-              Array.iteri
-                (fun r (a : Assign.result) ->
-                  Array.iteri
-                    (fun k fl ->
-                      flows.(rw.rw_globals.(r).(k)) <-
-                        List.map (fun (wi, f) -> (offsets.(r) + wi, f)) fl)
-                    a.Assign.flows)
-                rs;
-              Instrument.incr sink Instrument.Assign "regions"
-                (Array.length rs);
-              { Assign.tracks;
-                flows;
-                initial_count =
-                  Array.fold_left
-                    (fun acc (a : Assign.result) ->
-                      acc + a.Assign.initial_count)
-                    0 rs;
-                final_count = Array.length tracks;
-                displacement_cost =
-                  Array.fold_left
-                    (fun acc (a : Assign.result) ->
-                      acc +. a.Assign.displacement_cost)
-                    0.0 rs })
+        { Assign.tracks;
+          flows;
+          initial_count =
+            Array.fold_left
+              (fun acc (a : Assign.result) -> acc + a.Assign.initial_count)
+              0 rs;
+          final_count = Array.length tracks;
+          displacement_cost =
+            Array.fold_left
+              (fun acc (a : Assign.result) -> acc +. a.Assign.displacement_cost)
+              0.0 rs }
       in
       Instrument.incr sink Instrument.Assign "initial" assignment.Assign.initial_count;
       Instrument.incr sink Instrument.Assign "final" assignment.Assign.final_count;
@@ -918,11 +741,11 @@ let stage_assign =
         quarantined_nets = Runctx.quarantined rc;
         solver_path = sel.s_solver_path;
         cache =
-          (match sel.s_cache with
-           | Some stats -> stats
+          (match sel.s_partition with
+           | Some (_, _, stats) -> stats
            | None -> Xmatrix.stats sel.s_ctx.Selection.xmat);
         thermal = None;
-        partition = sel.s_partition })
+        partition = Option.map (fun (_, stats, _) -> stats) sel.s_partition })
 
 let prepare_pipeline processing partition =
   Pipeline.(
@@ -1088,45 +911,14 @@ let runctx_of ?sink (cfg : Config.t) =
   let rc = Runctx.create ~seed:cfg.Config.seed (Config.to_runctx_config cfg) in
   match sink with None -> rc | Some sink -> { rc with Runctx.sink = sink }
 
-let synthesize ?sink config design =
-  let rc = runctx_of ?sink config in
-  match active_thermal config with
-  | None ->
-      run_ctx ?processing:config.Config.processing
-        ~partition:config.Config.partition rc design
-  | Some spec ->
-      let design, _params, hnets, _cands, _xcounts, ctx =
-        Pipeline.run rc
-          (prepare_pipeline config.Config.processing config.Config.partition)
-          design
-      in
-      thermal_run rc ~partition:config.Config.partition spec
-        (design, hnets, ctx)
+let prepare_rc rc (config : Config.t) design =
+  Pipeline.run rc
+    (prepare_pipeline config.Config.processing config.Config.partition)
+    design
 
-let prepare ?sink config design =
-  let rc = runctx_of ?sink config in
-  let design, _params, hnets, cand_lists, xcounts, ctx =
-    Pipeline.run rc
-      (prepare_pipeline config.Config.processing config.Config.partition)
-      design
-  in
-  { p_design = design;
-    p_config = config;
-    p_hnets = hnets;
-    p_cands = cand_lists;
-    p_xcounts = xcounts;
-    p_ctx = ctx;
-    p_quarantined = Runctx.quarantined rc;
-    p_eco = None }
-
-let prepare_with ?sink config design =
-  let p = prepare ?sink config design in
-  (p.p_hnets, p.p_ctx)
-
-let select_with ?sink ?initial config design hnets ctx =
-  (* Selection and the WDM stages draw no randomness; the seed only
-     matters to the (already finished) processing stage. *)
-  let rc = runctx_of ?sink config in
+(* Selection and the WDM stages draw no randomness; the seed only
+   matters to the (already finished) processing stage. *)
+let select_rc rc ?initial (config : Config.t) (design, hnets, ctx) =
   match active_thermal config with
   | None ->
       Pipeline.run rc
@@ -1135,6 +927,34 @@ let select_with ?sink ?initial config design hnets ctx =
   | Some spec ->
       thermal_run rc ?initial ~partition:config.Config.partition spec
         (design, hnets, ctx)
+
+let synthesize ?sink config design =
+  let rc = runctx_of ?sink config in
+  let design, _params, hnets, _cands, _xcounts, ctx =
+    prepare_rc rc config design
+  in
+  select_rc rc config (design, hnets, ctx)
+
+let prepared_of rc config (design, _params, hnets, cands, xcounts, ctx) eco =
+  { p_design = design;
+    p_config = config;
+    p_hnets = hnets;
+    p_cands = cands;
+    p_xcounts = xcounts;
+    p_ctx = ctx;
+    p_quarantined = Runctx.quarantined rc;
+    p_eco = eco }
+
+let prepare ?sink config design =
+  let rc = runctx_of ?sink config in
+  prepared_of rc config (prepare_rc rc config design) None
+
+let prepare_with ?sink config design =
+  let p = prepare ?sink config design in
+  (p.p_hnets, p.p_ctx)
+
+let select_with ?sink ?initial config design hnets ctx =
+  select_rc (runctx_of ?sink config) ?initial config (design, hnets, ctx)
 
 let select_prepared ?sink ?initial config p =
   select_with ?sink ?initial config p.p_design p.p_hnets p.p_ctx
@@ -1220,35 +1040,24 @@ let prepare_eco ?sink ~(prev : prepared) config design =
                geometry (die, cell count) matches the design-wide index,
                so for an unchanged net [cached - old_delta + new_delta]
                is exactly the count a cold recount would produce.
-               [d_new] mirrors the design-wide index: a net the
+               The new delta mirrors the design-wide index: a net the
                baselines stage just quarantined contributes no segments
                there, so it contributes none to the delta either. *)
-            let die = design.Signal.die in
-            let d_old =
+            let delta hs ~keep =
               let acc = ref [] in
               Array.iteri
-                (fun i h ->
-                  if status.(i) = Design_diff.Dirty then
-                    acc := baseline_tree_segments h :: !acc)
-                prev.p_hnets;
-              Array.concat !acc
-            in
-            let d_new =
-              let acc = ref [] in
-              Array.iteri
-                (fun i h ->
-                  if
-                    status.(i) = Design_diff.Dirty
-                    && not (is_quarantined h.Hypernet.id)
-                  then
+                (fun i (h : Hypernet.t) ->
+                  if status.(i) = Design_diff.Dirty && keep h then
                     match baseline_tree_segments h with
                     | segs -> acc := segs :: !acc
                     | exception _ -> ())
-                hnets;
-              Array.concat !acc
+                hs;
+              Crossing.build_index ~die:design.Signal.die (Array.concat !acc)
             in
-            let idx_old = Crossing.build_index ~die d_old in
-            let idx_new = Crossing.build_index ~die d_new in
+            let idx_old = delta prev.p_hnets ~keep:(fun _ -> true) in
+            let idx_new =
+              delta hnets ~keep:(fun h -> not (is_quarantined h.Hypernet.id))
+            in
             (* Same per-net split discipline as the cold stage: streams
                are split for every net, reused or not, so the PRNG state
                and any randomized per-net decision match the cold run. *)
@@ -1269,7 +1078,7 @@ let prepare_eco ?sink ~(prev : prepared) config design =
               let cands, s =
                 Codesign.for_hypernet_counted ~max_total ~counts params hnet
               in
-              if cands = prev.p_cands.(i) then `Same counts
+              if cands = prev.p_cands.(i) then `Kept (prev.p_cands.(i), counts)
               else `Fresh (cands, s, counts)
             in
             (* Dirty nets recount against the whole design, but only a
@@ -1294,12 +1103,9 @@ let prepare_eco ?sink ~(prev : prepared) config design =
                   if not closure.(i) then
                     (* No changed geometry overlaps this net's bbox: no
                        queried segment's count can have moved. *)
-                    `Reused
+                    `Kept (prev.p_cands.(i), prev.p_xcounts.(i))
                   else if is_quarantined hnet.Hypernet.id then
-                    `Fresh
-                      ( Codesign.electrical_only params hnet,
-                        { Codesign.raw = 1; deduped = 1; kept = 1 },
-                        ([||] : Codesign.xcounts) )
+                    quarantined_cands params hnet
                   else if status.(i) = Design_diff.Dirty then
                     (* The net itself changed: cached counts are keyed to
                        topologies that no longer exist. Recount against
@@ -1319,7 +1125,8 @@ let prepare_eco ?sink ~(prev : prepared) config design =
                     match
                       Codesign.adjust_counts ~sub ~add hnet prev.p_xcounts.(i)
                     with
-                    | Some counts when counts = prev.p_xcounts.(i) -> `Reused
+                    | Some counts when counts = prev.p_xcounts.(i) ->
+                        `Kept (prev.p_cands.(i), counts)
                     | Some counts -> fresh i hnet counts
                     | None ->
                         (* Unreachable for a clean-keyed net (identical
@@ -1329,41 +1136,9 @@ let prepare_eco ?sink ~(prev : prepared) config design =
                   end)
                 hnets
             in
-            let xcounts =
-              Array.make (Array.length hnets) ([||] : Codesign.xcounts)
+            let cand_lists, xcounts, reused =
+              merge_codesign rc params hnets results
             in
-            let reused = Array.make (Array.length hnets) false in
-            let cand_lists =
-              Array.mapi
-                (fun i result ->
-                  match result with
-                  | Ok `Reused ->
-                      reused.(i) <- true;
-                      xcounts.(i) <- prev.p_xcounts.(i);
-                      prev.p_cands.(i)
-                  | Ok (`Same counts) ->
-                      reused.(i) <- true;
-                      xcounts.(i) <- counts;
-                      prev.p_cands.(i)
-                  | Ok (`Fresh (cands, s, counts)) ->
-                      Instrument.incr sink Instrument.Codesign "raw"
-                        s.Codesign.raw;
-                      Instrument.incr sink Instrument.Codesign "kept"
-                        s.Codesign.kept;
-                      Instrument.incr sink Instrument.Codesign "pruned"
-                        (s.Codesign.raw - s.Codesign.kept);
-                      xcounts.(i) <- counts;
-                      cands
-                  | Error (e, bt) ->
-                      degrade_or_raise rc ~stage:Instrument.Codesign
-                        ~net:hnets.(i).Hypernet.id e bt;
-                      Codesign.electrical_only params hnets.(i))
-                results
-            in
-            let quarantined = Runctx.quarantined rc in
-            if Array.length quarantined > 0 then
-              Instrument.incr sink Instrument.Codesign "quarantined"
-                (Array.length quarantined);
             (* A net that faulted during recomputation holds a fallback
                candidate, not the cold DP output; it was never marked
                reused, so it is never certified for Xmatrix row reuse. *)
@@ -1383,23 +1158,16 @@ let prepare_eco ?sink ~(prev : prepared) config design =
       Instrument.incr sink Instrument.Eco "nets_reused" nets_reused;
       Instrument.incr sink Instrument.Eco "nets_recomputed" nets_recomputed;
       Instrument.incr sink Instrument.Eco "xrows_reused" xrows_reused;
-      { p_design = design;
-        p_config = config;
-        p_hnets = hnets;
-        p_cands = cand_lists;
-        p_xcounts = xcounts;
-        p_ctx = ctx;
-        p_quarantined = Runctx.quarantined rc;
-        p_eco =
-          Some
-            { nets_reused;
-              nets_recomputed;
-              xrows_reused;
-              dirty = diff.Design_diff.n_dirty;
-              interaction_dirty = diff.Design_diff.n_interaction;
-              added = diff.Design_diff.n_added;
-              removed = diff.Design_diff.n_removed;
-              dirty_closure = Design_diff.closure_size diff;
-              cold_fallback = false } }
+      prepared_of rc config (design, params, hnets, cand_lists, xcounts, ctx)
+        (Some
+           { nets_reused;
+             nets_recomputed;
+             xrows_reused;
+             dirty = diff.Design_diff.n_dirty;
+             interaction_dirty = diff.Design_diff.n_interaction;
+             added = diff.Design_diff.n_added;
+             removed = diff.Design_diff.n_removed;
+             dirty_closure = Design_diff.closure_size diff;
+             cold_fallback = false })
     end
   end

@@ -27,7 +27,12 @@
     fallback chain (ILP -> LR -> greedy repair -> all-electrical), each
     hop recorded in the run's {!Operon_engine.Fault.log}. Strict mode
     re-raises the first structured {!Operon_engine.Fault.Error} with its
-    original backtrace instead. *)
+    original backtrace instead.
+
+    Selection, WDM placement and assignment run on a region plan through
+    one fan-out ({!Operon_engine.Fanout}); the flat flow is the
+    one-region plan over the full selection context, so one engine chain
+    serves flat and partitioned runs alike. *)
 
 open Operon_optical
 open Operon_engine
@@ -85,8 +90,10 @@ module Config : sig
     partition : partition;
         (** hierarchical partition-and-route ([Off] = the flat flow).
             When the cut severs no interacting pairs, a partitioned
-            ILP-mode run is bit-identical to the flat one at any
-            [jobs]. *)
+            ILP-mode run selects bit-identically to the flat one (choice,
+            power, solver path) at any [jobs]. Its [wdm] realization
+            still differs: regions do not share tracks, so track order
+            and count differ from the flat run's. *)
   }
 
   val default_thermal_weights : float array
@@ -114,13 +121,8 @@ module Config : sig
     t
   (** Labelled constructor over the same defaults as {!default}. *)
 
-  val with_mode : mode -> t -> t
   val with_jobs : int -> t -> t
   val with_cache : bool -> t -> t
-  val with_processing : Processing.config -> t -> t
-  val with_seed : int -> t -> t
-  val with_solver_core : Operon_solver.Solver.core -> t -> t
-  val with_partition : partition -> t -> t
 
   val with_thermal :
     ?weights:float array -> Operon_thermal.Thermal_map.t -> t -> t
@@ -187,8 +189,16 @@ type t = {
   choice : int array;  (** selected candidate per hyper net *)
   power : float;  (** total selected power, pJ/bit units *)
   select_seconds : float;
-  ilp : Ilp_select.result option;  (** present when [mode = Ilp] *)
-  lr : Lr_select.result option;  (** present when [mode = Lr] *)
+      (** wall-clock of the selection stage's engine work: fallbacks,
+          and the plan and stitch of a partitioned run, included *)
+  ilp : Ilp_select.result option;
+      (** the ILP engine's result when it answered a flat selection;
+          [None] after a fallback to LR or below, and on a multi-region
+          run, whose regions each ran their own engines *)
+  lr : Lr_select.result option;
+      (** the LR engine's result when it answered a flat selection (in
+          LR mode, or as the fallback of a failed ILP); [None] otherwise,
+          and on a multi-region run *)
   placement : Wdm_place.placement;
   assignment : Assign.result;
   trace : Instrument.sink;  (** per-stage seconds and counters *)
@@ -299,9 +309,12 @@ val select_with :
   t
 (** Selection + WDM stages on an existing candidate context — lets
     Table 1 compare ILP and LR on identical candidates without
-    re-preparing. Only [mode], [ilp_budget], [strict] and [injections]
-    of the configuration still matter here; the context already fixed
-    the candidate set and its cache. [initial] warm-starts the solver
+    re-preparing. The context already fixed the candidate set and its
+    cache; of the configuration, [mode], [ilp_budget], [solver_core],
+    [strict], [injections], [partition], [thermal], [jobs] and, for the
+    per-region matrices of a partitioned run, [cache] still take effect
+    here ([params], [processing], [max_cands_per_net] and [seed] do
+    not). [initial] warm-starts the solver
     from a previous run's [choice] (see {!Ilp_select.select} and
     {!Lr_select.select}); it is sanitized against the context and
     silently dropped when infeasible, and it never changes the set of

@@ -74,6 +74,15 @@ type injection = {
   inj_kind : kind;
 }
 
+(* The sites the flow checks for injections: per-net task entry in
+   Baselines and Codesign, and solver-attempt entry in Select, which has
+   no net, so only the "*" spec matches there. *)
+let injectable stage net =
+  match (stage, net) with
+  | (Instrument.Baselines | Instrument.Codesign), _ | Instrument.Select, None ->
+      true
+  | _ -> false
+
 let injection_of_string s =
   match String.split_on_char ':' s with
   | [ stage; net; kind ] -> (
@@ -96,7 +105,15 @@ let injection_of_string s =
               match kind_of_string kind with
               | None ->
                   Stdlib.Error (Printf.sprintf "unknown fault kind %S in fault spec %S" kind s)
-              | Some inj_kind -> Ok { inj_stage; inj_net; inj_kind })))
+              | Some inj_kind when injectable inj_stage inj_net ->
+                  Ok { inj_stage; inj_net; inj_kind }
+              | Some _ ->
+                  Stdlib.Error
+                    (Printf.sprintf
+                       "fault spec %S can never fire (injection sites: \
+                        baselines:NET:KIND, codesign:NET:KIND, select:*:KIND; \
+                        NET may be * in the first two)"
+                       s))))
   | _ -> Stdlib.Error (Printf.sprintf "bad fault spec %S (expected stage:net:kind)" s)
 
 let injections_of_string s =

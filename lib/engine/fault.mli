@@ -64,7 +64,10 @@ type injection = {
 
 val injection_of_string : string -> (injection, string) result
 (** Parse one ["stage:net:kind"] spec, e.g. ["codesign:3:crash"] or
-    ["select:*:budget"]. *)
+    ["select:*:budget"]. A well-formed spec that names no injection site
+    is rejected too, since it could never fire: only [baselines] and
+    [codesign] (any net, or [*]) and [select] (net [*] only) are
+    checked. *)
 
 val injections_of_string : string -> (injection list, string) result
 (** Comma-separated list of specs; the empty string parses to []. *)

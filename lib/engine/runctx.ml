@@ -48,6 +48,11 @@ let record_fault t (f : Fault.t) =
   Fault.record t.faults f;
   Instrument.incr t.sink f.Fault.stage "faults" 1
 
+let degrade t ~stage ?net e bt =
+  let fault = Fault.of_exn ~stage ?net e bt in
+  if t.config.strict then Printexc.raise_with_backtrace (Fault.Error fault) bt;
+  record_fault t fault
+
 let faults t = Fault.faults t.faults
 
 let quarantined t =

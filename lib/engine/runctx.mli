@@ -58,6 +58,19 @@ val record_fault : t -> Fault.t -> unit
 (** Append to the fault log and bump the stage's ["faults"] counter in
     the instrumentation sink. Coordinator-domain only. *)
 
+val degrade :
+  t ->
+  stage:Instrument.stage ->
+  ?net:int ->
+  exn ->
+  Printexc.raw_backtrace ->
+  unit
+(** The per-item failure policy of the fan-out stages: wrap the
+    exception as a [stage] fault ({!Fault.of_exn}); a strict run re-raises
+    it as {!Fault.Error} with the original backtrace, a degraded run
+    records it ({!record_fault}) and lets the caller substitute a
+    deterministic fallback. *)
+
 val faults : t -> Fault.t list
 (** Chronological fault log of the run so far. *)
 

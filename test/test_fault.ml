@@ -36,7 +36,12 @@ let test_injection_parsing () =
   bad "codesign:x:injected";
   bad "codesign:1:nosuchkind";
   bad "codesign:1";
-  bad "justonefield"
+  bad "justonefield";
+  (* Well-formed, but no injection site is ever checked there. *)
+  bad "wdm:*:crash";
+  bad "assign:*:crash";
+  bad "partition:*:crash";
+  bad "select:3:budget"
 
 let test_injections_list_parsing () =
   (match Fault.injections_of_string "codesign:1:injected, select:*:budget" with

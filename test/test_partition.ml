@@ -1,11 +1,13 @@
 (* Tests for the hierarchical partition-and-route layer: spatial-index
    parity against the naive O(n^2) pairwise sweep it replaced,
-   decomposition invariants and determinism, and partitioned-vs-flat
-   flow identity on a design whose cut severs no interacting pairs. *)
+   decomposition invariants and determinism, partitioned-vs-flat flow
+   identity on a design whose cut severs no interacting pairs, and the
+   flat and partitioned flows pinned to literals. *)
 
 open Operon_geom
 open Operon
 open Operon_benchgen
+open Operon_engine
 
 let params = Operon_optical.Params.default
 
@@ -261,6 +263,274 @@ let test_inactive_partition () =
   Alcotest.(check string) "auto under threshold = flat" (no_timings off)
     (no_timings auto)
 
+(* --- Flat and partitioned flows pinned to literals --- *)
+
+(* The choice (FNV-1a of the vector), the power bits, the solver path,
+   the surviving track count, the crossing-matrix stats (pairs, entries,
+   hits, misses) and the Select/Wdm/Assign counters of tiny, small and
+   split, flat and partitioned, in both modes: whatever restructures
+   selection or its fan-outs must reproduce them bit for bit. Each entry
+   must hold at jobs 1 and at jobs 4. *)
+type pin = {
+  choice : int64;
+  power : int64;
+  path : string;
+  tracks : int;
+  cache : int * int * int * int;
+  counters : (string * (string * int) list) list;
+}
+
+let choice_hash choice =
+  Array.fold_left
+    (fun h j -> Int64.mul (Int64.logxor h (Int64.of_int j)) 0x100000001b3L)
+    0xcbf29ce484222325L choice
+
+let pin_design = function
+  | "tiny" -> (Cases.tiny (), Flow.Config.Off)
+  | "small" -> (Cases.small (), Flow.Config.Off)
+  | "split" -> (Cases.split (), Flow.Config.Off)
+  | "split/2" -> (Cases.split (), Flow.Config.Regions 2)
+  | "small/4" -> (Cases.small (), Flow.Config.Regions 4)
+  | name -> invalid_arg name
+
+let pin_run ?(injections = []) ~jobs name mode =
+  let design, partition = pin_design name in
+  let config =
+    match mode with
+    | Flow.Lr -> Flow.Config.make ~jobs ~injections ~partition params
+    | Flow.Ilp ->
+        Flow.Config.make ~mode:Flow.Ilp ~ilp_budget:60.0 ~jobs ~injections
+          ~partition params
+  in
+  Flow.synthesize config design
+
+let stage_counters (r : Flow.t) =
+  List.filter_map
+    (fun (rcd : Instrument.record) ->
+      match rcd.Instrument.stage with
+      | Instrument.Select | Instrument.Wdm | Instrument.Assign ->
+          Some
+            ( Instrument.stage_name rcd.Instrument.stage,
+              Instrument.counters rcd )
+      | _ -> None)
+    (Instrument.records r.Flow.trace)
+
+let pinned =
+  [
+    ( ("tiny", Flow.Lr),
+      { choice = 0x4d25767f9dce13f5L;
+        power = 0x4012a5e353f7ced9L;
+        path = "lr";
+        tracks = 4;
+        cache = (6, 126, 199, 0);
+        counters =
+          [ ( "select",
+              [ ("iterations", 2); ("demoted", 0); ("cache_hits", 199);
+                ("cache_misses", 0) ] );
+            ( "wdm",
+              [ ("connections", 8); ("tracks", 4) ] );
+            ( "assign",
+              [ ("initial", 4); ("final", 4) ] ) ] } );
+    ( ("tiny", Flow.Ilp),
+      { choice = 0x4d25767f9dce13f5L;
+        power = 0x4012a5e353f7ced9L;
+        path = "ilp";
+        tracks = 4;
+        cache = (6, 126, 339, 0);
+        counters =
+          [ ( "select",
+              [ ("components", 1); ("timed_out", 0); ("nodes", 1);
+                ("lp_solves", 1); ("pivots", 10); ("refactorizations", 0);
+                ("blocks_solved", 0); ("blocks_skipped", 0);
+                ("cache_hits", 339); ("cache_misses", 0) ] );
+            ( "wdm",
+              [ ("connections", 8); ("tracks", 4) ] );
+            ( "assign",
+              [ ("initial", 4); ("final", 4) ] ) ] } );
+    ( ("small", Flow.Lr),
+      { choice = 0x5467b0da1d106495L;
+        power = 0x402e374bc6a7ef9eL;
+        path = "lr";
+        tracks = 15;
+        cache = (40, 1558, 2203, 0);
+        counters =
+          [ ( "select",
+              [ ("iterations", 3); ("demoted", 0); ("cache_hits", 2203);
+                ("cache_misses", 0) ] );
+            ( "wdm",
+              [ ("connections", 32); ("tracks", 15) ] );
+            ( "assign",
+              [ ("initial", 15); ("final", 15) ] ) ] } );
+    ( ("small", Flow.Ilp),
+      { choice = 0x5467b0da1d106495L;
+        power = 0x402e374bc6a7ef9eL;
+        path = "ilp";
+        tracks = 15;
+        cache = (40, 1558, 2959, 0);
+        counters =
+          [ ( "select",
+              [ ("components", 1); ("timed_out", 0); ("nodes", 1);
+                ("lp_solves", 1); ("pivots", 54); ("refactorizations", 0);
+                ("blocks_solved", 0); ("blocks_skipped", 0);
+                ("cache_hits", 2959); ("cache_misses", 0) ] );
+            ( "wdm",
+              [ ("connections", 32); ("tracks", 15) ] );
+            ( "assign",
+              [ ("initial", 15); ("final", 15) ] ) ] } );
+    ( ("split", Flow.Lr),
+      { choice = 0xc8210784d8af5a5L;
+        power = 0x40417d6453e94f7eL;
+        path = "lr";
+        tracks = 22;
+        cache = (210, 2192, 5020, 0);
+        counters =
+          [ ( "select",
+              [ ("iterations", 2); ("demoted", 0); ("cache_hits", 5020);
+                ("cache_misses", 0) ] );
+            ( "wdm",
+              [ ("connections", 53); ("tracks", 22) ] );
+            ( "assign",
+              [ ("initial", 22); ("final", 22) ] ) ] } );
+    ( ("split", Flow.Ilp),
+      { choice = 0xc8210784d8af5a5L;
+        power = 0x40417d6453e94f7eL;
+        path = "ilp";
+        tracks = 22;
+        cache = (210, 2192, 5400, 0);
+        counters =
+          [ ( "select",
+              [ ("components", 2); ("timed_out", 0); ("nodes", 2);
+                ("lp_solves", 2); ("pivots", 289); ("refactorizations", 3);
+                ("blocks_solved", 0); ("blocks_skipped", 0);
+                ("cache_hits", 5400); ("cache_misses", 0) ] );
+            ( "wdm",
+              [ ("connections", 53); ("tracks", 22) ] );
+            ( "assign",
+              [ ("initial", 22); ("final", 22) ] ) ] } );
+    ( ("split/2", Flow.Lr),
+      { choice = 0xc8210784d8af5a5L;
+        power = 0x40417d6453e94f7eL;
+        path = "lr";
+        tracks = 24;
+        cache = (210, 2192, 5020, 0);
+        counters =
+          [ ( "select",
+              [ ("iterations", 4); ("demoted", 0) ] );
+            ( "wdm",
+              [ ("regions", 2); ("connections", 53); ("tracks", 24) ] );
+            ( "assign",
+              [ ("regions", 2); ("initial", 24); ("final", 24) ] ) ] } );
+    ( ("split/2", Flow.Ilp),
+      { choice = 0xc8210784d8af5a5L;
+        power = 0x40417d6453e94f7eL;
+        path = "ilp";
+        tracks = 24;
+        cache = (210, 2192, 5400, 0);
+        counters =
+          [ ( "select",
+              [ ("components", 2); ("timed_out", 0); ("nodes", 2);
+                ("lp_solves", 2); ("pivots", 254); ("refactorizations", 3);
+                ("blocks_solved", 0); ("blocks_skipped", 0) ] );
+            ( "wdm",
+              [ ("regions", 2); ("connections", 53); ("tracks", 24) ] );
+            ( "assign",
+              [ ("regions", 2); ("initial", 24); ("final", 24) ] ) ] } );
+    ( ("small/4", Flow.Lr),
+      { choice = 0x5467b0da1d106495L;
+        power = 0x402e374bc6a7ef9eL;
+        path = "lr";
+        tracks = 24;
+        cache = (12, 432, 492, 0);
+        counters =
+          [ ( "select",
+              [ ("iterations", 10); ("demoted", 0) ] );
+            ( "wdm",
+              [ ("regions", 4); ("connections", 32); ("tracks", 24) ] );
+            ( "assign",
+              [ ("regions", 4); ("initial", 24); ("final", 24) ] ) ] } );
+    ( ("small/4", Flow.Ilp),
+      { choice = 0x5467b0da1d106495L;
+        power = 0x402e374bc6a7ef9eL;
+        path = "ilp";
+        tracks = 24;
+        cache = (12, 432, 856, 0);
+        counters =
+          [ ( "select",
+              [ ("components", 4); ("timed_out", 0); ("nodes", 4);
+                ("lp_solves", 4); ("pivots", 29); ("refactorizations", 0);
+                ("blocks_solved", 0); ("blocks_skipped", 0) ] );
+            ( "wdm",
+              [ ("regions", 4); ("connections", 32); ("tracks", 24) ] );
+            ( "assign",
+              [ ("regions", 4); ("initial", 24); ("final", 24) ] ) ] } ) ]
+
+let test_flow_pinned () =
+  List.iter
+    (fun ((name, mode), pin) ->
+      List.iter
+        (fun jobs ->
+          let r = pin_run ~jobs name mode in
+          let label what =
+            Printf.sprintf "%s %s jobs %d: %s" name (Runctx.mode_name mode)
+              jobs what
+          in
+          Alcotest.(check int64) (label "choice") pin.choice
+            (choice_hash r.Flow.choice);
+          Alcotest.(check int64) (label "power bits") pin.power
+            (Int64.bits_of_float r.Flow.power);
+          Alcotest.(check string) (label "solver path") pin.path
+            r.Flow.solver_path;
+          Alcotest.(check int) (label "final tracks") pin.tracks
+            r.Flow.assignment.Assign.final_count;
+          let c = r.Flow.cache in
+          Alcotest.(check (pair (pair int int) (pair int int)))
+            (label "cache stats")
+            (let p, e, h, m = pin.cache in ((p, e), (h, m)))
+            ( (c.Xmatrix.pairs, c.Xmatrix.entries),
+              (c.Xmatrix.hits, c.Xmatrix.misses) );
+          Alcotest.(check (list (pair string (list (pair string int)))))
+            (label "counters") pin.counters (stage_counters r))
+        [ 1; 4 ])
+    pinned
+
+(* An injected Select fault fires inside every region's engine chain, as
+   it does in the flat chain: each region falls back to greedy, the
+   faults arrive in region order, and the partitioned plan stands. *)
+let test_partitioned_select_injection () =
+  let injections =
+    match Fault.injections_of_string "select:*:budget" with
+    | Ok l -> l
+    | Error msg -> Alcotest.fail msg
+  in
+  List.iter
+    (fun (mode, path, hops) ->
+      List.iter
+        (fun jobs ->
+          let r = pin_run ~injections ~jobs "split/2" mode in
+          let label what =
+            Printf.sprintf "%s jobs %d: %s" (Runctx.mode_name mode) jobs what
+          in
+          Alcotest.(check string) (label "solver path") path r.Flow.solver_path;
+          Alcotest.(check (list (triple string string bool)))
+            (label "one budget fault per failed hop, region by region")
+            (List.init (2 * hops) (fun _ -> ("select", "budget", true)))
+            (List.map
+               (fun (f : Fault.t) ->
+                 ( Instrument.stage_name f.Fault.stage,
+                   Fault.kind_name f.Fault.kind,
+                   f.Fault.net = None ))
+               r.Flow.faults);
+          Alcotest.(check int) (label "fallbacks") (2 * hops)
+            (Instrument.counter r.Flow.trace Instrument.Select "fallbacks");
+          (match r.Flow.partition with
+           | Some p ->
+               Alcotest.(check int) (label "regions") 2 p.Flow.pt_regions
+           | None -> Alcotest.fail (label "partition stats missing"));
+          Alcotest.(check bool) (label "feasible") true
+            (Selection.feasible r.Flow.ctx r.Flow.choice))
+        [ 1; 4 ])
+    [ (Flow.Lr, "lr->greedy", 1); (Flow.Ilp, "ilp->lr->greedy", 2) ]
+
 (* --- thermal support trim (satellite of the same PR) --- *)
 
 let test_thermal_support () =
@@ -308,7 +578,11 @@ let () =
           Alcotest.test_case "jobs determinism with cuts" `Quick
             test_partitioned_jobs_determinism_interacting;
           Alcotest.test_case "inactive partition" `Quick
-            test_inactive_partition ] );
+            test_inactive_partition;
+          Alcotest.test_case "flat and partitioned flows pinned" `Quick
+            test_flow_pinned;
+          Alcotest.test_case "partitioned select injection" `Quick
+            test_partitioned_select_injection ] );
       ( "thermal-trim",
         [ Alcotest.test_case "support geometry" `Quick test_thermal_support ]
       ) ]

@@ -1,6 +1,7 @@
 (* Staged pipeline engine: Domain-pool executor semantics (order
-   preservation, exception propagation) and the headline determinism
-   guarantee — a parallel run is bit-identical to a sequential one. *)
+   preservation, exception propagation), the Fanout combinator's merge
+   and failure policy, and the headline determinism guarantee — a
+   parallel run is bit-identical to a sequential one. *)
 
 open Operon_util
 open Operon_optical
@@ -151,6 +152,100 @@ let test_executor_batch_completes_after_failure () =
   Alcotest.(check bool) "all tasks ran" true (Array.for_all (fun b -> b) ran)
 
 (* ------------------------------------------------------------------ *)
+(* Fanout combinator                                                  *)
+(* ------------------------------------------------------------------ *)
+
+let fanout_rc ?(strict = false) jobs =
+  Runctx.create
+    { (Runctx.default_config Params.default) with Runctx.jobs; strict }
+
+(* Parts 3 and 7 fail; every other part squares its input. *)
+let failing_part i =
+  if i = 3 || i = 7 then failwith (Printf.sprintf "part %d" i) else i * i
+
+let run_failing rc =
+  Fanout.map rc ~stage:Instrument.Wdm ~floor:(fun i -> -i) failing_part
+    (Array.init 10 Fun.id)
+
+let fault_summary rc =
+  List.map
+    (fun (f : Fault.t) ->
+      (Instrument.stage_name f.Fault.stage, Fault.kind_name f.Fault.kind,
+       f.Fault.detail))
+    (Runctx.faults rc)
+
+let test_fanout_part_order () =
+  let rc = fanout_rc 4 in
+  let parts = Array.init 50 Fun.id in
+  let f i =
+    if i mod 7 = 0 then Unix.sleepf 0.001;
+    (i * i) + 1
+  in
+  Alcotest.(check (array int)) "merged in part order" (Array.map f parts)
+    (Fanout.map rc ~stage:Instrument.Select ~floor:(fun _ -> -1) f parts);
+  Alcotest.(check int) "clean fan-out records nothing" 0
+    (List.length (Runctx.faults rc))
+
+let test_fanout_failed_parts () =
+  let rc = fanout_rc 1 in
+  Alcotest.(check (array int)) "floor stands in for failed parts"
+    [| 0; 1; 4; -3; 16; 25; 36; -7; 64; 81 |]
+    (run_failing rc);
+  let crash i =
+    ("wdm", "crash", Printexc.to_string (Failure (Printf.sprintf "part %d" i)))
+  in
+  Alcotest.(check (list (triple string string string)))
+    "faults recorded in part order, against the stage" [ crash 3; crash 7 ]
+    (fault_summary rc);
+  Alcotest.(check int) "one fallback per failed part" 2
+    (Instrument.counter rc.Runctx.sink Instrument.Wdm "fallbacks");
+  Alcotest.(check int) "faults counter" 2
+    (Instrument.counter rc.Runctx.sink Instrument.Wdm "faults")
+
+let test_fanout_strict () =
+  List.iter
+    (fun jobs ->
+      let rc = fanout_rc ~strict:true jobs in
+      match run_failing rc with
+      | _ -> Alcotest.fail "a strict fan-out must raise"
+      | exception Fault.Error f ->
+          Alcotest.(check string) "lowest-index failure"
+            (Printexc.to_string (Failure "part 3")) f.Fault.detail;
+          Alcotest.(check bool) "stage" true (f.Fault.stage = Instrument.Wdm);
+          Alcotest.(check int) "nothing recorded" 0
+            (List.length (Runctx.faults rc)))
+    [ 1; 4 ]
+
+let test_fanout_one_part () =
+  List.iter
+    (fun strict ->
+      let rc = fanout_rc ~strict 4 in
+      Alcotest.check_raises "the exception itself propagates"
+        (Failure "part 3") (fun () ->
+          ignore
+            (Fanout.map rc ~stage:Instrument.Assign ~floor:(fun _ -> 0)
+               failing_part [| 3 |]));
+      Alcotest.(check int) "no fault recorded" 0
+        (List.length (Runctx.faults rc));
+      Alcotest.(check int) "no fallback counted" 0
+        (Instrument.counter rc.Runctx.sink Instrument.Assign "fallbacks"))
+    [ false; true ]
+
+let test_fanout_jobs_invariant () =
+  let seq = fanout_rc 1 and par = fanout_rc 4 in
+  Alcotest.(check (array int)) "results" (run_failing seq) (run_failing par);
+  Alcotest.(check (list (triple string string string))) "fault log"
+    (fault_summary seq) (fault_summary par);
+  let counters rc =
+    List.map
+      (fun r ->
+        (Instrument.stage_name r.Instrument.stage, Instrument.counters r))
+      (Instrument.records rc.Runctx.sink)
+  in
+  Alcotest.(check (list (pair string (list (pair string int))))) "counters"
+    (counters seq) (counters par)
+
+(* ------------------------------------------------------------------ *)
 (* Instrumentation sink                                               *)
 (* ------------------------------------------------------------------ *)
 
@@ -261,6 +356,15 @@ let () =
             test_try_parallel_mapi_all_ok;
           Alcotest.test_case "batch completes after failure" `Quick
             test_executor_batch_completes_after_failure ] );
+      ( "fanout",
+        [ Alcotest.test_case "part order" `Quick test_fanout_part_order;
+          Alcotest.test_case "failed parts take the floor" `Quick
+            test_fanout_failed_parts;
+          Alcotest.test_case "strict raises lowest index" `Quick
+            test_fanout_strict;
+          Alcotest.test_case "one part propagates" `Quick test_fanout_one_part;
+          Alcotest.test_case "jobs 1 = jobs 4" `Quick
+            test_fanout_jobs_invariant ] );
       ( "instrument",
         [ Alcotest.test_case "sink accumulates" `Quick test_sink_accumulates ] );
       ( "determinism",
