@@ -16,22 +16,23 @@ type index
 
 val build_index : die:Rect.t -> ?cells:int -> (int * Segment.t) array -> index
 (** [build_index ~die segments] indexes [(net_id, segment)] pairs on a
-    uniform [cells] x [cells] bucket grid (default 32); an index of at
-    most 256 segments is scanned linearly instead. *)
+    uniform [cells] x [cells] bucket grid (default 32). Each query then
+    either walks the buckets of its bbox cell range or makes one pass over
+    every entry, whichever visits fewer entries (see {!walks}); the count
+    is the same either way. *)
 
-val flatten : index -> index
-(** Convert a bucket-grid index into one that answers queries by linear
-    scan over its entries. Counts are identical either way (the grid
-    tests each entry whose bbox cell range meets the query's exactly
-    once); the flat form is faster when only a few nets will ever be
-    queried (a long segment's bbox covers most of the grid, so a bucket
-    walk touches far more entries than a single pass). Used by the ECO
-    recount path. Identity on already-flat indexes. *)
+val walks : index -> Segment.t -> bool
+(** Whether {!count_crossings} answers a query on this segment by walking
+    the buckets of its bbox cell range ([true]) or by one pass over every
+    entry ([false]). The walk visits an entry once per bucket it shares
+    with the range, but tests each (entry, query) pair only in the first
+    of those buckets, so both paths test each pair once. *)
 
 val count_crossings : index -> exclude_net:int -> Segment.t -> int
 (** Proper crossings that have an intersection point
     ({!Segment.has_intersection_point}) between a query segment and every
-    indexed segment belonging to a different net. *)
+    indexed segment belonging to a different net. A pair whose bboxes are
+    disjoint is rejected before the crossing test. *)
 
 val estimator : index -> net:int -> Segment.t -> int
 (** Estimation closure handed to {!Codesign.for_hypernet}. *)

@@ -1081,16 +1081,12 @@ let prepare_eco ?sink ~(prev : prepared) config design =
               if cands = prev.p_cands.(i) then `Kept (prev.p_cands.(i), counts)
               else `Fresh (cands, s, counts)
             in
-            (* Dirty nets recount against the whole design, but only a
-               few nets ever query — the flat form of the same index
-               answers each query in one pass instead of a bucket walk.
-               Its counts equal the grid's because the grid tests each
-               (entry, query) pair in exactly one bucket, so a recount
-               here agrees with a cold run. *)
-            let flat_index = Crossing.flatten index in
+            (* Dirty nets recount against the design-wide index, the
+               one a cold run queries, so a recount here agrees with a
+               cold run. *)
             let full_recount i (hnet : Hypernet.t) =
               let crossing_est =
-                Crossing.estimator flat_index ~net:hnet.Hypernet.id
+                Crossing.estimator index ~net:hnet.Hypernet.id
               in
               fresh i hnet (Codesign.crossing_counts ~crossing_est hnet)
             in

@@ -78,23 +78,33 @@ let make_ctx ?(exec = Executor.sequential) ?(cache = true) ?reuse params
   in
   let bboxes = Array.map optical_bbox cands in
   let n = Array.length cands in
-  (* Pooled optical geometry per net, for refining the bbox filter: two
-     nets are true neighbours only when some candidate pair actually
+  (* Each net's distinct optical edges, for refining the bbox filter:
+     two nets are true neighbours only when some candidate pair actually
      crosses — overlapping boxes of long parallel corridors are common
-     and coupling-free. *)
-  let pooled =
-    Array.map
-      (fun arr ->
-        Array.to_list arr
-        |> List.concat_map (fun (c : Candidate.t) ->
-               Array.to_list c.Candidate.opt_segments)
-        |> Array.of_list)
-      cands
+     and coupling-free. Some candidate pair of [i] and [j] crosses exactly
+     when some distinct edge of [i] crosses one of [j], so each edge pair
+     whose bboxes meet is tested once. *)
+  let edges = Array.map Xmatrix.optical_edges cands in
+  let edge_boxes = Array.map Segment.boxes edges in
+  let exists_crossing i j =
+    let ei = edges.(i) and ej = edges.(j) in
+    let bi = edge_boxes.(i) and bj = edge_boxes.(j) in
+    let found = ref false and u = ref 0 in
+    while (not !found) && !u < Array.length ei do
+      let v = ref 0 in
+      while (not !found) && !v < Array.length ej do
+        if Segment.boxes_overlap bi !u bj !v && Segment.crosses_properly ei.(!u) ej.(!v)
+        then found := true;
+        incr v
+      done;
+      incr u
+    done;
+    !found
   in
   (* ECO reuse: [ok.(i)] certifies net [i]'s candidate list is carried
      over from [prev] unchanged. For a pair of carried-over nets the
      crossing geometry is identical, so the previous adjacency answers
-     the (expensive) pooled-crossing question exactly; any pair touching
+     the (expensive) edge-crossing question exactly; any pair touching
      a recomputed net falls back to the geometry. *)
   let reuse =
     match reuse with
@@ -106,7 +116,7 @@ let make_ctx ?(exec = Executor.sequential) ?(cache = true) ?reuse params
   let crossing_pair i j =
     match (bboxes.(i), bboxes.(j)) with
     | Some bi, Some bj ->
-        Rect.overlaps bi bj && Segment.exists_crossing pooled.(i) pooled.(j)
+        Rect.overlaps bi bj && exists_crossing i j
     | _ -> false
   in
   let linked =

@@ -59,15 +59,25 @@ let compute_counts cands i j m n =
    two slots rather than once per (segment, segment) of every candidate
    pair; equal but physically distinct topologies get separate slots and
    simply share nothing. Only a slot's live edges (optical in some of its
-   candidates) take part, numbered from 0. *)
+   candidates) take part. They are numbered from 0 across the net, slot
+   by slot: slot [k] holds the edges [first.(k)] to [first.(k + 1) - 1]. *)
 type shape = {
   slot : int array;  (* candidate -> topology slot *)
-  segs : Segment.t array array;  (* slot -> live edge -> its segment *)
+  first : int array;  (* slot -> its first live edge; one past the last at the end *)
+  segs : Segment.t array;  (* live edge -> its segment *)
+  boxes : float array;  (* [Segment.boxes] of [segs] *)
   opt_edges : int array array;  (* candidate -> its optical edges *)
   path_edges : int array array array;  (* candidate -> path -> its edges *)
 }
 
-let shape_of (cands : Candidate.t array) =
+let is_optical (c : Candidate.t) v =
+  Topology.parent c.Candidate.topo v >= 0 && c.Candidate.labels.(v) = Candidate.Optical
+
+(* The topology slot of every candidate, per slot the number of each
+   node's edge among the live edges (-1 when no candidate of the slot
+   labels it optical), the slots' first edges and the live edges'
+   segments. *)
+let live_edges (cands : Candidate.t array) =
   let topos = ref [||] in
   let slot =
     Array.map
@@ -80,36 +90,40 @@ let shape_of (cands : Candidate.t array) =
       cands
   in
   let topos = !topos in
-  let optical (c : Candidate.t) v =
-    Topology.parent c.Candidate.topo v >= 0 && c.Candidate.labels.(v) = Candidate.Optical
-  in
-  (* live.(k).(v): number of node [v]'s edge among slot [k]'s live edges,
-     or -1 when no candidate of the slot labels it optical *)
   let live = Array.map (fun topo -> Array.make (Topology.node_count topo) (-1)) topos in
   Array.iteri
     (fun j c ->
-      Array.iteri (fun v _ -> if optical c v then live.(slot.(j)).(v) <- 0) live.(slot.(j)))
+      Array.iteri (fun v _ -> if is_optical c v then live.(slot.(j)).(v) <- 0) live.(slot.(j)))
     cands;
-  let segs =
-    Array.mapi
-      (fun k topo ->
-        let edges = ref [] in
-        Array.iteri
-          (fun v used ->
-            if used >= 0 then begin
-              live.(k).(v) <- List.length !edges;
-              edges := Topology.segment_of_edge topo v :: !edges
-            end)
-          live.(k);
-        Array.of_list (List.rev !edges))
-      topos
-  in
+  let first = Array.make (Array.length topos + 1) 0 in
+  let edges = ref [] and count = ref 0 in
+  Array.iteri
+    (fun k topo ->
+      first.(k) <- !count;
+      Array.iteri
+        (fun v used ->
+          if used >= 0 then begin
+            live.(k).(v) <- !count;
+            incr count;
+            edges := Topology.segment_of_edge topo v :: !edges
+          end)
+        live.(k))
+    topos;
+  first.(Array.length topos) <- !count;
+  (slot, live, first, Array.of_list (List.rev !edges))
+
+let optical_edges cands =
+  let _, _, _, segs = live_edges cands in
+  segs
+
+let shape_of (cands : Candidate.t array) =
+  let slot, live, first, segs = live_edges cands in
   let opt_edges =
     Array.mapi
       (fun j c ->
         let index = live.(slot.(j)) in
         List.init (Array.length index) Fun.id
-        |> List.filter_map (fun v -> if optical c v then Some index.(v) else None)
+        |> List.filter_map (fun v -> if is_optical c v then Some index.(v) else None)
         |> Array.of_list)
       cands
   in
@@ -127,79 +141,95 @@ let shape_of (cands : Candidate.t array) =
           c.Candidate.paths)
       cands
   in
-  { slot; segs; opt_edges; path_edges }
+  { slot; first; segs; boxes = Segment.boxes segs; opt_edges; path_edges }
 
-(* Crossings between the live edges of slot [a] of [si] (rows) and slot
-   [b] of [sm] (columns), as a 0/1 byte matrix [width] columns wide;
-   [None] when no pair crosses. *)
-let edge_table si a sm b =
-  let sa = si.segs.(a) and sb = sm.segs.(b) in
-  let width = Array.length sb in
-  let tbl = ref Bytes.empty in
-  for u = 0 to Array.length sa - 1 do
-    for v = 0 to width - 1 do
-      if Segment.crosses_properly sa.(u) sb.(v) then begin
-        if Bytes.length !tbl = 0 then tbl := Bytes.make (Array.length sa * width) '\000';
-        Bytes.set !tbl ((u * width) + v) '\001'
+(* The crossing edge pairs of an undirected neighbour pair (si, sm): every
+   pair (u, v) of a live edge of [si] and a live edge of [sm] that cross
+   properly, each tested once and only when their bboxes meet. A pair is
+   stored as one int, [u] above bit [edge_bits] and [v] below it. *)
+let edge_bits = 31
+
+let crossings_of si sm =
+  let buf = ref (Array.make 8 0) and len = ref 0 in
+  for u = 0 to Array.length si.segs - 1 do
+    for v = 0 to Array.length sm.segs - 1 do
+      if
+        Segment.boxes_overlap si.boxes u sm.boxes v
+        && Segment.crosses_properly si.segs.(u) sm.segs.(v)
+      then begin
+        if !len = Array.length !buf then begin
+          let grown = Array.make (2 * !len) 0 in
+          Array.blit !buf 0 grown 0 !len;
+          buf := grown
+        end;
+        !buf.(!len) <- (u lsl edge_bits) lor v;
+        incr len
       end
     done
   done;
-  if Bytes.length !tbl = 0 then None else Some (!tbl, width)
+  Array.sub !buf 0 !len
 
-(* One directed pair (i, m) as its contiguous row (layout at [table]).
-   For each candidate (m, n), each live edge of each of i's topology
-   slots is counted once against n's optical edges; a path's count is
-   then the sum over its edges, which equals [Segment.count_crossings]
-   of the path's segments against n's optical segments. [scratch] holds
-   the header and, in (n, j) order, the entries found so far; it is sized
-   for the worst case, and the row is cut from it in one copy. *)
-let build_pair shapes i m =
-  let si = shapes.(i) and sm = shapes.(m) in
-  let ni = Array.length si.slot and nm = Array.length sm.slot in
-  let tables =
-    Array.init (Array.length si.segs) (fun a ->
-        Array.init (Array.length sm.segs) (fun b -> edge_table si a sm b))
-  in
-  let edge_counts = Array.map (fun segs -> Array.make (Array.length segs) 0) si.segs in
-  let header = ni * nm in
-  let total_paths = Array.fold_left (fun acc ps -> acc + Array.length ps) 0 si.path_edges in
-  let scratch = Array.make (header + (total_paths * nm)) 0 in
+(* The row of net [sx] against its neighbour [sy] (layout at [table]),
+   assembled into [scratch] and cut from it in one copy. [x_first] says
+   whether [sx] is the first net of the pair [cross] was listed for; the
+   row of the second net reads the same list transposed, which is exact
+   because [Segment.crosses_properly] is symmetric. For each candidate
+   (y, n), its optical edges are marked in [mark], and each crossing adds
+   one to the count of its x-edge in [counts] when its y-edge is marked.
+   A path's count is then the sum over its edges, which equals
+   [Segment.count_crossings] of the path's segments against n's optical
+   segments. [hot.(a)] records whether any edge of slot [a] crosses n;
+   candidates of a slot without any are skipped. Entries are appended in
+   (n, j) order after the header. *)
+let assemble cross ~x_first sx sy ~scratch ~counts ~mark ~hot =
+  let nx = Array.length sx.slot and ny = Array.length sy.slot in
+  let header = nx * ny in
+  Array.fill scratch 0 header 0;
   let used = ref header in
-  for n = 0 to nm - 1 do
-    let opt = sm.opt_edges.(n) and b = sm.slot.(n) in
+  (* The x-edge and the y-edge of a stored crossing. *)
+  let low = (1 lsl edge_bits) - 1 in
+  let x_of c = if x_first then c lsr edge_bits else c land low in
+  let y_of c = if x_first then c land low else c lsr edge_bits in
+  for n = 0 to ny - 1 do
+    let opt = sy.opt_edges.(n) in
     if Array.length opt > 0 then begin
-      Array.iteri
-        (fun a counts ->
-          match tables.(a).(b) with
-          | None -> ()
-          | Some (tbl, width) ->
-              for u = 0 to Array.length counts - 1 do
-                let row = u * width and c = ref 0 in
-                for y = 0 to Array.length opt - 1 do
-                  c := !c + Char.code (Bytes.get tbl (row + opt.(y)))
-                done;
-                counts.(u) <- !c
-              done)
-        edge_counts;
-      for j = 0 to ni - 1 do
-        let a = si.slot.(j) and paths = si.path_edges.(j) in
-        if Option.is_some tables.(a).(b) && Array.length paths > 0 then begin
-          let counts = edge_counts.(a) and start = !used in
-          let nonzero = ref false in
-          Array.iteri
-            (fun p edges ->
-              let c = ref 0 in
-              for x = 0 to Array.length edges - 1 do
-                c := !c + counts.(edges.(x))
-              done;
-              if !c > 0 then nonzero := true;
-              scratch.(start + p) <- !c)
-            paths;
+      for y = 0 to Array.length opt - 1 do
+        mark.(opt.(y)) <- 1
+      done;
+      for q = 0 to Array.length cross - 1 do
+        let u = x_of cross.(q) in
+        counts.(u) <- counts.(u) + mark.(y_of cross.(q))
+      done;
+      for a = 0 to Array.length sx.first - 2 do
+        let any = ref false in
+        for u = sx.first.(a) to sx.first.(a + 1) - 1 do
+          if counts.(u) > 0 then any := true
+        done;
+        hot.(a) <- !any
+      done;
+      for j = 0 to nx - 1 do
+        let a = sx.slot.(j) and paths = sx.path_edges.(j) in
+        if hot.(a) && Array.length paths > 0 then begin
+          let start = !used and nonzero = ref false in
+          for p = 0 to Array.length paths - 1 do
+            let edges = paths.(p) and total = ref 0 in
+            for e = 0 to Array.length edges - 1 do
+              total := !total + counts.(edges.(e))
+            done;
+            if !total > 0 then nonzero := true;
+            scratch.(start + p) <- !total
+          done;
           if !nonzero then begin
-            scratch.((j * nm) + n) <- start;
+            scratch.((j * ny) + n) <- start;
             used := start + Array.length paths
           end
         end
+      done;
+      for q = 0 to Array.length cross - 1 do
+        counts.(x_of cross.(q)) <- 0
+      done;
+      for y = 0 to Array.length opt - 1 do
+        mark.(opt.(y)) <- 0
       done
     end
   done;
@@ -222,7 +252,8 @@ let build ?(exec = Executor.sequential) ?reuse cands neighbors =
      ascending rows the slot of i in m's row is the number of m's
      partners visited before i. *)
   let malformed () =
-    invalid_arg "Xmatrix.build: neighbour rows must be symmetric and ascending"
+    invalid_arg
+      "Xmatrix.build: neighbour rows must be symmetric, ascending and without self-pairs"
   in
   let cursor = Array.make (Array.length neighbors) 0 in
   let mirror =
@@ -231,20 +262,21 @@ let build ?(exec = Executor.sequential) ?reuse cands neighbors =
         Array.map
           (fun m ->
             let km = cursor.(m) in
-            if km >= Array.length neighbors.(m) || neighbors.(m).(km) <> i then
-              malformed ();
+            if m = i || km >= Array.length neighbors.(m) || neighbors.(m).(km) <> i
+            then malformed ();
             cursor.(m) <- km + 1;
             km)
           ms)
       neighbors
   in
   Array.iteri (fun m ms -> if cursor.(m) <> Array.length ms then malformed ()) neighbors;
-  (* ECO row sharing: a directed pair (i, m) whose two candidate arrays
-     were carried over unchanged has bit-identical crossing geometry, so
-     the previous table's row (an immutable array, safe to alias) is the
-     row a fresh build would produce. Pairs absent from the previous
-     adjacency — or involving any recomputed net — are built from the
-     geometry as usual. *)
+  (* ECO row sharing: a pair (i, m) whose two candidate arrays were
+     carried over unchanged has bit-identical crossing geometry, so the
+     previous table's rows (immutable arrays, safe to alias) are the rows
+     a fresh build would produce. [keep] is symmetric, so a kept pair
+     reuses both of its rows; pairs absent from the previous adjacency,
+     or involving any recomputed net, are built from the geometry as
+     usual. *)
   let prev_row =
     match reuse with
     | Some ({ table = Some ptb; _ }, keep) ->
@@ -254,50 +286,86 @@ let build ?(exec = Executor.sequential) ?reuse cands neighbors =
           else None
     | _ -> fun _ _ -> None
   in
-  let tasks =
-    Array.concat
-      (Array.to_list
-         (Array.mapi (fun i ms -> Array.map (fun m -> (i, m)) ms) neighbors))
+  (* The undirected pairs (i, m), i < m, numbered in (net, slot) order.
+     Rows are ascending, so [i]'s partners above it fill its row from slot
+     [lower.(i)] on, and slot [k] of that suffix is pair
+     [pair_base.(i) + k - lower.(i)]. *)
+  let n = Array.length neighbors in
+  let lower =
+    Array.mapi (fun i ms -> Array.fold_left (fun c m -> if m < i then c + 1 else c) 0 ms) neighbors
   in
-  let reused =
-    Array.fold_left
-      (fun acc (i, m) -> if Option.is_some (prev_row i m) then acc + 1 else acc)
-      0 tasks
+  let pair_base = Array.make (n + 1) 0 in
+  for i = 0 to n - 1 do
+    pair_base.(i + 1) <- pair_base.(i) + Array.length neighbors.(i) - lower.(i)
+  done;
+  let pair_net = Array.make pair_base.(n) 0 in
+  for i = 0 to n - 1 do
+    Array.fill pair_net pair_base.(i) (pair_base.(i + 1) - pair_base.(i)) i
+  done;
+  let pair_of i k =
+    let m = neighbors.(i).(k) in
+    if m > i then pair_base.(i) + k - lower.(i)
+    else pair_base.(m) + mirror.(i).(k) - lower.(m)
   in
   let shapes = Array.map shape_of cands in
-  let built =
-    Executor.parallel_map exec
-      (fun (i, m) ->
-        match prev_row i m with
-        | Some row -> row
-        | None -> build_pair shapes i m)
-      tasks
+  (* One task per undirected pair: its crossing edge pairs, each tested
+     once. A carried-over pair needs none. *)
+  let crossings =
+    Executor.parallel_mapi exec
+      (fun p i ->
+        let m = neighbors.(i).(lower.(i) + p - pair_base.(i)) in
+        if Option.is_some (prev_row i m) then [||] else crossings_of shapes.(i) shapes.(m))
+      pair_net
   in
-  (* Tasks run in (net, slot) order, so the rows fill in that order. *)
-  let next = ref 0 and entries = ref 0 in
+  (* One task per net: its rows in slot order, both directions of a pair
+     reading the pair's one crossing list. Building a net's rows together
+     keeps them together in memory, in the order the selection engines
+     walk them; building both rows of a pair in one task scattered them
+     and slowed the ILP's reads. The scratch arrays belong to the task,
+     sized for its largest row. *)
   let rows =
-    Array.mapi
+    Executor.parallel_mapi exec
       (fun i ms ->
-        Array.map
-          (fun m ->
-            let row = built.(!next) in
-            incr next;
-            for h = 0 to (Array.length cands.(i) * Array.length cands.(m)) - 1 do
-              if row.(h) > 0 then incr entries
-            done;
-            row)
+        let si = shapes.(i) in
+        let paths = Array.fold_left (fun acc ps -> acc + Array.length ps) 0 si.path_edges in
+        let widest f = Array.fold_left (fun acc m -> Int.max acc (f shapes.(m))) 0 ms in
+        let scratch =
+          Array.make ((Array.length si.slot + paths) * widest (fun s -> Array.length s.slot)) 0
+        in
+        let counts = Array.make (Array.length si.segs) 0 in
+        let mark = Array.make (widest (fun s -> Array.length s.segs)) 0 in
+        let hot = Array.make (Array.length si.first) false in
+        Array.mapi
+          (fun k m ->
+            match prev_row i m with
+            | Some row -> row
+            | None ->
+                assemble crossings.(pair_of i k) ~x_first:(i < m) si shapes.(m) ~scratch
+                  ~counts ~mark ~hot)
           ms)
       neighbors
   in
+  let entries = ref 0 and reused = ref 0 in
+  Array.iteri
+    (fun i ms ->
+      Array.iteri
+        (fun k m ->
+          let row = rows.(i).(k) in
+          if Option.is_some (prev_row i m) then incr reused;
+          for h = 0 to (Array.length cands.(i) * Array.length cands.(m)) - 1 do
+            if row.(h) > 0 then incr entries
+          done)
+        ms)
+    neighbors;
   { cands;
     table =
       Some
         { rows;
           mirror;
           neighbors;
-          pairs = Array.length tasks;
+          pairs = 2 * pair_base.(n);
           entries = !entries;
-          reused;
+          reused = !reused;
           build_seconds = Timer.now () -. t0 };
     counters = { hits = 0; misses = 0 } }
 

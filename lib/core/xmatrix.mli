@@ -9,7 +9,7 @@
     post-route signoff. This module computes them {e once}: for every
     directed neighbour pair of the selection context, the per-path
     crossing counts between every candidate pair are precomputed
-    (Domain-parallel over neighbour pairs via {!Operon_util.Executor}).
+    (Domain-parallel via {!Operon_util.Executor}).
 
     Each directed pair [(i, m)] is stored as one contiguous [int array]:
     a header with one cell per candidate pair holding the offset of that
@@ -56,18 +56,32 @@ val build :
   int array array ->
   t
 (** [build ~exec cands neighbors] precomputes the matrix for every
-    directed neighbour pair [(i, m)] with [m] in [neighbors.(i)]. The
-    per-pair work fans out on [exec] (default sequential); results are
-    merged in deterministic order, so the matrix contents do not depend
-    on the backend. [neighbors] must be symmetric with ascending rows (as
-    built by [Selection.make_ctx]); raises [Invalid_argument] otherwise.
+    directed neighbour pair [(i, m)] with [m] in [neighbors.(i)]. The work
+    fans out on [exec] (default sequential) twice. First, one task per
+    undirected pair lists the crossings between the two nets' distinct
+    optical edges, testing each edge pair once and skipping pairs whose
+    bboxes are disjoint. Then one task per net assembles that net's rows
+    in slot order, so they sit together in memory; rows [(i, m)] and
+    [(m, i)] read the pair's one list, the second transposed. Results are
+    merged in deterministic order, so
+    the matrix contents do not depend on the backend. [neighbors] must be
+    symmetric with ascending rows and no net in its own row (as built by
+    [Selection.make_ctx]); raises [Invalid_argument] otherwise.
 
     [reuse = (prev, keep)] is the ECO fast path: when [keep i m] holds —
     the caller certifies both nets' candidate arrays are carried over
-    from [prev] unchanged — and [prev] has a row for [(i, m)], that row
-    is aliased instead of recomputed. Contents are bit-identical either
-    way; only {!reused_rows} and the build time differ. A [direct]
-    [prev] contributes nothing. *)
+    from [prev] unchanged — and [prev] has rows for the pair, both rows
+    [(i, m)] and [(m, i)] are aliased instead of recomputed. [keep] must
+    be symmetric. Contents are bit-identical either way; only
+    {!reused_rows} and the build time differ. A [direct] [prev]
+    contributes nothing. *)
+
+val optical_edges : Candidate.t array -> Operon_geom.Segment.t array
+(** The distinct optical edges of one net's candidates: the segment of
+    every edge that some candidate labels optical, once per topology value
+    the candidates label. Any segment crosses one of these exactly when it
+    crosses some candidate's [opt_segments], which repeat the same
+    segments once per candidate. *)
 
 val direct : Candidate.t array array -> t
 (** A cache-free matrix over the same candidates: every read recomputes
@@ -122,7 +136,8 @@ val stats : t -> stats
 
 val reused_rows : t -> int
 (** Directed pairs whose row was carried over from a previous matrix via
-    [build ~reuse] (0 for a cold build or a {!direct} matrix). Kept out
+    [build ~reuse] (0 for a cold build or a {!direct} matrix). A kept
+    pair carries both of its rows, so the count is even. Kept out
     of {!stats} deliberately: stats feed the export, and an ECO run's
     export must stay byte-identical to a cold run's. *)
 

@@ -14,6 +14,25 @@ let is_vertical ?(eps = eps_default) s = Float.abs (s.a.Point.x -. s.b.Point.x) 
 
 let bbox s = Rect.of_points [| s.a; s.b |]
 
+let boxes segs =
+  let out = Array.create_float (4 * Array.length segs) in
+  Array.iteri
+    (fun k s ->
+      let ax = s.a.Point.x and ay = s.a.Point.y in
+      let bx = s.b.Point.x and by = s.b.Point.y in
+      out.(4 * k) <- (if bx < ax then bx else ax);
+      out.((4 * k) + 1) <- (if by < ay then by else ay);
+      out.((4 * k) + 2) <- (if bx > ax then bx else ax);
+      out.((4 * k) + 3) <- (if by > ay then by else ay))
+    segs;
+  out
+
+let[@inline] boxes_overlap (ba : float array) u (bb : float array) v =
+  ba.(4 * u) <= bb.((4 * v) + 2)
+  && bb.(4 * v) <= ba.((4 * u) + 2)
+  && ba.((4 * u) + 1) <= bb.((4 * v) + 3)
+  && bb.((4 * v) + 1) <= ba.((4 * u) + 3)
+
 (* [Point.cross (Point.sub q p) (Point.sub r p)] spelled out on the float
    fields: the same IEEE operations in the same order, so every sign is
    bit-identical, but no intermediate point is allocated. *)

@@ -20,6 +20,16 @@ val is_vertical : ?eps:float -> t -> bool
 
 val bbox : t -> Rect.t
 
+val boxes : t array -> float array
+(** The bboxes of a segment family in one flat array: segment [k]'s
+    [xmin], [ymin], [xmax] and [ymax] at [4k] to [4k + 3]. *)
+
+val boxes_overlap : float array -> int -> float array -> int -> bool
+(** [boxes_overlap ba u bb v]: do the closed bboxes of segment [u] of
+    [ba] and segment [v] of [bb] (each laid out as by {!boxes}) meet? A
+    proper crossing lies inside both boxes, so the crossing kernels
+    reject every pair whose boxes are disjoint before testing it. *)
+
 val orientation : Point.t -> Point.t -> Point.t -> int
 (** Sign of the cross product of [pq] x [pr]: +1 counter-clockwise, -1
     clockwise, 0 collinear (with a tolerance). *)

@@ -35,6 +35,24 @@ let test_index_no_double_counting () =
   Alcotest.(check int) "counted once" 1
     (Crossing.count_crossings idx ~exclude_net:1 (seg 0.0 10.0 10.0 0.0))
 
+(* The index rejects a pair whose bboxes are disjoint before testing it.
+   On dies a few hundred units wide or less, [Segment.crosses_properly]
+   never accepts such a pair: its 1e-9 tolerance exceeds the rounding of
+   its cross products. At 1e4 coordinates it can, as for these two
+   nearly collinear segments 6 units apart along their common line; the
+   index counts no crossing there. *)
+let test_disjoint_boxes_never_count () =
+  let s1 = seg 7747.194204028925 9503.3124124440819 800.04116758043415 3569.0747669028001 in
+  let s2 =
+    seg 793.86563661558091 3563.7996465562978 (-2835.8355847366188) 463.31956258417637
+  in
+  Alcotest.(check bool) "the rounded predicate reads a crossing" true
+    (Segment.crosses_properly s1 s2);
+  let die = Rect.make ~xmin:(-3000.0) ~ymin:0.0 ~xmax:10000.0 ~ymax:10000.0 in
+  let idx = Crossing.build_index ~die [| (0, s1) |] in
+  Alcotest.(check int) "disjoint boxes count no crossing" 0
+    (Crossing.count_crossings idx ~exclude_net:1 s2)
+
 let test_index_matches_brute_force () =
   let rng = Operon_util.Prng.create 31 in
   let random_seg () =
@@ -56,11 +74,14 @@ let test_index_matches_brute_force () =
       (Crossing.count_crossings idx ~exclude_net:exclude q)
   done
 
-(* The bucket grid answers indexes above [flat_threshold] (256) entries.
-   Half the queries are axis-aligned and lie exactly on a cell boundary
-   (the die's 32 cells are 0.3125 wide), where a computed intersection
-   point can round into the neighbouring cell; the count must still be
-   the brute-force one, and the flattened index must agree with it. *)
+(* Each query either walks the buckets of its cell range or scans every
+   entry once ([Crossing.walks]); both must give the brute-force count.
+   The 300 entries mix short segments with corridors, long runs across at
+   least half the die like the chip-crossing nets of I2 and I5. Short
+   queries walk and long ones scan, and every seed must exercise both.
+   A third of the queries are axis-aligned and lie exactly on a cell
+   boundary (the die's 32 cells are 0.3125 wide), where a computed
+   intersection point can round into the neighbouring cell. *)
 let prop_grid_matches_brute_force =
   QCheck.Test.make ~name:"grid index matches brute force" ~count:20
     QCheck.(int_range 0 100_000)
@@ -68,37 +89,57 @@ let prop_grid_matches_brute_force =
       let rng = Operon_util.Prng.create seed in
       let coord () = Operon_util.Prng.float rng 10.0 in
       let random_seg () = seg (coord ()) (coord ()) (coord ()) (coord ()) in
-      let entries = Array.init 300 (fun i -> (i mod 7, random_seg ())) in
+      let short_seg () =
+        let x = coord () and y = coord () in
+        let near v = Float.min 10.0 (v +. Operon_util.Prng.float rng 1.0) in
+        seg x y (near x) (near y)
+      in
+      let corridor () =
+        let lo = Operon_util.Prng.float rng 5.0 in
+        let hi = lo +. 5.0 +. Operon_util.Prng.float rng (5.0 -. lo) in
+        let a = coord () in
+        let b = Float.max 0.0 (Float.min 10.0 (a +. Operon_util.Prng.float rng 0.5)) in
+        if Operon_util.Prng.bool rng then seg lo a hi b else seg a lo b hi
+      in
+      let entries =
+        Array.init 300 (fun i ->
+            (i mod 7, if i mod 3 = 0 then corridor () else short_seg ()))
+      in
       let idx = Crossing.build_index ~die entries in
-      let flat = Crossing.flatten idx in
       let boundary () = float_of_int (Operon_util.Prng.int rng 33) *. 10.0 /. 32.0 in
       let query k =
-        match k mod 4 with
-        | 0 | 1 -> random_seg ()
-        | 2 ->
+        match k mod 6 with
+        | 0 -> random_seg ()
+        | 1 | 2 -> short_seg ()
+        | 3 -> corridor ()
+        | 4 ->
             let x = boundary () in
             seg x (coord ()) x (coord ())
         | _ ->
             let y = boundary () in
             seg (coord ()) y (coord ()) y
       in
-      List.for_all
-        (fun k ->
-          let q = query k and exclude = Operon_util.Prng.int rng 7 in
-          let want =
-            Array.fold_left
-              (fun acc (net, s) ->
-                if
-                  net <> exclude
-                  && Segment.crosses_properly s q
-                  && Segment.intersection_point s q <> None
-                then acc + 1
-                else acc)
-              0 entries
-          in
-          Crossing.count_crossings idx ~exclude_net:exclude q = want
-          && Crossing.count_crossings flat ~exclude_net:exclude q = want)
-        (List.init 200 Fun.id))
+      let walked = ref 0 and scanned = ref 0 in
+      let agree =
+        List.for_all
+          (fun k ->
+            let q = query k and exclude = Operon_util.Prng.int rng 7 in
+            if Crossing.walks idx q then incr walked else incr scanned;
+            let want =
+              Array.fold_left
+                (fun acc (net, s) ->
+                  if
+                    net <> exclude
+                    && Segment.crosses_properly s q
+                    && Segment.intersection_point s q <> None
+                  then acc + 1
+                  else acc)
+                0 entries
+            in
+            Crossing.count_crossings idx ~exclude_net:exclude q = want)
+          (List.init 240 Fun.id)
+      in
+      agree && !walked > 0 && !scanned > 0)
 
 let test_estimator_closure () =
   let idx = Crossing.build_index ~die [| (0, seg 0.0 5.0 10.0 5.0) |] in
@@ -167,6 +208,8 @@ let () =
         [ Alcotest.test_case "counts crossings" `Quick test_index_counts_cross;
           Alcotest.test_case "excludes own net" `Quick test_index_excludes_own_net;
           Alcotest.test_case "no double counting" `Quick test_index_no_double_counting;
+          Alcotest.test_case "disjoint boxes never count" `Quick
+            test_disjoint_boxes_never_count;
           Alcotest.test_case "matches brute force" `Quick test_index_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_grid_matches_brute_force;
           Alcotest.test_case "estimator closure" `Quick test_estimator_closure ] );

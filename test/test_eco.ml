@@ -122,7 +122,15 @@ let test_eco_byte_parity () =
       Alcotest.(check int)
         (name ^ ": reused + recomputed covers every net")
         (Array.length eco_p.Flow.p_hnets)
-        (e.Flow.nets_reused + e.Flow.nets_recomputed))
+        (e.Flow.nets_reused + e.Flow.nets_recomputed);
+      (* The export cannot tell a carried-over Xmatrix row from a rebuilt
+         one, so check that rows were carried: a kept pair carries both
+         of its directed rows. *)
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: crossing-matrix rows reused in pairs (%d)" name
+           e.Flow.xrows_reused)
+        true
+        (e.Flow.xrows_reused > 0 && e.Flow.xrows_reused mod 2 = 0))
     [ ("tiny", Cases.tiny ()); ("small", Cases.small ()) ]
 
 let test_eco_cold_fallback () =

@@ -10,6 +10,7 @@ open Operon_optical
 open Operon_util
 open Operon
 open Operon_benchgen
+open Operon_engine
 
 let p = Point.make
 
@@ -204,6 +205,56 @@ let test_shared_topology_parity () =
         (check_rows design_ctx.Selection.xmat design_ctx))
     [ 1; 4 ]
 
+(* The neighbour rows [Selection.make_ctx] builds from each net's
+   distinct optical edges, against the rule they replaced: pool every
+   candidate's [opt_segments] and link two nets whose optical boxes meet
+   when some pooled pair crosses, by [Segment.exists_crossing] over all
+   pairs. Rows are ascending. *)
+let pooled_neighbor_rows (cands : Candidate.t array array) =
+  let pooled =
+    Array.map
+      (fun arr ->
+        Array.concat
+          (List.map (fun (c : Candidate.t) -> c.Candidate.opt_segments) (Array.to_list arr)))
+      cands
+  in
+  let bbox segs =
+    if Array.length segs = 0 then None
+    else
+      Some
+        (Rect.of_points
+           (Array.concat
+              (List.map (fun (s : Segment.t) -> [| s.Segment.a; s.Segment.b |])
+                 (Array.to_list segs))))
+  in
+  let boxes = Array.map bbox pooled in
+  let n = Array.length cands in
+  let linked i j =
+    match (boxes.(i), boxes.(j)) with
+    | Some bi, Some bj ->
+        Rect.overlaps bi bj && Segment.exists_crossing pooled.(i) pooled.(j)
+    | _ -> false
+  in
+  Array.init n (fun i ->
+      Array.of_list (List.filter (fun j -> j <> i && linked i j) (List.init n Fun.id)))
+
+let prop_neighbor_rows_match_pooled_rule =
+  QCheck.Test.make ~name:"neighbour rows = pooled opt_segments rule" ~count:10
+    QCheck.(int_range 1 10000)
+    (fun seed ->
+      let design_cands design =
+        let _, ctx = Flow.prepare_with (Flow.Config.default params) design in
+        Array.map Array.to_list ctx.Selection.cands
+      in
+      List.for_all
+        (fun cand_lists ->
+          let ctx = Selection.make_ctx ~cache:false params cand_lists in
+          ctx.Selection.neighbors = pooled_neighbor_rows ctx.Selection.cands)
+        [ design_cands (Cases.tiny ~seed ());
+          design_cands (Cases.small ~seed ());
+          shared_topology_cands ();
+          crossing_pair () ])
+
 (* Parallel build (jobs=4) produces exactly the sequential matrix. *)
 let test_parallel_build_deterministic () =
   let design = Cases.small ~seed:7 () in
@@ -396,6 +447,144 @@ let test_eval_recompute_locality () =
     (Printf.sprintf "flip re-derives <= %d nets (got %d)" bound delta)
     true (delta <= bound)
 
+(* ------------------------------------------------------------------ *)
+(* Prepare-phase pin                                                  *)
+(* ------------------------------------------------------------------ *)
+
+(* The three crossing layers of the prepare phase (the co-design
+   estimates, the selection neighbour test and the Xmatrix build) pinned
+   on fixed designs: the co-design candidate counts, an FNV-1a hash of
+   every net's crossing-count table, of the neighbour rows and of every
+   matrix entry read through [slot_counts], and the matrix size. The
+   literals were recorded before the layers were last rewritten; any
+   change to them is a change in what the layers compute. The designs
+   are the small fixtures and the Table 1 specs at a third of their
+   signal groups. *)
+
+let fnv h x = Int64.mul (Int64.logxor h (Int64.of_int x)) 0x100000001b3L
+
+let fnv_ints h a = Array.fold_left fnv (fnv h (Array.length a)) a
+
+let fnv_offset = 0xcbf29ce484222325L
+
+type pin = {
+  raw : int;
+  kept : int;
+  xcounts : int64;
+  neighbor_rows : int64;
+  pairs : int;
+  entries : int;
+  slots : int64;
+}
+
+let pin_of_prepare jobs design =
+  let sink = Instrument.create () in
+  let cfg = Flow.Config.with_jobs jobs (Flow.Config.default params) in
+  let p = Flow.prepare ~sink cfg design in
+  let ctx = p.Flow.p_ctx in
+  let xmat = ctx.Selection.xmat in
+  let slots = ref fnv_offset in
+  Array.iteri
+    (fun i ms ->
+      Array.iteri
+        (fun k m ->
+          for j = 0 to Array.length ctx.Selection.cands.(i) - 1 do
+            for n = 0 to Array.length ctx.Selection.cands.(m) - 1 do
+              slots := fnv_ints !slots (Xmatrix.slot_counts xmat ~i ~k ~j ~m ~n)
+            done
+          done)
+        ms)
+    ctx.Selection.neighbors;
+  let s = Xmatrix.stats xmat in
+  { raw = Instrument.counter sink Instrument.Codesign "raw";
+    kept = Instrument.counter sink Instrument.Codesign "kept";
+    xcounts =
+      Array.fold_left
+        (fun h tables -> Array.fold_left fnv_ints (fnv h (Array.length tables)) tables)
+        fnv_offset p.Flow.p_xcounts;
+    neighbor_rows = Array.fold_left fnv_ints fnv_offset ctx.Selection.neighbors;
+    pairs = s.Xmatrix.pairs;
+    entries = s.Xmatrix.entries;
+    slots = !slots }
+
+let show_pin q =
+  Printf.sprintf
+    "{ raw = %d; kept = %d; xcounts = 0x%LxL; neighbor_rows = 0x%LxL; pairs = %d; entries = %d; slots = 0x%LxL }"
+    q.raw q.kept q.xcounts q.neighbor_rows q.pairs q.entries q.slots
+
+let third (spec : Gen.spec) =
+  Gen.generate { spec with Gen.n_groups = Stdlib.max 1 (spec.Gen.n_groups / 3) }
+
+let pinned =
+  [ ("tiny", (fun () -> Cases.tiny ()),
+      { raw = 34;
+        kept = 31;
+        xcounts = 0x7d29a5ebe4bdf87bL;
+        neighbor_rows = 0x2ea4fe5d33d95c89L;
+        pairs = 6;
+        entries = 126;
+        slots = 0x7cc82153366eaa54L });
+    ("small", (fun () -> Cases.small ()),
+      { raw = 126;
+        kept = 104;
+        xcounts = 0xffbbfc8537c8e6c2L;
+        neighbor_rows = 0x1b61651ee11f5b5bL;
+        pairs = 40;
+        entries = 1558;
+        slots = 0x7936b4e2f3a9bb29L });
+    ("split", (fun () -> Cases.split ()),
+      { raw = 192;
+        kept = 170;
+        xcounts = 0xd0c4e8d32f2b3144L;
+        neighbor_rows = 0xa3e95bba382c7553L;
+        pairs = 210;
+        entries = 2192;
+        slots = 0xdbd3edad83b7bfe6L });
+    ("I1/3", (fun () -> third Cases.i1),
+      { raw = 1567;
+        kept = 977;
+        xcounts = 0xdbd701f90d071088L;
+        neighbor_rows = 0xbc4ca21af16751abL;
+        pairs = 4510;
+        entries = 235304;
+        slots = 0x6090fa876cf31578L });
+    ("I2/3", (fun () -> third Cases.i2),
+      { raw = 1605;
+        kept = 1326;
+        xcounts = 0x86bedbf26cb84f8fL;
+        neighbor_rows = 0xe20b207ac7ab8f4L;
+        pairs = 35764;
+        entries = 440170;
+        slots = 0x8466f185c993398L });
+    ("I4/3", (fun () -> third Cases.i4),
+      { raw = 1916;
+        kept = 1191;
+        xcounts = 0x259e117fb9a5666dL;
+        neighbor_rows = 0x26a08b3d5406287bL;
+        pairs = 5346;
+        entries = 307538;
+        slots = 0x15576803e0871ad8L });
+    ("I5/3", (fun () -> third Cases.i5),
+      { raw = 1605;
+        kept = 1294;
+        xcounts = 0xf45704786f6b3b9L;
+        neighbor_rows = 0x7ed852e00be48164L;
+        pairs = 27488;
+        entries = 301196;
+        slots = 0x208e66edbb8b1176L }) ]
+
+let test_prepare_pin () =
+  List.iter
+    (fun (name, design, want) ->
+      let design = design () in
+      List.iter
+        (fun jobs ->
+          Alcotest.(check string)
+            (Printf.sprintf "%s jobs=%d" name jobs)
+            (show_pin want) (show_pin (pin_of_prepare jobs design)))
+        [ 1; 4 ])
+    pinned
+
 let () =
   Alcotest.run "xmatrix"
     [ ( "unit",
@@ -407,7 +596,8 @@ let () =
           Alcotest.test_case "parallel build deterministic" `Quick
             test_parallel_build_deterministic;
           Alcotest.test_case "shared-topology tables (jobs 1/4)" `Quick
-            test_shared_topology_parity ] );
+            test_shared_topology_parity;
+          QCheck_alcotest.to_alcotest prop_neighbor_rows_match_pooled_rule ] );
       ( "parity",
         [ QCheck_alcotest.to_alcotest prop_random_design_parity;
           QCheck_alcotest.to_alcotest prop_contiguous_rows;
@@ -418,4 +608,5 @@ let () =
         [ Alcotest.test_case "eval = full recompute" `Quick
             test_eval_incremental_equivalence;
           Alcotest.test_case "eval recompute locality" `Quick
-            test_eval_recompute_locality ] ) ]
+            test_eval_recompute_locality ] );
+      ("pin", [ Alcotest.test_case "prepare phase (jobs 1/4)" `Quick test_prepare_pin ]) ]
