@@ -18,12 +18,46 @@ type result = {
   elapsed : float;
 }
 
-(* Per-[select] membership masks over all nets, so that building a block
-   program costs no hash lookups: [pos.(i)] is net [i]'s index in the
-   current block (-1 outside it) and [seen.(m)] marks a frozen neighbour
-   whose guard rows are already built. [solve_block] sets them for its
-   block and clears them again before returning. *)
-type masks = { pos : int array; seen : bool array }
+(* Per-[select] state over all nets, shared by every block program.
+   [pos.(i)] is net [i]'s index in the current block (-1 outside it) and
+   [seen.(m)] marks a frozen neighbour whose guard rows are already
+   built; [solve_block] sets both for its block and clears them again
+   before returning, so building a program costs no hash lookups.
+   [coupling] is the buffer coupling weights are read into, grown on
+   demand.
+
+   [terms.(m)] caches the crossing terms of net [m] at [current.(m)]
+   against every neighbour at its current candidate, [[||]] until read:
+   the loss [Xmatrix.add_losses] adds for slot [k] and path [q] sits at
+   [k * paths + q]. Terms start at -0.0, the exact additive identity
+   ([x +. -0.0 = x] for every [x]), which a zero count leaves in place,
+   so adding every term equals adding only the non-zero ones. A net's
+   terms are dropped whenever it or a neighbour changes choice
+   ([set_choice]); a guard constant therefore folds exactly the floats a
+   fresh read of its frozen slots would add, in the same order. *)
+type scratch = {
+  pos : int array;
+  seen : bool array;
+  terms : float array array;
+  mutable coupling : float array;
+}
+
+(* Every change to [current] after the start goes through here. *)
+let set_choice sc neighbors current i j =
+  if current.(i) <> j then begin
+    current.(i) <- j;
+    sc.terms.(i) <- [||];
+    Array.iter (fun m -> sc.terms.(m) <- [||]) neighbors.(i)
+  end
+
+(* The slot of [m] in the ascending neighbour row [row], or -1. *)
+let find_slot row m =
+  let lo = ref 0 and hi = ref (Array.length row) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if row.(mid) < m then lo := mid + 1 else hi := mid
+  done;
+  if !lo < Array.length row && row.(!lo) = m then !lo else -1
 
 (* Solve the Formula (3) ILP for the nets of [block], with every net
    outside the block frozen at [current]. Frozen neighbours contribute
@@ -33,20 +67,19 @@ type masks = { pos : int array; seen : bool array }
    block. The program reads [current] only within two hops of the block.
    Returns whether optimality was proven, and the solver statistics. *)
 let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
-    ?(core = Solver.Sparse) ctx masks ~budget ~current block =
+    ?(core = Solver.Sparse) ctx sc ~budget ~current block =
   let params = ctx.Selection.params in
   let l_max = params.Params.l_max in
   let cands = ctx.Selection.cands and neighbors = ctx.Selection.neighbors in
-  let pos = masks.pos in
+  let pos = sc.pos in
   Array.iteri (fun b i -> pos.(i) <- b) block;
   let in_block m = pos.(m) >= 0 in
   (* Crossing losses read once per neighbour slot and added path by path
      onto [sums], each path's terms in neighbour order. A candidate
      without optical paths reads nothing. *)
-  let xmat = ctx.Selection.xmat in
+  let xmat = ctx.Selection.xmat and bundled = ctx.Selection.bundled in
   let add_losses sums ~i ~k ~j ~m ~n =
-    if Array.length sums > 0 then
-      Xmatrix.add_losses xmat ctx.Selection.bundled ~i ~k ~j ~m ~n sums 0
+    if Array.length sums > 0 then Xmatrix.add_losses xmat bundled ~i ~k ~j ~m ~n sums 0
   in
   (* Admissible candidates per block net: the frozen-crossing-adjusted
      intrinsic loss must leave room under the budget. The current choice
@@ -116,6 +149,7 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
       admissible
   in
   let xv i j = x_var.(pos.(i)).(j) in
+  let nadm = Array.map (fun (_, js) -> List.length js) admissible in
   let y_var = Hashtbl.create 64 in
   let ny = ref 0 in
   let y_of a b =
@@ -128,42 +162,92 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
         incr ny;
         v
   in
-  (* Per-path counts of candidate (i, j) against every admissible
-     candidate of the block neighbours [keep] accepts, in neighbour then
-     candidate order: one slot read serves all of (i, j)'s paths. *)
-  let block_counts ~i ~j ~keep =
-    let acc = ref [] in
-    let has_paths = Array.length cands.(i).(j).Candidate.paths > 0 in
-    Array.iteri
-      (fun k m ->
-        if has_paths && in_block m && keep m then
-          Array.iteri
-            (fun n v ->
-              if v >= 0 then
-                acc := (m, n, Xmatrix.slot_counts xmat ~i ~k ~j ~m ~n) :: !acc)
-            x_var.(pos.(m)))
-      neighbors.(i);
-    List.rev !acc
+  (* The block nets adjacent to a net, in slot order: [block_slots i]
+     stores the [s]-th one's slot in [i]'s row at [slot_k.(s)] and the net
+     at [slot_m.(s)], and returns their count. Each block net is looked up
+     in [i]'s ascending row, so the cost follows the block's size rather
+     than [i]'s degree. *)
+  let sorted_block = Array.copy block in
+  Array.sort Int.compare sorted_block;
+  let slot_k = Array.make (Array.length block) 0 in
+  let slot_m = Array.make (Array.length block) 0 in
+  let block_slots i =
+    let ns = ref 0 in
+    Array.iter
+      (fun m ->
+        let k = find_slot neighbors.(i) m in
+        if k >= 0 then begin
+          slot_k.(!ns) <- k;
+          slot_m.(!ns) <- m;
+          incr ns
+        end)
+      sorted_block;
+    !ns
   in
-  (* Coupling terms of path [p] against [counts], in reading order. *)
-  let coupling counts p term =
-    List.fold_left
-      (fun terms (m, n, c) ->
-        if c.(p) > 0 then term m n (Loss.crossing_bundled params c.(p)) :: terms
-        else terms)
-      [] counts
+  (* The coupling of candidate (i, j)'s [np] paths against every
+     admissible candidate of the first [ns] block slots, read into
+     [sc.coupling] (valid until the next call): one read per (net,
+     candidate) pair in slot then candidate order, the [r]-th pair owning
+     entries [r * np] to [r * np + np - 1]. Entries start at -0.0, which
+     [Xmatrix.add_losses] keeps for a zero count and replaces by exactly
+     the count's bundled loss otherwise (-0.0 +. x = x for every
+     x >= +0.0), so a clear sign bit marks a non-zero count even where
+     its loss is +0.0. *)
+  let read_coupling ~i ~j ~np ns =
+    let pairs = ref 0 in
+    for s = 0 to ns - 1 do
+      pairs := !pairs + nadm.(pos.(slot_m.(s)))
+    done;
+    let size = !pairs * np in
+    if Array.length sc.coupling < size then
+      sc.coupling <- Array.make (Stdlib.max size (2 * Array.length sc.coupling)) 0.0;
+    let w = sc.coupling in
+    Array.fill w 0 size (-0.0);
+    if np > 0 then begin
+      let off = ref 0 in
+      for s = 0 to ns - 1 do
+        let k = slot_k.(s) and m = slot_m.(s) in
+        let vars = x_var.(pos.(m)) in
+        for n = 0 to Array.length vars - 1 do
+          if vars.(n) >= 0 then begin
+            Xmatrix.add_losses xmat bundled ~i ~k ~j ~m ~n w !off;
+            off := !off + np
+          end
+        done
+      done
+    end;
+    w
+  in
+  (* Coupling terms of path [p], the last pair read first:
+     [term m n loss] for every pair crossing [p]. *)
+  let coupling w ~np ns p term =
+    let terms = ref [] and off = ref p in
+    for s = 0 to ns - 1 do
+      let m = slot_m.(s) in
+      let vars = x_var.(pos.(m)) in
+      for n = 0 to Array.length vars - 1 do
+        if vars.(n) >= 0 then begin
+          let x = w.(!off) in
+          if not (Float.sign_bit x) then terms := term m n x :: !terms;
+          off := !off + np
+        end
+      done
+    done;
+    !terms
   in
   (* Path rows of block candidates: adjusted intrinsic * x + coupling to
      other block nets via y. *)
   let block_rows = ref [] in
   Array.iter
     (fun (i, js) ->
+      let ns = block_slots i in
       List.iter
         (fun (j, adjusted) ->
-          let counts = block_counts ~i ~j ~keep:(fun m -> m <> i) in
+          let np = Array.length adjusted in
+          let w = read_coupling ~i ~j ~np ns in
           Array.iteri
             (fun p intrinsic ->
-              let terms = coupling counts p (fun m n w -> (y_of (i, j) (m, n), w)) in
+              let terms = coupling w ~np ns p (fun m n w -> (y_of (i, j) (m, n), w)) in
               if terms <> [] then block_rows := ((i, j), intrinsic, terms) :: !block_rows)
             adjusted)
         js)
@@ -171,9 +255,21 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
   (* Guard rows for frozen neighbours' paths: their loss must stay within
      budget as block nets move. Each row's constant is the path's
      intrinsic loss (plus its thermal penalty) plus the crossings from all
-     non-block neighbours of m, which are frozen too. *)
+     non-block neighbours of m, which are frozen too: m's cached terms,
+     slot by slot, skipping block slots. *)
+  let guard_terms m jm np =
+    if Array.length sc.terms.(m) = 0 then begin
+      let row = neighbors.(m) in
+      let t = Array.make (Array.length row * np) (-0.0) in
+      Array.iteri
+        (fun k f -> Xmatrix.add_losses xmat bundled ~i:m ~k ~j:jm ~m:f ~n:current.(f) t (k * np))
+        row;
+      sc.terms.(m) <- t
+    end;
+    sc.terms.(m)
+  in
   let frozen_rows = ref [] in
-  let seen = masks.seen in
+  let seen = sc.seen in
   let seen_list = ref [] in
   Array.iter
     (fun i ->
@@ -183,25 +279,33 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
             seen.(m) <- true;
             seen_list := m :: !seen_list;
             let jm = current.(m) in
-            let const =
-              Array.mapi
-                (fun q (path : Candidate.path) ->
-                  match thermal with
-                  | None -> path.Candidate.intrinsic_loss
-                  | Some t ->
-                      path.Candidate.intrinsic_loss +. t.Selection.penalty.(m).(jm).(q))
-                cands.(m).(jm).Candidate.paths
-            in
-            Array.iteri
-              (fun k f ->
-                if not (in_block f) then add_losses const ~i:m ~k ~j:jm ~m:f ~n:current.(f))
-              neighbors.(m);
-            let counts = block_counts ~i:m ~j:jm ~keep:(fun _ -> true) in
-            Array.iteri
-              (fun q c ->
-                let terms = coupling counts q (fun k n w -> (xv k n, w)) in
-                if terms <> [] then frozen_rows := (c, terms) :: !frozen_rows)
-              const
+            let np = Array.length cands.(m).(jm).Candidate.paths in
+            if np > 0 then begin
+              let const =
+                Array.mapi
+                  (fun q (path : Candidate.path) ->
+                    match thermal with
+                    | None -> path.Candidate.intrinsic_loss
+                    | Some t ->
+                        path.Candidate.intrinsic_loss +. t.Selection.penalty.(m).(jm).(q))
+                  cands.(m).(jm).Candidate.paths
+              in
+              let t = guard_terms m jm np in
+              let row = neighbors.(m) in
+              for k = 0 to Array.length row - 1 do
+                if not (in_block row.(k)) then
+                  for q = 0 to np - 1 do
+                    const.(q) <- const.(q) +. t.((k * np) + q)
+                  done
+              done;
+              let ns = block_slots m in
+              let w = read_coupling ~i:m ~j:jm ~np ns in
+              Array.iteri
+                (fun q c ->
+                  let terms = coupling w ~np ns q (fun k n w -> (xv k n, w)) in
+                  if terms <> [] then frozen_rows := (c, terms) :: !frozen_rows)
+                const
+            end
           end)
         neighbors.(i))
     block;
@@ -279,7 +383,7 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
               best := j
             end)
           js;
-        current.(i) <- !best)
+        set_choice sc neighbors current i !best)
       admissible
   in
   let proven =
@@ -368,7 +472,10 @@ let select ?(budget_seconds = 3000.0) ?(max_pivots = max_int)
   in
   let blocks_solved = ref 0 and blocks_skipped = ref 0 in
   let n = Array.length ctx.Selection.cands in
-  let masks = { pos = Array.make n (-1); seen = Array.make n false } in
+  let sc =
+    { pos = Array.make n (-1); seen = Array.make n false; terms = Array.make n [||];
+      coupling = [||] }
+  in
   (* Descent bookkeeping: each net's block index in the component under
      descent, -1 elsewhere. *)
   let block_of = Array.make n (-1) in
@@ -390,7 +497,7 @@ let select ?(budget_seconds = 3000.0) ?(max_pivots = max_int)
             if Selection.objective ctx i j < Selection.objective ctx i !best
             then best := j)
           ctx.Selection.cands.(i);
-        current.(i) <- !best
+        set_choice sc ctx.Selection.neighbors current i !best
       end
       else begin
         let var_estimate =
@@ -400,7 +507,7 @@ let select ?(budget_seconds = 3000.0) ?(max_pivots = max_int)
         in
         let budget = Timer.budget comp_budget_s in
         if var_estimate <= max_component_vars then begin
-          let ok, stats = solve_block ~max_pivots ~core ctx masks ~budget ~current comp in
+          let ok, stats = solve_block ~max_pivots ~core ctx sc ~budget ~current comp in
           absorb stats;
           if not ok then begin
             proven := false;
@@ -444,7 +551,7 @@ let select ?(budget_seconds = 3000.0) ?(max_pivots = max_int)
                   let before = Array.map (fun i -> current.(i)) block in
                   let block_budget = Timer.budget per_solve in
                   let ok, stats =
-                    solve_block ~max_cands_per_net:5 ~max_pivots ~core ctx masks
+                    solve_block ~max_cands_per_net:5 ~max_pivots ~core ctx sc
                       ~budget:block_budget ~current block
                   in
                   absorb stats;

@@ -74,12 +74,12 @@ let of_rows ~nvars ?(obj = []) ?(lower = []) ?(upper = []) ?(integer = [])
   (* Per-variable validation, in variable order. *)
   for v = 0 to nvars - 1 do
     if Float.is_nan objs.(v) || Float.is_nan lowers.(v) || Float.is_nan uppers.(v)
-    then invalid_arg "Problem.column: NaN objective or bound";
-    if lowers.(v) > uppers.(v) then invalid_arg "Problem.column: lower > upper";
+    then invalid_arg "Problem.of_rows: NaN objective or bound";
+    if lowers.(v) > uppers.(v) then invalid_arg "Problem.of_rows: lower > upper";
     if ints.(v) && not (Float.is_finite lowers.(v) && Float.is_finite uppers.(v))
-    then invalid_arg "Problem.column: integer variable needs finite bounds";
+    then invalid_arg "Problem.of_rows: integer variable needs finite bounds";
     for k = col_ptr.(v) to col_ptr.(v + 1) - 1 do
-      if Float.is_nan values.(k) then invalid_arg "Problem.column: NaN coefficient"
+      if Float.is_nan values.(k) then invalid_arg "Problem.of_rows: NaN coefficient"
     done
   done;
   (* Merge each column's repeated rows in place, summing in order of
@@ -101,7 +101,7 @@ let of_rows ~nvars ?(obj = []) ?(lower = []) ?(upper = []) ?(integer = [])
   col_ptr.(nvars) <- !nnz;
   Array.iter
     (fun b ->
-      if Float.is_nan b then invalid_arg "Problem.make: NaN right-hand side")
+      if Float.is_nan b then invalid_arg "Problem.of_rows: NaN right-hand side")
     rhs;
   let trim a = if !nnz = raw then a else Array.sub a 0 !nnz in
   { nvars;

@@ -121,6 +121,20 @@ type lu = {
   udiag : float array;
 }
 
+(* Left-looking elimination that touches only the rows a column reaches.
+   It performs the dense sweep's arithmetic exactly: that sweep clears a
+   full work column per basis column, applies every earlier elimination
+   whose pivot row is non-zero in position order, reads the strictly
+   upper entries off the pivoted rows, and pivots on the largest |w|
+   among the unpivoted rows (lowest row on ties). Here [w] is zero
+   outside the rows the column has written ([touched], reset afterwards),
+   and every test of that sweep skips a zero, so only touched rows are
+   visited. Elimination k writes only rows that were unpivoted at step k,
+   which hold a later position or none yet, so a min-heap of the touched
+   rows' positions releases the eliminations in ascending order, each
+   after every write to its pivot row. [perm], L, U and every
+   [Singular] verdict are bit-identical to the dense sweep, and the
+   all-slack identity basis costs O(m). *)
 let factorize m get_col basic =
   let perm = Array.make m (-1) in
   let pos_of_row = Array.make m (-1) in
@@ -128,27 +142,81 @@ let factorize m get_col basic =
   let ucol = Array.make m [||] in
   let udiag = Array.make m 0.0 in
   let w = Array.make m 0.0 in
+  let is_touched = Array.make m false in
+  let touched = Array.make m 0 in
+  let nt = ref 0 in
+  let heap = Array.make m 0 in
+  let nh = ref 0 in
+  let push k =
+    let i = ref !nh in
+    incr nh;
+    while !i > 0 && heap.((!i - 1) / 2) > k do
+      heap.(!i) <- heap.((!i - 1) / 2);
+      i := (!i - 1) / 2
+    done;
+    heap.(!i) <- k
+  in
+  let pop () =
+    let top = heap.(0) in
+    decr nh;
+    let last = heap.(!nh) in
+    let i = ref 0 and sifting = ref true in
+    while !sifting do
+      let l = (2 * !i) + 1 in
+      if l >= !nh then sifting := false
+      else begin
+        let c = if l + 1 < !nh && heap.(l + 1) < heap.(l) then l + 1 else l in
+        if heap.(c) < last then begin
+          heap.(!i) <- heap.(c);
+          i := c
+        end
+        else sifting := false
+      end
+    done;
+    heap.(!i) <- last;
+    top
+  in
+  let touch r =
+    if not is_touched.(r) then begin
+      is_touched.(r) <- true;
+      touched.(!nt) <- r;
+      incr nt;
+      if pos_of_row.(r) >= 0 then push pos_of_row.(r)
+    end
+  in
+  let scatter r v =
+    touch r;
+    w.(r) <- w.(r) +. v
+  in
+  let upos = Array.make m 0 and uval = Array.make m 0.0 in
   for j = 0 to m - 1 do
-    Array.fill w 0 m 0.0;
-    get_col basic.(j) (fun r v -> w.(r) <- w.(r) +. v);
+    nt := 0;
+    get_col basic.(j) scatter;
     (* Apply previous eliminations in order. *)
-    for k = 0 to j - 1 do
+    let nu = ref 0 in
+    while !nh > 0 do
+      let k = pop () in
       let t = w.(perm.(k)) in
-      if t <> 0.0 then
-        Array.iter (fun (r, l) -> w.(r) <- w.(r) -. (l *. t)) lcol.(k)
+      if t <> 0.0 then begin
+        let col = lcol.(k) in
+        for e = 0 to Array.length col - 1 do
+          let r, l = col.(e) in
+          touch r;
+          w.(r) <- w.(r) -. (l *. t)
+        done;
+        upos.(!nu) <- k;
+        uval.(!nu) <- t;
+        incr nu
+      end
     done;
-    let ul = ref [] in
-    for k = j - 1 downto 0 do
-      let v = w.(perm.(k)) in
-      if v <> 0.0 then ul := (k, v) :: !ul
-    done;
-    ucol.(j) <- Array.of_list !ul;
+    if !nu > 0 then ucol.(j) <- Array.init !nu (fun e -> (upos.(e), uval.(e)));
     (* Partial pivoting among rows without a pivot yet. *)
     let p = ref (-1) and best = ref 0.0 in
-    for r = 0 to m - 1 do
+    for e = 0 to !nt - 1 do
+      let r = touched.(e) in
       if pos_of_row.(r) = -1 then begin
         let a = Float.abs w.(r) in
-        if a > !best then begin
+        if a > !best || (a = !best && r < !p) then begin
           best := a;
           p := r
         end
@@ -159,18 +227,30 @@ let factorize m get_col basic =
     udiag.(j) <- w.(p);
     perm.(j) <- p;
     pos_of_row.(p) <- j;
-    let ll = ref [] in
-    for r = m - 1 downto 0 do
-      if pos_of_row.(r) = -1 && w.(r) <> 0.0 then
-        ll := (r, w.(r) /. w.(p)) :: !ll
+    let nl = ref 0 in
+    for e = 0 to !nt - 1 do
+      let r = touched.(e) in
+      if pos_of_row.(r) = -1 && w.(r) <> 0.0 then begin
+        upos.(!nl) <- r;
+        incr nl
+      end
     done;
-    lcol.(j) <- Array.of_list !ll
+    if !nl > 0 then begin
+      let rows = Array.sub upos 0 !nl in
+      Array.sort Int.compare rows;
+      lcol.(j) <- Array.map (fun r -> (r, w.(r) /. w.(p))) rows
+    end;
+    for e = 0 to !nt - 1 do
+      let r = touched.(e) in
+      w.(r) <- 0.0;
+      is_touched.(r) <- false
+    done
   done;
   { perm; pos_of_row; lcol; ucol; udiag }
 
-(* Solve B x = v. [v] is row-indexed and consumed; the result is indexed
-   by basis position. *)
-let lu_ftran lu v =
+(* Solve B x = v into [x], indexed by basis position. [v] is row-indexed
+   and consumed. *)
+let lu_ftran lu v x =
   let m = Array.length lu.perm in
   for k = 0 to m - 1 do
     let t = v.(lu.perm.(k)) in
@@ -182,53 +262,51 @@ let lu_ftran lu v =
       done
     end
   done;
-  let y = Array.make m 0.0 in
   for k = 0 to m - 1 do
-    y.(k) <- v.(lu.perm.(k))
+    x.(k) <- v.(lu.perm.(k))
   done;
-  let x = Array.make m 0.0 in
+  (* Back substitution in place: column j's strictly upper entries sit
+     at positions below j, which are not solved yet. *)
   for j = m - 1 downto 0 do
-    let xj = y.(j) /. lu.udiag.(j) in
+    let xj = x.(j) /. lu.udiag.(j) in
     x.(j) <- xj;
     if xj <> 0.0 then begin
       let col = lu.ucol.(j) in
       for e = 0 to Array.length col - 1 do
         let k, u = col.(e) in
-        y.(k) <- y.(k) -. (u *. xj)
+        x.(k) <- x.(k) -. (u *. xj)
       done
     end
-  done;
-  x
+  done
 
-(* Solve B^T y = c. [c] is indexed by basis position and consumed; the
-   result is row-indexed. *)
-let lu_btran lu c =
+(* Solve B^T y = c into [y], which is row-indexed. [c] is indexed by
+   basis position and consumed: both triangular solves run in place in
+   it, U^T upward (reading solved positions below j) and L^T downward
+   (reading solved positions above k, where the rows of [lcol.(k)] were
+   pivoted). *)
+let lu_btran lu c y =
   let m = Array.length lu.perm in
-  let w = Array.make m 0.0 in
   for j = 0 to m - 1 do
     let s = ref c.(j) in
     let col = lu.ucol.(j) in
     for e = 0 to Array.length col - 1 do
       let k, u = col.(e) in
-      s := !s -. (u *. w.(k))
+      s := !s -. (u *. c.(k))
     done;
-    w.(j) <- !s /. lu.udiag.(j)
+    c.(j) <- !s /. lu.udiag.(j)
   done;
-  let t = Array.make m 0.0 in
   for k = m - 1 downto 0 do
-    let s = ref w.(k) in
+    let s = ref c.(k) in
     let col = lu.lcol.(k) in
     for e = 0 to Array.length col - 1 do
       let r, l = col.(e) in
-      s := !s -. (l *. t.(lu.pos_of_row.(r)))
+      s := !s -. (l *. c.(lu.pos_of_row.(r)))
     done;
-    t.(k) <- !s
+    c.(k) <- !s
   done;
-  let y = Array.make m 0.0 in
   for k = 0 to m - 1 do
-    y.(lu.perm.(k)) <- t.(k)
-  done;
-  y
+    y.(lu.perm.(k)) <- c.(k)
+  done
 
 (* --- product-form eta updates (B_new = B_old * E) --- *)
 
@@ -350,27 +428,38 @@ let solve std ~lower ~upper ?start ~max_pivots ~pivots ~refactors () =
         Array.blit s 0 stat 0 n;
         refactorize ())
     in
-    let etas = ref [] in (* newest first *)
+    (* The eta file, oldest first. *)
+    let etas = Array.make max_etas { e_pos = 0; e_piv = 1.0; e_ents = [||] } in
     let neta = ref 0 in
-    let ftran v =
-      let x = lu_ftran !lu v in
-      List.iter (fun e -> eta_ftran e x) (List.rev !etas);
-      x
+    let ftran v x =
+      lu_ftran !lu v x;
+      for e = 0 to !neta - 1 do
+        eta_ftran etas.(e) x
+      done
     in
-    let btran c =
-      List.iter (fun e -> eta_btran e c) !etas;
-      lu_btran !lu c
+    let btran c y =
+      for e = !neta - 1 downto 0 do
+        eta_btran etas.(e) c
+      done;
+      lu_btran !lu c y
     in
+    (* Per-solve scratch, so that an iteration allocates nothing but its
+       eta: [cb] holds the pricing costs by basis position and [y] the
+       duals by row; [v] holds an entering column by row and [w] its
+       [ftran] image by position, which the ratio test and the new eta
+       read. *)
+    let cb = Array.make m 0.0 and y = Array.make m 0.0 in
+    let v = Array.make m 0.0 and w = Array.make m 0.0 in
     let xb = Array.make m 0.0 in
     let recompute_xb () =
-      let v = Array.copy std.rhs in
+      Array.blit std.rhs 0 v 0 m;
       for j = 0 to n - 1 do
         if stat.(j) <> st_basic then begin
           let xj = nb_value j in
           if xj <> 0.0 then iter_col j (fun r a -> v.(r) <- v.(r) -. (a *. xj))
         end
       done;
-      Array.blit (ftran v) 0 xb 0 m
+      ftran v xb
     in
     recompute_xb ();
     let refresh () =
@@ -383,7 +472,6 @@ let solve std ~lower ~upper ?start ~max_pivots ~pivots ~refactors () =
            Array.blit b 0 basic 0 m;
            Array.blit s 0 stat 0 n;
            lu := refactorize ());
-      etas := [];
       neta := 0;
       incr refactors;
       recompute_xb ()
@@ -406,25 +494,25 @@ let solve std ~lower ~upper ?start ~max_pivots ~pivots ~refactors () =
          end;
          (* Phase detection: any basic variable out of bounds puts the
             iteration in (composite) phase 1. *)
-         let g = Array.make m 0.0 in
+         Array.fill cb 0 m 0.0;
          let any_infeas = ref false in
          for p = 0 to m - 1 do
            let j = basic.(p) in
            if xb.(p) < lo.(j) -. feas_tol then begin
-             g.(p) <- -1.0;
+             cb.(p) <- -1.0;
              any_infeas := true
            end
            else if xb.(p) > up.(j) +. feas_tol then begin
-             g.(p) <- 1.0;
+             cb.(p) <- 1.0;
              any_infeas := true
            end
          done;
          let phase1 = !any_infeas in
-         let cb =
-           if phase1 then g
-           else Array.init m (fun p -> std.obj.(basic.(p)))
-         in
-         let y = btran cb in
+         if not phase1 then
+           for p = 0 to m - 1 do
+             cb.(p) <- std.obj.(basic.(p))
+           done;
+         btran cb y;
          (* ---- pricing ---- *)
          let use_bland = !degen_streak > 2 * (n + m) in
          let enter = ref (-1) and enter_d = ref 0.0 in
@@ -482,9 +570,12 @@ let solve std ~lower ~upper ?start ~max_pivots ~pivots ~refactors () =
            else if stat.(q) = st_free && !enter_d > 0.0 then -1.0
            else 1.0
          in
-         let v = Array.make m 0.0 in
-         iter_col q (fun r a -> v.(r) <- v.(r) +. a);
-         let w = ftran v in
+         Array.fill v 0 m 0.0;
+         for k = std.colp.(q) to std.colp.(q + 1) - 1 do
+           let r = std.rowi.(k) in
+           v.(r) <- v.(r) +. std.vals.(k)
+         done;
+         ftran v w;
          (* ---- ratio test ----
             The entering variable moves by t >= 0 in direction [dirn];
             basic position p changes at rate [-dirn * w.(p)]. In phase 1
@@ -599,9 +690,7 @@ let solve std ~lower ~upper ?start ~max_pivots ~pivots ~refactors () =
              if p <> r && Float.abs w.(p) > 1e-12 then
                ents := (p, w.(p)) :: !ents
            done;
-           etas :=
-             { e_pos = r; e_piv = w.(r); e_ents = Array.of_list !ents }
-             :: !etas;
+           etas.(!neta) <- { e_pos = r; e_piv = w.(r); e_ents = Array.of_list !ents };
            incr neta;
            incr local_pivots;
            incr pivots;

@@ -208,14 +208,43 @@ let split_ws s =
   |> List.concat_map (String.split_on_char '\t')
   |> List.filter (fun tok -> tok <> "")
 
+let err lineno fmt =
+  Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" lineno m)) fmt
+
+(* The cell rows of a [gnx] x [gny] map, from line 5 on, checked row by
+   row in order. The grid is allocated only once every row has been
+   read: the header's size alone may not fit in memory, the text's rows
+   do. *)
+let read_rows die ambient ~gnx ~gny rows =
+  let cell tok =
+    match float_of_string_opt tok with Some v when Float.is_finite v -> Some v | _ -> None
+  in
+  let rec parse j acc = function
+    | [] -> if j < gny then err (5 + j) "missing row %d of %d" (j + 1) gny else Ok (List.rev acc)
+    | row :: rest ->
+        if j >= gny then err (5 + j) "extra row beyond grid %d %d" gnx gny
+        else begin
+          let toks = split_ws row in
+          if List.length toks <> gnx then
+            err (5 + j) "row %d has %d cells (expected %d)" (j + 1) (List.length toks) gnx
+          else
+            match List.find_opt (fun tok -> cell tok = None) toks with
+            | Some tok -> err (5 + j) "bad cell value %S" tok
+            | None -> parse (j + 1) (Array.of_list (List.filter_map cell toks) :: acc) rest
+        end
+  in
+  Result.map
+    (fun cells ->
+      let grid = Gridmap.create die ~nx:gnx ~ny:gny in
+      List.iteri (fun j row -> Array.iteri (fun i v -> Gridmap.set grid i j v) row) cells;
+      { grid; ambient })
+    (parse 0 [] rows)
+
 let of_string s =
   let lines = String.split_on_char '\n' s |> List.map String.trim in
   (* Trailing blank lines are noise; internal ones are row errors. *)
   let rec drop_trailing = function "" :: rest -> drop_trailing rest | l -> l in
   let lines = List.rev (drop_trailing (List.rev lines)) in
-  let err lineno fmt =
-    Printf.ksprintf (fun m -> Error (Printf.sprintf "line %d: %s" lineno m)) fmt
-  in
   let float_tok lineno name tok k =
     match float_of_string_opt tok with
     | Some v when Float.is_finite v -> k v
@@ -246,55 +275,9 @@ let of_string s =
                                       match split_ws ambient_line with
                                       | [ "ambient"; amb ] ->
                                           float_tok 4 "ambient" amb (fun ambient ->
-                                              let die =
-                                                Rect.make ~xmin ~ymin ~xmax ~ymax
-                                              in
-                                              let grid =
-                                                Gridmap.create die ~nx:gnx ~ny:gny
-                                              in
-                                              let rec fill j = function
-                                                | [] ->
-                                                    if j < gny then
-                                                      err (5 + j)
-                                                        "missing row %d of %d" (j + 1)
-                                                        gny
-                                                    else Ok { grid; ambient }
-                                                | row :: rest ->
-                                                    if j >= gny then
-                                                      err (5 + j)
-                                                        "extra row beyond grid %d %d"
-                                                        gnx gny
-                                                    else begin
-                                                      let toks = split_ws row in
-                                                      if List.length toks <> gnx then
-                                                        err (5 + j)
-                                                          "row %d has %d cells \
-                                                           (expected %d)"
-                                                          (j + 1) (List.length toks)
-                                                          gnx
-                                                      else begin
-                                                        let bad = ref None in
-                                                        List.iteri
-                                                          (fun i tok ->
-                                                            if !bad = None then
-                                                              match
-                                                                float_of_string_opt tok
-                                                              with
-                                                              | Some v
-                                                                when Float.is_finite v
-                                                                ->
-                                                                  Gridmap.set grid i j v
-                                                              | _ -> bad := Some tok)
-                                                          toks;
-                                                        match !bad with
-                                                        | Some tok ->
-                                                            err (5 + j)
-                                                              "bad cell value %S" tok
-                                                        | None -> fill (j + 1) rest
-                                                      end
-                                                    end
-                                              in
-                                              fill 0 rows)
+                                              read_rows
+                                                (Rect.make ~xmin ~ymin ~xmax ~ymax)
+                                                ambient ~gnx ~gny rows)
                                       | _ ->
                                           err 4 "bad ambient line %S" ambient_line)
                                   | _ ->

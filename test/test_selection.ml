@@ -210,15 +210,20 @@ let test_core_parity () =
    every block in both passes. [max_component_vars = 20] forces descent
    on small and on I1/I4 at a third of their signal groups: plain, under
    a synthetic thermal map at weight 1, and with each node LP capped at
-   20 pivots, so that some block solves end unproven. [nodes] is that
-   descent's branch-and-bound node count, which skipping blocks may only
-   lower. [blocks] (solved, skipped) pins the re-solve rule itself: every
-   choice here stays the same if the rule looks one hop out instead of
-   two (two blocks of I4/3+thermal are then wrongly skipped), or if it
-   skips unproven blocks (small+pivots20 then skips two). *)
+   20 pivots, so that some block solves end unproven. [blocks] (solved,
+   skipped) pins the re-solve rule itself: every choice here stays the
+   same if the rule looks one hop out instead of two (two blocks of
+   I4/3+thermal are then wrongly skipped), or if it skips unproven blocks
+   (small+pivots20 then skips two). [lp] pins the LP work of the blocks
+   solved exactly — branch-and-bound nodes, LP solves, simplex pivots
+   and basis refactorizations: block programs and their LPs are
+   deterministic pivot for pivot, so any change to how a program is
+   built or factorized shows here. A guard-term cache that misses an
+   invalidation when adoption moves a net or a neighbour changes
+   I1/3+thermal's pivots (and its choice). *)
 type descent_case = {
   name : string;
-  nodes : int;
+  lp : int * int * int * int;  (** nodes, LP solves, pivots, refactorizations *)
   blocks : int * int;
   choice : int array;
 }
@@ -226,22 +231,22 @@ type descent_case = {
 let descent_cases =
   [
     { name = "small";
-      nodes = 4;
+      lp = (2, 2, 43, 0);
       blocks = (2, 2);
       choice =
         [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |] };
     { name = "small+thermal";
-      nodes = 4;
+      lp = (2, 2, 59, 0);
       blocks = (2, 2);
       choice =
         [| 2; 0; 1; 2; 2; 6; 2; 3; 1; 0; 2; 3 |] };
     { name = "small+pivots20";
-      nodes = 4;
+      lp = (4, 4, 80, 0);
       blocks = (4, 0);
       choice =
         [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0 |] };
     { name = "I1/3";
-      nodes = 40;
+      lp = (20, 20, 436, 0);
       blocks = (20, 20);
       choice =
         [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
@@ -251,7 +256,7 @@ let descent_cases =
            0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
            0; 0; 0; 0; 0; 0; 0; 0 |] };
     { name = "I1/3+thermal";
-      nodes = 64;
+      lp = (57, 57, 1758, 2);
       blocks = (33, 7);
       choice =
         [| 0; 3; 3; 0; 0; 3; 0; 0; 0; 2; 3; 0; 1; 10; 3; 0; 0; 0; 3; 0; 0; 0;
@@ -261,7 +266,7 @@ let descent_cases =
            0; 0; 3; 0; 4; 3; 0; 2; 0; 3; 0; 3; 0; 0; 0; 3; 0; 0; 0; 0; 1; 3;
            2; 2; 4; 0; 4; 0; 0; 0 |] };
     { name = "I1/3+pivots20";
-      nodes = 40;
+      lp = (30, 30, 548, 0);
       blocks = (30, 10);
       choice =
         [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
@@ -271,7 +276,7 @@ let descent_cases =
            0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
            0; 0; 0; 0; 0; 0; 0; 0 |] };
     { name = "I4/3";
-      nodes = 46;
+      lp = (23, 23, 474, 0);
       blocks = (23, 23);
       choice =
         [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
@@ -282,7 +287,7 @@ let descent_cases =
            0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
            0; 0 |] };
     { name = "I4/3+thermal";
-      nodes = 276;
+      lp = (276, 276, 3033, 5);
       blocks = (46, 0);
       choice =
         [| 3; 6; 0; 3; 0; 0; 0; 0; 4; 2; 4; 0; 2; 0; 1; 0; 3; 1; 7; 2; 2; 2;
@@ -293,7 +298,7 @@ let descent_cases =
            0; 3; 2; 3; 2; 0; 0; 1; 4; 2; 0; 3; 0; 1; 3; 0; 3; 3; 4; 3; 3; 1;
            0; 0 |] };
     { name = "I4/3+pivots20";
-      nodes = 46;
+      lp = (33, 33, 603, 0);
       blocks = (33, 13);
       choice =
         [| 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
@@ -334,9 +339,11 @@ let test_block_descent_pinned () =
       in
       Alcotest.(check bool) (c.name ^ ": descended") true (r.Ilp_select.timed_out > 0);
       Alcotest.(check (array int)) (c.name ^ ": choice") c.choice r.Ilp_select.choice;
-      Alcotest.(check bool)
-        (Printf.sprintf "%s: nodes %d <= %d" c.name r.Ilp_select.nodes c.nodes)
-        true (r.Ilp_select.nodes <= c.nodes);
+      Alcotest.(check (pair (pair int int) (pair int int)))
+        (c.name ^ ": nodes, LP solves, pivots, refactorizations")
+        (let n, l, p, f = c.lp in ((n, l), (p, f)))
+        ( (r.Ilp_select.nodes, r.Ilp_select.lp_solves),
+          (r.Ilp_select.pivots, r.Ilp_select.refactorizations) );
       Alcotest.(check (pair int int))
         (c.name ^ ": blocks solved, skipped") c.blocks
         (r.Ilp_select.blocks_solved, r.Ilp_select.blocks_skipped))

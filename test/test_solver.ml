@@ -1,6 +1,7 @@
-(* Tests for the unified solver: the Problem model, both LP cores
-   (sparse revised simplex and the dense tableau parity reference) on
-   textbook programs, bounded variables without synthetic rows,
+(* Tests for the unified solver: the Problem model, the sparse core's
+   basis factorization against the dense sweep it replaced, both LP
+   cores (sparse revised simplex and the dense tableau parity reference)
+   on textbook programs, bounded variables without synthetic rows,
    branch-and-bound against exhaustive enumeration on random 0/1
    programs, and dense-vs-sparse parity on random LPs and ILPs. *)
 
@@ -67,13 +68,13 @@ module Reference = struct
   let column ?(obj = 0.0) ?(lower = 0.0) ?(upper = infinity) ?(integer = false)
       entries =
     if Float.is_nan obj || Float.is_nan lower || Float.is_nan upper then
-      invalid_arg "Problem.column: NaN objective or bound";
-    if lower > upper then invalid_arg "Problem.column: lower > upper";
+      invalid_arg "Problem.of_rows: NaN objective or bound";
+    if lower > upper then invalid_arg "Problem.of_rows: lower > upper";
     if integer && not (Float.is_finite lower && Float.is_finite upper) then
-      invalid_arg "Problem.column: integer variable needs finite bounds";
+      invalid_arg "Problem.of_rows: integer variable needs finite bounds";
     List.iter
       (fun (_, c) ->
-        if Float.is_nan c then invalid_arg "Problem.column: NaN coefficient")
+        if Float.is_nan c then invalid_arg "Problem.of_rows: NaN coefficient")
       entries;
     let sorted = List.sort (fun (a, _) (b, _) -> compare a b) entries in
     let merged =
@@ -118,7 +119,7 @@ module Reference = struct
     let rows = Array.of_list (List.map (fun (_, rel, rhs) -> (rel, rhs)) rows) in
     Array.iter
       (fun (_, b) ->
-        if Float.is_nan b then invalid_arg "Problem.make: NaN right-hand side")
+        if Float.is_nan b then invalid_arg "Problem.of_rows: NaN right-hand side")
       rows;
     (cols, rows)
 end
@@ -187,14 +188,14 @@ let malformed =
   let le = Solver.Problem.Le in
   [ ("var out of range", "Problem.of_rows: variable out of range",
      input ~nvars:2 [ ([ (5, 1.0) ], le, 1.0) ]);
-    ("lower > upper", "Problem.column: lower > upper",
+    ("lower > upper", "Problem.of_rows: lower > upper",
      input ~nvars:1 ~lower:[ (0, 2.0) ] ~upper:[ (0, 1.0) ] []);
     ("integer needs finite bounds",
-     "Problem.column: integer variable needs finite bounds",
+     "Problem.of_rows: integer variable needs finite bounds",
      input ~nvars:1 ~integer:[ 0 ] []);
-    ("NaN coefficient", "Problem.column: NaN coefficient",
+    ("NaN coefficient", "Problem.of_rows: NaN coefficient",
      input ~nvars:2 [ ([ (1, 1.0); (0, Float.nan) ], le, 1.0) ]);
-    ("NaN right-hand side", "Problem.make: NaN right-hand side",
+    ("NaN right-hand side", "Problem.of_rows: NaN right-hand side",
      input ~nvars:1 [ ([ (0, 1.0) ], le, Float.nan) ]) ]
 
 let test_problem_invalid () =
@@ -282,6 +283,199 @@ let prop_of_rows_matches_reference =
   QCheck.Test.make ~name:"of_rows = list-based reference" ~count:1000
     (QCheck.make ~print:print_problem_input problem_input_gen)
     agrees_with_reference
+
+(* --- basis factorization --- *)
+
+(* The dense left-looking sweep that [Sparse_core.factorize] replaced,
+   verbatim: the reference its sparse elimination must match bit for
+   bit. *)
+module Dense_lu = struct
+  open Operon_solver.Sparse_core
+
+  let factorize m get_col basic =
+    let perm = Array.make m (-1) in
+    let pos_of_row = Array.make m (-1) in
+    let lcol = Array.make m [||] in
+    let ucol = Array.make m [||] in
+    let udiag = Array.make m 0.0 in
+    let w = Array.make m 0.0 in
+    for j = 0 to m - 1 do
+      Array.fill w 0 m 0.0;
+      get_col basic.(j) (fun r v -> w.(r) <- w.(r) +. v);
+      (* Apply previous eliminations in order. *)
+      for k = 0 to j - 1 do
+        let t = w.(perm.(k)) in
+        if t <> 0.0 then
+          Array.iter (fun (r, l) -> w.(r) <- w.(r) -. (l *. t)) lcol.(k)
+      done;
+      let ul = ref [] in
+      for k = j - 1 downto 0 do
+        let v = w.(perm.(k)) in
+        if v <> 0.0 then ul := (k, v) :: !ul
+      done;
+      ucol.(j) <- Array.of_list !ul;
+      (* Partial pivoting among rows without a pivot yet. *)
+      let p = ref (-1) and best = ref 0.0 in
+      for r = 0 to m - 1 do
+        if pos_of_row.(r) = -1 then begin
+          let a = Float.abs w.(r) in
+          if a > !best then begin
+            best := a;
+            p := r
+          end
+        end
+      done;
+      if !p = -1 || !best < 1e-11 then raise Singular;
+      let p = !p in
+      udiag.(j) <- w.(p);
+      perm.(j) <- p;
+      pos_of_row.(p) <- j;
+      let ll = ref [] in
+      for r = m - 1 downto 0 do
+        if pos_of_row.(r) = -1 && w.(r) <> 0.0 then
+          ll := (r, w.(r) /. w.(p)) :: !ll
+      done;
+      lcol.(j) <- Array.of_list !ll
+    done;
+    { perm; pos_of_row; lcol; ucol; udiag }
+end
+
+(* Random sparse standardized problems and bases over their columns.
+   Columns are built in order: fresh random columns, copies of an
+   earlier column (duplicate basis columns are singular), and copies of
+   an earlier column shifted by a few 1e-11 at one row, so that
+   elimination leaves pivots on either side of the [1e-11] threshold.
+   Entries draw from values whose sums and products round, which makes
+   any change in the order of operations visible in the bits. A basis
+   is the slack identity, the identity with some positions taken over
+   by structural columns (as the simplex and branch-and-bound warm
+   starts leave it), or any [m] distinct columns in any order. *)
+type lu_case = { lu_m : int; lu_cols : (int * float) list list; lu_basis : int array }
+
+let lu_case_gen =
+  QCheck.Gen.(
+    int_range 1 9 >>= fun m ->
+    int_range 1 9 >>= fun nstruct ->
+    let value =
+      frequency
+        [ (3, oneofl [ 1.0; -1.0; 0.5; 2.0 ]);
+          (2, oneofl [ 0.1; 0.3; -0.7; 3.5 ]);
+          (1, oneofl [ 1e-11; 1.5e-11; 9e-12; -2e-12 ]) ]
+    in
+    let row = int_range 0 (m - 1) in
+    let fresh = list_size (int_range 0 m) (pair row value) in
+    let rec columns k acc =
+      if k = nstruct then return (List.rev acc)
+      else
+        (if acc = [] then fresh
+         else
+           frequency
+             [ (4, fresh);
+               (1, oneofl acc);
+               ( 2,
+                 oneofl acc >>= fun col ->
+                 row >>= fun r ->
+                 oneofl [ 1e-11; -1e-11; 1.0000001e-11; 9.999999e-12; 3e-11 ]
+                 >|= fun d -> col @ [ (r, d) ] ) ])
+        >>= fun col -> columns (k + 1) (col :: acc)
+    in
+    columns 0 [] >>= fun cols ->
+    let n = nstruct + m in
+    let identity = Array.init m (fun r -> nstruct + r) in
+    frequency
+      [ (1, return identity);
+        ( 3,
+          list_size (int_range 1 m) (pair (int_range 0 (nstruct - 1)) nat)
+        >|= fun swaps ->
+          (* Structural column [v] enters at the position of a row where
+             it has an entry, as a simplex pivot on the slack basis
+             would place it. *)
+          let cols = Array.of_list cols in
+          let basic = Array.copy identity in
+          List.iter
+            (fun (v, e) ->
+              match cols.(v) with
+              | [] -> ()
+              | col ->
+                  let r, _ = List.nth col (e mod List.length col) in
+                  if not (Array.mem v basic) then basic.(r) <- v)
+            swaps;
+          basic );
+        ( 2,
+          shuffle_l (List.init n Fun.id) >|= fun order ->
+          Array.sub (Array.of_list order) 0 m ) ]
+    >|= fun basis -> { lu_m = m; lu_cols = cols; lu_basis = basis })
+
+let print_lu_case c =
+  Printf.sprintf "m=%d basis=[%s]\n%s" c.lu_m
+    (String.concat " " (Array.to_list (Array.map string_of_int c.lu_basis)))
+    (String.concat "\n"
+       (List.mapi
+          (fun v col ->
+            Printf.sprintf "col %d: %s" v
+              (String.concat " " (List.map (fun (r, x) -> Printf.sprintf "%d:%h" r x) col)))
+          c.lu_cols))
+
+(* Both factorizations of the basis, read through the columns
+   [Sparse_core.prepare] builds from the problem (structural columns,
+   then one slack per row). *)
+let factorize_both c =
+  let module S = Operon_solver.Sparse_core in
+  let nvars = List.length c.lu_cols in
+  let rows = Array.make c.lu_m [] in
+  List.iteri (fun v col -> List.iter (fun (r, x) -> rows.(r) <- (v, x) :: rows.(r)) col) c.lu_cols;
+  let problem =
+    lp ~nvars
+      (Array.to_list (Array.map (fun es -> (List.rev es, Solver.Problem.Le, 0.0)) rows))
+  in
+  let std = S.prepare problem in
+  let get_col j f =
+    for k = std.S.colp.(j) to std.S.colp.(j + 1) - 1 do
+      f std.S.rowi.(k) std.S.vals.(k)
+    done
+  in
+  let run factorize =
+    match factorize c.lu_m get_col (Array.copy c.lu_basis) with
+    | lu -> Some lu
+    | exception S.Singular -> None
+  in
+  (run S.factorize, run Dense_lu.factorize)
+
+let same_lu (a : Operon_solver.Sparse_core.lu) (b : Operon_solver.Sparse_core.lu) =
+  let bits = Int64.bits_of_float in
+  let same_entries x y =
+    Array.length x = Array.length y
+    && Array.for_all2 (fun (i, u) (j, w) -> i = j && Int64.equal (bits u) (bits w)) x y
+  in
+  a.perm = b.perm
+  && a.pos_of_row = b.pos_of_row
+  && Array.for_all2 same_entries a.lcol b.lcol
+  && Array.for_all2 same_entries a.ucol b.ucol
+  && Array.for_all2 (fun u w -> Int64.equal (bits u) (bits w)) a.udiag b.udiag
+
+(* A pivot tie between a row the column scatters to (row 2) and a lower
+   row that only fill reaches (row 1, touched after row 2): the dense
+   sweep scans rows in order and keeps the first maximum, row 1. *)
+let test_factorize_pivot_tie () =
+  let c =
+    { lu_m = 3;
+      lu_cols = [ [ (0, 2.0); (1, 1.0) ]; [ (0, 2.0); (2, 1.0) ] ];
+      lu_basis = [| 0; 1; 4 |] }
+  in
+  match factorize_both c with
+  | Some a, Some b ->
+      Alcotest.(check (array int)) "perm" [| 0; 1; 2 |] a.Operon_solver.Sparse_core.perm;
+      Alcotest.(check bool) "same as the dense sweep" true (same_lu a b)
+  | _ -> Alcotest.fail "expected a non-singular basis"
+
+let prop_factorize_matches_dense =
+  QCheck.Test.make ~name:"sparse factorize = dense sweep, bit for bit" ~count:3000
+    (QCheck.make ~print:print_lu_case lu_case_gen)
+    (fun c ->
+      match factorize_both c with
+      | Some a, Some b -> same_lu a b
+      | None, None -> true
+      | _ -> false)
 
 (* --- lp cores --- *)
 
@@ -676,6 +870,9 @@ let () =
            Alcotest.test_case "duplicate entries" `Quick
              test_problem_merges_duplicate_entries;
            QCheck_alcotest.to_alcotest prop_of_rows_matches_reference ] ) ]
+    @ [ ( "lu",
+          [ Alcotest.test_case "pivot tie" `Quick test_factorize_pivot_tie;
+            QCheck_alcotest.to_alcotest prop_factorize_matches_dense ] ) ]
     @ [ ( "lp",
           both "classic" test_classic
           @ both "equality" test_equality

@@ -98,6 +98,138 @@ let test_of_string_errors () =
     "operon-thermal-map 1\ndie 0 0 1 1\ngrid 2 2\nambient 40\n1 x\n3 4\n"
     "bad cell value"
 
+(* Fuzzing the map reader. Random maps (any finite cells, including
+   -0.0, subnormals and +-1e308) round-trip exactly through [to_string]
+   and [of_string]. Arbitrary text, and valid maps with a few token or
+   line mutations (huge, negative, non-finite or misplaced tokens,
+   dropped, doubled or swapped lines, truncation), never make
+   [of_string] raise: it parses, or it returns a one-line error. A
+   header like [grid 100000000000 100000000000] once raised from the
+   grid allocation. *)
+let random_map_gen =
+  QCheck.Gen.(
+    let finite =
+      oneof
+        [ float_range (-1e3) 1e3;
+          oneofl [ 0.0; -0.0; 1e308; -1e308; 5e-324; 0.1; 1.0 /. 3.0 ] ]
+    in
+    int_range 1 6 >>= fun nx ->
+    int_range 1 6 >>= fun ny ->
+    finite >>= fun ambient ->
+    pair (float_range (-10.0) 10.0) (float_range (-10.0) 10.0) >>= fun (x0, y0) ->
+    pair (float_range 1e-3 10.0) (float_range 1e-3 10.0) >>= fun (w, h) ->
+    array_size (return (nx * ny)) finite >|= fun cells ->
+    let grid =
+      Gridmap.create (Rect.make ~xmin:x0 ~ymin:y0 ~xmax:(x0 +. w) ~ymax:(y0 +. h)) ~nx ~ny
+    in
+    Array.iteri (fun k v -> Gridmap.set grid (k mod nx) (k / nx) v) cells;
+    Thermal_map.make ~ambient grid)
+
+let print_map m = Thermal_map.to_string m
+
+let prop_roundtrip =
+  QCheck.Test.make ~name:"of_string (to_string m) round-trips" ~count:300
+    (QCheck.make ~print:print_map random_map_gen)
+    (fun m ->
+      let text = Thermal_map.to_string m in
+      match Thermal_map.of_string text with
+      | Ok m' -> Thermal_map.to_string m' = text
+      | Error _ -> false)
+
+(* [of_string] returns: a map that itself round-trips, or a one-line
+   error. An exception fails the property. *)
+let reads_cleanly text =
+  match Thermal_map.of_string text with
+  | Ok m ->
+      let again = Thermal_map.to_string m in
+      (match Thermal_map.of_string again with
+       | Ok m' -> Thermal_map.to_string m' = again
+       | Error _ -> false)
+  | Error msg -> not (String.contains msg '\n')
+
+let random_text_gen =
+  QCheck.Gen.(
+    let noise =
+      string_size ~gen:(oneofl [ '0'; '1'; '9'; ' '; '\n'; '\t'; '-'; '.'; 'e'; 'x'; 'g' ])
+        (int_range 0 120)
+    in
+    oneof
+      [ noise;
+        map (fun t -> "operon-thermal-map 1\n" ^ t) noise;
+        ( pair random_map_gen noise >>= fun (m, t) ->
+          int_range 0 4 >|= fun keep ->
+          let lines = String.split_on_char '\n' (Thermal_map.to_string m) in
+          String.concat "\n" (List.filteri (fun i _ -> i < keep) lines) ^ "\n" ^ t ) ])
+
+let mutated_map_gen =
+  QCheck.Gen.(
+    let token =
+      frequency
+        [ (1, oneofl [ "100000000000"; "4611686018427387903"; "9223372036854775808" ]);
+          ( 2,
+            oneofl
+              [ "-1"; "0"; "nan"; "inf"; "-inf"; "1e309"; "0x1p-1074"; "x"; ""; "grid";
+                "die"; "ambient"; "operon-thermal-map" ] ) ]
+    in
+    (* Edits favour the four header lines. *)
+    let line = frequency [ (3, int_range 0 3); (1, nat) ] in
+    let edit =
+      oneof
+        [ map3 (fun l t tok -> `Replace (l, t, tok)) line nat token;
+          map2 (fun l t -> `Drop_token (l, t)) line nat;
+          map2 (fun l t -> `Double_token (l, t)) line nat;
+          map (fun l -> `Drop_line l) line;
+          map (fun l -> `Double_line l) line;
+          map2 (fun a b -> `Swap_lines (a, b)) line nat;
+          map (fun n -> `Truncate n) nat ]
+    in
+    pair random_map_gen (list_size (int_range 1 4) edit) >|= fun (m, edits) ->
+    let at l xs = l mod Stdlib.max 1 (List.length xs) in
+    let on_nth n f xs = List.concat (List.mapi (fun i x -> if i = n then f x else [ x ]) xs) in
+    let apply lines = function
+      | `Replace (l, t, tok) ->
+          on_nth (at l lines)
+            (fun toks -> [ on_nth (at t toks) (fun _ -> [ tok ]) toks ])
+            lines
+      | `Drop_token (l, t) ->
+          on_nth (at l lines) (fun toks -> [ on_nth (at t toks) (fun _ -> []) toks ]) lines
+      | `Double_token (l, t) ->
+          on_nth (at l lines) (fun toks -> [ on_nth (at t toks) (fun x -> [ x; x ]) toks ]) lines
+      | `Drop_line l -> on_nth (at l lines) (fun _ -> []) lines
+      | `Double_line l -> on_nth (at l lines) (fun x -> [ x; x ]) lines
+      | `Swap_lines (a, b) ->
+          let a = at a lines and b = at b lines in
+          List.mapi
+            (fun i x -> if i = a then List.nth lines b else if i = b then List.nth lines a else x)
+            lines
+      | `Truncate n ->
+          let text = String.concat "\n" (List.map (String.concat " ") lines) in
+          let cut = String.sub text 0 (n mod (String.length text + 1)) in
+          List.map (String.split_on_char ' ') (String.split_on_char '\n' cut)
+    in
+    let lines =
+      List.map (String.split_on_char ' ') (String.split_on_char '\n' (Thermal_map.to_string m))
+    in
+    String.concat "\n" (List.map (String.concat " ") (List.fold_left apply lines edits)))
+
+let prop_random_text =
+  QCheck.Test.make ~name:"of_string never raises on random text" ~count:500
+    (QCheck.make ~print:(Printf.sprintf "%S") random_text_gen)
+    reads_cleanly
+
+let prop_mutated_maps =
+  QCheck.Test.make ~name:"of_string never raises on mutated maps" ~count:1000
+    (QCheck.make ~print:(Printf.sprintf "%S") mutated_map_gen)
+    reads_cleanly
+
+let test_huge_grid () =
+  expect_error "huge grid, no rows"
+    "operon-thermal-map 1\ndie 0 0 1 1\ngrid 100000000000 100000000000\nambient 40\n"
+    "line 5: missing row 1 of 100000000000";
+  expect_error "huge grid, one row"
+    "operon-thermal-map 1\ndie 0 0 1 1\ngrid 100000000000 1\nambient 40\n1 2\n"
+    "line 5: row 1 has 2 cells (expected 100000000000)"
+
 let test_sampling () =
   let m = synth () in
   (* temp_at is ambient plus the local rise; detuning along a segment is
@@ -227,6 +359,10 @@ let () =
           Alcotest.test_case "save/load" `Quick test_save_load;
           Alcotest.test_case "deterministic" `Quick test_synthetic_deterministic;
           Alcotest.test_case "of_string errors" `Quick test_of_string_errors;
+          Alcotest.test_case "huge grid header" `Quick test_huge_grid;
+          QCheck_alcotest.to_alcotest prop_roundtrip;
+          QCheck_alcotest.to_alcotest prop_random_text;
+          QCheck_alcotest.to_alcotest prop_mutated_maps;
           Alcotest.test_case "sampling" `Quick test_sampling ] );
       ( "selection",
         [ Alcotest.test_case "with_thermal" `Quick test_with_thermal;
