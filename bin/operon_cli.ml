@@ -546,10 +546,18 @@ let thermal_map_cmd =
   let run case seed hotspots amplitude decay grid ambient map_seed out =
     let seed = validate_seed seed in
     if hotspots < 0 then fail_usage "--hotspots must be >= 0 (got %d)" hotspots;
-    if amplitude < 0.0 then
-      fail_usage "--amplitude must be >= 0 (got %g)" amplitude;
-    if decay <= 0.0 then fail_usage "--decay must be positive (got %g)" decay;
+    if hotspots > Operon_thermal.Thermal_map.max_hotspots then
+      fail_usage "--hotspots must be at most %d (got %d)"
+        Operon_thermal.Thermal_map.max_hotspots hotspots;
+    if not (amplitude >= 0.0 && amplitude <= Operon_thermal.Thermal_map.max_amplitude) then
+      fail_usage "--amplitude must be in [0, %g] (got %g)"
+        Operon_thermal.Thermal_map.max_amplitude amplitude;
+    if not (decay > 0.0 && Float.is_finite decay) then
+      fail_usage "--decay must be positive and finite (got %g)" decay;
     if grid <= 0 then fail_usage "--grid must be positive (got %d)" grid;
+    if grid > Operon_thermal.Thermal_map.max_grid then
+      fail_usage "--grid must be at most %d (got %d)" Operon_thermal.Thermal_map.max_grid
+        grid;
     if not (Float.is_finite ambient) then
       fail_usage "--ambient must be finite (got %g)" ambient;
     if map_seed <= 0 then

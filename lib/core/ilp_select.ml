@@ -50,15 +50,6 @@ let set_choice sc neighbors current i j =
     Array.iter (fun m -> sc.terms.(m) <- [||]) neighbors.(i)
   end
 
-(* The slot of [m] in the ascending neighbour row [row], or -1. *)
-let find_slot row m =
-  let lo = ref 0 and hi = ref (Array.length row) in
-  while !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    if row.(mid) < m then lo := mid + 1 else hi := mid
-  done;
-  if !lo < Array.length row && row.(!lo) = m then !lo else -1
-
 (* Solve the Formula (3) ILP for the nets of [block], with every net
    outside the block frozen at [current]. Frozen neighbours contribute
    constants to the block nets' path constraints, and the frozen nets'
@@ -175,7 +166,7 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
     let ns = ref 0 in
     Array.iter
       (fun m ->
-        let k = find_slot neighbors.(i) m in
+        let k = Xmatrix.find_slot neighbors.(i) m in
         if k >= 0 then begin
           slot_k.(!ns) <- k;
           slot_m.(!ns) <- m;

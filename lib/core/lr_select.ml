@@ -30,6 +30,11 @@ let select ?(max_iterations = 10) ?(budget_seconds = 0.0)
             Array.make (Array.length c.Candidate.paths) (initial_multiplier_scale *. pe))
           ctx.Selection.cands.(i))
   in
+  (* [live.(i).(j)]: some multiplier of candidate (i, j) is non-zero.
+     Re-selection reads a candidate's own crossing terms only when it is
+     live, and a neighbour's foreign terms only when that neighbour's
+     previous choice is live; the multiplier update refreshes it. *)
+  let live = Array.map (Array.map (Array.exists (fun x -> x <> 0.0))) lambda in
   (* Warm start (ECO): a sanitized previous selection replaces the greedy
      start when it is still feasible under this context; an infeasible or
      unmappable one falls back to the cold start, so warm starting can
@@ -84,12 +89,13 @@ let select ?(max_iterations = 10) ?(budget_seconds = 0.0)
     let prev = Array.copy !choice in
     (* Candidate re-selection with the relaxed weighted objective, the
        crossing terms linearized around [prev] (Eq. 5). Neighbours are
-       the outer loop, and one read per (neighbour, candidate) serves
-       all of the candidate's paths; every sum still runs over the
-       neighbours in order from +0.0. *)
+       the outer loop; every sum still runs over the neighbours in order
+       from +0.0. A term left out below has all its multipliers zero and
+       finite losses, so it is ±0.0 and adding it would change no bit
+       (DESIGN §23). *)
     let next = Array.make n 0 in
     for i = 0 to n - 1 do
-      let cs = cands.(i) and off = base.(i) in
+      let cs = cands.(i) and off = base.(i) and lv = live.(i) in
       let nc = Array.length cs in
       Array.fill cross 0 off.(nc) 0.0;
       Array.fill foreign 0 nc 0.0;
@@ -97,35 +103,34 @@ let select ?(max_iterations = 10) ?(budget_seconds = 0.0)
       for k = 0 to Array.length nbrs - 1 do
         let m = nbrs.(k) in
         let sel = prev.(m) in
-        (* Own paths against the neighbour's previous selection (the
-           a'_mn * a_ij half of Eq. 5)... *)
+        (* Live candidates' own paths against the neighbour's previous
+           selection (the a'_mn * a_ij half of Eq. 5)... *)
         for j = 0 to nc - 1 do
-          if off.(j + 1) > off.(j) then
-            Xmatrix.add_losses xmat bundled ~i ~k ~j ~m ~n:sel cross off.(j)
+          if lv.(j) then Xmatrix.add_losses xmat bundled ~i ~k ~j ~m ~n:sel cross off.(j)
         done;
-        (* ...and the crossings picking (i, j) adds onto that selection's
-           paths (the a_mn * a'_ij half). *)
-        let w = lambda.(m).(sel) in
-        if Array.length w > 0 then
-          for j = 0 to nc - 1 do
-            Xmatrix.add_weighted xmat bundled ~i ~k ~j ~m ~n:sel w foreign j
-          done
+        (* ...and, in one row read for every candidate, the crossings
+           picking (i, j) adds onto that selection's paths (the
+           a_mn * a'_ij half), when they carry any weight. *)
+        if live.(m).(sel) then
+          Xmatrix.add_weighted_row xmat bundled ~i ~k ~m ~n:sel lambda.(m).(sel) foreign
       done;
       let best = ref 0 and best_w = ref infinity in
       for j = 0 to nc - 1 do
         (* Multiplier-weighted loss of the candidate's own paths. *)
-        let paths = cs.(j).Candidate.paths and mult = lambda.(i).(j) in
         let own = ref 0.0 in
-        for p = 0 to Array.length paths - 1 do
-          let intrinsic = paths.(p).Candidate.intrinsic_loss in
-          let crossing = cross.(off.(j) + p) in
-          let path_loss =
-            match thermal with
-            | None -> intrinsic +. crossing
-            | Some t -> intrinsic +. crossing +. t.Selection.penalty.(i).(j).(p)
-          in
-          own := !own +. (mult.(p) *. path_loss)
-        done;
+        if lv.(j) then begin
+          let paths = cs.(j).Candidate.paths and mult = lambda.(i).(j) in
+          for p = 0 to Array.length paths - 1 do
+            let intrinsic = paths.(p).Candidate.intrinsic_loss in
+            let crossing = cross.(off.(j) + p) in
+            let path_loss =
+              match thermal with
+              | None -> intrinsic +. crossing
+              | Some t -> intrinsic +. crossing +. t.Selection.penalty.(i).(j).(p)
+            in
+            own := !own +. (mult.(p) *. path_loss)
+          done
+        end;
         let w = Selection.objective ctx i j +. !own +. foreign.(j) in
         if w < !best_w then begin
           best_w := w;
@@ -140,28 +145,37 @@ let select ?(max_iterations = 10) ?(budget_seconds = 0.0)
        candidate sees its actual loss; a path of an unselected candidate
        has LHS = 0 in constraint (3c), so its subgradient is -l_max and
        its multiplier decays — without this, an inflated initial
-       multiplier would repel a perfectly feasible candidate forever. *)
+       multiplier would repel a perfectly feasible candidate forever.
+       Liveness is refreshed from the updated multipliers. *)
     let step = step_scale /. float_of_int !iterations in
     let total_violation = ref 0.0 in
     for i = 0 to n - 1 do
       let j = next.(i) in
       let losses = Selection.Eval.losses ev i in
-      Array.iteri
-        (fun j' paths ->
-          Array.iteri
-            (fun p mult ->
-              let v = if j' = j then losses.(p) -. l_max else -.l_max in
-              if v > 0.0 then total_violation := !total_violation +. v;
-              paths.(p) <- Float.max 0.0 (mult +. (step *. v)))
-            paths)
-        lambda.(i)
+      let li = lambda.(i) and lv = live.(i) in
+      for j' = 0 to Array.length li - 1 do
+        let mult = li.(j') in
+        let any = ref false in
+        for p = 0 to Array.length mult - 1 do
+          let v = if j' = j then losses.(p) -. l_max else -.l_max in
+          if v > 0.0 then total_violation := !total_violation +. v;
+          let x = Float.max 0.0 (mult.(p) +. (step *. v)) in
+          mult.(p) <- x;
+          if x <> 0.0 then any := true
+        done;
+        lv.(j') <- !any
+      done
     done;
     (* Track the best answer this iterate yields once its violations are
-       repaired away (repair is a no-op on feasible iterates). *)
+       repaired away (repair is a no-op on feasible iterates). A violated
+       iterate is repaired on [ev], which holds every net's losses after
+       the step, and the demoted nets are then flipped back: [ev] sits at
+       [next] again, and only their neighbourhoods are re-derived. *)
     if !total_violation <= 0.0 then consider (Selection.Eval.feasible ev) next
     else begin
-      let repaired = Selection.polish ~rounds:0 ctx next in
-      consider (Selection.feasible ctx repaired) repaired
+      Selection.polish_eval ~rounds:0 ev;
+      consider (Selection.Eval.feasible ev) (Selection.Eval.choice ev);
+      Array.iteri (fun i j -> Selection.Eval.set ev i j) next
     end;
     let power = Selection.total_objective ctx next in
     let power_stable =
@@ -175,10 +189,14 @@ let select ?(max_iterations = 10) ?(budget_seconds = 0.0)
     prev_power := power;
     prev_violation := !total_violation
   done;
-  let final_violation = Float.max 0.0 (Selection.worst_violation ctx !choice) in
-  (* Repair only (rounds=0): any net still on a violated path falls back
-     to electrical wires, as the paper's residual-net handling does. *)
-  let repaired = Selection.polish ~rounds:0 ctx !choice in
+  (* [ev] sits at [!choice], and after any iteration it holds the
+     losses of every net but the few the last flip back touched. Repair
+     only (rounds=0), on [ev] itself, which is not read again: any net
+     still on a violated path falls back to electrical wires, as the
+     paper's residual-net handling does. *)
+  let final_violation = Float.max 0.0 (Selection.Eval.worst_violation ev) in
+  Selection.polish_eval ~rounds:0 ev;
+  let repaired = Selection.Eval.choice ev in
   let demoted =
     let count = ref 0 in
     Array.iteri (fun i j -> if j <> !choice.(i) then incr count) repaired;

@@ -20,17 +20,27 @@
     seen across iterations is returned when it beats the repaired final
     iterate.
 
-    The re-selection of a net loops over its neighbours outermost: per
-    (neighbour slot, candidate) it makes one {!Xmatrix.add_losses} read
-    for the candidate's own paths against the neighbour's previous
-    choice and one {!Xmatrix.add_weighted} read for the loss the
-    candidate puts on that choice's paths, accumulating into scratch
-    arrays allocated once per call. Each sum keeps the neighbour order
-    and the [+0.0] start of the path-by-path formulation, so the result
-    is bit-identical to it, and to a run on a direct (uncached) matrix.
-    A feasible iterate's feasibility is read from the persistent
-    {!Selection.Eval}, which already holds its losses after the
-    subgradient step. *)
+    Re-selection pays only for live multipliers. A candidate is live
+    when some multiplier of its paths is non-zero, a flag the multiplier
+    update refreshes; after the first subgradient step almost every
+    multiplier is clipped to zero. A net loops over its neighbours
+    outermost, and per neighbour slot makes one {!Xmatrix.add_losses}
+    read per live candidate for its own paths against the neighbour's
+    previous choice and, when that choice is live, one
+    {!Xmatrix.add_weighted_row} read for the loss each of its candidates
+    puts on the choice's paths. Every term left out is a zero multiplier
+    times a finite loss, [±0.0], and every sum starts at [+0.0], so the
+    sums that remain keep the neighbour order and the bits of the
+    path-by-path formulation: the result is bit-identical to reading
+    every term, and to a run on a direct (uncached) matrix. Scratch
+    arrays live for one call.
+
+    Losses come from one persistent {!Selection.Eval}, which re-derives
+    only the nets whose choice, or whose neighbour's choice, flipped. An
+    iterate's feasibility and the final violation are read from it, and
+    every repair is {!Selection.polish_eval} on it, which pays only for
+    the nets the demotions touch: a violated iterate's demoted nets are
+    flipped back afterwards, the final iterate's stay demoted. *)
 
 type result = {
   choice : int array;

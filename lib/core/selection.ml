@@ -39,19 +39,6 @@ let optical_bbox (cands : Candidate.t array) =
     cands;
   match !pts with [] -> None | l -> Some (Rect.of_points (Array.of_list l))
 
-(* Is [j] in the sorted-ascending neighbour row [arr]? The rows built
-   below are ascending by construction (see the List.rev note), which the
-   ECO reuse path depends on. *)
-let mem_sorted arr j =
-  let lo = ref 0 and hi = ref (Array.length arr) in
-  let found = ref false in
-  while (not !found) && !lo < !hi do
-    let mid = (!lo + !hi) / 2 in
-    let v = arr.(mid) in
-    if v = j then found := true else if v < j then lo := mid + 1 else hi := mid
-  done;
-  !found
-
 let make_ctx ?(exec = Executor.sequential) ?(cache = true) ?reuse params
     cand_lists =
   let cands = Array.map Array.of_list cand_lists in
@@ -124,7 +111,7 @@ let make_ctx ?(exec = Executor.sequential) ?(cache = true) ?reuse params
     | None -> crossing_pair
     | Some (prev, ok) ->
         fun i j ->
-          if ok.(i) && ok.(j) then mem_sorted prev.neighbors.(i) j
+          if ok.(i) && ok.(j) then Xmatrix.find_slot prev.neighbors.(i) j >= 0
           else crossing_pair i j
   in
   (* Enumerate candidate pairs through the spatial index over the
@@ -155,7 +142,8 @@ let make_ctx ?(exec = Executor.sequential) ?(cache = true) ?reuse params
   (* Sorting the encoded pairs ascending makes the fill below emit every
      row ascending — smaller partners (from pairs where the row is the
      second coordinate, which sort first) before larger ones — the
-     property [mem_sorted] and the ECO diff rely on. *)
+     property the ECO reuse's [Xmatrix.find_slot] and the ECO diff rely
+     on. *)
   Growbuf.sort pairs;
   let deg = Array.make n 0 in
   Growbuf.iter
@@ -417,7 +405,8 @@ module Eval = struct
   let recomputes t = t.recomputes
 end
 
-let polish ?(rounds = 3) ?only ctx choice0 =
+let polish_eval ?(rounds = 3) ?only ev =
+  let ctx = ev.Eval.ctx in
   let n = Array.length ctx.cands in
   (* [only] restricts both the repair scan and the improve loops to the
      given nets (the corridor-stitch fix-up pass); nets outside it are
@@ -427,7 +416,6 @@ let polish ?(rounds = 3) ?only ctx choice0 =
   let scan =
     match only with None -> Array.init n (fun i -> i) | Some ids -> ids
   in
-  let ev = Eval.create ctx choice0 in
   (* Repair: demote offending nets to their electrical fallback until the
      selection is feasible. Electrical candidates have no optical paths
      and no crossings, so this terminates at the all-electrical point. *)
@@ -477,5 +465,9 @@ let polish ?(rounds = 3) ?only ctx choice0 =
           ctx.cands.(i);
         Eval.set ev i !best)
       scan
-  done;
+  done
+
+let polish ?rounds ?only ctx choice0 =
+  let ev = Eval.create ctx choice0 in
+  polish_eval ?rounds ?only ev;
   Eval.choice ev

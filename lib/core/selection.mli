@@ -192,12 +192,15 @@ module Eval : sig
       work metric (a full recompute costs one per net). *)
 end
 
-val polish : ?rounds:int -> ?only:int array -> ctx -> int array -> int array
-(** Local improvement: first repair (nets on violated paths revert to
-    their electrical fallback until feasible), then greedily retry
-    cheaper candidates per net while global feasibility holds. Runs on an
-    incremental {!Eval}, so each trial flip re-evaluates only the flipped
-    net's neighbourhood. The result is always feasible.
+val polish_eval : ?rounds:int -> ?only:int array -> Eval.t -> unit
+(** Local improvement of the evaluator's assignment, in place: first
+    repair (nets on violated paths revert to their electrical fallback
+    until feasible), then [rounds] (default 3) passes that greedily retry
+    cheaper candidates per net while global feasibility holds. Each
+    trial flip re-evaluates only the flipped net's neighbourhood, and
+    losses the evaluator already holds are not derived again, so a
+    caller that has evaluated the assignment pays only for the nets the
+    flips touch. Without [only] the assignment is feasible afterwards.
 
     [only] restricts both passes to the given nets, in the given order —
     no other net is ever flipped, though every net's losses participate
@@ -205,3 +208,8 @@ val polish : ?rounds:int -> ?only:int array -> ctx -> int array -> int array
     partitioned flow: regional solutions are feasible within their
     regions, so repairing the corridor nets alone restores global
     feasibility. *)
+
+val polish : ?rounds:int -> ?only:int array -> ctx -> int array -> int array
+(** {!polish_eval} on a fresh evaluator positioned at the given
+    assignment; returns the polished assignment, which is always
+    feasible. *)

@@ -235,15 +235,14 @@ let assemble cross ~x_first sx sy ~scratch ~counts ~mark ~hot =
   done;
   Array.sub scratch 0 !used
 
-(* Position of [m] in the ascending row [arr], if present. *)
-let find_slot arr m =
-  let lo = ref 0 and hi = ref (Array.length arr) and found = ref None in
-  while Option.is_none !found && !lo < !hi do
+(* The slot of [m] in the ascending neighbour row [row], or -1. *)
+let find_slot row m =
+  let lo = ref 0 and hi = ref (Array.length row) in
+  while !lo < !hi do
     let mid = (!lo + !hi) / 2 in
-    let v = arr.(mid) in
-    if v = m then found := Some mid else if v < m then lo := mid + 1 else hi := mid
+    if row.(mid) < m then lo := mid + 1 else hi := mid
   done;
-  !found
+  if !lo < Array.length row && row.(!lo) = m then !lo else -1
 
 let build ?(exec = Executor.sequential) ?reuse cands neighbors =
   let t0 = Timer.now () in
@@ -281,9 +280,8 @@ let build ?(exec = Executor.sequential) ?reuse cands neighbors =
     match reuse with
     | Some ({ table = Some ptb; _ }, keep) ->
         fun i m ->
-          if keep i m then
-            Option.map (fun k -> ptb.rows.(i).(k)) (find_slot ptb.neighbors.(i) m)
-          else None
+          let k = if keep i m then find_slot ptb.neighbors.(i) m else -1 in
+          if k >= 0 then Some ptb.rows.(i).(k) else None
     | _ -> fun _ _ -> None
   in
   (* The undirected pairs (i, m), i < m, numbered in (net, slot) order.
@@ -378,11 +376,12 @@ let mirror t ~i ~k =
   | Some tb -> tb.mirror.(i).(k)
   | None -> invalid_arg "Xmatrix.mirror: direct matrix"
 
-(* The readers. A table read finds the entry's offset in the row header
+(* The readers. A table read finds an entry's offset in the row header
    and counts one hit; a direct matrix counts the entry's crossings from
-   the geometry and one miss. Zero counts add nothing: every sum they
-   feed starts at (or above) +0.0 and only grows, where adding +0.0
-   changes no bit. *)
+   the geometry and one miss. The row reader makes such a read for every
+   candidate of [i] in a single call, counting one hit or miss per
+   header cell. Zero counts add nothing: every sum they feed starts at
+   (or above) +0.0 and only grows, where adding +0.0 changes no bit. *)
 
 let add_losses t b ~i ~k ~j ~m ~n acc off =
   let paths = t.cands.(i).(j).Candidate.paths in
@@ -404,24 +403,31 @@ let add_losses t b ~i ~k ~j ~m ~n acc off =
         if c > 0 then acc.(off + p) <- acc.(off + p) +. bundled_loss b c
       done
 
-let add_weighted t b ~i ~k ~j ~m ~n w acc idx =
-  let paths = t.cands.(m).(n).Candidate.paths in
+(* Row [(m, i)] holds candidate (m, n)'s entries against every candidate
+   of [i] in one run of header cells, [n * ni] to [n * ni + ni - 1]. *)
+let add_weighted_row t b ~i ~k ~m ~n w acc =
+  let ci = t.cands.(i) in
+  let ni = Array.length ci and paths = t.cands.(m).(n).Candidate.paths in
   match t.table with
   | Some tb ->
-      t.counters.hits <- t.counters.hits + 1;
-      let row = tb.rows.(m).(tb.mirror.(i).(k)) in
-      let e = row.((n * Array.length t.cands.(i)) + j) in
-      if e > 0 then
-        for q = 0 to Array.length paths - 1 do
-          let c = row.(e + q) in
-          if c > 0 then acc.(idx) <- acc.(idx) +. (w.(q) *. bundled_loss b c)
-        done
+      t.counters.hits <- t.counters.hits + ni;
+      let row = tb.rows.(m).(tb.mirror.(i).(k)) and h = n * ni in
+      for j = 0 to ni - 1 do
+        let e = row.(h + j) in
+        if e > 0 then
+          for q = 0 to Array.length paths - 1 do
+            let c = row.(e + q) in
+            if c > 0 then acc.(j) <- acc.(j) +. (w.(q) *. bundled_loss b c)
+          done
+      done
   | None ->
-      t.counters.misses <- t.counters.misses + 1;
-      let other = t.cands.(i).(j).Candidate.opt_segments in
-      for q = 0 to Array.length paths - 1 do
-        let c = Segment.count_crossings paths.(q).Candidate.segments other in
-        if c > 0 then acc.(idx) <- acc.(idx) +. (w.(q) *. bundled_loss b c)
+      t.counters.misses <- t.counters.misses + ni;
+      for j = 0 to ni - 1 do
+        let other = ci.(j).Candidate.opt_segments in
+        for q = 0 to Array.length paths - 1 do
+          let c = Segment.count_crossings paths.(q).Candidate.segments other in
+          if c > 0 then acc.(j) <- acc.(j) +. (w.(q) *. bundled_loss b c)
+        done
       done
 
 let slot_counts t ~i ~k ~j ~m ~n =

@@ -90,13 +90,20 @@ val direct : Candidate.t array array -> t
 
 val enabled : t -> bool
 
+val find_slot : int array -> int -> int
+(** [find_slot row m] is the slot of [m] in the ascending neighbour row
+    [row] (binary search), or [-1] when [m] is not in it. *)
+
 (** {2 Readers}
 
     Every reader addresses a neighbour by its slot: [m] must be
     [neighbors.(i).(k)] of the rows the matrix was built with (a direct
-    matrix ignores [k]). Each call counts exactly one hit (table) or one
-    miss (direct). A count of zero adds nothing, so every sum a reader
-    feeds must start at or above [+0.0]. *)
+    matrix ignores [k]). Every entry read counts exactly one hit (table:
+    one header cell) or one miss (direct: the entry recounted from the
+    geometry); the single-entry readers read one entry per call, the row
+    reader {!add_weighted_row} one per candidate of [i]. A count of zero
+    adds nothing, so every sum a reader feeds must start at or above
+    [+0.0]. *)
 
 type bundled
 (** [Loss.crossing_bundled] of one parameter set, tabulated for small
@@ -111,14 +118,16 @@ val add_losses :
     the optical segments of candidate [(m, n)] onto [acc.(off + p)] — the
     Formula (3c) term [l_x(i,j,m,n,p)]. *)
 
-val add_weighted :
-  t -> bundled -> i:int -> k:int -> j:int -> m:int -> n:int -> float array ->
-  float array -> int -> unit
-(** [add_weighted t b ~i ~k ~j ~m ~n w acc idx] adds the loss candidate
-    [(i, j)] puts on the paths of neighbour candidate [(m, n)], path [q]
-    weighted by [w.(q)]: for each path [q] of [(m, n)] in order,
-    [acc.(idx) <- acc.(idx) +. w.(q) *. loss_q]. Read through [m]'s
-    mirror slot, so the caller addresses it from [i]'s side. *)
+val add_weighted_row :
+  t -> bundled -> i:int -> k:int -> m:int -> n:int -> float array -> float array -> unit
+(** [add_weighted_row t b ~i ~k ~m ~n w acc] adds, for every candidate
+    [j] of net [i], the loss candidate [(i, j)] puts on the paths of
+    neighbour candidate [(m, n)], path [q] weighted by [w.(q)]: for each
+    path [q] of [(m, n)] in order,
+    [acc.(j) <- acc.(j) +. w.(q) *. loss_q]. It reads [m]'s row through
+    the mirror slot, whose header holds [(m, n)]'s entries against all of
+    [i]'s candidates side by side, so the caller addresses it from [i]'s
+    side. One header cell, and one hit or miss, per candidate of [i]. *)
 
 val slot_counts : t -> i:int -> k:int -> j:int -> m:int -> n:int -> int array
 (** The crossings between each optical path of candidate [(i, j)] and

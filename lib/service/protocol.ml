@@ -355,12 +355,18 @@ let opt_num_field json key =
   | Some Json.Null | None -> None
   | Some _ -> invalid "field %S must be a number" key
 
+(* Integers travel as JSON numbers, i.e. doubles. A value is accepted
+   only when an [int] holds it exactly, in [-2^62, 2^62): outside that
+   range [int_of_float] is unspecified. [max_int] itself, 2^62 - 1, has
+   no double; it reads as 2^62 and is rejected. *)
 let opt_int_field json key =
   match opt_num_field json key with
   | None -> None
   | Some v ->
-      if Float.is_integer v then Some (int_of_float v)
-      else invalid "field %S must be an integer" key
+      if not (Float.is_integer v) then invalid "field %S must be an integer" key
+      else if v < Float.of_int min_int || v >= -.Float.of_int min_int then
+        invalid "field %S must be an integer in [-2^62, 2^62) (got %.17g)" key v
+      else Some (int_of_float v)
 
 let bool_field ~default json key =
   match Json.member key json with
@@ -437,11 +443,15 @@ let parse_thermal json =
         | Some v -> v
         | None -> default
       in
+      let at_most key cap v =
+        if v > cap then invalid "field \"thermal.%s\" must be at most %d (got %d)" key cap v
+        else v
+      in
       let th_hotspots =
         match opt_int_field th "hotspots" with
         | Some v when v < 0 ->
             invalid "field \"thermal.hotspots\" must be >= 0 (got %d)" v
-        | Some v -> v
+        | Some v -> at_most "hotspots" Operon_thermal.Thermal_map.max_hotspots v
         | None -> 6
       in
       let pos_float ~default key =
@@ -452,14 +462,17 @@ let parse_thermal json =
         | None -> default
       in
       let th_amplitude =
+        let cap = Operon_thermal.Thermal_map.max_amplitude in
         match opt_num_field th "amplitude" with
-        | Some v when v < 0.0 || not (Float.is_finite v) ->
-            invalid "field \"thermal.amplitude\" must be >= 0 and finite"
+        | Some v when not (v >= 0.0 && v <= cap) ->
+            invalid "field \"thermal.amplitude\" must be in [0, %g] (got %g)" cap v
         | Some v -> v
         | None -> 25.0
       in
       let th_decay = pos_float ~default:0.15 "decay" in
-      let th_grid = pos_int ~default:24 "grid" in
+      let th_grid =
+        at_most "grid" Operon_thermal.Thermal_map.max_grid (pos_int ~default:24 "grid")
+      in
       let th_ambient =
         match opt_num_field th "ambient" with
         | Some v when not (Float.is_finite v) ->

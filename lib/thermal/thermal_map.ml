@@ -44,6 +44,12 @@ let temp_at t p =
 (* Synthetic generator                                                *)
 (* ------------------------------------------------------------------ *)
 
+let max_grid = 1024
+
+let max_hotspots = 256
+
+let max_amplitude = 1000.0
+
 (* Gaussian hotspots: [hotspots] centers drawn uniformly over the die,
    each with a rise in (amplitude/2, amplitude] and a sigma scaled by
    [decay] (fraction of the shorter die dimension). Draw order is fixed
@@ -53,10 +59,15 @@ let synthetic ?(nx = 24) ?(ny = 24) ?(ambient = 45.0) ~hotspots ~amplitude
     ~decay ~die rng =
   if nx <= 0 || ny <= 0 then
     invalid_arg "Thermal_map.synthetic: non-positive grid size";
+  if nx > max_grid || ny > max_grid then
+    invalid_arg "Thermal_map.synthetic: grid size above max_grid";
   if hotspots < 0 then invalid_arg "Thermal_map.synthetic: negative hotspots";
-  if amplitude < 0.0 then
-    invalid_arg "Thermal_map.synthetic: negative amplitude";
-  if decay <= 0.0 then invalid_arg "Thermal_map.synthetic: non-positive decay";
+  if hotspots > max_hotspots then
+    invalid_arg "Thermal_map.synthetic: hotspots above max_hotspots";
+  if not (amplitude >= 0.0 && amplitude <= max_amplitude) then
+    invalid_arg "Thermal_map.synthetic: amplitude outside [0, max_amplitude]";
+  if not (decay > 0.0 && Float.is_finite decay) then
+    invalid_arg "Thermal_map.synthetic: decay not positive and finite";
   let grid = Gridmap.create die ~nx ~ny in
   let t = { grid; ambient } in
   let scale = Float.min (Rect.width die) (Rect.height die) in

@@ -34,6 +34,23 @@ val temp_at : t -> Point.t -> float
 (** Absolute temperature at a point (nearest cell; points outside the
     bounds clamp to the border cells). *)
 
+val max_grid : int
+(** Largest grid resolution per axis {!synthetic} accepts (1024): the
+    generator allocates [nx * ny] cells and evaluates every hotspot in
+    each. Every text input that asks for a synthetic map (the
+    [thermal-map] flags, the served [thermal] spec) is checked against
+    it. *)
+
+val max_hotspots : int
+(** Largest hotspot count {!synthetic} accepts (256). *)
+
+val max_amplitude : float
+(** Largest hotspot amplitude {!synthetic} accepts, degC (1000: silicon
+    melts at 1414 degC). With at most {!max_hotspots} hotspots a cell's
+    rise stays below [max_hotspots * max_amplitude], so a synthetic map
+    with a finite ambient has finite temperatures everywhere, and so
+    finite detuning penalties. *)
+
 val synthetic :
   ?nx:int ->
   ?ny:int ->
@@ -51,8 +68,10 @@ val synthetic :
     draw order is fixed, so one PRNG stream always reproduces the same
     field — the serve path ships generator parameters instead of cell
     values and relies on this. Raises [Invalid_argument] on a
-    non-positive grid size or decay, or a negative hotspot count or
-    amplitude. *)
+    non-positive grid size, a decay that is not positive and finite, a
+    negative hotspot count, an amplitude outside [[0, max_amplitude]]
+    (NaN included), or a grid size or hotspot count above {!max_grid}
+    or {!max_hotspots}. *)
 
 val support : t_ref:float -> t -> Rect.t option
 (** Bounding box of the cells whose absolute temperature differs from

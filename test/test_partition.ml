@@ -322,10 +322,10 @@ let pinned =
         power = 0x4012a5e353f7ced9L;
         path = "lr";
         tracks = 4;
-        cache = (6, 126, 199, 0);
+        cache = (6, 126, 99, 0);
         counters =
           [ ( "select",
-              [ ("iterations", 2); ("demoted", 0); ("cache_hits", 199);
+              [ ("iterations", 2); ("demoted", 0); ("cache_hits", 99);
                 ("cache_misses", 0) ] );
             ( "wdm",
               [ ("connections", 8); ("tracks", 4) ] );
@@ -352,10 +352,10 @@ let pinned =
         power = 0x402e374bc6a7ef9eL;
         path = "lr";
         tracks = 15;
-        cache = (40, 1558, 2203, 0);
+        cache = (40, 1558, 761, 0);
         counters =
           [ ( "select",
-              [ ("iterations", 3); ("demoted", 0); ("cache_hits", 2203);
+              [ ("iterations", 3); ("demoted", 0); ("cache_hits", 761);
                 ("cache_misses", 0) ] );
             ( "wdm",
               [ ("connections", 32); ("tracks", 15) ] );
@@ -382,10 +382,10 @@ let pinned =
         power = 0x40417d6453e94f7eL;
         path = "lr";
         tracks = 22;
-        cache = (210, 2192, 5020, 0);
+        cache = (210, 2192, 2506, 0);
         counters =
           [ ( "select",
-              [ ("iterations", 2); ("demoted", 0); ("cache_hits", 5020);
+              [ ("iterations", 2); ("demoted", 0); ("cache_hits", 2506);
                 ("cache_misses", 0) ] );
             ( "wdm",
               [ ("connections", 53); ("tracks", 22) ] );
@@ -412,7 +412,7 @@ let pinned =
         power = 0x40417d6453e94f7eL;
         path = "lr";
         tracks = 24;
-        cache = (210, 2192, 5020, 0);
+        cache = (210, 2192, 2506, 0);
         counters =
           [ ( "select",
               [ ("iterations", 4); ("demoted", 0) ] );
@@ -440,7 +440,7 @@ let pinned =
         power = 0x402e374bc6a7ef9eL;
         path = "lr";
         tracks = 24;
-        cache = (12, 432, 492, 0);
+        cache = (12, 432, 226, 0);
         counters =
           [ ( "select",
               [ ("iterations", 10); ("demoted", 0) ] );

@@ -478,25 +478,317 @@ let test_lr_pinned () =
         [ 1; 4 ])
     [ ("small", Cases.small ()); ("I1/3", third Cases.i1); ("I4/3", third Cases.i4) ]
 
+(* A random scene: 3 to 7 straight two-pin nets in a 4 x 4 box, each
+   with an optical and an electrical candidate. With [ties], every third
+   net lists its optical candidate twice, so that its two optical
+   candidates tie on every objective. *)
+let random_scene ?(ties = false) seed =
+  let rng = Operon_util.Prng.create seed in
+  let n = 3 + Operon_util.Prng.int rng 5 in
+  Array.init n (fun i ->
+      let a = p (Operon_util.Prng.float rng 4.0) (Operon_util.Prng.float rng 4.0) in
+      let b = p (Operon_util.Prng.float rng 4.0) (Operon_util.Prng.float rng 4.0) in
+      let b = if Point.l2 a b < 0.1 then Point.add b (p 0.5 0.5) else b in
+      let cands = simple_cands ~bits:(1 + Operon_util.Prng.int rng 31) i a b in
+      if ties && i mod 3 = 0 then List.hd cands :: cands else cands)
+
 let prop_engines_feasible_random =
   QCheck.Test.make ~name:"both engines feasible on random scenes" ~count:15
     QCheck.(int_range 0 1000)
     (fun seed ->
-      let rng = Operon_util.Prng.create seed in
-      let n = 3 + Operon_util.Prng.int rng 5 in
-      let nets =
-        Array.init n (fun i ->
-            let a = p (Operon_util.Prng.float rng 4.0) (Operon_util.Prng.float rng 4.0) in
-            let b = p (Operon_util.Prng.float rng 4.0) (Operon_util.Prng.float rng 4.0) in
-            let b = if Point.l2 a b < 0.1 then Point.add b (p 0.5 0.5) else b in
-            simple_cands ~bits:(1 + Operon_util.Prng.int rng 31) i a b)
-      in
-      let ctx = Selection.make_ctx params nets in
+      let ctx = Selection.make_ctx params (random_scene seed) in
       let ilp = Ilp_select.select ~budget_seconds:10.0 ctx in
       let lr = Lr_select.select ctx in
       Selection.feasible ctx ilp.Ilp_select.choice
       && Selection.feasible ctx lr.Lr_select.choice
       && ilp.Ilp_select.power <= Selection.power ctx (Selection.all_electrical ctx) +. 1e-6)
+
+(* The LR selector as it stood before re-selection read only live
+   multipliers: every (net, neighbour, candidate) crossing entry in every
+   iteration, one read per candidate, the final violation and repairs
+   from fresh evaluations. Kept verbatim as the reference of the
+   property below, but for the one reader it used that no longer exists:
+   [add_weighted] is rebuilt from the raw counts of [m]'s row, read
+   through the mirror slot, with the same floating-point operations. *)
+module Dense_lr = struct
+  open Operon_optical
+  open Operon_util
+
+  type result = {
+    choice : int array;
+    power : float;
+    iterations : int;
+    final_violation : float;
+    demoted : int;
+    elapsed : float;
+  }
+
+  let add_weighted xmat params ~i ~k ~j ~m ~n w acc idx =
+    let km = if Xmatrix.enabled xmat then Xmatrix.mirror xmat ~i ~k else 0 in
+    Array.iteri
+      (fun q c ->
+        if c > 0 then acc.(idx) <- acc.(idx) +. (w.(q) *. Loss.crossing_bundled params c))
+      (Xmatrix.slot_counts xmat ~i:m ~k:km ~j:n ~m:i ~n:j)
+
+  let select ?(max_iterations = 10) ?(budget_seconds = 0.0)
+      ?(initial_multiplier_scale = 0.01) ?(step_scale = 0.05)
+      ?(converge_ratio = 0.01) ?initial ctx =
+    let t0 = Timer.now () in
+    let budget = Timer.budget budget_seconds in
+    let l_max = ctx.Selection.params.Params.l_max in
+    let n = Array.length ctx.Selection.cands in
+    let xmat = ctx.Selection.xmat in
+    let thermal = ctx.Selection.thermal in
+    (* One multiplier per (net, candidate, path) — the paths P(Hsol) of
+       Formula (4). Initialised proportional to each net's electrical
+       power, as Algorithm 1 line 1 prescribes. *)
+    let lambda =
+      Array.init n (fun i ->
+          let pe = ctx.Selection.cands.(i).(ctx.Selection.elec_idx.(i)).Candidate.power in
+          Array.map
+            (fun (c : Candidate.t) ->
+              Array.make (Array.length c.Candidate.paths) (initial_multiplier_scale *. pe))
+            ctx.Selection.cands.(i))
+    in
+    (* Warm start (ECO): a sanitized previous selection replaces the greedy
+       start when it is still feasible under this context; an infeasible or
+       unmappable one falls back to the cold start, so warm starting can
+       never degrade below the cold behaviour. *)
+    let start =
+      match Option.map (Selection.sanitize_initial ctx) initial with
+      | Some (Some w) when Selection.feasible ctx w -> w
+      | _ -> Selection.greedy ctx
+    in
+    let choice = ref start in
+    (* Persistent incremental evaluator: across subgradient iterations only
+       the nets whose selection actually flipped (plus their neighbours)
+       get their path losses re-derived. *)
+    let ev = Selection.Eval.create ctx !choice in
+    let prev_power = ref (Selection.power ctx !choice) in
+    let prev_violation = ref infinity in
+    (* The subgradient iterates are not monotone; keep the best feasible
+       selection seen along the way. *)
+    let best_feasible = ref None in
+    let consider feasible candidate =
+      if feasible then begin
+        let obj = Selection.total_objective ctx candidate in
+        match !best_feasible with
+        | Some (best_obj, _) when best_obj <= obj -> ()
+        | _ -> best_feasible := Some (obj, Array.copy candidate)
+      end
+    in
+    (* Re-selection scratch, sized to the largest net: [cross] holds the
+       crossing loss of every path of every candidate of the net under
+       re-selection, candidate [j]'s paths from [base.(i).(j)] on;
+       [foreign.(j)] the multiplier-weighted loss candidate [j] puts on the
+       neighbours' previously selected paths. *)
+    let cands = ctx.Selection.cands and neighbors = ctx.Selection.neighbors in
+    let bundled = ctx.Selection.bundled in
+    let base =
+      Array.map
+        (fun (arr : Candidate.t array) ->
+          let b = Array.make (Array.length arr + 1) 0 in
+          Array.iteri
+            (fun j (c : Candidate.t) -> b.(j + 1) <- b.(j) + Array.length c.Candidate.paths)
+            arr;
+          b)
+        cands
+    in
+    let largest f = Array.fold_left (fun acc x -> Stdlib.max acc (f x)) 0 in
+    let cross = Array.make (largest (fun b -> b.(Array.length b - 1)) base) 0.0 in
+    let foreign = Array.make (largest Array.length cands) 0.0 in
+    let iterations = ref 0 in
+    let converged = ref false in
+    while (not !converged) && !iterations < max_iterations && not (Timer.expired budget) do
+      incr iterations;
+      let prev = Array.copy !choice in
+      (* Candidate re-selection with the relaxed weighted objective, the
+         crossing terms linearized around [prev] (Eq. 5). Neighbours are
+         the outer loop, and one read per (neighbour, candidate) serves
+         all of the candidate's paths; every sum still runs over the
+         neighbours in order from +0.0. *)
+      let next = Array.make n 0 in
+      for i = 0 to n - 1 do
+        let cs = cands.(i) and off = base.(i) in
+        let nc = Array.length cs in
+        Array.fill cross 0 off.(nc) 0.0;
+        Array.fill foreign 0 nc 0.0;
+        let nbrs = neighbors.(i) in
+        for k = 0 to Array.length nbrs - 1 do
+          let m = nbrs.(k) in
+          let sel = prev.(m) in
+          (* Own paths against the neighbour's previous selection (the
+             a'_mn * a_ij half of Eq. 5)... *)
+          for j = 0 to nc - 1 do
+            if off.(j + 1) > off.(j) then
+              Xmatrix.add_losses xmat bundled ~i ~k ~j ~m ~n:sel cross off.(j)
+          done;
+          (* ...and the crossings picking (i, j) adds onto that selection's
+             paths (the a_mn * a'_ij half). *)
+          let w = lambda.(m).(sel) in
+          if Array.length w > 0 then
+            for j = 0 to nc - 1 do
+              add_weighted xmat ctx.Selection.params ~i ~k ~j ~m ~n:sel w foreign j
+            done
+        done;
+        let best = ref 0 and best_w = ref infinity in
+        for j = 0 to nc - 1 do
+          (* Multiplier-weighted loss of the candidate's own paths. *)
+          let paths = cs.(j).Candidate.paths and mult = lambda.(i).(j) in
+          let own = ref 0.0 in
+          for p = 0 to Array.length paths - 1 do
+            let intrinsic = paths.(p).Candidate.intrinsic_loss in
+            let crossing = cross.(off.(j) + p) in
+            let path_loss =
+              match thermal with
+              | None -> intrinsic +. crossing
+              | Some t -> intrinsic +. crossing +. t.Selection.penalty.(i).(j).(p)
+            in
+            own := !own +. (mult.(p) *. path_loss)
+          done;
+          let w = Selection.objective ctx i j +. !own +. foreign.(j) in
+          if w < !best_w then begin
+            best_w := w;
+            best := j
+          end
+        done;
+        next.(i) <- !best
+      done;
+      choice := next;
+      Array.iteri (fun i j -> Selection.Eval.set ev i j) next;
+      (* Subgradient step on every multiplier. A path of the selected
+         candidate sees its actual loss; a path of an unselected candidate
+         has LHS = 0 in constraint (3c), so its subgradient is -l_max and
+         its multiplier decays — without this, an inflated initial
+         multiplier would repel a perfectly feasible candidate forever. *)
+      let step = step_scale /. float_of_int !iterations in
+      let total_violation = ref 0.0 in
+      for i = 0 to n - 1 do
+        let j = next.(i) in
+        let losses = Selection.Eval.losses ev i in
+        Array.iteri
+          (fun j' paths ->
+            Array.iteri
+              (fun p mult ->
+                let v = if j' = j then losses.(p) -. l_max else -.l_max in
+                if v > 0.0 then total_violation := !total_violation +. v;
+                paths.(p) <- Float.max 0.0 (mult +. (step *. v)))
+              paths)
+          lambda.(i)
+      done;
+      (* Track the best answer this iterate yields once its violations are
+         repaired away (repair is a no-op on feasible iterates). *)
+      if !total_violation <= 0.0 then consider (Selection.Eval.feasible ev) next
+      else begin
+        let repaired = Selection.polish ~rounds:0 ctx next in
+        consider (Selection.feasible ctx repaired) repaired
+      end;
+      let power = Selection.total_objective ctx next in
+      let power_stable =
+        Float.abs (power -. !prev_power) <= converge_ratio *. Float.max power 1e-9
+      in
+      let violation_stable =
+        Float.abs (!total_violation -. !prev_violation)
+        <= converge_ratio *. Float.max !total_violation 1e-9
+      in
+      if power_stable && violation_stable then converged := true;
+      prev_power := power;
+      prev_violation := !total_violation
+    done;
+    let final_violation = Float.max 0.0 (Selection.worst_violation ctx !choice) in
+    (* Repair only (rounds=0): any net still on a violated path falls back
+       to electrical wires, as the paper's residual-net handling does. *)
+    let repaired = Selection.polish ~rounds:0 ctx !choice in
+    let demoted =
+      let count = ref 0 in
+      Array.iteri (fun i j -> if j <> !choice.(i) then incr count) repaired;
+      !count
+    in
+    (* Return the better of the final repaired iterate and the best
+       feasible iterate seen during the subgradient loop. *)
+    let repaired =
+      match !best_feasible with
+      | Some (best_obj, best)
+        when best_obj < Selection.total_objective ctx repaired -> best
+      | _ -> repaired
+    in
+    { choice = repaired;
+      power = Selection.power ctx repaired;
+      iterations = !iterations;
+      final_violation;
+      demoted;
+      elapsed = Timer.now () -. t0 }
+end
+
+(* Re-selection that skips every term whose multipliers are all zero is
+   exact: on random scenes (some with tied candidates, some under a
+   budget tight enough that crossings violate it) and on small (at its
+   own budget and at a random tighter one), with every multiplier scale
+   from none to large, several step sizes including none and a negative
+   one, 1 to 10 iterations, with and without a thermal profile at a
+   random weight and a random warm start, on the cached and the direct
+   matrix, the result equals the reference's field for field, floats by
+   their bits. *)
+let small_ctx =
+  lazy
+    (let design = Operon_benchgen.Cases.small () in
+     let _, ctx = Flow.prepare_with (Flow.Config.default params) design in
+     (ctx, design.Signal.die))
+
+let prop_sparse_lr_exact =
+  QCheck.Test.make ~name:"sparse LR = dense LR, bit for bit" ~count:1000
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Operon_util.Prng.create seed in
+      let pick l = List.nth l (Operon_util.Prng.int rng (List.length l)) in
+      let ctx, die =
+        match Operon_util.Prng.int rng 5 with
+        | 0 | 1 ->
+            (* Small's candidates have several paths each; a tight budget
+               violates some paths of a candidate and not others. *)
+            let ctx, die = Lazy.force small_ctx in
+            let own = ctx.Selection.params in
+            let l_max = pick [ own.Params.l_max; 4.0 +. Operon_util.Prng.float rng 16.0 ] in
+            ({ ctx with Selection.params = { own with Params.l_max } }, die)
+        | scene ->
+            let budget = if scene = 3 then conflict_params else params in
+            ( Selection.make_ctx budget (random_scene ~ties:(scene = 4) seed),
+              Rect.make ~xmin:0.0 ~ymin:0.0 ~xmax:5.0 ~ymax:5.0 )
+      in
+      let ctx =
+        if Operon_util.Prng.int rng 2 = 0 then ctx
+        else
+          let map =
+            Operon_thermal.Thermal_map.synthetic ~hotspots:3 ~amplitude:40.0 ~decay:0.2
+              ~die (Operon_util.Prng.create (1 + seed))
+          in
+          Selection.with_thermal ctx (Selection.thermal_profile ctx map)
+            ~weight:(pick [ 0.0; Operon_util.Prng.float rng 3.0 ])
+      in
+      let ctx = if Operon_util.Prng.int rng 2 = 0 then ctx else Selection.uncached ctx in
+      let initial =
+        if Operon_util.Prng.int rng 2 = 0 then None
+        else
+          Some
+            (Array.map
+               (fun cs -> Operon_util.Prng.int rng (Array.length cs + 1) - 1)
+               ctx.Selection.cands)
+      in
+      let initial_multiplier_scale = pick [ 0.0; 1e-6; 0.01; 1.0 ] in
+      let step_scale = pick [ 0.0; 0.01; 0.05; 0.5; -0.05 ] in
+      let max_iterations = 1 + Operon_util.Prng.int rng 10 in
+      let r =
+        Lr_select.select ~max_iterations ~initial_multiplier_scale ~step_scale ?initial ctx
+      in
+      let d =
+        Dense_lr.select ~max_iterations ~initial_multiplier_scale ~step_scale ?initial ctx
+      in
+      let bits = Int64.bits_of_float in
+      r.Lr_select.choice = d.Dense_lr.choice
+      && r.Lr_select.iterations = d.Dense_lr.iterations
+      && r.Lr_select.demoted = d.Dense_lr.demoted
+      && bits r.Lr_select.power = bits d.Dense_lr.power
+      && bits r.Lr_select.final_violation = bits d.Dense_lr.final_violation)
 
 let () =
   Alcotest.run "selection"
@@ -521,4 +813,5 @@ let () =
           Alcotest.test_case "core parity" `Quick test_core_parity;
           Alcotest.test_case "block descent pinned" `Quick test_block_descent_pinned;
           Alcotest.test_case "lr pinned" `Quick test_lr_pinned;
-          QCheck_alcotest.to_alcotest prop_engines_feasible_random ] ) ]
+          QCheck_alcotest.to_alcotest prop_engines_feasible_random;
+          QCheck_alcotest.to_alcotest prop_sparse_lr_exact ] ) ]

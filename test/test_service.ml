@@ -217,6 +217,59 @@ let test_protocol_errors () =
   Alcotest.(check int) "protocol version stamped" Protocol.schema_version
     (int_field "schema_version" (parse (handle svc {|{"op":"stats"}|})))
 
+(* Integer fields hold an [int] exactly or are rejected, and the thermal
+   spec's grid, hotspot count and amplitude are capped at what the map
+   generator accepts. Parse level only: no request here reaches a queue
+   or builds a map. *)
+let test_protocol_bounds () =
+  let verdict line =
+    match Protocol.parse_request line with
+    | Ok _ -> "ok"
+    | Error e -> e.Protocol.err_kind
+  in
+  let submit extra = {|{"op":"submit","case":"tiny",|} ^ extra ^ "}" in
+  let thermal fields = submit ({|"thermal":{|} ^ fields ^ "}") in
+  List.iter
+    (fun (name, line, want) -> Alcotest.(check string) name want (verdict line))
+    [ ("seed 1e300", submit {|"seed":1e300|}, "validation");
+      ("seed 2^62", submit {|"seed":4611686018427387904|}, "validation");
+      ("seed max_int rounds to 2^62", submit {|"seed":4611686018427387903|}, "validation");
+      ("seed 2^62 - 512", submit {|"seed":4611686018427387392|}, "ok");
+      ("priority 1e300", submit {|"priority":1e300|}, "validation");
+      ("priority -1e300", submit {|"priority":-1e300|}, "validation");
+      ("priority min_int", submit {|"priority":-4611686018427387904|}, "ok");
+      ("mutate.seed 1e19", submit {|"mutate":{"ratio":0.1,"seed":1e19}|}, "validation");
+      ("resubmit priority 1e300",
+       {|{"op":"resubmit","parent_job":"a","priority":1e300}|}, "validation");
+      ("hotspots -1e300", thermal {|"hotspots":-1e300|}, "validation");
+      ("hotspots 1e300", thermal {|"hotspots":1e300|}, "validation");
+      ("hotspots cap", thermal (Printf.sprintf {|"hotspots":%d|}
+                                  Operon_thermal.Thermal_map.max_hotspots), "ok");
+      ("hotspots above cap", thermal (Printf.sprintf {|"hotspots":%d|}
+                                        (Operon_thermal.Thermal_map.max_hotspots + 1)),
+       "validation");
+      ("grid 100000", thermal {|"grid":100000|}, "validation");
+      ("grid cap", thermal (Printf.sprintf {|"grid":%d|} Operon_thermal.Thermal_map.max_grid),
+       "ok");
+      ("grid above cap", thermal (Printf.sprintf {|"grid":%d|}
+                                    (Operon_thermal.Thermal_map.max_grid + 1)),
+       "validation");
+      ("map_seed 1e300", thermal {|"map_seed":1e300|}, "validation");
+      ("amplitude cap", thermal {|"amplitude":1000|}, "ok");
+      ("amplitude above cap", thermal {|"amplitude":1000.5|}, "validation");
+      ("amplitude 1e308", thermal {|"amplitude":1e308,"hotspots":2|}, "validation") ];
+  (* The detail names the field and the range the check enforces, and
+     prints the rejected value in full. *)
+  match Protocol.parse_request (submit {|"seed":4611686018427387903|}) with
+  | Error e ->
+      let d = e.Protocol.err_detail in
+      Alcotest.(check bool) "one-line detail" false (String.contains d '\n');
+      List.iter
+        (fun part ->
+          Alcotest.(check bool) ("detail has " ^ part) true (find_sub d part <> None))
+        [ {|"seed"|}; "[-2^62, 2^62)"; "4.6116860184273879e+18" ]
+  | Ok _ -> Alcotest.fail "seed max_int accepted"
+
 (* ------------------------------------------------------------------ *)
 (* Registry eviction vs. held entry locks                              *)
 (* ------------------------------------------------------------------ *)
@@ -321,7 +374,8 @@ let () =
         [ Alcotest.test_case "cancel + deadline leave pool serving" `Quick
             test_cancel_and_deadline ] );
       ( "protocol",
-        [ Alcotest.test_case "error envelopes" `Quick test_protocol_errors ] );
+        [ Alcotest.test_case "error envelopes" `Quick test_protocol_errors;
+          Alcotest.test_case "integer and thermal bounds" `Quick test_protocol_bounds ] );
       ( "registry",
         [ QCheck_alcotest.to_alcotest prop_locked_entry_survives_eviction ] );
       ( "stats",

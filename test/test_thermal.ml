@@ -56,6 +56,31 @@ let test_synthetic_deterministic () =
     "different seed, different field" false
     (Thermal_map.to_string (synth ()) = Thermal_map.to_string (synth ~seed:2 ()))
 
+(* The generator's caps bound every cell it writes: the largest
+   amplitude and hotspot count give finite cells, and anything past a
+   cap (or a NaN or infinite amplitude or decay) is refused before any
+   cell is allocated. *)
+let test_synthetic_bounds () =
+  let gen ?(n = 4) ?(hotspots = 3) ?(amplitude = 30.0) ?(decay = 0.2) () =
+    Thermal_map.synthetic ~nx:n ~ny:n ~hotspots ~amplitude ~decay ~die (Prng.create 1)
+  in
+  let m = gen ~hotspots:Thermal_map.max_hotspots ~amplitude:Thermal_map.max_amplitude () in
+  Alcotest.(check bool) "largest field is finite" true
+    (Float.is_finite (Thermal_map.peak m));
+  List.iter
+    (fun (name, f) ->
+      match f () with
+      | _ -> Alcotest.failf "%s accepted" name
+      | exception Invalid_argument _ -> ())
+    [ ("amplitude above cap", fun () -> gen ~amplitude:(Thermal_map.max_amplitude *. 1.5) ());
+      ("amplitude 1e308", fun () -> gen ~amplitude:1e308 ());
+      ("amplitude inf", fun () -> gen ~amplitude:infinity ());
+      ("amplitude nan", fun () -> gen ~amplitude:nan ());
+      ("decay nan", fun () -> gen ~decay:nan ());
+      ("decay inf", fun () -> gen ~decay:infinity ());
+      ("hotspots above cap", fun () -> gen ~hotspots:(Thermal_map.max_hotspots + 1) ());
+      ("grid above cap", fun () -> gen ~n:(Thermal_map.max_grid + 1) ()) ]
+
 let expect_error name text fragment =
   match Thermal_map.of_string text with
   | Ok _ -> Alcotest.failf "%s: malformed map accepted" name
@@ -358,6 +383,7 @@ let () =
         [ Alcotest.test_case "round trip" `Quick test_roundtrip;
           Alcotest.test_case "save/load" `Quick test_save_load;
           Alcotest.test_case "deterministic" `Quick test_synthetic_deterministic;
+          Alcotest.test_case "synthetic bounds" `Quick test_synthetic_bounds;
           Alcotest.test_case "of_string errors" `Quick test_of_string_errors;
           Alcotest.test_case "huge grid header" `Quick test_huge_grid;
           QCheck_alcotest.to_alcotest prop_roundtrip;

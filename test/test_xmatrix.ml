@@ -46,24 +46,25 @@ let crossing_pair () =
 (* Every entry of a matrix, read through each reader, against the raw
    geometry: [slot_counts] equals [Segment.count_crossings] of each path
    against the other candidate's optical segments, [add_losses] adds
-   exactly each path's bundled loss at the given offset, and
-   [add_weighted] under a unit weight adds exactly the bundled loss that
-   (i, j) puts on the weighted path of (m, n). Each read counts one hit
-   (table) or one miss (direct) and nothing else; on a table every
-   mirror slot points back and [stats.entries] is the number of entries
-   with a non-zero count. *)
+   exactly each path's bundled loss at the given offset, and, per
+   neighbour candidate (m, n), [add_weighted_row] under a unit weight on
+   path [q] adds to every (i, j)'s cell exactly the bundled loss (i, j)
+   puts on that path of (m, n). Each entry read counts one hit (table)
+   or one miss (direct) and nothing else; on a table every mirror slot
+   points back and [stats.entries] is the number of entries with a
+   non-zero count. *)
 let check_rows xmat (ctx : Selection.ctx) =
   let cached = Xmatrix.enabled xmat in
   let bundled = ctx.Selection.bundled in
   let loss = Loss.crossing_bundled ctx.Selection.params in
   let ok = ref true and nonzero = ref 0 in
-  let read f =
+  let read ?(cells = 1) f =
     let s0 = Xmatrix.stats xmat in
     let r = f () in
     let s1 = Xmatrix.stats xmat in
     let want =
-      if cached then (s0.Xmatrix.hits + 1, s0.Xmatrix.misses)
-      else (s0.Xmatrix.hits, s0.Xmatrix.misses + 1)
+      if cached then (s0.Xmatrix.hits + cells, s0.Xmatrix.misses)
+      else (s0.Xmatrix.hits, s0.Xmatrix.misses + cells)
     in
     if (s1.Xmatrix.hits, s1.Xmatrix.misses) <> want then ok := false;
     r
@@ -76,33 +77,37 @@ let check_rows xmat (ctx : Selection.ctx) =
   in
   Array.iteri
     (fun i ms ->
+      let ci = ctx.Selection.cands.(i) in
+      let ni = Array.length ci in
       Array.iteri
         (fun k m ->
           if cached && ctx.Selection.neighbors.(m).(Xmatrix.mirror xmat ~i ~k) <> i then
             ok := false;
           Array.iteri
-            (fun j (c : Candidate.t) ->
+            (fun n (other : Candidate.t) ->
+              let own = Array.map (fun c -> crossings c other) ci in
               Array.iteri
-                (fun n (other : Candidate.t) ->
-                  let own = crossings c other and foreign = crossings other c in
-                  if Array.exists (fun x -> x > 0) own then incr nonzero;
-                  if read (fun () -> Xmatrix.slot_counts xmat ~i ~k ~j ~m ~n) <> own then
+                (fun j counts ->
+                  if Array.exists (fun x -> x > 0) counts then incr nonzero;
+                  if read (fun () -> Xmatrix.slot_counts xmat ~i ~k ~j ~m ~n) <> counts then
                     ok := false;
-                  let acc = Array.make (Array.length own + 1) 0.0 in
+                  let acc = Array.make (Array.length counts + 1) 0.0 in
                   read (fun () -> Xmatrix.add_losses xmat bundled ~i ~k ~j ~m ~n acc 1);
-                  if acc <> Array.append [| 0.0 |] (Array.map loss own) then ok := false;
-                  Array.iteri
-                    (fun q count ->
-                      let w =
-                        Array.init (Array.length foreign) (fun x -> if x = q then 1.0 else 0.0)
-                      in
-                      let acc = [| 0.0; 0.0 |] in
-                      read (fun () ->
-                          Xmatrix.add_weighted xmat bundled ~i ~k ~j ~m ~n w acc 1);
-                      if acc <> [| 0.0; loss count |] then ok := false)
-                    foreign)
-                ctx.Selection.cands.(m))
-            ctx.Selection.cands.(i))
+                  if acc <> Array.append [| 0.0 |] (Array.map loss counts) then ok := false)
+                own;
+              let foreign = Array.map (fun c -> crossings other c) ci in
+              Array.iteri
+                (fun q _ ->
+                  let w =
+                    Array.init (Array.length other.Candidate.paths) (fun x ->
+                        if x = q then 1.0 else 0.0)
+                  in
+                  let acc = Array.make ni 0.0 in
+                  read ~cells:ni (fun () ->
+                      Xmatrix.add_weighted_row xmat bundled ~i ~k ~m ~n w acc);
+                  if acc <> Array.map (fun counts -> loss counts.(q)) foreign then ok := false)
+                other.Candidate.paths)
+            ctx.Selection.cands.(m))
         ms)
     ctx.Selection.neighbors;
   let entries = (Xmatrix.stats xmat).Xmatrix.entries in
