@@ -531,7 +531,8 @@ let thermal_map_cmd =
   in
   let ambient_arg =
     Arg.(value & opt float 45.0
-         & info [ "ambient" ] ~docv:"DEGC" ~doc:"Ambient temperature, degC.")
+         & info [ "ambient" ] ~docv:"DEGC"
+             ~doc:"Ambient temperature, degC, within [-1414, 1414].")
   in
   let map_seed_arg =
     Arg.(value & opt int 1
@@ -558,8 +559,9 @@ let thermal_map_cmd =
     if grid > Operon_thermal.Thermal_map.max_grid then
       fail_usage "--grid must be at most %d (got %d)" Operon_thermal.Thermal_map.max_grid
         grid;
-    if not (Float.is_finite ambient) then
-      fail_usage "--ambient must be finite (got %g)" ambient;
+    if not (Float.abs ambient <= Operon_thermal.Thermal_map.max_ambient) then
+      fail_usage "--ambient must be in [-%g, %g] (got %g)"
+        Operon_thermal.Thermal_map.max_ambient Operon_thermal.Thermal_map.max_ambient ambient;
     if map_seed <= 0 then
       fail_usage "--map-seed must be positive (got %d)" map_seed;
     with_design case seed (fun design ->

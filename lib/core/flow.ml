@@ -46,6 +46,9 @@ module Config = struct
       ?(injections = []) ?(cache = true) ?(seed = 42)
       ?(solver_core = Operon_solver.Solver.Sparse) ?thermal
       ?(partition = Off) params =
+    (match Operon_optical.Params.validate params with
+     | Ok () -> ()
+     | Error msg -> invalid_arg ("Config.make: " ^ msg));
     { params; processing; mode; ilp_budget; max_cands_per_net; jobs; strict;
       injections; cache; seed; solver_core; thermal; partition }
 

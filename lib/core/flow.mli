@@ -119,7 +119,9 @@ module Config : sig
     ?partition:partition ->
     Params.t ->
     t
-  (** Labelled constructor over the same defaults as {!default}. *)
+  (** Labelled constructor over the same defaults as {!default}. Raises
+      [Invalid_argument] with {!Operon_optical.Params.validate}'s message
+      when the parameters fail it. *)
 
   val with_jobs : int -> t -> t
   val with_cache : bool -> t -> t

@@ -16,14 +16,21 @@ type stats = {
    reads the matrix. *)
 type counters = { mutable hits : int; mutable misses : int }
 
+(* The rows of one net, packed into one byte block. Row [k] (net i
+   against its k-th neighbour m = neighbors.(i).(k)) starts at byte
+   [start.(k)] of [bytes]; rows follow each other in slot order and
+   [start.(deg)] is the block's length. A row is a header of [ni * nm]
+   cells (ni, nm the two candidate counts), [ow] bytes each, then its
+   counts, [cw] bytes each. Header cell [j * nm + n] holds 0 when every
+   count of candidate (i, j) against candidate (m, n) is zero, and
+   otherwise 1 + the index among the row's counts of that entry's first
+   count; the entry has one count per optical path of (i, j). Values are
+   unsigned little-endian, and [ow] and [cw] are the narrowest of 1, 2, 4
+   and 8 bytes that hold the net's largest header value and count. *)
+type block = { bytes : Bytes.t; start : int array; ow : int; cw : int }
+
 type table = {
-  (* rows.(i).(k): every candidate pair of net i against its k-th
-     neighbour m = neighbors.(i).(k), in one array. The first
-     [ni * nm] cells are a header (ni, nm the two candidate counts): cell
-     [j * nm + n] holds the offset within the row of the per-path counts
-     of candidate (i, j) against candidate (m, n), or 0 when every one of
-     those counts is zero. The non-zero entries follow the header. *)
-  rows : int array array array;
+  blocks : block array;  (* blocks.(i): every row of net i *)
   mirror : int array array;  (* mirror.(i).(k): the slot of i in neighbors.(m) *)
   neighbors : int array array;  (* the ascending rows the table was built over *)
   pairs : int;
@@ -169,19 +176,54 @@ let crossings_of si sm =
   done;
   Array.sub !buf 0 !len
 
-(* The row of net [sx] against its neighbour [sy] (layout at [table]),
-   assembled into [scratch] and cut from it in one copy. [x_first] says
-   whether [sx] is the first net of the pair [cross] was listed for; the
-   row of the second net reads the same list transposed, which is exact
-   because [Segment.crosses_properly] is symmetric. For each candidate
-   (y, n), its optical edges are marked in [mark], and each crossing adds
-   one to the count of its x-edge in [counts] when its y-edge is marked.
-   A path's count is then the sum over its edges, which equals
-   [Segment.count_crossings] of the path's segments against n's optical
-   segments. [hot.(a)] records whether any edge of slot [a] crosses n;
-   candidates of a slot without any are skipped. Entries are appended in
-   (n, j) order after the header. *)
-let assemble cross ~x_first sx sy ~scratch ~counts ~mark ~hot =
+(* Fixed-width unsigned little-endian values in a block. A setter keeps
+   the low [8 * w] bits of its value; [width v] bytes keep all of them. *)
+let width v =
+  if v < 0x100 then 1 else if v < 0x10000 then 2 else if v < 0x1_0000_0000 then 4 else 8
+
+let[@inline] get32 b pos = Bytes.get_uint16_le b pos lor (Bytes.get_uint16_le b (pos + 2) lsl 16)
+
+let[@inline] get b w pos =
+  if w = 1 then Bytes.get_uint8 b pos
+  else if w = 2 then Bytes.get_uint16_le b pos
+  else if w = 4 then get32 b pos
+  else get32 b pos lor (get32 b (pos + 4) lsl 32)
+
+let set32 b pos v =
+  Bytes.set_uint16_le b pos v;
+  Bytes.set_uint16_le b (pos + 2) (v lsr 16)
+
+let set b w pos v =
+  if w = 1 then Bytes.set_uint8 b pos v
+  else if w = 2 then Bytes.set_uint16_le b pos v
+  else if w = 4 then set32 b pos v
+  else begin
+    set32 b pos v;
+    set32 b (pos + 4) (v lsr 32)
+  end
+
+(* The byte at which the counts of the entry with header value [e] start,
+   in the row of [header] cells at byte [row] of [blk]. *)
+let[@inline] counts_at blk row header e = row + (header * blk.ow) + ((e - 1) * blk.cw)
+
+(* What a net's rows hold so far: entries with a non-zero count, the
+   largest header value and the largest count. *)
+type tally = { mutable entries : int; mutable top : int; mutable peak : int }
+
+(* The row of net [sx] against its neighbour [sy] (layout at [block]),
+   assembled into [scratch] as one int per cell; returns the number of
+   cells used. [x_first] says whether [sx] is the first net of the pair
+   [cross] was listed for; the row of the second net reads the same list
+   transposed, which is exact because [Segment.crosses_properly] is
+   symmetric. For each candidate (y, n), its optical edges are marked in
+   [mark], and each crossing adds one to the count of its x-edge in
+   [counts] when its y-edge is marked. A path's count is then the sum over
+   its edges, which equals [Segment.count_crossings] of the path's
+   segments against n's optical segments. [hot.(a)] records whether any
+   edge of slot [a] crosses n; candidates of a slot without any are
+   skipped. Entries are appended in (n, j) order after the header, and
+   each one is added to [tally]. *)
+let assemble cross ~x_first sx sy ~scratch ~counts ~mark ~hot ~tally =
   let nx = Array.length sx.slot and ny = Array.length sy.slot in
   let header = nx * ny in
   Array.fill scratch 0 header 0;
@@ -210,18 +252,22 @@ let assemble cross ~x_first sx sy ~scratch ~counts ~mark ~hot =
       for j = 0 to nx - 1 do
         let a = sx.slot.(j) and paths = sx.path_edges.(j) in
         if hot.(a) && Array.length paths > 0 then begin
-          let start = !used and nonzero = ref false in
+          let start = !used and peak = ref 0 in
           for p = 0 to Array.length paths - 1 do
             let edges = paths.(p) and total = ref 0 in
             for e = 0 to Array.length edges - 1 do
               total := !total + counts.(edges.(e))
             done;
-            if !total > 0 then nonzero := true;
+            if !total > !peak then peak := !total;
             scratch.(start + p) <- !total
           done;
-          if !nonzero then begin
-            scratch.((j * ny) + n) <- start;
-            used := start + Array.length paths
+          if !peak > 0 then begin
+            let v = start - header + 1 in
+            scratch.((j * ny) + n) <- v;
+            used := start + Array.length paths;
+            tally.entries <- tally.entries + 1;
+            tally.top <- Int.max tally.top v;
+            tally.peak <- Int.max tally.peak !peak
           end
         end
       done;
@@ -233,7 +279,88 @@ let assemble cross ~x_first sx sy ~scratch ~counts ~mark ~hot =
       done
     end
   done;
-  Array.sub scratch 0 !used
+  !used
+
+(* Row [k] of [blk], a row of [header] cells, decoded into [scratch] like
+   a fresh assembly (ECO reuse), its entries added to [tally]; returns the
+   number of cells. *)
+let decode blk k ~header ~scratch ~tally =
+  let row = blk.start.(k) in
+  let data = counts_at blk row header 1 in
+  let len = (blk.start.(k + 1) - data) / blk.cw in
+  for h = 0 to header - 1 do
+    let v = get blk.bytes blk.ow (row + (h * blk.ow)) in
+    scratch.(h) <- v;
+    if v > 0 then begin
+      tally.entries <- tally.entries + 1;
+      tally.top <- Int.max tally.top v
+    end
+  done;
+  for c = 0 to len - 1 do
+    let v = get blk.bytes blk.cw (data + (c * blk.cw)) in
+    scratch.(header + c) <- v;
+    tally.peak <- Int.max tally.peak v
+  done;
+  header + len
+
+(* A net's block under construction: rows [0, k) written into [buf] at
+   widths [ow] and [cw], [start.(k)] bytes used; row [r] has [headers.(r)]
+   header cells. *)
+type writer = {
+  mutable buf : Bytes.t;
+  mutable ow : int;
+  mutable cw : int;
+  start : int array;
+  headers : int array;
+}
+
+(* Re-encode rows [0, k) at the wider widths [ow] and [cw]. Header values
+   are count indices, so no value changes, only its width. *)
+let widen wr k ~ow ~cw =
+  let cells r = (wr.start.(r + 1) - wr.start.(r) - (wr.headers.(r) * wr.ow)) / wr.cw in
+  let size = ref 0 in
+  for r = 0 to k - 1 do
+    size := !size + (wr.headers.(r) * ow) + (cells r * cw)
+  done;
+  let dst = Bytes.create (Int.max (2 * !size) (Bytes.length wr.buf)) in
+  let pos = ref 0 in
+  for r = 0 to k - 1 do
+    let src = wr.start.(r) and header = wr.headers.(r) and len = cells r in
+    for h = 0 to header - 1 do
+      set dst ow (!pos + (h * ow)) (get wr.buf wr.ow (src + (h * wr.ow)))
+    done;
+    let from = src + (header * wr.ow) and into = !pos + (header * ow) in
+    for c = 0 to len - 1 do
+      set dst cw (into + (c * cw)) (get wr.buf wr.cw (from + (c * wr.cw)))
+    done;
+    wr.start.(r) <- !pos;
+    pos := into + (len * cw)
+  done;
+  wr.start.(k) <- !pos;
+  wr.buf <- dst;
+  wr.ow <- ow;
+  wr.cw <- cw
+
+(* Append row [k], [used] cells of [scratch] of which [headers.(k)] are
+   header cells, widening the block first when [tally] outgrew it. *)
+let put wr k scratch used tally =
+  let ow = Int.max wr.ow (width tally.top) and cw = Int.max wr.cw (width tally.peak) in
+  if ow <> wr.ow || cw <> wr.cw then widen wr k ~ow ~cw;
+  let header = wr.headers.(k) and pos = wr.start.(k) in
+  let into = pos + (header * ow) in
+  let fin = into + ((used - header) * cw) in
+  if fin > Bytes.length wr.buf then begin
+    let grown = Bytes.create (Int.max fin (2 * Bytes.length wr.buf)) in
+    Bytes.blit wr.buf 0 grown 0 pos;
+    wr.buf <- grown
+  end;
+  for h = 0 to header - 1 do
+    set wr.buf ow (pos + (h * ow)) scratch.(h)
+  done;
+  for c = header to used - 1 do
+    set wr.buf cw (into + ((c - header) * cw)) scratch.(c)
+  done;
+  wr.start.(k + 1) <- fin
 
 (* The slot of [m] in the ascending neighbour row [row], or -1. *)
 let find_slot row m =
@@ -271,17 +398,16 @@ let build ?(exec = Executor.sequential) ?reuse cands neighbors =
   Array.iteri (fun m ms -> if cursor.(m) <> Array.length ms then malformed ()) neighbors;
   (* ECO row sharing: a pair (i, m) whose two candidate arrays were
      carried over unchanged has bit-identical crossing geometry, so the
-     previous table's rows (immutable arrays, safe to alias) are the rows
-     a fresh build would produce. [keep] is symmetric, so a kept pair
-     reuses both of its rows; pairs absent from the previous adjacency,
-     or involving any recomputed net, are built from the geometry as
-     usual. *)
+     previous table's rows are the rows a fresh build would produce.
+     [keep] is symmetric, so a kept pair reuses both of its rows; pairs
+     absent from the previous adjacency, or involving any recomputed net,
+     are built from the geometry as usual. *)
   let prev_row =
     match reuse with
     | Some ({ table = Some ptb; _ }, keep) ->
         fun i m ->
           let k = if keep i m then find_slot ptb.neighbors.(i) m else -1 in
-          if k >= 0 then Some ptb.rows.(i).(k) else None
+          if k >= 0 then Some (ptb.blocks.(i), k) else None
     | _ -> fun _ _ -> None
   in
   (* The undirected pairs (i, m), i < m, numbered in (net, slot) order.
@@ -315,55 +441,60 @@ let build ?(exec = Executor.sequential) ?reuse cands neighbors =
         if Option.is_some (prev_row i m) then [||] else crossings_of shapes.(i) shapes.(m))
       pair_net
   in
-  (* One task per net: its rows in slot order, both directions of a pair
-     reading the pair's one crossing list. Building a net's rows together
-     keeps them together in memory, in the order the selection engines
-     walk them; building both rows of a pair in one task scattered them
-     and slowed the ILP's reads. The scratch arrays belong to the task,
-     sized for its largest row. *)
-  let rows =
+  (* One task per net: its block, both directions of a pair reading the
+     pair's one crossing list. Each row is assembled into the task's int
+     scratch, sized for its largest row, and written into the block at
+     the widths the net's values so far need; a value too wide for them
+     re-encodes the rows already written. The block is cut from the
+     task's buffer in one copy. A net's rows sit together, in the order
+     the selection engines walk them. *)
+  let built =
     Executor.parallel_mapi exec
       (fun i ms ->
         let si = shapes.(i) in
+        let ni = Array.length si.slot in
         let paths = Array.fold_left (fun acc ps -> acc + Array.length ps) 0 si.path_edges in
         let widest f = Array.fold_left (fun acc m -> Int.max acc (f shapes.(m))) 0 ms in
-        let scratch =
-          Array.make ((Array.length si.slot + paths) * widest (fun s -> Array.length s.slot)) 0
-        in
+        let scratch = Array.make ((ni + paths) * widest (fun s -> Array.length s.slot)) 0 in
         let counts = Array.make (Array.length si.segs) 0 in
         let mark = Array.make (widest (fun s -> Array.length s.segs)) 0 in
         let hot = Array.make (Array.length si.first) false in
-        Array.mapi
+        let headers = Array.map (fun m -> ni * Array.length cands.(m)) ms in
+        let wr =
+          { buf = Bytes.create (Int.max 16 (2 * Array.fold_left ( + ) 0 headers));
+            ow = 1;
+            cw = 1;
+            start = Array.make (Array.length ms + 1) 0;
+            headers }
+        in
+        let tally = { entries = 0; top = 0; peak = 0 } and reused = ref 0 in
+        Array.iteri
           (fun k m ->
-            match prev_row i m with
-            | Some row -> row
-            | None ->
-                assemble crossings.(pair_of i k) ~x_first:(i < m) si shapes.(m) ~scratch
-                  ~counts ~mark ~hot)
-          ms)
+            let used =
+              match prev_row i m with
+              | Some (blk, pk) ->
+                  incr reused;
+                  decode blk pk ~header:headers.(k) ~scratch ~tally
+              | None ->
+                  assemble crossings.(pair_of i k) ~x_first:(i < m) si shapes.(m) ~scratch
+                    ~counts ~mark ~hot ~tally
+            in
+            put wr k scratch used tally)
+          ms;
+        let size = wr.start.(Array.length ms) in
+        let bytes = if size = Bytes.length wr.buf then wr.buf else Bytes.sub wr.buf 0 size in
+        ({ bytes; start = wr.start; ow = wr.ow; cw = wr.cw }, tally.entries, !reused))
       neighbors
   in
-  let entries = ref 0 and reused = ref 0 in
-  Array.iteri
-    (fun i ms ->
-      Array.iteri
-        (fun k m ->
-          let row = rows.(i).(k) in
-          if Option.is_some (prev_row i m) then incr reused;
-          for h = 0 to (Array.length cands.(i) * Array.length cands.(m)) - 1 do
-            if row.(h) > 0 then incr entries
-          done)
-        ms)
-    neighbors;
   { cands;
     table =
       Some
-        { rows;
+        { blocks = Array.map (fun (blk, _, _) -> blk) built;
           mirror;
           neighbors;
           pairs = 2 * pair_base.(n);
-          entries = !entries;
-          reused = !reused;
+          entries = Array.fold_left (fun acc (_, e, _) -> acc + e) 0 built;
+          reused = Array.fold_left (fun acc (_, _, r) -> acc + r) 0 built;
           build_seconds = Timer.now () -. t0 };
     counters = { hits = 0; misses = 0 } }
 
@@ -376,9 +507,9 @@ let mirror t ~i ~k =
   | Some tb -> tb.mirror.(i).(k)
   | None -> invalid_arg "Xmatrix.mirror: direct matrix"
 
-(* The readers. A table read finds an entry's offset in the row header
-   and counts one hit; a direct matrix counts the entry's crossings from
-   the geometry and one miss. The row reader makes such a read for every
+(* The readers. A table read finds an entry's header cell in its row and
+   counts one hit; a direct matrix counts the entry's crossings from the
+   geometry and one miss. The row reader makes such a read for every
    candidate of [i] in a single call, counting one hit or miss per
    header cell. Zero counts add nothing: every sum they feed starts at
    (or above) +0.0 and only grows, where adding +0.0 changes no bit. *)
@@ -388,13 +519,16 @@ let add_losses t b ~i ~k ~j ~m ~n acc off =
   match t.table with
   | Some tb ->
       t.counters.hits <- t.counters.hits + 1;
-      let row = tb.rows.(i).(k) in
-      let e = row.((j * Array.length t.cands.(m)) + n) in
-      if e > 0 then
+      let blk = tb.blocks.(i) in
+      let nm = Array.length t.cands.(m) and row = blk.start.(k) in
+      let e = get blk.bytes blk.ow (row + (((j * nm) + n) * blk.ow)) in
+      if e > 0 then begin
+        let at = counts_at blk row (Array.length t.cands.(i) * nm) e in
         for p = 0 to Array.length paths - 1 do
-          let c = row.(e + p) in
+          let c = get blk.bytes blk.cw (at + (p * blk.cw)) in
           if c > 0 then acc.(off + p) <- acc.(off + p) +. bundled_loss b c
         done
+      end
   | None ->
       t.counters.misses <- t.counters.misses + 1;
       let other = t.cands.(m).(n).Candidate.opt_segments in
@@ -411,14 +545,18 @@ let add_weighted_row t b ~i ~k ~m ~n w acc =
   match t.table with
   | Some tb ->
       t.counters.hits <- t.counters.hits + ni;
-      let row = tb.rows.(m).(tb.mirror.(i).(k)) and h = n * ni in
+      let blk = tb.blocks.(m) in
+      let ow = blk.ow and cw = blk.cw and row = blk.start.(tb.mirror.(i).(k)) in
+      let h = row + (n * ni * ow) and header = Array.length t.cands.(m) * ni in
       for j = 0 to ni - 1 do
-        let e = row.(h + j) in
-        if e > 0 then
+        let e = get blk.bytes ow (h + (j * ow)) in
+        if e > 0 then begin
+          let at = counts_at blk row header e in
           for q = 0 to Array.length paths - 1 do
-            let c = row.(e + q) in
+            let c = get blk.bytes cw (at + (q * cw)) in
             if c > 0 then acc.(j) <- acc.(j) +. (w.(q) *. bundled_loss b c)
           done
+        end
       done
   | None ->
       t.counters.misses <- t.counters.misses + ni;
@@ -435,9 +573,17 @@ let slot_counts t ~i ~k ~j ~m ~n =
   match t.table with
   | Some tb ->
       t.counters.hits <- t.counters.hits + 1;
-      let row = tb.rows.(i).(k) in
-      let e = row.((j * Array.length t.cands.(m)) + n) in
-      if e > 0 then Array.sub row e np else Array.make np 0
+      let blk = tb.blocks.(i) in
+      let nm = Array.length t.cands.(m) and row = blk.start.(k) in
+      let e = get blk.bytes blk.ow (row + (((j * nm) + n) * blk.ow)) in
+      let counts = Array.make np 0 in
+      if e > 0 then begin
+        let at = counts_at blk row (Array.length t.cands.(i) * nm) e in
+        for p = 0 to np - 1 do
+          counts.(p) <- get blk.bytes blk.cw (at + (p * blk.cw))
+        done
+      end;
+      counts
   | None ->
       t.counters.misses <- t.counters.misses + 1;
       compute_counts t.cands i j m n

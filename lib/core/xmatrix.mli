@@ -11,14 +11,18 @@
     crossing counts between every candidate pair are precomputed
     (Domain-parallel via {!Operon_util.Executor}).
 
-    Each directed pair [(i, m)] is stored as one contiguous [int array]:
-    a header with one cell per candidate pair holding the offset of that
-    entry's per-path counts in the same array ([0] when every count is
-    zero), followed by the non-zero entries. Each pair also records its
-    mirror slot, the slot of [i] in [m]'s neighbour row. The layout is
-    private: consumers address an entry by net, neighbour slot and the two
-    candidates, and a reader adds that entry's losses into a float array
-    the consumer owns.
+    Each net's rows are packed into one byte block, in slot order, with
+    a table of where each row starts. Row [(i, m)] is a header with one
+    cell per candidate pair, holding [0] when every count of that entry is
+    zero and otherwise where the entry's per-path counts start among the
+    row's counts, followed by the non-zero entries' counts. Header cells
+    and counts use the narrowest fixed width (1, 2, 4 or 8 bytes) that
+    holds the net's largest value, so every count is stored exactly. Each
+    pair also records its mirror slot, the slot of [i] in [m]'s neighbour
+    row. The layout is private: consumers address an entry by net,
+    neighbour slot and the two candidates, and a reader decodes it in
+    place, adding that entry's losses into a float array the consumer
+    owns.
 
     Counts are exact integers, so a loss derived from a cached count is
     bit-identical to recomputing the geometry from scratch; consumers
@@ -61,19 +65,20 @@ val build :
     undirected pair lists the crossings between the two nets' distinct
     optical edges, testing each edge pair once and skipping pairs whose
     bboxes are disjoint. Then one task per net assembles that net's rows
-    in slot order, so they sit together in memory; rows [(i, m)] and
-    [(m, i)] read the pair's one list, the second transposed. Results are
-    merged in deterministic order, so
-    the matrix contents do not depend on the backend. [neighbors] must be
+    in slot order and writes its block; rows [(i, m)] and [(m, i)] read
+    the pair's one list, the second transposed. Results are merged in
+    deterministic order, so the matrix contents do not depend on the
+    backend. [neighbors] must be
     symmetric with ascending rows and no net in its own row (as built by
     [Selection.make_ctx]); raises [Invalid_argument] otherwise.
 
     [reuse = (prev, keep)] is the ECO fast path: when [keep i m] holds —
     the caller certifies both nets' candidate arrays are carried over
     from [prev] unchanged — and [prev] has rows for the pair, both rows
-    [(i, m)] and [(m, i)] are aliased instead of recomputed. [keep] must
-    be symmetric. Contents are bit-identical either way; only
-    {!reused_rows} and the build time differ. A [direct] [prev]
+    [(i, m)] and [(m, i)] are copied from [prev] instead of recomputed,
+    re-encoded when the new net's block stores its values at other
+    widths. [keep] must be symmetric. Contents are bit-identical either
+    way; only {!reused_rows} and the build time differ. A [direct] [prev]
     contributes nothing. *)
 
 val optical_edges : Candidate.t array -> Operon_geom.Segment.t array

@@ -43,6 +43,13 @@ let auto_bundle p ~mean_bits =
 let electrical_unit_energy p = p.gamma *. p.vdd *. p.vdd *. p.cap_per_cm
 
 let validate p =
+  let floats =
+    [ ("alpha", p.alpha); ("beta", p.beta); ("bundle_factor", p.bundle_factor);
+      ("splitter_excess", p.splitter_excess); ("p_mod", p.p_mod); ("p_det", p.p_det);
+      ("l_max", p.l_max); ("dis_l", p.dis_l); ("dis_u", p.dis_u); ("gamma", p.gamma);
+      ("freq", p.freq); ("vdd", p.vdd); ("cap_per_cm", p.cap_per_cm); ("t_ref", p.t_ref);
+      ("thermal_sens", p.thermal_sens) ]
+  in
   let checks =
     [ (p.alpha > 0.0, "alpha must be positive");
       (p.beta >= 0.0, "beta must be non-negative");
@@ -58,9 +65,11 @@ let validate p =
       (p.freq > 0.0, "freq must be positive");
       (p.vdd > 0.0, "vdd must be positive");
       (p.cap_per_cm > 0.0, "cap_per_cm must be positive");
-      (Float.is_finite p.t_ref, "t_ref must be finite");
       (p.thermal_sens >= 0.0, "thermal_sens must be non-negative") ]
   in
-  match List.find_opt (fun (ok, _) -> not ok) checks with
-  | Some (_, msg) -> Error msg
-  | None -> Ok ()
+  match List.find_opt (fun (_, v) -> not (Float.is_finite v)) floats with
+  | Some (name, v) -> Error (Printf.sprintf "%s must be finite (got %g)" name v)
+  | None -> (
+      match List.find_opt (fun (ok, _) -> not ok) checks with
+      | Some (_, msg) -> Error msg
+      | None -> Ok ())

@@ -57,5 +57,7 @@ val electrical_unit_energy : t -> float
     paper reports. *)
 
 val validate : t -> (unit, string) result
-(** Check that every parameter is physically sensible (positive losses and
-    energies, [dis_l <= dis_u], positive capacity). *)
+(** Check that every parameter is physically sensible: every float field
+    finite (the crossing matrix's exactness argument assumes finite
+    losses), positive losses and energies, [dis_l <= dis_u], positive
+    capacity. [Flow.Config.make] refuses parameters that fail it. *)

@@ -474,9 +474,10 @@ let parse_thermal json =
         at_most "grid" Operon_thermal.Thermal_map.max_grid (pos_int ~default:24 "grid")
       in
       let th_ambient =
+        let cap = Operon_thermal.Thermal_map.max_ambient in
         match opt_num_field th "ambient" with
-        | Some v when not (Float.is_finite v) ->
-            invalid "field \"thermal.ambient\" must be finite"
+        | Some v when not (Float.abs v <= cap) ->
+            invalid "field \"thermal.ambient\" must be in [-%g, %g] (got %g)" cap cap v
         | Some v -> v
         | None -> 45.0
       in

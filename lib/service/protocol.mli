@@ -74,7 +74,9 @@ type thermal_spec = {
       (** hotspot sigma as a fraction of the shorter die side
           (default 0.15) *)
   th_grid : int;  (** map resolution per axis (default 24) *)
-  th_ambient : float;  (** ambient temperature, degC (default 45) *)
+  th_ambient : float;
+      (** ambient temperature, degC (default 45), at most
+          {!Operon_thermal.Thermal_map.max_ambient} in magnitude *)
   th_seed : int;  (** PRNG seed of the map generator (default 1) *)
   th_weights : float list;
       (** sweep ladder; [[]] = {!Operon.Flow.Config.default_thermal_weights} *)

@@ -50,6 +50,8 @@ let max_hotspots = 256
 
 let max_amplitude = 1000.0
 
+let max_ambient = 1414.0
+
 (* Gaussian hotspots: [hotspots] centers drawn uniformly over the die,
    each with a rise in (amplitude/2, amplitude] and a sigma scaled by
    [decay] (fraction of the shorter die dimension). Draw order is fixed
@@ -68,6 +70,8 @@ let synthetic ?(nx = 24) ?(ny = 24) ?(ambient = 45.0) ~hotspots ~amplitude
     invalid_arg "Thermal_map.synthetic: amplitude outside [0, max_amplitude]";
   if not (decay > 0.0 && Float.is_finite decay) then
     invalid_arg "Thermal_map.synthetic: decay not positive and finite";
+  if not (Float.abs ambient <= max_ambient) then
+    invalid_arg "Thermal_map.synthetic: ambient outside [-max_ambient, max_ambient]";
   let grid = Gridmap.create die ~nx ~ny in
   let t = { grid; ambient } in
   let scale = Float.min (Rect.width die) (Rect.height die) in
@@ -286,9 +290,13 @@ let of_string s =
                                       match split_ws ambient_line with
                                       | [ "ambient"; amb ] ->
                                           float_tok 4 "ambient" amb (fun ambient ->
-                                              read_rows
-                                                (Rect.make ~xmin ~ymin ~xmax ~ymax)
-                                                ambient ~gnx ~gny rows)
+                                              if Float.abs ambient > max_ambient then
+                                                err 4 "ambient %g outside [-%g, %g]"
+                                                  ambient max_ambient max_ambient
+                                              else
+                                                read_rows
+                                                  (Rect.make ~xmin ~ymin ~xmax ~ymax)
+                                                  ambient ~gnx ~gny rows)
                                       | _ ->
                                           err 4 "bad ambient line %S" ambient_line)
                                   | _ ->

@@ -51,6 +51,13 @@ val max_amplitude : float
     with a finite ambient has finite temperatures everywhere, and so
     finite detuning penalties. *)
 
+val max_ambient : float
+(** Largest ambient temperature magnitude accepted, degC (1414, the
+    melting point of silicon): {!synthetic}, the map file's [ambient]
+    line, the [thermal-map --ambient] flag and the served
+    [thermal.ambient] field refuse [|ambient|] above it, so the ambient
+    alone cannot make a detuning penalty overflow. *)
+
 val synthetic :
   ?nx:int ->
   ?ny:int ->
@@ -70,8 +77,9 @@ val synthetic :
     values and relies on this. Raises [Invalid_argument] on a
     non-positive grid size, a decay that is not positive and finite, a
     negative hotspot count, an amplitude outside [[0, max_amplitude]]
-    (NaN included), or a grid size or hotspot count above {!max_grid}
-    or {!max_hotspots}. *)
+    or an ambient outside [[-max_ambient, max_ambient]] (NaN included),
+    or a grid size or hotspot count above {!max_grid} or
+    {!max_hotspots}. *)
 
 val support : t_ref:float -> t -> Rect.t option
 (** Bounding box of the cells whose absolute temperature differs from

@@ -173,6 +173,107 @@ let prop_agglom_separated_stay_apart =
           Array.length h.Agglom.members = 1 && Point.close h.Agglom.center far)
         hps)
 
+(* The merge as it stood before it kept a nearest neighbour per
+   cluster: every round rescans every live pair for the closest, the
+   first in (i, j) order on ties. Kept verbatim as the reference of the
+   property below. *)
+module Rescan = struct
+  type cluster = { mutable pts : int list; mutable ctr : Point.t; mutable size : int }
+
+  let merge pins ~threshold =
+    let n = Array.length pins in
+    if n = 0 then [||]
+    else if threshold <= 0.0 then
+      Array.mapi (fun i p -> { Agglom.members = [| i |]; center = p }) pins
+    else begin
+      let clusters =
+        Array.init n (fun i -> Some { pts = [ i ]; ctr = pins.(i); size = 1 })
+      in
+      let merged_ref = ref true in
+      while !merged_ref do
+        merged_ref := false;
+        let best = ref infinity and bi = ref (-1) and bj = ref (-1) in
+        for i = 0 to n - 1 do
+          match clusters.(i) with
+          | None -> ()
+          | Some ci ->
+              for j = i + 1 to n - 1 do
+                match clusters.(j) with
+                | None -> ()
+                | Some cj ->
+                    let d = Point.l2 ci.ctr cj.ctr in
+                    if d < !best then begin
+                      best := d;
+                      bi := i;
+                      bj := j
+                    end
+              done
+        done;
+        if !bi >= 0 && !best < threshold then begin
+          match (clusters.(!bi), clusters.(!bj)) with
+          | Some ci, Some cj ->
+              let total = ci.size + cj.size in
+              let w1 = float_of_int ci.size /. float_of_int total in
+              let w2 = float_of_int cj.size /. float_of_int total in
+              ci.ctr <- Point.add (Point.scale w1 ci.ctr) (Point.scale w2 cj.ctr);
+              ci.pts <- cj.pts @ ci.pts;
+              ci.size <- total;
+              clusters.(!bj) <- None;
+              merged_ref := true
+          | _ -> assert false
+        end
+      done;
+      let out = ref [] in
+      for i = n - 1 downto 0 do
+        match clusters.(i) with
+        | None -> ()
+        | Some c ->
+            let members = Array.of_list (List.sort compare c.pts) in
+            out := { Agglom.members; center = c.ctr } :: !out
+      done;
+      List.sort (fun a b -> compare a.Agglom.members.(0) b.Agglom.members.(0)) !out
+      |> Array.of_list
+    end
+end
+
+(* Pins 1 and 2 merge first, into a centre exactly as far from pin 0
+   as pin 3 is: pin 0's nearest cluster above it becomes the merged one,
+   the lower index, so 0 then merges with {1, 2} and 3 stays apart. *)
+let test_agglom_tie_with_merged () =
+  let pins = [| p 0.0 0.0; p 1.0 0.1; p 1.0 (-0.1); p (-1.0) 0.0 |] in
+  let members hps = Array.map (fun h -> h.Agglom.members) hps in
+  Alcotest.(check (array (array int))) "rescan" [| [| 0; 1; 2 |]; [| 3 |] |]
+    (members (Rescan.merge pins ~threshold:1.5));
+  Alcotest.(check (array (array int))) "nearest neighbours" [| [| 0; 1; 2 |]; [| 3 |] |]
+    (members (Agglom.merge pins ~threshold:1.5))
+
+(* Pins on a coarse lattice (a quarter unit, up to 3 x 3 units), so
+   duplicate points and equal distances are common, with thresholds
+   around the lattice distances: the nearest-neighbour merge must give
+   the rescan's hyper pins, members and bits of every centre. *)
+let prop_agglom_matches_rescan =
+  let gen =
+    QCheck.Gen.(
+      pair
+        (array_size (int_range 0 60)
+           (map2
+              (fun x y -> p (0.25 *. float_of_int x) (0.25 *. float_of_int y))
+              (int_range 0 12) (int_range 0 12)))
+        (oneofl [ 0.0; 0.25; 0.3; 0.36; 0.5; 0.75; 1.0; 2.0; 100.0 ]))
+  in
+  QCheck.Test.make ~name:"nearest-neighbour merge = all-pairs rescan" ~count:500
+    (QCheck.make
+       ~print:(fun (pts, t) -> Printf.sprintf "%d pins, threshold %g" (Array.length pts) t)
+       gen)
+    (fun (pts, threshold) ->
+      let same (a : Agglom.hyper_pin) (b : Agglom.hyper_pin) =
+        a.Agglom.members = b.Agglom.members
+        && Int64.bits_of_float a.Agglom.center.Point.x = Int64.bits_of_float b.Agglom.center.Point.x
+        && Int64.bits_of_float a.Agglom.center.Point.y = Int64.bits_of_float b.Agglom.center.Point.y
+      in
+      let got = Agglom.merge pts ~threshold and want = Rescan.merge pts ~threshold in
+      Array.length got = Array.length want && Array.for_all2 same got want)
+
 let () =
   Alcotest.run "cluster"
     [ ( "kmeans",
@@ -194,4 +295,6 @@ let () =
           Alcotest.test_case "chain merging" `Quick test_agglom_chain_merging;
           Alcotest.test_case "members partition" `Quick test_agglom_members_partition;
           QCheck_alcotest.to_alcotest prop_agglom_partition;
-          QCheck_alcotest.to_alcotest prop_agglom_separated_stay_apart ] ) ]
+          QCheck_alcotest.to_alcotest prop_agglom_separated_stay_apart;
+          Alcotest.test_case "tie with a merged cluster" `Quick test_agglom_tie_with_merged;
+          QCheck_alcotest.to_alcotest prop_agglom_matches_rescan ] ) ]

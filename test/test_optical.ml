@@ -35,6 +35,26 @@ let test_validate_catches () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "dis_l > dis_u accepted"
 
+(* Non-finite fields are refused, by [validate] and by the flow
+   configuration that calls it; the defaults pass both. *)
+let test_validate_finite () =
+  let refused name bad =
+    match Params.validate bad with
+    | Ok () -> Alcotest.failf "%s accepted" name
+    | Error msg ->
+        Alcotest.check_raises name (Invalid_argument ("Config.make: " ^ msg)) (fun () ->
+            ignore (Operon.Flow.Config.make bad))
+  in
+  refused "alpha = infinity" { params with Params.alpha = infinity };
+  refused "beta = nan" { params with Params.beta = nan };
+  refused "dis_u = infinity" { params with Params.dis_u = infinity };
+  refused "t_ref = -infinity" { params with Params.t_ref = neg_infinity };
+  refused "dis_l > dis_u" { params with Params.dis_l = 1.0; dis_u = 0.5 };
+  Alcotest.(check string) "message names the field" "alpha must be finite (got inf)"
+    (Result.get_error (Params.validate { params with Params.alpha = infinity }));
+  Alcotest.(check bool) "default passes" true (Params.validate params = Ok ());
+  ignore (Operon.Flow.Config.make params)
+
 let test_auto_bundle () =
   let p32 = Params.auto_bundle params ~mean_bits:32.0 in
   check_float "wide buses barely bundle" 1.5 p32.Params.bundle_factor;
@@ -225,6 +245,7 @@ let () =
         [ Alcotest.test_case "default valid" `Quick test_default_valid;
           Alcotest.test_case "paper constants" `Quick test_paper_constants;
           Alcotest.test_case "validate catches" `Quick test_validate_catches;
+          Alcotest.test_case "validate refuses non-finite" `Quick test_validate_finite;
           Alcotest.test_case "auto bundle" `Quick test_auto_bundle ] );
       ( "loss",
         [ Alcotest.test_case "propagation" `Quick test_propagation;

@@ -257,7 +257,11 @@ let test_protocol_bounds () =
       ("map_seed 1e300", thermal {|"map_seed":1e300|}, "validation");
       ("amplitude cap", thermal {|"amplitude":1000|}, "ok");
       ("amplitude above cap", thermal {|"amplitude":1000.5|}, "validation");
-      ("amplitude 1e308", thermal {|"amplitude":1e308,"hotspots":2|}, "validation") ];
+      ("amplitude 1e308", thermal {|"amplitude":1e308,"hotspots":2|}, "validation");
+      ("ambient cap", thermal {|"ambient":1414|}, "ok");
+      ("ambient -cap", thermal {|"ambient":-1414|}, "ok");
+      ("ambient 1e307", thermal {|"ambient":1e307|}, "validation");
+      ("ambient below -cap", thermal {|"ambient":-1414.5|}, "validation") ];
   (* The detail names the field and the range the check enforces, and
      prints the rejected value in full. *)
   match Protocol.parse_request (submit {|"seed":4611686018427387903|}) with

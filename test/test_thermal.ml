@@ -61,12 +61,17 @@ let test_synthetic_deterministic () =
    cap (or a NaN or infinite amplitude or decay) is refused before any
    cell is allocated. *)
 let test_synthetic_bounds () =
-  let gen ?(n = 4) ?(hotspots = 3) ?(amplitude = 30.0) ?(decay = 0.2) () =
-    Thermal_map.synthetic ~nx:n ~ny:n ~hotspots ~amplitude ~decay ~die (Prng.create 1)
+  let gen ?(n = 4) ?(hotspots = 3) ?(amplitude = 30.0) ?(decay = 0.2) ?ambient () =
+    Thermal_map.synthetic ~nx:n ~ny:n ?ambient ~hotspots ~amplitude ~decay ~die (Prng.create 1)
   in
-  let m = gen ~hotspots:Thermal_map.max_hotspots ~amplitude:Thermal_map.max_amplitude () in
+  let m =
+    gen ~hotspots:Thermal_map.max_hotspots ~amplitude:Thermal_map.max_amplitude
+      ~ambient:Thermal_map.max_ambient ()
+  in
   Alcotest.(check bool) "largest field is finite" true
     (Float.is_finite (Thermal_map.peak m));
+  Alcotest.(check (float 0.0)) "coldest ambient accepted" (-.Thermal_map.max_ambient)
+    (Thermal_map.ambient (gen ~ambient:(-.Thermal_map.max_ambient) ()));
   List.iter
     (fun (name, f) ->
       match f () with
@@ -79,7 +84,10 @@ let test_synthetic_bounds () =
       ("decay nan", fun () -> gen ~decay:nan ());
       ("decay inf", fun () -> gen ~decay:infinity ());
       ("hotspots above cap", fun () -> gen ~hotspots:(Thermal_map.max_hotspots + 1) ());
-      ("grid above cap", fun () -> gen ~n:(Thermal_map.max_grid + 1) ()) ]
+      ("grid above cap", fun () -> gen ~n:(Thermal_map.max_grid + 1) ());
+      ("ambient above cap", fun () -> gen ~ambient:(Thermal_map.max_ambient +. 1.0) ());
+      ("ambient below -cap", fun () -> gen ~ambient:(-1e307) ());
+      ("ambient nan", fun () -> gen ~ambient:nan ()) ]
 
 let expect_error name text fragment =
   match Thermal_map.of_string text with
@@ -110,6 +118,12 @@ let test_of_string_errors () =
   expect_error "bad ambient"
     "operon-thermal-map 1\ndie 0 0 1 1\ngrid 2 2\nambient hot\n1 2\n3 4\n"
     "ambient";
+  expect_error "ambient above max_ambient"
+    "operon-thermal-map 1\ndie 0 0 1 1\ngrid 2 2\nambient 1e307\n1 2\n3 4\n"
+    "line 4: ambient 1e+307 outside [-1414, 1414]";
+  expect_error "ambient below -max_ambient"
+    "operon-thermal-map 1\ndie 0 0 1 1\ngrid 2 2\nambient -1414.5\n1 2\n3 4\n"
+    "line 4: ambient";
   expect_error "missing row"
     "operon-thermal-map 1\ndie 0 0 1 1\ngrid 2 2\nambient 40\n1 2\n"
     "missing row";
@@ -124,8 +138,9 @@ let test_of_string_errors () =
     "bad cell value"
 
 (* Fuzzing the map reader. Random maps (any finite cells, including
-   -0.0, subnormals and +-1e308) round-trip exactly through [to_string]
-   and [of_string]. Arbitrary text, and valid maps with a few token or
+   -0.0, subnormals and +-1e308, and any ambient within
+   [max_ambient]) round-trip exactly through [to_string] and
+   [of_string]. Arbitrary text, and valid maps with a few token or
    line mutations (huge, negative, non-finite or misplaced tokens,
    dropped, doubled or swapped lines, truncation), never make
    [of_string] raise: it parses, or it returns a one-line error. A
@@ -138,9 +153,13 @@ let random_map_gen =
         [ float_range (-1e3) 1e3;
           oneofl [ 0.0; -0.0; 1e308; -1e308; 5e-324; 0.1; 1.0 /. 3.0 ] ]
     in
+    let ambient =
+      let cap = Thermal_map.max_ambient in
+      oneof [ float_range (-.cap) cap; oneofl [ 0.0; -0.0; cap; -.cap; 5e-324; 1.0 /. 3.0 ] ]
+    in
     int_range 1 6 >>= fun nx ->
     int_range 1 6 >>= fun ny ->
-    finite >>= fun ambient ->
+    ambient >>= fun ambient ->
     pair (float_range (-10.0) 10.0) (float_range (-10.0) 10.0) >>= fun (x0, y0) ->
     pair (float_range 1e-3 10.0) (float_range 1e-3 10.0) >>= fun (w, h) ->
     array_size (return (nx * ny)) finite >|= fun cells ->

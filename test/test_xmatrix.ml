@@ -210,6 +210,244 @@ let test_shared_topology_parity () =
         (check_rows design_ctx.Selection.xmat design_ctx))
     [ 1; 4 ]
 
+(* ------------------------------------------------------------------ *)
+(* Packed layout                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(* Every reader of [xmat] against the same reader of a direct matrix
+   over the same candidates: equal counts, and bit-identical sums from
+   the same non-negative starting values under the same weights. *)
+let agrees_with_direct xmat (ctx : Selection.ctx) rng =
+  let direct = Xmatrix.direct ctx.Selection.cands and bundled = ctx.Selection.bundled in
+  let ok = ref true in
+  let both f = f xmat = f direct in
+  let start len = Array.init len (fun _ -> Prng.float rng 1.0) in
+  Array.iteri
+    (fun i ms ->
+      let ci = ctx.Selection.cands.(i) in
+      Array.iteri
+        (fun k m ->
+          Array.iteri
+            (fun n (other : Candidate.t) ->
+              Array.iteri
+                (fun j (c : Candidate.t) ->
+                  let np = Array.length c.Candidate.paths in
+                  if not (both (fun x -> Xmatrix.slot_counts x ~i ~k ~j ~m ~n)) then ok := false;
+                  let acc = start (np + 2) in
+                  let read x =
+                    let a = Array.copy acc in
+                    Xmatrix.add_losses x bundled ~i ~k ~j ~m ~n a 2;
+                    a
+                  in
+                  if not (both read) then ok := false)
+                ci;
+              let w = start (Array.length other.Candidate.paths) in
+              let acc = start (Array.length ci) in
+              let read x =
+                let a = Array.copy acc in
+                Xmatrix.add_weighted_row x bundled ~i ~k ~m ~n w a;
+                a
+              in
+              if not (both read) then ok := false)
+            ctx.Selection.cands.(m))
+        ms)
+    ctx.Selection.neighbors;
+  !ok
+
+(* A net over the terminals [pins] (the root first) and the Steiner
+   points [steiner], linked by [edges]; its candidates label the edges
+   by each of [labellings] (one flag per node, true = optical), then
+   all-electrical. Equal topologies are one shared value unless
+   [distinct] gives a labelling its own copy. *)
+let tree_net ~id ?(distinct = fun _ -> false) pins steiner edges labellings =
+  let hnet = hnet_of_centers ~id pins in
+  let topo () =
+    Operon_steiner.Topology.make ~positions:(Array.append pins steiner)
+      ~nterminals:(Array.length pins) ~edges ~root:0
+  in
+  let shared = topo () in
+  let label = Array.map (fun o -> if o then Candidate.Optical else Candidate.Electrical) in
+  List.mapi
+    (fun x labels ->
+      Candidate.of_labels params hnet (if distinct x then topo () else shared) (label labels))
+    labellings
+  @ [ Candidate.electrical params hnet shared ]
+
+let all_optical nodes = Array.init nodes (fun v -> v > 0)
+
+(* Candidate sets of 2 to 5 nets on a 4 x 4 die: each net a random tree
+   over 2 to 6 terminals, labelled 1 to 4 random ways (any labelling of
+   terminal-only trees is consistent), some labellings repeated and some
+   on an equal but distinct topology. *)
+let random_cands rng =
+  Array.init
+    (2 + Prng.int rng 4)
+    (fun id ->
+      let nodes = 2 + Prng.int rng 5 in
+      let pins = Array.init nodes (fun _ -> p (Prng.float rng 4.0) (Prng.float rng 4.0)) in
+      let edges = List.init (nodes - 1) (fun v -> (Prng.int rng (v + 1), v + 1)) in
+      let labelling () = Array.init nodes (fun v -> v > 0 && Prng.int rng 3 > 0) in
+      let labellings = List.init (1 + Prng.int rng 4) (fun _ -> labelling ()) in
+      let labellings =
+        if Prng.int rng 2 = 0 then labellings @ [ List.hd labellings ] else labellings
+      in
+      tree_net ~id ~distinct:(fun x -> x mod 3 = 2) pins [||] edges labellings)
+
+let prop_packed_equals_direct =
+  QCheck.Test.make ~name:"packed = direct on random candidate sets (jobs 1/4)" ~count:60
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let cands = random_cands (Prng.create seed) in
+      List.for_all
+        (fun jobs ->
+          let ctx = Selection.make_ctx ~exec:(Executor.create ~jobs) params cands in
+          agrees_with_direct ctx.Selection.xmat ctx (Prng.create seed)
+          && check_rows ctx.Selection.xmat ctx)
+        [ 1; 4 ])
+
+(* A two-terminal net from [a] to [b] through [steiner], one chain: its
+   optical candidate has one path over every edge. *)
+let chain_net ~id a b steiner =
+  let k = Array.length steiner in
+  let edges =
+    List.init (k + 1) (fun e -> ((if e = 0 then 0 else e + 1), if e = k then 1 else e + 2))
+  in
+  tree_net ~id [| a; b |] steiner edges [ all_optical (k + 2) ]
+
+(* A chain zigzagging across y = [y] from x = [x] on, [crossings] times. *)
+let zigzag ~id ~x ~y crossings =
+  let at e = p (x +. (0.01 *. float_of_int e)) (if e mod 2 = 0 then y -. 1.0 else y +. 1.0) in
+  chain_net ~id (at 0) (at crossings) (Array.init (crossings - 1) (fun e -> at (e + 1)))
+
+let horizontal ~id ~y x0 x1 = simple_cands id (p x0 y) (p x1 y)
+
+(* [copies] identical candidates of a star with [spokes] optical paths
+   from (x, 0) up to y = 2, and [bars] optical horizontals at y = 1 (plus
+   the all-electrical one), bar [n] across the first [spokes - 7n]
+   spokes: every entry of the star's row is non-zero, with one count per
+   spoke, 1 up to the bar's reach and 0 beyond, so the largest header
+   value is [(copies * bars - 1) * spokes + 1] and no two bars' entries
+   read alike. *)
+let star_and_bars ~id ~x ~spokes ~copies ~bars =
+  let at s = x +. (0.01 *. float_of_int (s + 1)) in
+  let tips = Array.init spokes (fun s -> p (at s) 2.0) in
+  let star =
+    tree_net ~id (Array.append [| p x 0.0 |] tips) [||]
+      (List.init spokes (fun s -> (0, s + 1)))
+      (List.init copies (fun _ -> all_optical (spokes + 1)))
+  in
+  let bar n =
+    (* spoke s meets y = 1 at x = (x + at s) / 2 *)
+    let reach = spokes - (7 * n) in
+    List.hd (horizontal ~id:(id + 1) ~y:1.0 (x -. 1.0) ((x +. at reach) /. 2.0 -. 0.0025))
+  in
+  (star, List.init bars bar @ [ List.nth (horizontal ~id:(id + 1) ~y:1.0 0.0 1.0) 1 ])
+
+let geometry_counts (ctx : Selection.ctx) ~i ~j ~m ~n =
+  Array.map
+    (fun (path : Candidate.path) ->
+      Segment.count_crossings path.Candidate.segments
+        ctx.Selection.cands.(m).(n).Candidate.opt_segments)
+    ctx.Selection.cands.(i).(j).Candidate.paths
+
+(* Values wider than one and two bytes: a path crossing a segment 300
+   times (counts need two bytes on both sides of the pair), and a row of
+   67,200 counts, whose largest header value needs four bytes. Before
+   that row, the star's rows against two short ticks across its first
+   spokes need two-byte header values, so the star's block widens twice,
+   the second time with two rows already written. *)
+let test_wide_values () =
+  let zig = [ zigzag ~id:0 ~x:0.0 ~y:0.0 300; horizontal ~id:1 ~y:0.0 (-1.0) 4.0 ] in
+  let star, bars = star_and_bars ~id:5 ~x:20.0 ~spokes:400 ~copies:14 ~bars:12 in
+  let ticks = [ horizontal ~id:3 ~y:1.5 19.9 20.02; horizontal ~id:4 ~y:1.7 19.9 20.02 ] in
+  let ctx = Selection.make_ctx params (Array.of_list (zig @ [ star ] @ ticks @ [ bars ])) in
+  let xmat = ctx.Selection.xmat in
+  Alcotest.(check (array int)) "star's neighbours" [| 3; 4; 5 |] ctx.Selection.neighbors.(2);
+  Alcotest.(check (array int)) "300 crossings on one path" [| 300 |]
+    (Xmatrix.slot_counts xmat ~i:0 ~k:0 ~j:0 ~m:1 ~n:0);
+  Alcotest.(check (array int)) "and 300 on the other side" [| 300 |]
+    (Xmatrix.slot_counts xmat ~i:1 ~k:0 ~j:0 ~m:0 ~n:0);
+  let last = Xmatrix.slot_counts xmat ~i:2 ~k:2 ~j:13 ~m:5 ~n:11 in
+  Alcotest.(check int) "last entry of the wide row: bar 11's reach" (400 - 77)
+    (Array.fold_left ( + ) 0 last);
+  Alcotest.(check (array int)) "last entry of the wide row"
+    (geometry_counts ctx ~i:2 ~j:13 ~m:5 ~n:11) last;
+  Alcotest.(check int) "entries" (2 + (2 * 14 * 12) + (2 * 2 * 14))
+    (Xmatrix.stats xmat).Xmatrix.entries;
+  Alcotest.(check bool) "rows match geometry" true (check_rows xmat ctx);
+  Alcotest.(check bool) "readers agree with direct" true
+    (agrees_with_direct xmat ctx (Prng.create 1))
+
+(* ECO reuse of rows whose nets' blocks change width. Net 0 fans three
+   near-horizontal paths out of (-1, 0), as four identical candidates;
+   net 1's three vertical bars reach one, two and all three of them.
+   Net 2, 25 copies of a chain zigzagging 300 times across the fan, is
+   present in one build and absent from the other: with it, net 0's
+   largest count is 300 and its largest header value 298, so its block
+   widens from one byte to two for both, and the kept rows (0, 1) and
+   (1, 0) are re-encoded, in both directions. *)
+let test_reuse_changes_width () =
+  let tip s = p 4.0 ((0.1 *. float_of_int s) +. 0.05) in
+  let fan =
+    tree_net ~id:0
+      (Array.append [| p (-1.0) 0.0 |] (Array.init 3 tip))
+      [||] [ (0, 1); (0, 2); (0, 3) ]
+      (List.init 4 (fun _ -> all_optical 4))
+  in
+  let bar top = simple_cands 1 (p 3.5 (-2.0)) (p 3.5 top) in
+  let bars =
+    List.init 3 (fun n -> List.hd (bar ((0.09 *. float_of_int n) +. 0.09)))
+    @ [ List.nth (bar 2.0) 1 ]
+  in
+  let zig =
+    match zigzag ~id:2 ~x:0.0 ~y:0.0 300 with
+    | optical :: rest -> List.init 25 (fun _ -> optical) @ rest
+    | [] -> []
+  in
+  let narrow = [| fan; bars |] and wide = [| fan; bars; zig |] in
+  List.iter
+    (fun (prev, next) ->
+      let prev_xmat = (Selection.make_ctx params prev).Selection.xmat in
+      let ctx = Selection.make_ctx ~cache:false params next in
+      let build ?reuse () = Xmatrix.build ?reuse ctx.Selection.cands ctx.Selection.neighbors in
+      let xmat = build ~reuse:(prev_xmat, fun i m -> i < 2 && m < 2) () in
+      let ctx = { ctx with Selection.xmat } in
+      Alcotest.(check int) "kept pair's rows reused" 2 (Xmatrix.reused_rows xmat);
+      let reach = Xmatrix.slot_counts xmat ~i:0 ~k:0 ~j:3 ~m:1 ~n:1 in
+      Alcotest.(check int) "bar 1 reaches two fan paths" 2 (Array.fold_left ( + ) 0 reach);
+      Alcotest.(check (array int)) "and its counts" (geometry_counts ctx ~i:0 ~j:3 ~m:1 ~n:1) reach;
+      Alcotest.(check bool) "rows match geometry" true (check_rows xmat ctx);
+      Alcotest.(check bool) "readers agree with direct" true
+        (agrees_with_direct xmat ctx (Prng.create 2));
+      Alcotest.(check int) "entries as a cold build"
+        (Xmatrix.stats (build ())).Xmatrix.entries (Xmatrix.stats xmat).Xmatrix.entries)
+    [ (narrow, wide); (wide, narrow) ]
+
+(* Reads decode in place: a sweep of every table entry through both
+   loss readers allocates nothing. *)
+let test_reads_allocate_nothing () =
+  let _, ctx = Flow.prepare_with (Flow.Config.default params) (Cases.small ~seed:3 ()) in
+  let xmat = ctx.Selection.xmat and bundled = ctx.Selection.bundled in
+  let acc = Array.make 64 0.0 and w = Array.make 64 0.5 in
+  let sweep () =
+    for i = 0 to Array.length ctx.Selection.neighbors - 1 do
+      let ms = ctx.Selection.neighbors.(i) in
+      for k = 0 to Array.length ms - 1 do
+        let m = ms.(k) in
+        for n = 0 to Array.length ctx.Selection.cands.(m) - 1 do
+          Xmatrix.add_weighted_row xmat bundled ~i ~k ~m ~n w acc;
+          for j = 0 to Array.length ctx.Selection.cands.(i) - 1 do
+            Xmatrix.add_losses xmat bundled ~i ~k ~j ~m ~n acc 0
+          done
+        done
+      done
+    done
+  in
+  sweep ();
+  let before = Gc.minor_words () in
+  sweep ();
+  Alcotest.(check (float 0.0)) "minor words" 0.0 (Gc.minor_words () -. before)
+
 (* The neighbour rows [Selection.make_ctx] builds from each net's
    distinct optical edges, against the rule they replaced: pool every
    candidate's [opt_segments] and link two nets whose optical boxes meet
@@ -603,6 +841,13 @@ let () =
           Alcotest.test_case "shared-topology tables (jobs 1/4)" `Quick
             test_shared_topology_parity;
           QCheck_alcotest.to_alcotest prop_neighbor_rows_match_pooled_rule ] );
+      ( "packed",
+        [ QCheck_alcotest.to_alcotest prop_packed_equals_direct;
+          Alcotest.test_case "counts and offsets wider than 1 and 2 bytes" `Quick
+            test_wide_values;
+          Alcotest.test_case "eco reuse across a width change" `Quick
+            test_reuse_changes_width;
+          Alcotest.test_case "reads allocate nothing" `Quick test_reads_allocate_nothing ] );
       ( "parity",
         [ QCheck_alcotest.to_alcotest prop_random_design_parity;
           QCheck_alcotest.to_alcotest prop_contiguous_rows;
