@@ -9,6 +9,9 @@ type result = {
   initial_count : int;
   final_count : int;
   displacement_cost : float;
+  searches : int;
+  retire_solves : int;
+  pinned : int;
 }
 
 (* Total bits that must be carried for one orientation. *)
@@ -44,11 +47,45 @@ let feasible params conns orient live =
     Maxflow.max_flow g ~source ~sink = total
   end
 
+(* Per connection index, the positions of the tracks it may ride,
+   ascending. [fl (coord - cc)] is monotone in [coord], and
+   [Float.abs d <= dis_u] is exactly [-dis_u <= d && d <= dis_u], so on
+   the tracks sorted by coordinate a connection's eligible tracks are one
+   run: from the first whose difference reaches [-dis_u] to the last
+   whose difference stays within [dis_u]. *)
+let reach params conns orient (tracks : Wdm.track array) =
+  let dis_u = params.Params.dis_u in
+  let nw = Array.length tracks in
+  let by_coord = Array.init nw Fun.id in
+  Array.stable_sort
+    (fun a b -> Float.compare tracks.(a).Wdm.coord tracks.(b).Wdm.coord)
+    by_coord;
+  (* First rank whose coordinate satisfies the monotone [p], or [nw]. *)
+  let first p =
+    let lo = ref 0 and hi = ref nw in
+    while !lo < !hi do
+      let mid = (!lo + !hi) / 2 in
+      if p tracks.(by_coord.(mid)).Wdm.coord then hi := mid else lo := mid + 1
+    done;
+    !lo
+  in
+  Array.map
+    (fun c ->
+      if Wdm.orientation_of c.Wdm.seg <> orient then [||]
+      else begin
+        let cc = Wdm.conn_coord c in
+        let lo = first (fun x -> x -. cc >= -.dis_u) in
+        let hi = first (fun x -> x -. cc > dis_u) in
+        let run = Array.sub by_coord lo (Int.max 0 (hi - lo)) in
+        Array.sort Int.compare run;
+        run
+      end)
+    conns
+
 (* One orientation's connection–track eligibility graph: connection [ci]
    may ride track [wi] when [track_distance <= dis_u]. Bits never move
    between its connected components, so retirement and the min-cost
-   assignment are solved one component at a time. Each connection's
-   eligible tracks are scanned once, here. *)
+   assignment are solved one component at a time. *)
 type component = {
   cs : int array;  (* connection indices, ascending *)
   ws : int array;  (* track positions, ascending *)
@@ -66,29 +103,16 @@ type eligibility = {
 
 let eligibility params conns orient (tracks : Wdm.track array) =
   let nc = Array.length conns and nw = Array.length tracks in
-  let dis_u = params.Params.dis_u in
   let dsu = Dsu.create (nc + nw) in
-  let mine ci = Wdm.orientation_of conns.(ci).Wdm.seg = orient in
-  let reach =
-    Array.init nc (fun ci ->
-        if not (mine ci) then [||]
-        else begin
-          let c = conns.(ci) in
-          let acc = ref [] in
-          for wi = nw - 1 downto 0 do
-            if Wdm.track_distance tracks.(wi) c <= dis_u then begin
-              acc := wi :: !acc;
-              ignore (Dsu.union dsu ci (nc + wi))
-            end
-          done;
-          Array.of_list !acc
-        end)
-  in
+  let reach = reach params conns orient tracks in
+  Array.iteri
+    (fun ci ws -> Array.iter (fun wi -> ignore (Dsu.union dsu ci (nc + wi))) ws)
+    reach;
   let root_comp = Array.make (nc + nw) (-1) in
   let ncomp = ref 0 in
   let comp_of_conn =
     Array.init nc (fun ci ->
-        if not (mine ci) then -1
+        if Wdm.orientation_of conns.(ci).Wdm.seg <> orient then -1
         else begin
           let r = Dsu.find dsu ci in
           if root_comp.(r) < 0 then begin
@@ -125,32 +149,32 @@ let orientation_name = function
 (* Min-cost assignment of one orientation's connections onto the
    surviving tracks, one network per eligibility component. [live] are
    that orientation's surviving tracks and [positions.(wi)] is the index
-   of [live.(wi)] in the final track array. Each network keeps the
-   single-network arc order (per connection: source arc, then its
-   tracks; then the sink arcs). Returns per-connection flows and the
-   total displacement cost, summed in the single-network order
-   (connections, then tracks, descending). *)
+   of [live.(wi)] in the final track array. A component's network holds
+   its connections, then its tracks, then the sink; each connection
+   supplies its own bits, in ascending order. Every component must carry
+   all of its bits, so the flow is a min-cost flow of the whole network
+   (DESIGN §25). Returns per-connection flows, the total
+   displacement cost (summed over connections, then their tracks, both
+   descending) and the number of shortest-path searches. *)
 let assign params conns orient live positions =
   let nc = Array.length conns in
   let e = eligibility params conns orient live in
   let arcs = Array.make nc [||] in
+  let searches = ref 0 in
   let nets =
     Array.map
       (fun comp ->
         let k = Array.length comp.cs and m = Array.length comp.ws in
-        let source = 0 and sink = k + m + 1 in
-        let g = Mcmf.create (k + m + 2) in
-        let need = ref 0 in
+        let sink = k + m in
+        let g = Mcmf.create (k + m + 1) in
         Array.iteri
           (fun j ci ->
             let c = conns.(ci) in
-            need := !need + c.Wdm.bits;
-            ignore (Mcmf.add_edge g ~src:source ~dst:(1 + j) ~cap:c.Wdm.bits ~cost:0.0);
             arcs.(ci) <-
               Array.map
                 (fun wi ->
-                  Mcmf.add_edge g ~src:(1 + j) ~dst:(1 + k + e.local.(wi))
-                    ~cap:c.Wdm.bits ~cost:(Wdm.track_distance live.(wi) c))
+                  Mcmf.add_edge g ~src:j ~dst:(k + e.local.(wi)) ~cap:c.Wdm.bits
+                    ~cost:(Wdm.track_distance live.(wi) c))
                 e.reach.(ci))
           comp.cs;
         (* Usage cost per channel on the sink arcs: proportional to track
@@ -161,18 +185,20 @@ let assign params conns orient live positions =
             let t = live.(wi) in
             let usage = 1e-3 *. (1.0 +. Wdm.track_length t) in
             ignore
-              (Mcmf.add_edge g ~src:(1 + k + j) ~dst:sink ~cap:t.Wdm.capacity
-                 ~cost:usage))
+              (Mcmf.add_edge g ~src:(k + j) ~dst:sink ~cap:t.Wdm.capacity ~cost:usage))
           comp.ws;
-        let flow, _cost = Mcmf.solve g ~source ~sink in
-        if flow < !need then
+        let supplies = Array.mapi (fun j ci -> (j, conns.(ci).Wdm.bits)) comp.cs in
+        let need = Array.fold_left (fun acc (_, bits) -> acc + bits) 0 supplies in
+        let s = Mcmf.solve g ~supplies ~sink in
+        searches := !searches + s.Mcmf.searches;
+        if s.Mcmf.flow < need then
           raise
             (Fault.Error
                (Fault.make ~stage:Instrument.Assign Fault.Capacity
                   (Printf.sprintf
                      "%s: %d of %d bits cannot ride a track within dis_u \
                       (component of connection %d)"
-                     (orientation_name orient) (!need - flow) !need
+                     (orientation_name orient) (need - s.Mcmf.flow) need
                      comp.cs.(0))));
         g)
       e.comps
@@ -192,7 +218,7 @@ let assign params conns orient live positions =
       end
     done
   done;
-  (flows, !displacement)
+  (flows, !displacement, !searches)
 
 (* Retire tracks lightest-first while a max-flow certificate shows the
    rest still carries everything. Orientations are independent, and so
@@ -210,7 +236,15 @@ let assign params conns orient live positions =
    track that carries no flow is retired outright (removing it cannot
    lower the max flow below its current, already-maximal value), as is
    a track no connection reaches; a failed retirement restores the
-   component's pre-edit snapshot. *)
+   component's pre-edit snapshot.
+
+   A failed probe also leaves a Hall violation behind. The connections
+   X still reachable from the source in its residual network need more
+   bits than the not-yet-retired tracks N(X) eligible to them hold once
+   [w] is gone. Any track [t] of N(X) with demand(X) > cap(N(X)) -
+   cap(t) is then pinned: N(X) only loses tracks as the pass goes on, so
+   removing [t] stays infeasible and its own probe would fail. A pinned
+   track is kept without a probe; the survivors are the same. *)
 type retire_net = {
   g : Maxflow.t;
   sink : int;
@@ -220,7 +254,9 @@ type retire_net = {
   short : bool;  (* max flow below the component's demand *)
 }
 
-let survivors params conns orient all =
+(* Survivors (indices into [all], lightest-loaded first), max-flow
+   re-solves and tracks kept by a pin. *)
+let retire params conns orient all =
   let mine = ref [] in
   for i = Array.length all - 1 downto 0 do
     if all.(i).Wdm.orient = orient then mine := i :: !mine
@@ -270,15 +306,46 @@ let survivors params conns orient all =
   in
   (* Infeasible even with every track: no subset can do better, keep
      all. *)
-  if Array.exists (fun n -> n.short) nets then ordered
+  if Array.exists (fun n -> n.short) nets then (ordered, 0, 0)
   else begin
-    let live = Array.make nw false in
+    let retired = Array.make nw false in
+    let pinned = Array.make nw false in
+    (* [stamp.(wi) = wi'] while collecting N(X) for the probe of [wi']. *)
+    let stamp = Array.make nw (-1) in
+    let solves = ref 0 and pins = ref 0 in
+    let pin_violators n comp w =
+      let seen = Maxflow.reachable n.g ~source:0 in
+      let demand = ref 0 and cap = ref 0 and nx = ref [] in
+      Array.iteri
+        (fun j ci ->
+          if seen.(1 + j) then begin
+            demand := !demand + conns.(ci).Wdm.bits;
+            Array.iter
+              (fun wi ->
+                if (not retired.(wi)) && stamp.(wi) <> w then begin
+                  stamp.(wi) <- w;
+                  cap := !cap + tracks.(wi).Wdm.capacity;
+                  nx := wi :: !nx
+                end)
+              e.reach.(ci)
+          end)
+        comp.cs;
+      List.iter
+        (fun wi ->
+          if !demand > !cap - tracks.(wi).Wdm.capacity then pinned.(wi) <- true)
+        !nx
+    in
     for wi = 0 to nw - 1 do
       let k = e.comp_of_track.(wi) in
-      if k >= 0 then begin
+      if k < 0 then retired.(wi) <- true
+      else if pinned.(wi) then incr pins
+      else begin
         let n = nets.(k) and l = e.local.(wi) in
         let f_w = Maxflow.flow_on n.g n.sink_arc.(l) in
-        if f_w = 0 then Maxflow.disable n.g n.sink_arc.(l)
+        if f_w = 0 then begin
+          Maxflow.disable n.g n.sink_arc.(l);
+          retired.(wi) <- true
+        end
         else begin
           let saved = Maxflow.snapshot n.g in
           List.iter
@@ -291,27 +358,33 @@ let survivors params conns orient all =
             n.into.(l);
           Maxflow.cancel n.g n.sink_arc.(l) f_w;
           Maxflow.disable n.g n.sink_arc.(l);
+          incr solves;
           let rerouted = Maxflow.max_flow n.g ~source:0 ~sink:n.sink in
           if rerouted <> f_w then begin
-            Maxflow.restore n.g saved;
-            live.(wi) <- true
+            pin_violators n e.comps.(k) wi;
+            Maxflow.restore n.g saved
           end
+          else retired.(wi) <- true
         end
       end
     done;
     let keep = ref [] in
     for wi = nw - 1 downto 0 do
-      if live.(wi) then keep := ord.(wi) :: !keep
+      if not retired.(wi) then keep := ord.(wi) :: !keep
     done;
-    !keep
+    (!keep, !solves, !pins)
   end
+
+let survivors params conns orient all =
+  let keep, _, _ = retire params conns orient all in
+  keep
 
 let run params (placement : Wdm_place.placement) =
   let conns = placement.Wdm_place.conns in
   let all = placement.Wdm_place.tracks in
   let initial_count = Array.length all in
-  let kept_h = survivors params conns Wdm.Horizontal all in
-  let kept_v = survivors params conns Wdm.Vertical all in
+  let kept_h, solves_h, pins_h = retire params conns Wdm.Horizontal all in
+  let kept_v, solves_v, pins_v = retire params conns Wdm.Vertical all in
   let final_idx = Array.of_list (kept_h @ kept_v) in
   let final_tracks = Array.map (fun i -> all.(i)) final_idx in
   let positions_of kept offset =
@@ -319,10 +392,10 @@ let run params (placement : Wdm_place.placement) =
   in
   let live_h = Array.map (fun i -> all.(i)) (Array.of_list kept_h) in
   let live_v = Array.map (fun i -> all.(i)) (Array.of_list kept_v) in
-  let flows_h, cost_h =
+  let flows_h, cost_h, searches_h =
     assign params conns Wdm.Horizontal live_h (positions_of kept_h 0)
   in
-  let flows_v, cost_v =
+  let flows_v, cost_v, searches_v =
     assign params conns Wdm.Vertical live_v (positions_of kept_v (List.length kept_h))
   in
   let flows =
@@ -341,7 +414,10 @@ let run params (placement : Wdm_place.placement) =
     flows;
     initial_count;
     final_count = Array.length final_tracks;
-    displacement_cost = cost_h +. cost_v }
+    displacement_cost = cost_h +. cost_v;
+    searches = searches_h + searches_v;
+    retire_solves = solves_h + solves_v;
+    pinned = pins_h + pins_v }
 
 let reduction_ratio r =
   if r.initial_count = 0 then 0.0

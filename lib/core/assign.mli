@@ -12,8 +12,13 @@
     Waveguide retirement works by feasibility probing: tracks are visited
     lightest-loaded first, and a track is removed whenever a max-flow
     check proves the remaining tracks still carry every connection bit.
-    The final min-cost max-flow computes the cheapest concurrent
-    assignment onto the surviving tracks.
+    A failed check exposes connections that need more than their
+    eligible tracks hold without the probed one; every track of that
+    saturated cluster that could not be spared either is kept without a
+    probe of its own. The final min-cost flow computes the cheapest
+    concurrent assignment onto the surviving tracks: each connection
+    supplies its own bits, so each shortest-path search starts at one
+    connection.
 
     Connections only reach tracks within [dis_u], so the network splits
     into the connected components of the connection–track eligibility
@@ -32,6 +37,13 @@ type result = {
   initial_count : int;
   final_count : int;
   displacement_cost : float;  (** total perpendicular movement, cm-bits *)
+  searches : int;
+      (** shortest-path searches of the min-cost solves (failed ones
+          included) *)
+  retire_solves : int;  (** max-flow re-solves of the retirement pass *)
+  pinned : int;
+      (** tracks the retirement pass kept on a Hall-violation certificate,
+          without a re-solve *)
 }
 
 val feasible :
@@ -42,6 +54,13 @@ val feasible :
     it is exported so tests can check the incremental pass against the
     direct rebuild-per-subset definition. *)
 
+val reach :
+  Params.t -> Wdm.conn array -> Wdm.orientation -> Wdm.track array -> int array array
+(** Per connection index, the indices of the tracks it may ride
+    ([track_distance <= dis_u]), ascending; empty for connections of the
+    other orientation. Found by two binary searches over the tracks
+    sorted by coordinate, and equal to scanning every pair. *)
+
 val survivors :
   Params.t -> Wdm.conn array -> Wdm.orientation -> Wdm.track array -> int list
 (** Indices (into the full track array) of one orientation's surviving
@@ -49,8 +68,9 @@ val survivors :
     lightest-first, a track is retired whenever {!feasible} holds for
     the remaining set. Computed on one incrementally-edited flow network
     per eligibility component (a track no connection reaches is retired
-    outright); the result is identical to probing each subset from
-    scratch. When even the full set is infeasible, every track is
+    outright, and a track a failed probe's certificate pins is kept
+    without a probe); the result is identical to probing each subset
+    from scratch. When even the full set is infeasible, every track is
     kept. *)
 
 val run : Params.t -> Wdm_place.placement -> result

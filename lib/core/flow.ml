@@ -713,21 +713,27 @@ let stage_assign =
           ~entries:(fun b (a : Assign.result) ->
             Array.map (List.map (fun (wi, f) -> (b + wi, f))) a.Assign.flows)
       in
+      let sum field = Array.fold_left (fun acc a -> acc + field a) 0 rs in
       let assignment =
         { Assign.tracks;
           flows;
-          initial_count =
-            Array.fold_left
-              (fun acc (a : Assign.result) -> acc + a.Assign.initial_count)
-              0 rs;
+          initial_count = sum (fun a -> a.Assign.initial_count);
           final_count = Array.length tracks;
           displacement_cost =
             Array.fold_left
               (fun acc (a : Assign.result) -> acc +. a.Assign.displacement_cost)
-              0.0 rs }
+              0.0 rs;
+          searches = sum (fun a -> a.Assign.searches);
+          retire_solves = sum (fun a -> a.Assign.retire_solves);
+          pinned = sum (fun a -> a.Assign.pinned) }
       in
-      Instrument.incr sink Instrument.Assign "initial" assignment.Assign.initial_count;
-      Instrument.incr sink Instrument.Assign "final" assignment.Assign.final_count;
+      List.iter
+        (fun (key, v) -> Instrument.incr sink Instrument.Assign key v)
+        [ ("initial", assignment.Assign.initial_count);
+          ("final", assignment.Assign.final_count);
+          ("searches", assignment.Assign.searches);
+          ("retire_solves", assignment.Assign.retire_solves);
+          ("pinned", assignment.Assign.pinned) ];
       { design = sel.s_design;
         hnets = sel.s_hnets;
         ctx = sel.s_ctx;

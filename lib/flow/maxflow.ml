@@ -76,7 +76,29 @@ let disable t handle =
   t.caps.(handle) <- 0;
   t.caps.(handle lxor 1) <- 0
 
-(* Dinic: BFS level graph + DFS blocking flows. *)
+let reachable t ~source =
+  if source < 0 || source >= t.n then invalid_arg "Maxflow.reachable: vertex out of range";
+  let seen = Array.make t.n false in
+  let queue = Queue.create () in
+  seen.(source) <- true;
+  Queue.push source queue;
+  while not (Queue.is_empty queue) do
+    let u = Queue.pop queue in
+    let a = ref t.heads.(u) in
+    while !a <> -1 do
+      let v = t.dsts.(!a) in
+      if t.caps.(!a) > 0 && not seen.(v) then begin
+        seen.(v) <- true;
+        Queue.push v queue
+      end;
+      a := t.nexts.(!a)
+    done
+  done;
+  seen
+
+(* Dinic: BFS level graph + DFS blocking flows. Both stop at the sink's
+   level, which leaves every augmenting path, and so the flow, as a full
+   level graph would give it. *)
 let max_flow t ~source ~sink =
   if source = sink then invalid_arg "Maxflow.max_flow: source = sink";
   let level = Array.make t.n (-1) in
@@ -89,15 +111,20 @@ let max_flow t ~source ~sink =
     Queue.push source queue;
     while not (Queue.is_empty queue) do
       let u = Queue.pop queue in
-      let a = ref t.heads.(u) in
-      while !a <> -1 do
-        let v = t.dsts.(!a) in
-        if t.caps.(!a) > 0 && level.(v) = -1 then begin
-          level.(v) <- level.(u) + 1;
-          Queue.push v queue
-        end;
-        a := t.nexts.(!a)
-      done
+      (* Levels leave the queue in ascending order: once they reach the
+         sink's, no vertex left can lie on a shortest path to it. *)
+      if level.(sink) <> -1 && level.(u) >= level.(sink) then Queue.clear queue
+      else begin
+        let a = ref t.heads.(u) in
+        while !a <> -1 do
+          let v = t.dsts.(!a) in
+          if t.caps.(!a) > 0 && level.(v) = -1 then begin
+            level.(v) <- level.(u) + 1;
+            Queue.push v queue
+          end;
+          a := t.nexts.(!a)
+        done
+      end
     done;
     level.(sink) <> -1
   in
@@ -108,7 +135,13 @@ let max_flow t ~source ~sink =
       while !pushed = 0 && iter.(u) <> -1 do
         let a = iter.(u) in
         let v = t.dsts.(a) in
-        if t.caps.(a) > 0 && level.(v) = level.(u) + 1 then begin
+        (* A vertex other than the sink at the sink's level or beyond
+           cannot reach it along rising levels: skip it. *)
+        if
+          t.caps.(a) > 0
+          && level.(v) = level.(u) + 1
+          && (v = sink || level.(v) < level.(sink))
+        then begin
           let got = dfs v (min limit t.caps.(a)) in
           if got > 0 then begin
             t.caps.(a) <- t.caps.(a) - got;

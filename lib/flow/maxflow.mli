@@ -47,4 +47,10 @@ val disable : t -> int -> unit
     traverse it in either direction. Meant for arcs whose flow was first
     {!cancel}led to zero. *)
 
+val reachable : t -> source:int -> bool array
+(** Per vertex: can it be reached from [source] along arcs with residual
+    capacity? After a {!max_flow} that fell short, the reached vertices
+    are the source side of a minimum cut. Raises [Invalid_argument] on a
+    vertex out of range. *)
+
 val vertex_count : t -> int

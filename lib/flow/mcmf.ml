@@ -127,24 +127,43 @@ let heap_pop h =
   done;
   top
 
-let solve t ~source ~sink =
-  if source = sink then invalid_arg "Mcmf.solve: source = sink";
+type solution = { flow : int; cost : float; searches : int }
+
+let solve t ~supplies ~sink =
+  if sink < 0 || sink >= t.n then invalid_arg "Mcmf.solve: sink out of range";
+  Array.iter
+    (fun (v, units) ->
+      if v < 0 || v >= t.n then invalid_arg "Mcmf.solve: supply vertex out of range";
+      if v = sink then invalid_arg "Mcmf.solve: supply at the sink";
+      if units < 0 then invalid_arg "Mcmf.solve: negative supply")
+    supplies;
   (* Costs are non-negative ({!add_edge}), so zero potentials are
      feasible to start with. *)
   let pot = Array.make t.n 0.0 in
   let dist = Array.make t.n infinity in
   let prev_arc = Array.make t.n (-1) in
   let visited = Array.make t.n false in
+  (* The vertices the last search gave a distance to, in discovery
+     order: the only entries the next search has to reset, and the only
+     potentials that move. *)
+  let touched = Array.make t.n 0 in
+  let ntouched = ref 0 in
   let h = { keys = Array.make 256 0.0; verts = Array.make 256 0; size = 0 } in
-  let total_flow = ref 0 and total_cost = ref 0.0 in
-  let continue = ref true in
-  while !continue do
-    (* Dijkstra with reduced costs cost + pot(u) - pot(v) >= 0, stopped
-       once the sink is settled: the path to it is final by then. *)
-    Array.fill dist 0 t.n infinity;
-    Array.fill prev_arc 0 t.n (-1);
-    Array.fill visited 0 t.n false;
+  let total_flow = ref 0 and total_cost = ref 0.0 and searches = ref 0 in
+  (* Dijkstra with reduced costs cost + pot(u) - pot(v) >= 0 from
+     [source], stopped once the sink is settled: the path to it is final
+     by then. True when the sink was reached. *)
+  let search source =
+    for i = 0 to !ntouched - 1 do
+      let v = touched.(i) in
+      dist.(v) <- infinity;
+      prev_arc.(v) <- -1;
+      visited.(v) <- false
+    done;
+    incr searches;
     dist.(source) <- 0.0;
+    touched.(0) <- source;
+    ntouched := 1;
     h.size <- 0;
     h.keys.(0) <- 0.0;
     heap_push h source;
@@ -161,6 +180,10 @@ let solve t ~source ~sink =
               let reduced = t.costs.(!a) +. pot.(u) -. pot.(v) in
               let nd = dist.(u) +. (if reduced > 0.0 then reduced else 0.0) in
               if nd < dist.(v) -. 1e-15 then begin
+                if dist.(v) = infinity then begin
+                  touched.(!ntouched) <- v;
+                  incr ntouched
+                end;
                 dist.(v) <- nd;
                 prev_arc.(v) <- !a;
                 heap_reserve h;
@@ -173,32 +196,40 @@ let solve t ~source ~sink =
         end
       end
     done;
-    if not visited.(sink) then continue := false
-    else begin
-      (* Settled vertices move by their own distance, every other vertex
-         by the sink's, which is no larger than any unsettled tentative
-         distance: each residual arc keeps a non-negative reduced cost. *)
-      let ds = dist.(sink) in
-      for v = 0 to t.n - 1 do
-        pot.(v) <- pot.(v) +. (if visited.(v) then dist.(v) else ds)
-      done;
-      (* Bottleneck along the shortest path. *)
-      let bottleneck = ref max_int in
-      let v = ref sink in
-      while !v <> source do
-        let a = prev_arc.(!v) in
-        if t.caps.(a) < !bottleneck then bottleneck := t.caps.(a);
-        v := t.dsts.(a lxor 1)
-      done;
-      let v = ref sink in
-      while !v <> source do
-        let a = prev_arc.(!v) in
-        t.caps.(a) <- t.caps.(a) - !bottleneck;
-        t.caps.(a lxor 1) <- t.caps.(a lxor 1) + !bottleneck;
-        total_cost := !total_cost +. (t.costs.(a) *. float_of_int !bottleneck);
-        v := t.dsts.(a lxor 1)
-      done;
-      total_flow := !total_flow + !bottleneck
-    end
-  done;
-  (!total_flow, !total_cost)
+    visited.(sink)
+  in
+  Array.iter
+    (fun (source, units) ->
+      let left = ref units in
+      while !left > 0 && search source do
+        (* Settled vertices move by their own distance less the sink's,
+           every other vertex stays: DESIGN §18's rule (every other
+           vertex by the sink's distance) shifted down by that distance,
+           which no reduced cost can see (DESIGN §25). *)
+        let ds = dist.(sink) in
+        for i = 0 to !ntouched - 1 do
+          let v = touched.(i) in
+          if visited.(v) then pot.(v) <- pot.(v) +. (dist.(v) -. ds)
+        done;
+        (* Bottleneck along the shortest path, capped by what is left of
+           the supply. *)
+        let bottleneck = ref !left in
+        let v = ref sink in
+        while !v <> source do
+          let a = prev_arc.(!v) in
+          if t.caps.(a) < !bottleneck then bottleneck := t.caps.(a);
+          v := t.dsts.(a lxor 1)
+        done;
+        let v = ref sink in
+        while !v <> source do
+          let a = prev_arc.(!v) in
+          t.caps.(a) <- t.caps.(a) - !bottleneck;
+          t.caps.(a lxor 1) <- t.caps.(a lxor 1) + !bottleneck;
+          total_cost := !total_cost +. (t.costs.(a) *. float_of_int !bottleneck);
+          v := t.dsts.(a lxor 1)
+        done;
+        total_flow := !total_flow + !bottleneck;
+        left := !left - !bottleneck
+      done)
+    supplies;
+  { flow = !total_flow; cost = !total_cost; searches = !searches }

@@ -440,14 +440,21 @@ let global_assignment_cost params conns orient tracks =
         (Mcmf.add_edge g ~src:(1 + nc + wi) ~dst:sink ~cap:t.Wdm.capacity
            ~cost:(1e-3 *. (1.0 +. Wdm.track_length t))))
     live;
-  Mcmf.solve g ~source ~sink
+  let s = Mcmf.solve g ~supplies:[| (source, max_int) |] ~sink in
+  (s.Mcmf.flow, s.Mcmf.cost)
 
-let gen_clustered_conns =
+(* [tight] instances hold fewer clusters of more, heavier connections
+   that fill their tracks, so retirement probes fail and their
+   certificates pin tracks; loose ones leave room to retire. *)
+let gen_clustered_conns ~tight =
   QCheck.Gen.(
-    int_range 2 5 >>= fun clusters ->
-    list_size (int_range 1 12)
+    (if tight then int_range 1 3 else int_range 2 5) >>= fun clusters ->
+    list_size
+      (if tight then int_range 8 24 else int_range 1 12)
       (quad (int_range 0 (clusters - 1)) bool (int_range 0 3)
-         (triple (int_range 0 4) (float_range 0.0 2.0) (float_range 0.1 2.0)))
+         (triple
+            (if tight then int_range 3 4 else int_range 0 4)
+            (float_range 0.0 2.0) (float_range 0.1 2.0)))
     >|= fun specs ->
     List.mapi
       (fun id (cluster, horizontal, offset, (b, lo, len)) ->
@@ -461,59 +468,198 @@ let gen_clustered_conns =
       specs
     |> Array.of_list)
 
+(* Survivors equal the oracle in both orientations, and the assignment
+   carries every bit within [dis_u] and capacity at the global network's
+   value and cost. Returns the assignment. *)
+let check_components_match_global conns =
+  let placement = Wdm_place.place params conns in
+  ignore (Wdm_place.legalize params placement.Wdm_place.tracks);
+  let all = placement.Wdm_place.tracks in
+  List.iter
+    (fun orient ->
+      if
+        reference_survivors params conns orient all
+        <> Assign.survivors params conns orient all
+      then QCheck.Test.fail_report "survivors differ from the oracle")
+    [ Wdm.Horizontal; Wdm.Vertical ];
+  let r = Assign.run params placement in
+  let load = Array.make (Array.length r.Assign.tracks) 0 in
+  let cost = ref 0.0 in
+  Array.iteri
+    (fun ci fl ->
+      let c = conns.(ci) in
+      if List.fold_left (fun acc (_, b) -> acc + b) 0 fl <> c.Wdm.bits then
+        QCheck.Test.fail_reportf "connection %d not fully carried" ci;
+      List.iter
+        (fun (wi, b) ->
+          let t = r.Assign.tracks.(wi) in
+          let d = Wdm.track_distance t c in
+          if d > params.Params.dis_u then
+            QCheck.Test.fail_reportf "connection %d rides a far track" ci;
+          load.(wi) <- load.(wi) + b;
+          cost :=
+            !cost +. (float_of_int b *. (d +. (1e-3 *. (1.0 +. Wdm.track_length t)))))
+        fl)
+    r.Assign.flows;
+  Array.iteri
+    (fun wi t ->
+      if load.(wi) > t.Wdm.capacity then
+        QCheck.Test.fail_reportf "track %d over capacity" wi)
+    r.Assign.tracks;
+  let flow, global_cost =
+    List.fold_left
+      (fun (f, c) orient ->
+        let f', c' = global_assignment_cost params conns orient r.Assign.tracks in
+        (f + f', c +. c'))
+      (0, 0.0) [ Wdm.Horizontal; Wdm.Vertical ]
+  in
+  let bits = Array.fold_left (fun acc c -> acc + c.Wdm.bits) 0 conns in
+  if flow <> bits then QCheck.Test.fail_report "global flow differs";
+  if Float.abs (!cost -. global_cost) > 1e-9 *. Float.max 1.0 global_cost then
+    QCheck.Test.fail_reportf "cost %.12g vs global %.12g" !cost global_cost;
+  r
+
 let prop_components_match_global =
   QCheck.Test.make ~name:"per-component assignment = one global network"
     ~count:200
     (QCheck.make
        ~print:(fun conns -> Printf.sprintf "%d connections" (Array.length conns))
-       gen_clustered_conns)
+       QCheck.Gen.(bool >>= fun tight -> gen_clustered_conns ~tight))
     (fun conns ->
+      ignore (check_components_match_global conns);
+      true)
+
+(* WDM tracks all have one capacity, where a failed probe pins its whole
+   saturated cluster. With mixed capacities a pin must hold for the one
+   track it names: tight clusters with each placed track's capacity
+   redrawn, against the rebuild-per-subset oracle. *)
+let prop_survivors_mixed_capacities =
+  QCheck.Test.make ~name:"survivors = oracle with mixed track capacities"
+    ~count:200
+    (QCheck.make
+       ~print:(fun (conns, caps) ->
+         Printf.sprintf "%d connections, capacities [%s]" (Array.length conns)
+           (String.concat ";" (List.map string_of_int caps)))
+       QCheck.Gen.(
+         gen_clustered_conns ~tight:true >>= fun conns ->
+         list_repeat (Array.length conns) (oneofl [ 8; 16; 24; 32; 48; 64 ])
+         >|= fun caps -> (conns, caps)))
+    (fun (conns, caps) ->
       let placement = Wdm_place.place params conns in
       ignore (Wdm_place.legalize params placement.Wdm_place.tracks);
-      let all = placement.Wdm_place.tracks in
-      List.iter
-        (fun orient ->
-          if
-            reference_survivors params conns orient all
-            <> Assign.survivors params conns orient all
-          then QCheck.Test.fail_report "survivors differ from the oracle")
-        [ Wdm.Horizontal; Wdm.Vertical ];
-      let r = Assign.run params placement in
-      let load = Array.make (Array.length r.Assign.tracks) 0 in
-      let cost = ref 0.0 in
-      Array.iteri
-        (fun ci fl ->
-          let c = conns.(ci) in
-          if List.fold_left (fun acc (_, b) -> acc + b) 0 fl <> c.Wdm.bits then
-            QCheck.Test.fail_reportf "connection %d not fully carried" ci;
-          List.iter
-            (fun (wi, b) ->
-              let t = r.Assign.tracks.(wi) in
-              let d = Wdm.track_distance t c in
-              if d > params.Params.dis_u then
-                QCheck.Test.fail_reportf "connection %d rides a far track" ci;
-              load.(wi) <- load.(wi) + b;
-              cost :=
-                !cost +. (float_of_int b *. (d +. (1e-3 *. (1.0 +. Wdm.track_length t)))))
-            fl)
-        r.Assign.flows;
-      Array.iteri
-        (fun wi t ->
-          if load.(wi) > t.Wdm.capacity then
-            QCheck.Test.fail_reportf "track %d over capacity" wi)
-        r.Assign.tracks;
-      let flow, global_cost =
-        List.fold_left
-          (fun (f, c) orient ->
-            let f', c' = global_assignment_cost params conns orient r.Assign.tracks in
-            (f + f', c +. c'))
-          (0, 0.0) [ Wdm.Horizontal; Wdm.Vertical ]
+      let caps = Array.of_list caps in
+      let all =
+        Array.mapi
+          (fun i t -> { t with Wdm.capacity = caps.(i) })
+          placement.Wdm_place.tracks
       in
-      let bits = Array.fold_left (fun acc c -> acc + c.Wdm.bits) 0 conns in
-      if flow <> bits then QCheck.Test.fail_report "global flow differs";
-      if Float.abs (!cost -. global_cost) > 1e-9 *. Float.max 1.0 global_cost then
-        QCheck.Test.fail_reportf "cost %.12g vs global %.12g" !cost global_cost;
-      true)
+      List.for_all
+        (fun orient ->
+          reference_survivors params conns orient all
+          = Assign.survivors params conns orient all)
+        [ Wdm.Horizontal; Wdm.Vertical ])
+
+(* Two clusters of eight 32-bit connections, each on its own full
+   track, and a third cluster whose sweep opens a 16-bit track, a full
+   one and another 16-bit one, in both orientations. The first probe of
+   a full cluster fails and its certificate pins the cluster's other
+   seven tracks. In the third cluster the first max flow routes both
+   16-bit connections onto the second 16-bit track, so the first retires
+   without a probe; the second's probe fails and pins the full track. *)
+let test_certificates_pin () =
+  let conns =
+    List.concat_map
+      (fun horizontal ->
+        let conn (coord, bits) =
+          let seg =
+            if horizontal then Segment.make (Point.make 0.0 coord) (Point.make 1.0 coord)
+            else Segment.make (Point.make coord 0.0) (Point.make coord 1.0)
+          in
+          (seg, bits)
+        in
+        List.map conn
+          (List.init 8 (fun i -> (0.01 *. float_of_int i, 32))
+          @ List.init 8 (fun i -> (1.0 +. (0.01 *. float_of_int i), 32))
+          @ [ (2.0, 16); (2.01, 32); (2.02, 16) ]))
+      [ true; false ]
+    |> List.mapi (fun id (seg, bits) -> { Wdm.id; net = id; seg; bits })
+    |> Array.of_list
+  in
+  let r =
+    try check_components_match_global conns
+    with QCheck.Test.Test_fail (_, msgs) -> Alcotest.fail (String.concat "; " msgs)
+  in
+  Alcotest.(check int) "initial tracks" 38 r.Assign.initial_count;
+  Alcotest.(check int) "one 16-bit track retired per orientation" 36
+    r.Assign.final_count;
+  Alcotest.(check int) "pinned: seven per full cluster, the full track of the third"
+    30 r.Assign.pinned;
+  Alcotest.(check int) "probes: one per cluster" 6 r.Assign.retire_solves
+
+(* [Assign.reach] finds each connection's eligible tracks by binary
+   search over the tracks sorted by coordinate; the oracle is the scan of
+   every (connection, track) pair it replaced. Coordinates come from a
+   lattice of binary fractions (so equal coordinates and tracks exactly
+   [dis_u] away are common, and exact in floating point) or are drawn at
+   random, and either side may be empty. *)
+let all_pairs_reach p conns orient (tracks : Wdm.track array) =
+  Array.map
+    (fun c ->
+      if Wdm.orientation_of c.Wdm.seg <> orient then [||]
+      else
+        Array.of_list
+          (List.filter
+             (fun wi -> Wdm.track_distance tracks.(wi) c <= p.Params.dis_u)
+             (List.init (Array.length tracks) Fun.id)))
+    conns
+
+let prop_reach_matches_all_pairs =
+  let coord =
+    QCheck.Gen.(
+      oneof [ map (fun k -> 0.125 *. float_of_int k) (int_range (-4) 12); float_range (-1.0) 2.0 ])
+  in
+  let gen =
+    QCheck.Gen.(
+      oneofl [ 0.0; 0.1; 0.125; 0.25; 0.5 ] >>= fun dis_u ->
+      list_size (int_range 0 12) (pair bool coord) >>= fun cs ->
+      list_size (int_range 0 12) (pair bool coord) >|= fun ts ->
+      let conns =
+        List.mapi
+          (fun id (horizontal, x) ->
+            let seg =
+              if horizontal then Segment.make (Point.make 0.0 x) (Point.make 1.0 x)
+              else Segment.make (Point.make x 0.0) (Point.make x 1.0)
+            in
+            { Wdm.id; net = id; seg; bits = 1 })
+          cs
+      in
+      let tracks =
+        List.map
+          (fun (horizontal, x) ->
+            { Wdm.orient = (if horizontal then Wdm.Horizontal else Wdm.Vertical);
+              coord = x; lo = 0.0; hi = 1.0; capacity = 32; used = 0 })
+          ts
+      in
+      (dis_u, Array.of_list conns, Array.of_list tracks))
+  in
+  QCheck.Test.make ~name:"window-search eligibility = all-pairs scan" ~count:500
+    (QCheck.make
+       ~print:(fun (d, cs, ts) ->
+         Printf.sprintf "dis_u=%g conns=[%s] tracks=[%s]" d
+           (String.concat "; "
+              (Array.to_list (Array.map (fun c -> Printf.sprintf "%g" (Wdm.conn_coord c)) cs)))
+           (String.concat "; "
+              (Array.to_list (Array.map (fun t -> Printf.sprintf "%g" t.Wdm.coord) ts))))
+       gen)
+    (fun (dis_u, conns, tracks) ->
+      let p = { params with Params.dis_u } in
+      List.for_all
+        (fun orient ->
+          (* Assign hands [reach] one orientation's tracks at a time. *)
+          let mine = List.filter (fun t -> t.Wdm.orient = orient) (Array.to_list tracks) in
+          let mine = Array.of_list mine in
+          Assign.reach p conns orient mine = all_pairs_reach p conns orient mine)
+        [ Wdm.Horizontal; Wdm.Vertical ])
 
 let () =
   Alcotest.run "eco"
@@ -539,4 +685,8 @@ let () =
             test_survivors_equivalence;
           Alcotest.test_case "infeasible placement raises a capacity fault"
             `Quick test_infeasible_placement_faults;
-          QCheck_alcotest.to_alcotest prop_components_match_global ] ) ]
+          Alcotest.test_case "certificates pin a full cluster" `Quick
+            test_certificates_pin;
+          QCheck_alcotest.to_alcotest prop_components_match_global;
+          QCheck_alcotest.to_alcotest prop_survivors_mixed_capacities;
+          QCheck_alcotest.to_alcotest prop_reach_matches_all_pairs ] ) ]

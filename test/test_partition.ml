@@ -330,7 +330,8 @@ let pinned =
             ( "wdm",
               [ ("connections", 8); ("tracks", 4) ] );
             ( "assign",
-              [ ("initial", 4); ("final", 4) ] ) ] } );
+              [ ("initial", 4); ("final", 4);
+                ("searches", 8); ("retire_solves", 4); ("pinned", 0) ] ) ] } );
     ( ("tiny", Flow.Ilp),
       { choice = 0x4d25767f9dce13f5L;
         power = 0x4012a5e353f7ced9L;
@@ -346,7 +347,8 @@ let pinned =
             ( "wdm",
               [ ("connections", 8); ("tracks", 4) ] );
             ( "assign",
-              [ ("initial", 4); ("final", 4) ] ) ] } );
+              [ ("initial", 4); ("final", 4);
+                ("searches", 8); ("retire_solves", 4); ("pinned", 0) ] ) ] } );
     ( ("small", Flow.Lr),
       { choice = 0x5467b0da1d106495L;
         power = 0x402e374bc6a7ef9eL;
@@ -360,7 +362,8 @@ let pinned =
             ( "wdm",
               [ ("connections", 32); ("tracks", 15) ] );
             ( "assign",
-              [ ("initial", 15); ("final", 15) ] ) ] } );
+              [ ("initial", 15); ("final", 15);
+                ("searches", 32); ("retire_solves", 15); ("pinned", 0) ] ) ] } );
     ( ("small", Flow.Ilp),
       { choice = 0x5467b0da1d106495L;
         power = 0x402e374bc6a7ef9eL;
@@ -376,7 +379,8 @@ let pinned =
             ( "wdm",
               [ ("connections", 32); ("tracks", 15) ] );
             ( "assign",
-              [ ("initial", 15); ("final", 15) ] ) ] } );
+              [ ("initial", 15); ("final", 15);
+                ("searches", 32); ("retire_solves", 15); ("pinned", 0) ] ) ] } );
     ( ("split", Flow.Lr),
       { choice = 0xc8210784d8af5a5L;
         power = 0x40417d6453e94f7eL;
@@ -390,7 +394,8 @@ let pinned =
             ( "wdm",
               [ ("connections", 53); ("tracks", 22) ] );
             ( "assign",
-              [ ("initial", 22); ("final", 22) ] ) ] } );
+              [ ("initial", 22); ("final", 22);
+                ("searches", 53); ("retire_solves", 22); ("pinned", 0) ] ) ] } );
     ( ("split", Flow.Ilp),
       { choice = 0xc8210784d8af5a5L;
         power = 0x40417d6453e94f7eL;
@@ -406,7 +411,8 @@ let pinned =
             ( "wdm",
               [ ("connections", 53); ("tracks", 22) ] );
             ( "assign",
-              [ ("initial", 22); ("final", 22) ] ) ] } );
+              [ ("initial", 22); ("final", 22);
+                ("searches", 53); ("retire_solves", 22); ("pinned", 0) ] ) ] } );
     ( ("split/2", Flow.Lr),
       { choice = 0xc8210784d8af5a5L;
         power = 0x40417d6453e94f7eL;
@@ -419,7 +425,8 @@ let pinned =
             ( "wdm",
               [ ("regions", 2); ("connections", 53); ("tracks", 24) ] );
             ( "assign",
-              [ ("regions", 2); ("initial", 24); ("final", 24) ] ) ] } );
+              [ ("regions", 2); ("initial", 24); ("final", 24);
+                ("searches", 53); ("retire_solves", 24); ("pinned", 0) ] ) ] } );
     ( ("split/2", Flow.Ilp),
       { choice = 0xc8210784d8af5a5L;
         power = 0x40417d6453e94f7eL;
@@ -434,7 +441,8 @@ let pinned =
             ( "wdm",
               [ ("regions", 2); ("connections", 53); ("tracks", 24) ] );
             ( "assign",
-              [ ("regions", 2); ("initial", 24); ("final", 24) ] ) ] } );
+              [ ("regions", 2); ("initial", 24); ("final", 24);
+                ("searches", 53); ("retire_solves", 24); ("pinned", 0) ] ) ] } );
     ( ("small/4", Flow.Lr),
       { choice = 0x5467b0da1d106495L;
         power = 0x402e374bc6a7ef9eL;
@@ -447,7 +455,8 @@ let pinned =
             ( "wdm",
               [ ("regions", 4); ("connections", 32); ("tracks", 24) ] );
             ( "assign",
-              [ ("regions", 4); ("initial", 24); ("final", 24) ] ) ] } );
+              [ ("regions", 4); ("initial", 24); ("final", 24);
+                ("searches", 32); ("retire_solves", 24); ("pinned", 0) ] ) ] } );
     ( ("small/4", Flow.Ilp),
       { choice = 0x5467b0da1d106495L;
         power = 0x402e374bc6a7ef9eL;
@@ -462,7 +471,8 @@ let pinned =
             ( "wdm",
               [ ("regions", 4); ("connections", 32); ("tracks", 24) ] );
             ( "assign",
-              [ ("regions", 4); ("initial", 24); ("final", 24) ] ) ] } ) ]
+              [ ("regions", 4); ("initial", 24); ("final", 24);
+                ("searches", 32); ("retire_solves", 24); ("pinned", 0) ] ) ] } ) ]
 
 let test_flow_pinned () =
   List.iter

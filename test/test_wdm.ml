@@ -126,7 +126,7 @@ let test_empty_placement () =
 let test_reduction_ratio () =
   let r =
     { Assign.tracks = [||]; flows = [||]; initial_count = 10; final_count = 9;
-      displacement_cost = 0.0 }
+      displacement_cost = 0.0; searches = 0; retire_solves = 0; pinned = 0 }
   in
   Alcotest.(check (float 1e-9)) "10%" 0.1 (Assign.reduction_ratio r)
 
