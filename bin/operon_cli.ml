@@ -174,11 +174,19 @@ let validate_seed = function
   | Some s when s <= 0 -> fail_usage "--seed must be positive (got %d)" s
   | seed -> seed
 
+(* Written positively so that NaN, which fails every comparison, is
+   refused too. *)
+let validate_budget budget =
+  if not (budget > 0.0) then
+    fail_usage "--ilp-budget must be positive (got %g)" budget;
+  budget
+
 (* A typo'd --inject-fault is a usage error (exit 2); a typo'd
-   OPERON_FAULTS token is warned about by name and skipped, mirroring the
-   bench harness's OPERON_ILP_BUDGET policy — the variable may linger in
-   an environment that never meant it for this invocation, and silently
-   injecting nothing would hide the typo. *)
+   OPERON_FAULTS token is warned about by name and skipped, as
+   bench/main.exe does with an OPERON_ILP_BUDGET that is not a positive
+   number — the variable may linger in an environment that never meant
+   it for this invocation, and silently injecting nothing would hide the
+   typo. *)
 let validate_injections specs =
   let from_env =
     match Sys.getenv_opt "OPERON_FAULTS" with
@@ -247,7 +255,8 @@ let make_config ?(no_cache = false) ?(solver_core = "sparse") ?thermal
     ?partition params mode budget jobs strict inject_specs =
   let jobs = validate_jobs jobs in
   let jobs = if jobs = 0 then Operon_util.Executor.default_jobs () else jobs in
-  Flow.Config.make ~mode:(validate_mode mode) ~ilp_budget:budget ~jobs ~strict
+  Flow.Config.make ~mode:(validate_mode mode)
+    ~ilp_budget:(validate_budget budget) ~jobs ~strict
     ~injections:(validate_injections inject_specs) ~cache:(not no_cache)
     ~solver_core:(validate_solver_core solver_core) ?thermal ?partition params
 
@@ -260,7 +269,7 @@ let apply_mutate mutate mutate_seed design =
   match mutate with
   | None -> design
   | Some ratio ->
-      if ratio <= 0.0 || ratio > 1.0 then
+      if not (ratio > 0.0 && ratio <= 1.0) then
         fail_usage "--mutate must be in (0, 1] (got %g)" ratio;
       if mutate_seed <= 0 then
         fail_usage "--mutate-seed must be positive (got %d)" mutate_seed;

@@ -88,12 +88,12 @@ let i5 =
 let all = [ i1; i2; i3; i4; i5 ]
 
 (* Scale tiers: synthetic designs one to two orders of magnitude beyond
-   Table 1 (#Net counts of ~10k/30k/100k), used by the bench harness's
-   "scale" target to track end-to-end wall-clock against a per-tier
-   budget. A mostly-local mix (80%) on a big die keeps the crossing
-   structure sparse enough that selection stays the dominant cost
-   rather than the candidate explosion. #Net ~ n_groups * mean bits
-   (the same relation the I1-I5 specs were tuned by). *)
+   Table 1 (#Net counts of ~10k/30k/100k), each with the end-to-end
+   wall-clock budget it is expected to meet. A mostly-local mix (80%)
+   on a big die keeps the crossing structure sparse enough that
+   selection stays the dominant cost rather than the candidate
+   explosion. #Net ~ n_groups * mean bits (the same relation the I1-I5
+   specs were tuned by). *)
 
 type tier = {
   t_name : string;

@@ -34,7 +34,7 @@ type tier = {
   t_spec : Gen.spec;
 }
 (** A scale tier: a synthetic design well beyond Table 1, paired with
-    the wall-clock target the bench harness's [scale] target checks. *)
+    the end-to-end wall-clock it is expected to meet. *)
 
 val t10k : tier
 (** ~10k nets (2500 groups of 3-5 bits, 12x12 die, 80% local). *)

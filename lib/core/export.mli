@@ -41,21 +41,11 @@ val flow_to_json : ?channels:Channels.plan -> ?timings:bool -> Flow.t -> string
     produce byte-identical output, whichever [jobs] count or solver core
     ran them. *)
 
-val cache_to_json : ?timings:bool -> Xmatrix.stats -> string
-(** The crossing-matrix statistics block: [enabled], [pairs], [entries],
-    [build_seconds], [hits], [misses]. Embedded in {!flow_to_json} and
-    reused by the bench results file. [~timings:false] keeps only the
-    deterministic [enabled]/[pairs]/[entries] fields. *)
-
 val degradation_to_json : Flow.t -> string
 (** Just the degradation summary object: [faults] (stage, net, kind,
-    detail per entry), [quarantined_nets] and [solver_path]. Also
-    embedded in {!flow_to_json} and reused by the bench results file. *)
-
-val trace_to_json : Operon_engine.Instrument.sink -> string
-(** Instrumentation sink as a JSON array of per-stage records
-    ([stage], [seconds], [counters]) — also reused by the bench
-    harness's machine-readable results file. *)
+    detail per entry), [quarantined_nets] and [solver_path] — the
+    [degradation] block of {!flow_to_json}, which [operon export] writes
+    with or without [--no-timings]. *)
 
 val write_file : string -> string -> unit
 (** [write_file path contents] — convenience used by the CLI. *)

@@ -698,8 +698,8 @@ let stage_wdm =
 (* Retirement and min-cost re-assignment per region: a region's
    connections are only eligible for its own tracks, so the region
    solves are exact sub-problems. Cross-region track sharing is
-   forfeited; the bench and the partition-smoke CI job bound the
-   resulting track-count delta. *)
+   forfeited; the partition-smoke CI job bounds the resulting
+   track-count delta. *)
 let stage_assign =
   Pipeline.stage Instrument.Assign (fun rc (sel, placement, regional) ->
       let params = sel.s_ctx.Selection.params in

@@ -5,8 +5,8 @@
     subset of signal groups and jitters every pin of those groups by up
     to ±2 % of the die dimensions (clamped to the die). Because whole
     groups move, the dirty fraction of {e hyper nets} downstream tracks
-    the requested group ratio closely — which is what the ECO bench
-    sweeps and the CI smoke job mutate.
+    the requested group ratio closely — which is what [--mutate] and the
+    served [resubmit]'s [mutate] field perturb.
 
     Everything is a pure function of [(ratio, seed, design)]: the chosen
     groups come from one shuffle of a [Prng] seeded with [seed], and each

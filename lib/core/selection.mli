@@ -80,7 +80,7 @@ val make_ctx :
 val uncached : ctx -> ctx
 (** The same context with the crossing cache replaced by a direct
     (recompute-per-query) oracle with fresh counters — identical numbers,
-    none of the speed. Used by parity tests and the cache benchmark. *)
+    none of the speed. Used by parity tests and the ledger's checker. *)
 
 val thermal_profile : ctx -> Operon_thermal.Thermal_map.t -> thermal
 (** Precompute the detuning penalties of every candidate path against a

@@ -602,7 +602,3 @@ let stats t =
     misses = t.counters.misses }
 
 let reused_rows t = match t.table with Some tb -> tb.reused | None -> 0
-
-let reset_counters t =
-  t.counters.hits <- 0;
-  t.counters.misses <- 0

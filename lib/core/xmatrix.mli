@@ -31,8 +31,8 @@
 
     A {!direct} matrix answers the same reads by recomputing the one
     entry asked for from the geometry (every read counts as a miss) — the
-    uncached reference mode used by the parity tests and the cache
-    benchmark. Cached and direct matrices go through the same readers.
+    uncached reference mode used by the parity tests and [--no-cache].
+    Cached and direct matrices go through the same readers.
 
     Like {!Operon_engine.Instrument}, the hit/miss statistics are plain
     mutable state owned by the domain that reads the matrix: reads must
@@ -154,7 +154,3 @@ val reused_rows : t -> int
     pair carries both of its rows, so the count is even. Kept out
     of {!stats} deliberately: stats feed the export, and an ECO run's
     export must stay byte-identical to a cold run's. *)
-
-val reset_counters : t -> unit
-(** Zero the hit/miss counters (build statistics are kept) — used by the
-    cache benchmark to attribute queries to one selection run. *)

@@ -76,10 +76,12 @@ val injections_of_string_lenient : string -> injection list * (string * string) 
 (** Like {!injections_of_string}, but a malformed token never poisons the
     whole list: well-formed specs are kept and each bad token is returned
     as [(token, parse error)] so the caller can warn about it by name.
-    This is the policy for environment-variable input ([OPERON_FAULTS]),
-    mirroring the bench harness's [OPERON_ILP_BUDGET] handling — a typo'd
-    env var degrades to a warning instead of silently injecting nothing
-    (or aborting a run the variable may not even have been meant for). *)
+    This is the policy for environment-variable input ([OPERON_FAULTS]);
+    [bench/main.exe] treats [OPERON_ILP_BUDGET] the same way, warning and
+    keeping its 120 s default when the value is not a positive number. A
+    typo'd env var degrades to a warning instead of silently injecting
+    nothing (or aborting a run the variable may not even have been meant
+    for). *)
 
 val injection_matching :
   injection list -> stage:Instrument.stage -> net:int option -> injection option

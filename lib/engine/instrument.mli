@@ -3,7 +3,7 @@
     Each flow stage reports wall-clock seconds and named integer counters
     (candidates generated, states pruned, selection iterations, WDM track
     counts, ...) into the run-context's sink. The sink is what [--trace]
-    renders and what the bench harness serializes.
+    renders and what a timed export serializes as its [trace].
 
     The sink is plain mutable state owned by the coordinating domain: it
     is {e not} domain-safe. Parallel stages accumulate their counts on the

@@ -43,7 +43,7 @@ type job = {
 }
 
 type t = {
-  mu : Mutex.t;  (** guards jobs, counters, sink, latencies, domains *)
+  mu : Mutex.t;  (** guards jobs, counters, sink, domains *)
   finished : Condition.t;  (** broadcast on every terminal transition *)
   queue : job Jobq.t;
   registry : Registry.t;
@@ -60,7 +60,6 @@ type t = {
   mutable n_rejected : int;
   mutable n_cancelled : int;
   mutable n_expired : int;
-  mutable latency_log : float list;  (* newest-first *)
 }
 
 let with_lock t f =
@@ -85,8 +84,7 @@ let create ?(workers = 1) ?(capacity = 64) ?registry_capacity () =
     n_failed = 0;
     n_rejected = 0;
     n_cancelled = 0;
-    n_expired = 0;
-    latency_log = [] }
+    n_expired = 0 }
 
 let workers t = t.n_workers
 
@@ -101,7 +99,6 @@ let finish t job outcome ~job_sink =
       (match outcome with
        | Completed _ ->
            t.n_completed <- t.n_completed + 1;
-           t.latency_log <- (Timer.now () -. job.submitted_at) :: t.latency_log;
            Instrument.incr t.sink Instrument.Serve "completed" 1
        | Failed _ ->
            t.n_failed <- t.n_failed + 1;
@@ -314,9 +311,6 @@ let counters t =
         expired = t.n_expired;
         queue_depth;
         registry })
-
-let latencies t =
-  with_lock t (fun () -> Array.of_list (List.rev t.latency_log))
 
 let trace t =
   with_lock t (fun () ->

@@ -106,10 +106,6 @@ val eco_stats : t -> string -> Flow.eco_stats option
 
 val counters : t -> counters
 
-val latencies : t -> float array
-(** Submit-to-completion seconds of every completed job, in completion
-    order — the bench harness derives throughput and p50/p95 from it. *)
-
 val trace : t -> Operon_engine.Instrument.sink
 (** Snapshot of the merged instrumentation: every job's per-stage
     seconds/counters folded together, plus the [Serve]-stage job
