@@ -687,74 +687,41 @@ let serve_cmd =
       | Some port -> [ Operon_service.Transport.tcp_listener port ]
       | None -> []
     in
-    let stdio_loop handle =
-      let rec loop () =
-        match input_line stdin with
-        | exception End_of_file -> ()
-        | line ->
-            (match handle line with
-            | Some response ->
-                print_string response;
-                print_char '\n';
-                flush Stdlib.stdout
-            | None -> ());
-            loop ()
-      in
-      loop ()
+    (* The in-process service, or — with --shards — a fault-isolated
+       fleet of forked services. The fleet's parent must stay
+       domain-free (the runtime refuses fork after any domain is
+       created), so it speaks only threads: stdio loop, socket sessions,
+       shard readers. Either way stdio and the sockets (if any) share one
+       [handle]. *)
+    let handle, on_child_fork, shutdown =
+      if shards = 0 then begin
+        let svc =
+          Operon_service.Service.create ~workers ~capacity ?registry_capacity
+            ~resolve ~params ()
+        in
+        Operon_service.Service.start svc;
+        ( Operon_service.Service.handle_line svc,
+          ignore,
+          fun () -> Operon_service.Service.shutdown svc )
+      end
+      else begin
+        let sup =
+          Operon_service.Supervisor.create ~shards ~workers
+            ~queue_capacity:capacity ?registry_capacity ~resolve ~params ()
+        in
+        Operon_service.Supervisor.start sup;
+        ( Operon_service.Supervisor.handle_line sup,
+          Operon_service.Supervisor.on_child_fork sup,
+          fun () -> Operon_service.Supervisor.shutdown sup )
+      end
     in
-    if shards = 0 then begin
-      (* In-process service. Sockets, when requested, share it with the
-         stdio session: Service.handle_line is thread-safe. *)
-      let svc =
-        Operon_service.Service.create ~workers ~capacity ?registry_capacity
-          ~resolve ~params ()
-      in
-      match listeners with
-      | [] -> Operon_service.Service.serve svc stdin stdout
-      | ls ->
-          Operon_service.Service.start svc;
-          let transport =
-            Operon_service.Transport.start ~listeners:ls
-              ~handle:(Operon_service.Service.handle_line svc)
-              ()
-          in
-          Fun.protect
-            ~finally:(fun () ->
-              Operon_service.Transport.stop transport;
-              Operon_service.Service.shutdown svc)
-            (fun () ->
-              stdio_loop (Operon_service.Service.handle_line svc))
-    end
-    else begin
-      (* Fault-isolated multi-process serving. The parent must stay
-         domain-free (the runtime refuses fork after any domain is
-         created), so it speaks only threads: stdio loop, socket
-         sessions, shard readers. *)
-      let sup =
-        Operon_service.Supervisor.create ~shards ~workers
-          ~queue_capacity:capacity ?registry_capacity ~resolve ~params ()
-      in
-      Operon_service.Supervisor.start sup;
-      let transport =
-        match listeners with
-        | [] -> None
-        | ls ->
-            let tr =
-              Operon_service.Transport.start ~listeners:ls
-                ~handle:(Operon_service.Supervisor.handle_line sup)
-                ()
-            in
-            Operon_service.Supervisor.on_child_fork sup (fun () ->
-                Operon_service.Transport.close_in_child tr);
-            Some tr
-      in
-      Fun.protect
-        ~finally:(fun () ->
-          Option.iter Operon_service.Transport.stop transport;
-          Operon_service.Supervisor.shutdown sup)
-        (fun () ->
-          stdio_loop (Operon_service.Supervisor.handle_line sup))
-    end
+    let transport = Operon_service.Transport.start ~listeners ~handle () in
+    on_child_fork (fun () -> Operon_service.Transport.close_in_child transport);
+    Fun.protect
+      ~finally:(fun () ->
+        Operon_service.Transport.stop transport;
+        shutdown ())
+      (fun () -> Operon_service.Transport.serve_channel ~handle stdin stdout)
   in
   let doc =
     "Batch synthesis service: newline-delimited JSON requests on stdin \

@@ -49,3 +49,19 @@ val degradation_to_json : Flow.t -> string
 
 val write_file : string -> string -> unit
 (** [write_file path contents] — convenience used by the CLI. *)
+
+(** {2 Fragment writer}
+
+    The raw-fragment helpers this writer is built from, shared with the
+    serving protocol's envelopes. *)
+
+val jstr : string -> string
+(** A JSON string literal: the quote, the backslash, newline and tab
+    escaped by name, other control bytes as [\u00XX], every other byte
+    verbatim. *)
+
+val jfloat : float -> string
+(** Integral values below 1e15 as [%.1f], everything else as [%.9g]. *)
+
+val jobj : (string * string) list -> string
+(** An object from (key, raw fragment) pairs, in order. *)

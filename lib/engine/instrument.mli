@@ -24,8 +24,9 @@ type stage =
 (** The six pipeline stages of the OPERON flow (paper Figure 2) — signal
     processing, BI1S baseline generation, co-design DP candidates,
     candidate selection, WDM sweep placement, network-flow assignment —
-    plus [Serve], the batch-synthesis service layer that schedules whole
-    flows as jobs (per-job and queue counters live under it), [Eco],
+    plus [Serve], the batch-synthesis service layer that runs whole
+    flows as jobs (the stage of a fault a job raises outside the
+    pipeline stages), [Eco],
     the incremental re-preparation layer (design-diff seconds and
     nets_reused / nets_recomputed / xrows_reused counters live under
     it), [Pareto], the thermal-scenario weight sweep (profile

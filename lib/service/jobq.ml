@@ -92,5 +92,3 @@ let close t =
   with_lock t (fun () ->
       t.is_closed <- true;
       Condition.broadcast t.nonempty)
-
-let closed t = with_lock t (fun () -> t.is_closed)

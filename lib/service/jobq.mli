@@ -47,5 +47,3 @@ val pop : 'a t -> 'a option
 
 val close : 'a t -> unit
 (** Stop accepting pushes and wake every blocked {!pop}. Idempotent. *)
-
-val closed : 'a t -> bool

@@ -1,5 +1,8 @@
 let schema_version = 4
 
+let jstr = Operon.Export.jstr
+let jobj = Operon.Export.jobj
+
 (* ------------------------------------------------------------------ *)
 (* Minimal JSON reader (the Export writer's missing half)             *)
 (* ------------------------------------------------------------------ *)
@@ -160,7 +163,12 @@ module Json = struct
      | _ -> ());
     let text = String.sub c.src start (c.pos - start) in
     match float_of_string_opt text with
-    | Some v -> v
+    | Some v when Float.is_finite v -> v
+    | Some _ ->
+        (* No double holds it: rejected here rather than read as an
+           infinity that no printer can write back. *)
+        c.pos <- start;
+        fail "number %S at offset %d overflows a double" text start
     | None -> fail "bad number %S at offset %d" text start
 
   let rec parse_value c =
@@ -238,39 +246,15 @@ module Json = struct
   let member key = function
     | Obj fields -> List.assoc_opt key fields
     | _ -> None
+
+  let rec to_string = function
+    | Null -> "null"
+    | Bool b -> string_of_bool b
+    | Num v -> Printf.sprintf "%.17g" v
+    | Str s -> jstr s
+    | Arr items -> "[" ^ String.concat "," (List.map to_string items) ^ "]"
+    | Obj fields -> jobj (List.map (fun (k, v) -> (k, to_string v)) fields)
 end
-
-(* ------------------------------------------------------------------ *)
-(* Raw-fragment writers (same conventions as the Export writer)       *)
-(* ------------------------------------------------------------------ *)
-
-let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let jstr s = "\"" ^ escape s ^ "\""
-
-let jint = string_of_int
-
-let jfloat v =
-  if Float.is_integer v && Float.abs v < 1e15 then Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.9g" v
-
-let jbool = string_of_bool
-
-let jobj fields =
-  "{" ^ String.concat "," (List.map (fun (k, v) -> jstr k ^ ":" ^ v) fields) ^ "}"
 
 (* ------------------------------------------------------------------ *)
 (* Requests                                                           *)
@@ -533,6 +517,23 @@ let parse_resubmit json =
     { re_parent; re_job; re_case; re_seed; re_mode; re_budget; re_priority;
       re_deadline; re_cache; re_mutate; re_warm }
 
+let request_of_json json =
+  match json with
+  | Json.Obj _ -> (
+      match String.lowercase_ascii (str_field json "op") with
+      | "submit" -> parse_submit json
+      | "resubmit" -> parse_resubmit json
+      | "status" -> Status (str_field json "job")
+      | "result" -> Result (str_field json "job")
+      | "cancel" -> Cancel (str_field json "job")
+      | "stats" -> Stats
+      | other ->
+          invalid
+            "unknown op %S (expected submit, resubmit, status, result, cancel \
+             or stats)"
+            other)
+  | _ -> invalid "request must be a JSON object"
+
 let parse_request line =
   match Json.parse line with
   | Error (off, msg) ->
@@ -540,26 +541,8 @@ let parse_request line =
         { err_op = None; err_kind = "parse_error"; err_detail = msg;
           err_offset = Some off }
   | Ok json -> (
-      match
-        match json with
-        | Json.Obj _ -> (
-            let op = str_field json "op" in
-            ( Some op,
-              match String.lowercase_ascii op with
-              | "submit" -> parse_submit json
-              | "resubmit" -> parse_resubmit json
-              | "status" -> Status (str_field json "job")
-              | "result" -> Result (str_field json "job")
-              | "cancel" -> Cancel (str_field json "job")
-              | "stats" -> Stats
-              | other ->
-                  invalid
-                    "unknown op %S (expected submit, resubmit, status, result, \
-                     cancel or stats)"
-                    other ))
-        | _ -> invalid "request must be a JSON object"
-      with
-      | _, request -> Ok request
+      match request_of_json json with
+      | request -> Ok (json, request)
       | exception Invalid detail ->
           let err_op =
             match Json.member "op" json with Some (Json.Str s) -> Some s | _ -> None
@@ -567,13 +550,24 @@ let parse_request line =
           Error { err_op; err_kind = "validation"; err_detail = detail;
                   err_offset = None })
 
+(* The shard fleet forwards the client's own request object, so the
+   shard parses exactly what the client sent; only [job] is set, to the
+   id the parent assigned. *)
+let forward_line ~job json =
+  match json with
+  | Json.Obj fields ->
+      let others = List.filter (fun (k, _) -> k <> "job") fields in
+      Json.to_string (Json.Obj (others @ [ ("job", Json.Str job) ]))
+  | _ -> invalid_arg "Protocol.forward_line: request must be a JSON object"
+
 (* ------------------------------------------------------------------ *)
 (* Response envelopes                                                 *)
 (* ------------------------------------------------------------------ *)
 
 let envelope ?job ?op ~ok fields =
   jobj
-    ([ ("schema_version", jint schema_version); ("ok", jbool ok) ]
+    ([ ("schema_version", string_of_int schema_version);
+       ("ok", string_of_bool ok) ]
     @ (match op with Some op -> [ ("op", jstr op) ] | None -> [])
     @ (match job with Some j -> [ ("job", jstr j) ] | None -> [])
     @ fields)
@@ -587,70 +581,43 @@ let error ?job ?op ?offset ~kind ~detail () =
           ([ ("kind", jstr kind); ("detail", jstr detail) ]
           @
           match offset with
-          | Some o -> [ ("offset", jint o) ]
+          | Some o -> [ ("offset", string_of_int o) ]
           | None -> []) ) ]
 
+let unknown_job ~op id =
+  error ~job:id ~op ~kind:"unknown_job"
+    ~detail:(Printf.sprintf "no such job %S" id)
+    ()
+
+let duplicate_job ~op id =
+  error ~job:id ~op ~kind:"validation"
+    ~detail:(Printf.sprintf "job id %S already exists" id)
+    ()
+
 (* ------------------------------------------------------------------ *)
-(* Canonical request writers                                          *)
+(* Framing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The shard supervisor re-renders a parsed submission before forwarding
-   it: the shard must see the job id the parent assigned, and a retry
-   after a shard crash must replay byte-identical submission semantics
-   whatever quoting the client used. *)
+let max_line_bytes = 1 lsl 20
 
-let mode_name = function
-  | Operon_engine.Runctx.Lr -> "lr"
-  | Operon_engine.Runctx.Ilp -> "ilp"
+let line_too_long limit =
+  error ~kind:"parse_error" ~offset:limit
+    ~detail:(Printf.sprintf "request line exceeds %d bytes" limit)
+    ()
 
-let opt_field name render = function
-  | None -> []
-  | Some v -> [ (name, render v) ]
-
-let mutate_fields m =
-  opt_field "mutate"
-    (fun (m : mutate_spec) ->
-      jobj [ ("ratio", jfloat m.mut_ratio); ("seed", jint m.mut_seed) ])
-    m
-
-let thermal_fields th =
-  opt_field "thermal"
-    (fun (th : thermal_spec) ->
-      jobj
-        ([ ("hotspots", jint th.th_hotspots);
-           ("amplitude", jfloat th.th_amplitude);
-           ("decay", jfloat th.th_decay);
-           ("grid", jint th.th_grid);
-           ("ambient", jfloat th.th_ambient);
-           ("map_seed", jint th.th_seed) ]
-        @
-        match th.th_weights with
-        | [] -> []
-        | ws -> [ ("weights", "[" ^ String.concat "," (List.map jfloat ws) ^ "]") ]))
-    th
-
-let submit_to_json ~job (s : submit) =
-  jobj
-    ([ ("op", jstr "submit"); ("job", jstr job); ("case", jstr s.sub_case) ]
-    @ opt_field "seed" jint s.sub_seed
-    @ [ ("mode", jstr (mode_name s.sub_mode));
-        ("ilp_budget", jfloat s.sub_budget);
-        ("priority", jint s.sub_priority) ]
-    @ opt_field "deadline" jfloat s.sub_deadline
-    @ [ ("cache", jbool s.sub_cache) ]
-    @ mutate_fields s.sub_mutate
-    @ thermal_fields s.sub_thermal)
-
-let resubmit_to_json ~job (r : resubmit) =
-  jobj
-    ([ ("op", jstr "resubmit"); ("job", jstr job);
-       ("parent_job", jstr r.re_parent) ]
-    @ opt_field "case" jstr r.re_case
-    @ opt_field "seed" jint r.re_seed
-    @ [ ("mode", jstr (mode_name r.re_mode));
-        ("ilp_budget", jfloat r.re_budget);
-        ("priority", jint r.re_priority) ]
-    @ opt_field "deadline" jfloat r.re_deadline
-    @ [ ("cache", jbool r.re_cache) ]
-    @ mutate_fields r.re_mutate
-    @ [ ("warm", jbool r.re_warm) ])
+let handle_line ?(max_line = max_line_bytes) dispatch line =
+  if String.trim line = "" then None
+  else if String.length line > max_line then Some (line_too_long max_line)
+  else
+    Some
+      (try
+         match parse_request line with
+         | Error e ->
+             error ?op:e.err_op ?offset:e.err_offset ~kind:e.err_kind
+               ~detail:e.err_detail ()
+         | Ok (json, request) -> dispatch json request
+       with exn ->
+         (* the "never raise" guarantee the transport layer relies on: an
+            unexpected exception becomes a fault envelope, not a dropped
+            connection *)
+         error ~kind:"fault" ~detail:(Printexc.to_string exn) ())

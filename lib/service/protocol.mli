@@ -48,12 +48,20 @@ module Json : sig
     | Obj of (string * t) list
 
   val parse : string -> (t, int * string) result
-  (** Parse one complete JSON document; trailing garbage is an error.
-      [Error (offset, msg)] carries the byte offset the parse failed
-      at, for the ["parse_error"] envelope. *)
+  (** Parse one complete JSON document; trailing garbage is an error,
+      and so is a number literal that overflows a double (its offset is
+      the literal's first byte). [Error (offset, msg)] carries the byte
+      offset the parse failed at, for the ["parse_error"] envelope.
+      Never raises. *)
 
   val member : string -> t -> t option
   (** Field lookup on an [Obj]; [None] otherwise. *)
+
+  val to_string : t -> string
+  (** Compact printer, exact for every value {!parse} returns: numbers
+      at [%.17g] (the reader rejects literals that overflow a double, so
+      every [Num] is finite), strings through {!Operon.Export.jstr}.
+      [parse (to_string j) = Ok j]. *)
 end
 
 (** {2 Requests} *)
@@ -134,17 +142,26 @@ type error = {
       (** byte offset into the request line, for ["parse_error"] *)
 }
 
-val parse_request : string -> (request, error) result
-(** Parse and validate one request line. Unknown fields are ignored;
-    wrong types, unknown [op]s and out-of-range values are
-    ["validation"] errors, malformed JSON is a ["parse_error"] with the
-    failing byte offset. *)
+val parse_request : string -> (Json.t * request, error) result
+(** Parse and validate one request line; the parsed object comes back
+    with the request. Unknown fields are ignored; wrong types, unknown
+    [op]s and out-of-range values are ["validation"] errors, malformed
+    JSON is a ["parse_error"] with the failing byte offset. Never
+    raises. *)
+
+val forward_line : job:string -> Json.t -> string
+(** The line the shard fleet forwards: the client's own request object
+    (as {!parse_request} returned it) with its [job] member set to
+    [job], printed by {!Json.to_string}. It parses back to the client's
+    request with only the job id changed, so a shard — and a crash
+    retry on another shard — runs exactly what the client asked for. *)
 
 (** {2 Response envelopes}
 
-    Field values are raw JSON fragments — pass them through {!jstr} /
-    {!jint} / {!jfloat} / {!jbool}, or embed a pre-rendered document
-    (e.g. [Export.flow_to_json]) verbatim. *)
+    Field values are raw JSON fragments — render them with
+    {!Operon.Export.jstr} / {!Operon.Export.jfloat} / [string_of_int],
+    or embed a pre-rendered document (e.g. [Export.flow_to_json])
+    verbatim. *)
 
 val ok : ?job:string -> op:string -> (string * string) list -> string
 (** [{"schema_version":V,"ok":true,"op":...,"job":...,<fields>}] *)
@@ -160,19 +177,31 @@ val error :
 (** [{"schema_version":V,"ok":false,...,"error":{"kind":...,"detail":...}}].
     Kinds used by the service: ["parse_error"] (with ["offset"]),
     ["validation"], ["busy"], ["unknown_job"], ["cancelled"],
-    ["deadline"], ["fault"], ["shed"], ["shard_crash"]. *)
+    ["deadline"], ["fault"], ["shed"], ["shard_crash"], ["timeout"]. *)
 
-(** {2 Canonical request writers}
+val unknown_job : op:string -> string -> string
+(** The ["unknown_job"] envelope for a job id nobody knows. *)
 
-    The shard supervisor re-renders a parsed request before forwarding it
-    to a worker shard: the shard must see the job id the parent assigned,
-    and a retry after a shard crash must replay identical submission
-    semantics regardless of the client's original quoting. *)
+val duplicate_job : op:string -> string -> string
+(** The ["validation"] envelope for a client-chosen job id already in
+    use. *)
 
-val submit_to_json : job:string -> submit -> string
-val resubmit_to_json : job:string -> resubmit -> string
+(** {2 Framing} *)
 
-val jstr : string -> string
-val jint : int -> string
-val jfloat : float -> string
-val jbool : bool -> string
+val max_line_bytes : int
+(** Longest request line accepted (1 MiB). Longer lines are answered
+    with a ["parse_error"] envelope instead of being parsed; socket
+    transports use the same cap to bound buffering before a newline. *)
+
+val line_too_long : int -> string
+(** The ["parse_error"] envelope for a line over the given cap, with the
+    cap as its offset. *)
+
+val handle_line :
+  ?max_line:int -> (Json.t -> request -> string) -> string -> string option
+(** [handle_line dispatch line]: one request line to one response line,
+    the framing every serving mode shares. [None] for a blank line; a
+    line over [max_line] (default {!max_line_bytes}) is refused
+    unparsed; a parse or validation failure is its error envelope;
+    otherwise the answer is [dispatch json request]. Never raises: an
+    exception out of [dispatch] becomes a ["fault"] envelope. *)

@@ -172,22 +172,15 @@ let prepare_entry t ~key:design_key entry prep =
         | _ -> ());
     Printexc.raise_with_backtrace e bt
 
-let find_or_prepare ?sink t ~config design =
+let find_or_prepare ?prev t ~config design =
   let design_key = key config design in
   let entry, reused =
     Option.get (lookup t ~config design ~count:true design_key)
   in
   prepare_entry t ~key:design_key entry (fun () ->
-      Flow.prepare ?sink entry.e_config entry.e_design);
-  (entry, reused)
-
-let find_or_prepare_eco ?sink t ~config ~prev design =
-  let design_key = key config design in
-  let entry, reused =
-    Option.get (lookup t ~config design ~count:true design_key)
-  in
-  prepare_entry t ~key:design_key entry (fun () ->
-      Flow.prepare_eco ?sink ~prev entry.e_config entry.e_design);
+      match prev with
+      | None -> Flow.prepare entry.e_config entry.e_design
+      | Some prev -> Flow.prepare_eco ~prev entry.e_config entry.e_design);
   (entry, reused)
 
 let find_prepared t ~config design =

@@ -7,9 +7,9 @@
     cap, cache flag, optical parameters). The registry computes that key
     once per submission and hands repeated requests the already-prepared
     {!Operon.Flow.prepared}, so a fleet of jobs against the same design
-    pays for candidate generation once. ECO resubmissions go through
-    {!find_or_prepare_eco}, which re-prepares a revised design
-    incrementally against a previous entry's artifacts.
+    pays for candidate generation once. ECO resubmissions pass
+    {!find_or_prepare} the previous entry's artifacts, against which a
+    revised design is re-prepared incrementally.
 
     Capacity: by default the registry is unbounded. With
     [create ~capacity], inserting past the cap evicts the
@@ -62,7 +62,7 @@ val key : Flow.Config.t -> Signal.design -> string
     job against one design share the prepared entry. *)
 
 val find_or_prepare :
-  ?sink:Operon_engine.Instrument.sink ->
+  ?prev:Flow.prepared ->
   t ->
   config:Flow.Config.t ->
   Signal.design ->
@@ -71,21 +71,10 @@ val find_or_prepare :
     runs outside the registry mutex, under the entry's own lock, so
     other designs are not blocked). Returns [(entry, reused)]; [reused]
     is [false] for the submission that performed the preparation.
-    [sink] receives the preparation stages' instrumentation when this
-    call prepares. *)
-
-val find_or_prepare_eco :
-  ?sink:Operon_engine.Instrument.sink ->
-  t ->
-  config:Flow.Config.t ->
-  prev:Flow.prepared ->
-  Signal.design ->
-  entry * bool
-(** Like {!find_or_prepare}, but a first-sight design is prepared with
-    {!Operon.Flow.prepare_eco} against [prev] — per-net incremental,
-    bit-identical to the cold preparation. A revised design already in
-    the registry is reused as-is ([reused = true]) without consulting
-    [prev]. *)
+    With [prev], a first-sight design is prepared with
+    {!Operon.Flow.prepare_eco} against it — per-net incremental,
+    bit-identical to the cold preparation; a design already in the
+    registry is reused as-is without consulting [prev]. *)
 
 val find_prepared : t -> config:Flow.Config.t -> Signal.design -> Flow.prepared option
 (** Peek: the prepared artifacts for this (config, design) key if the

@@ -26,6 +26,7 @@ type counters = {
   cancelled : int;
   expired : int;
   queue_depth : int;
+  workers : int;
   registry : Registry.stats;
 }
 
@@ -43,13 +44,12 @@ type job = {
 }
 
 type t = {
-  mu : Mutex.t;  (** guards jobs, counters, sink, domains *)
+  mu : Mutex.t;  (** guards jobs, counters, domains *)
   finished : Condition.t;  (** broadcast on every terminal transition *)
   queue : job Jobq.t;
   registry : Registry.t;
   jobs : (string, job) Hashtbl.t;
   n_workers : int;
-  sink : Instrument.sink;  (** merged per-job instrumentation, under [mu] *)
   mutable domains : unit Domain.t list;
   mutable started : bool;
   mutable stopped : bool;
@@ -74,7 +74,6 @@ let create ?(workers = 1) ?(capacity = 64) ?registry_capacity () =
     registry = Registry.create ?capacity:registry_capacity ();
     jobs = Hashtbl.create 64;
     n_workers = workers;
-    sink = Instrument.create ();
     domains = [];
     started = false;
     stopped = false;
@@ -86,29 +85,16 @@ let create ?(workers = 1) ?(capacity = 64) ?registry_capacity () =
     n_cancelled = 0;
     n_expired = 0 }
 
-let workers t = t.n_workers
-
-(* Terminal transition: update the job, the counters and the merged
-   instrumentation in one critical section, then wake waiters. *)
-let finish t job outcome ~job_sink =
+(* Terminal transition: update the job and the counters in one critical
+   section, then wake waiters. *)
+let finish t job outcome =
   with_lock t (fun () ->
       job.state <- Finished outcome;
-      (match job_sink with
-       | Some s -> Instrument.merge ~into:t.sink s
-       | None -> ());
       (match outcome with
-       | Completed _ ->
-           t.n_completed <- t.n_completed + 1;
-           Instrument.incr t.sink Instrument.Serve "completed" 1
-       | Failed _ ->
-           t.n_failed <- t.n_failed + 1;
-           Instrument.incr t.sink Instrument.Serve "failed" 1
-       | Cancelled ->
-           t.n_cancelled <- t.n_cancelled + 1;
-           Instrument.incr t.sink Instrument.Serve "cancelled" 1
-       | Expired _ ->
-           t.n_expired <- t.n_expired + 1;
-           Instrument.incr t.sink Instrument.Serve "expired" 1);
+       | Completed _ -> t.n_completed <- t.n_completed + 1
+       | Failed _ -> t.n_failed <- t.n_failed + 1
+       | Cancelled -> t.n_cancelled <- t.n_cancelled + 1
+       | Expired _ -> t.n_expired <- t.n_expired + 1);
       Condition.broadcast t.finished)
 
 let run_job t job =
@@ -124,7 +110,7 @@ let run_job t job =
     match job.deadline with
     | Some d when Timer.now () >= job.submitted_at +. d ->
         let late = Timer.now () -. (job.submitted_at +. d) in
-        finish t job (Expired late) ~job_sink:None
+        finish t job (Expired late)
     | deadline -> (
         (* Route the remaining deadline through the solver budgets: the
            selection engines poll their wall-clock caps and fall down
@@ -139,7 +125,6 @@ let run_job t job =
                 Flow.Config.ilp_budget =
                   Float.min job.config.Flow.Config.ilp_budget remaining }
         in
-        let job_sink = Instrument.create () in
         match
           (* An ECO resubmission carries its parent job's id: when the
              parent's prepared artifacts are still registered, a revised
@@ -159,27 +144,18 @@ let run_job t job =
                       pj.design)
           in
           let entry, _reused =
-            match prev with
-            | Some prev ->
-                Registry.find_or_prepare_eco ~sink:job_sink t.registry ~config
-                  ~prev job.design
-            | None ->
-                Registry.find_or_prepare ~sink:job_sink t.registry ~config
-                  job.design
+            Registry.find_or_prepare ?prev t.registry ~config job.design
           in
           Registry.with_prepared entry (fun p ->
               job.eco <- p.Flow.p_eco;
-              Flow.select_with ~sink:job_sink ?initial:job.initial config
-                job.design p.Flow.p_hnets p.Flow.p_ctx)
+              Flow.select_with ?initial:job.initial config job.design
+                p.Flow.p_hnets p.Flow.p_ctx)
         with
-        | flow -> finish t job (Completed flow) ~job_sink:(Some job_sink)
-        | exception Fault.Error f ->
-            finish t job (Failed f) ~job_sink:(Some job_sink)
+        | flow -> finish t job (Completed flow)
+        | exception Fault.Error f -> finish t job (Failed f)
         | exception e ->
             let bt = Printexc.get_raw_backtrace () in
-            finish t job
-              (Failed (Fault.of_exn ~stage:Instrument.Serve e bt))
-              ~job_sink:(Some job_sink))
+            finish t job (Failed (Fault.of_exn ~stage:Instrument.Serve e bt)))
 
 let worker_loop t =
   let rec go () =
@@ -234,9 +210,7 @@ let submit t ?job ?(priority = 0) ?deadline ?parent ?initial ~config design =
   | Ok j -> (
       match Jobq.push t.queue ~priority ~token j with
       | `Queued ->
-          with_lock t (fun () ->
-              t.n_submitted <- t.n_submitted + 1;
-              Instrument.incr t.sink Instrument.Serve "submitted" 1);
+          with_lock t (fun () -> t.n_submitted <- t.n_submitted + 1);
           Ok j.id
       | (`Rejected | `Closed) as why ->
           let detail =
@@ -248,8 +222,7 @@ let submit t ?job ?(priority = 0) ?deadline ?parent ?initial ~config design =
           in
           with_lock t (fun () ->
               Hashtbl.remove t.jobs j.id;
-              t.n_rejected <- t.n_rejected + 1;
-              Instrument.incr t.sink Instrument.Serve "rejected" 1);
+              t.n_rejected <- t.n_rejected + 1);
           Error (`Busy detail))
 
 let state t id = with_lock t (fun () ->
@@ -279,7 +252,6 @@ let cancel t id =
               Jobq.Token.cancel j.token;
               j.state <- Finished Cancelled;
               t.n_cancelled <- t.n_cancelled + 1;
-              Instrument.incr t.sink Instrument.Serve "cancelled" 1;
               Condition.broadcast t.finished;
               `Cancelled
           | (Running | Finished _) as s -> `Already s))
@@ -310,13 +282,8 @@ let counters t =
         cancelled = t.n_cancelled;
         expired = t.n_expired;
         queue_depth;
+        workers = t.n_workers;
         registry })
-
-let trace t =
-  with_lock t (fun () ->
-      let snapshot = Instrument.create () in
-      Instrument.merge ~into:snapshot t.sink;
-      snapshot)
 
 let shutdown t =
   Jobq.close t.queue;

@@ -13,9 +13,9 @@
     clamped onto its selection budget, so an overrunning solver walks
     the ILP → LR → greedy → electrical fallback chain (PR 2 machinery)
     inside the worker instead of being aborted; only a deadline that
-    expires {e before} the job starts is failed outright, with a
-    structured [Serve]-stage budget fault. A worker survives any job
-    outcome and immediately serves the next job.
+    expires {e before} the job starts ends the job outright, as
+    [Expired]. A worker survives any job outcome and immediately serves
+    the next job.
 
     Shutdown is a graceful drain: the queue closes, already-accepted
     jobs finish, then the domains are joined. *)
@@ -42,8 +42,11 @@ type counters = {
   cancelled : int;
   expired : int;
   queue_depth : int;  (** live queued jobs right now *)
+  workers : int;  (** worker domains *)
   registry : Registry.stats;
 }
+(** The scheduler's only account of its jobs: the [stats] reply reads
+    these fields and nothing else counts them. *)
 
 type t
 
@@ -53,8 +56,6 @@ val create :
     [capacity] (default 64). [registry_capacity] bounds the design
     registry with LRU eviction (default unbounded). Workers are not
     spawned until {!start}. *)
-
-val workers : t -> int
 
 val start : t -> unit
 (** Spawn the worker domains. Idempotent; a no-op after {!shutdown}. *)
@@ -105,11 +106,6 @@ val eco_stats : t -> string -> Flow.eco_stats option
     ran (rather than reused a registry hit) via the ECO path. *)
 
 val counters : t -> counters
-
-val trace : t -> Operon_engine.Instrument.sink
-(** Snapshot of the merged instrumentation: every job's per-stage
-    seconds/counters folded together, plus the [Serve]-stage job
-    counters (submitted/completed/...). *)
 
 val shutdown : t -> unit
 (** Close the queue, drain accepted jobs, join the workers. Idempotent;

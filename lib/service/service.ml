@@ -12,8 +12,6 @@ let create ?workers ?capacity ?registry_capacity ~resolve ~params () =
     resolve;
     params }
 
-let scheduler t = t.scheduler
-
 let start t = Scheduler.start t.scheduler
 
 let shutdown t = Scheduler.shutdown t.scheduler
@@ -66,22 +64,24 @@ let enqueue t ~op ?job ?parent ?initial ~priority ?deadline ~config design =
   | Ok id ->
       let c = Scheduler.counters t.scheduler in
       Protocol.ok ~job:id ~op
-        [ ("state", Protocol.jstr "queued");
-          ("queue_depth", Protocol.jint c.Scheduler.queue_depth) ]
+        [ ("state", Export.jstr "queued");
+          ("queue_depth", string_of_int c.Scheduler.queue_depth) ]
   | Error (`Busy detail) -> Protocol.error ?job ~op ~kind:"busy" ~detail ()
-  | Error (`Duplicate id) ->
-      Protocol.error ~job:id ~op ~kind:"validation"
-        ~detail:(Printf.sprintf "job id %S already exists" id)
-        ()
+  | Error (`Duplicate id) -> Protocol.duplicate_job ~op id
+
+let submitted_design ~resolve (s : Protocol.submit) =
+  match resolve ~case:s.Protocol.sub_case ~seed:s.Protocol.sub_seed with
+  | None ->
+      Error
+        (Protocol.error ?job:s.Protocol.sub_job ~op:"submit" ~kind:"validation"
+           ~detail:(Printf.sprintf "unknown case %S" s.Protocol.sub_case)
+           ())
+  | Some design -> Ok (apply_mutate design s.Protocol.sub_mutate)
 
 let handle_submit t (s : Protocol.submit) =
-  match t.resolve ~case:s.Protocol.sub_case ~seed:s.Protocol.sub_seed with
-  | None ->
-      Protocol.error ?job:s.Protocol.sub_job ~op:"submit" ~kind:"validation"
-        ~detail:(Printf.sprintf "unknown case %S" s.Protocol.sub_case)
-        ()
-  | Some design ->
-      let design = apply_mutate design s.Protocol.sub_mutate in
+  match submitted_design ~resolve:t.resolve s with
+  | Error reply -> reply
+  | Ok design ->
       let config = config_of_submit t ~design s in
       enqueue t ~op:"submit" ?job:s.Protocol.sub_job
         ~priority:s.Protocol.sub_priority ?deadline:s.Protocol.sub_deadline
@@ -136,21 +136,16 @@ let handle_resubmit t (r : Protocol.resubmit) =
                 ~priority:r.Protocol.re_priority
                 ?deadline:r.Protocol.re_deadline ~config design))
 
-let unknown_job ~op id =
-  Protocol.error ~job:id ~op ~kind:"unknown_job"
-    ~detail:(Printf.sprintf "no such job %S" id)
-    ()
-
 let handle_status t id =
   match Scheduler.state t.scheduler id with
-  | None -> unknown_job ~op:"status" id
+  | None -> Protocol.unknown_job ~op:"status" id
   | Some st ->
       Protocol.ok ~job:id ~op:"status"
-        [ ("state", Protocol.jstr (Scheduler.state_name st)) ]
+        [ ("state", Export.jstr (Scheduler.state_name st)) ]
 
 let handle_result t id =
   match Scheduler.wait t.scheduler id with
-  | None -> unknown_job ~op:"result" id
+  | None -> Protocol.unknown_job ~op:"result" id
   | Some (Scheduler.Completed flow) ->
       (* ECO statistics ride in the envelope, never inside [result]: the
          result document of an ECO resubmission is byte-identical to a
@@ -170,9 +165,9 @@ let handle_result t id =
                   e.Flow.removed e.Flow.dirty_closure e.Flow.cold_fallback ) ]
       in
       Protocol.ok ~job:id ~op:"result"
-        ([ ("state", Protocol.jstr "completed");
-           ("power", Protocol.jfloat flow.Flow.power);
-           ("solver_path", Protocol.jstr flow.Flow.solver_path) ]
+        ([ ("state", Export.jstr "completed");
+           ("power", Export.jfloat flow.Flow.power);
+           ("solver_path", Export.jstr flow.Flow.solver_path) ]
         @ eco_fields
         @ [ ("result", Export.flow_to_json ~timings:false flow) ])
   | Some (Scheduler.Failed fault) ->
@@ -190,82 +185,59 @@ let handle_result t id =
 let handle_cancel t id =
   match Scheduler.cancel t.scheduler id with
   | `Cancelled ->
-      Protocol.ok ~job:id ~op:"cancel" [ ("state", Protocol.jstr "cancelled") ]
+      Protocol.ok ~job:id ~op:"cancel" [ ("state", Export.jstr "cancelled") ]
   | `Already st ->
       Protocol.error ~job:id ~op:"cancel" ~kind:"validation"
         ~detail:
           (Printf.sprintf "job is already %s" (Scheduler.state_name st))
         ()
-  | `Unknown -> unknown_job ~op:"cancel" id
+  | `Unknown -> Protocol.unknown_job ~op:"cancel" id
+
+(* The [stats] counter set and its [registry] block, named once: the
+   in-process reply reads them off one scheduler, the shard fleet's reply
+   sums them over its shards' replies. *)
+let stats_counters =
+  [ ("submitted", fun (c : Scheduler.counters) -> c.Scheduler.submitted);
+    ("completed", fun c -> c.Scheduler.completed);
+    ("failed", fun c -> c.Scheduler.failed);
+    ("rejected", fun c -> c.Scheduler.rejected);
+    ("cancelled", fun c -> c.Scheduler.cancelled);
+    ("expired", fun c -> c.Scheduler.expired);
+    ("queue_depth", fun c -> c.Scheduler.queue_depth);
+    ("workers", fun c -> c.Scheduler.workers) ]
+
+let registry_counters =
+  [ ("entries", fun (r : Registry.stats) -> r.Registry.entries);
+    ("hits", fun r -> r.Registry.hits);
+    ("misses", fun r -> r.Registry.misses);
+    ("evictions", fun r -> r.Registry.evictions) ]
+
+let stats_reply ?(extra = []) ~counts ~registry ~capacity () =
+  let ints = List.map (fun (k, v) -> (k, string_of_int v)) in
+  Protocol.ok ~op:"stats"
+    (ints counts
+    @ [ ( "registry",
+          Export.jobj
+            (ints registry
+            @ [ ( "capacity",
+                  match capacity with
+                  | None -> "null"
+                  | Some cap -> string_of_int cap ) ]) ) ]
+    @ extra)
 
 let handle_stats t =
   let c = Scheduler.counters t.scheduler in
-  Protocol.ok ~op:"stats"
-    [ ("submitted", Protocol.jint c.Scheduler.submitted);
-      ("completed", Protocol.jint c.Scheduler.completed);
-      ("failed", Protocol.jint c.Scheduler.failed);
-      ("rejected", Protocol.jint c.Scheduler.rejected);
-      ("cancelled", Protocol.jint c.Scheduler.cancelled);
-      ("expired", Protocol.jint c.Scheduler.expired);
-      ("queue_depth", Protocol.jint c.Scheduler.queue_depth);
-      ("workers", Protocol.jint (Scheduler.workers t.scheduler));
-      ( "registry",
-        Printf.sprintf
-          "{\"entries\":%d,\"hits\":%d,\"misses\":%d,\"evictions\":%d,\
-           \"capacity\":%s}"
-          c.Scheduler.registry.Registry.entries
-          c.Scheduler.registry.Registry.hits
-          c.Scheduler.registry.Registry.misses
-          c.Scheduler.registry.Registry.evictions
-          (match c.Scheduler.registry.Registry.capacity with
-          | None -> "null"
-          | Some cap -> string_of_int cap) ) ]
+  let reg = c.Scheduler.registry in
+  stats_reply
+    ~counts:(List.map (fun (k, get) -> (k, get c)) stats_counters)
+    ~registry:(List.map (fun (k, get) -> (k, get reg)) registry_counters)
+    ~capacity:reg.Registry.capacity ()
 
-let max_line_bytes = 1 lsl 20
-
-let handle_line t line =
-  if String.trim line = "" then None
-  else if String.length line > max_line_bytes then
-    Some
-      (Protocol.error ~kind:"parse_error" ~offset:max_line_bytes
-         ~detail:
-           (Printf.sprintf "request line exceeds %d bytes" max_line_bytes)
-         ())
-  else
-    Some
-      (try
-         match Protocol.parse_request line with
-         | Error e ->
-             Protocol.error ?op:e.Protocol.err_op
-               ?offset:e.Protocol.err_offset ~kind:e.Protocol.err_kind
-               ~detail:e.Protocol.err_detail ()
-         | Ok (Protocol.Submit s) -> handle_submit t s
-         | Ok (Protocol.Resubmit r) -> handle_resubmit t r
-         | Ok (Protocol.Status id) -> handle_status t id
-         | Ok (Protocol.Result id) -> handle_result t id
-         | Ok (Protocol.Cancel id) -> handle_cancel t id
-         | Ok Protocol.Stats -> handle_stats t
-       with exn ->
-         (* the "never raise" guarantee the transport layer relies on: an
-            unexpected exception becomes a fault envelope, not a dropped
-            connection *)
-         Protocol.error ~kind:"fault" ~detail:(Printexc.to_string exn) ())
-
-let serve t ic oc =
-  start t;
-  Fun.protect
-    ~finally:(fun () -> shutdown t)
-    (fun () ->
-      let rec loop () =
-        match input_line ic with
-        | exception End_of_file -> ()
-        | line ->
-            (match handle_line t line with
-             | Some response ->
-                 output_string oc response;
-                 output_char oc '\n';
-                 flush oc
-             | None -> ());
-            loop ()
-      in
-      loop ())
+let handle_line ?max_line t =
+  Protocol.handle_line ?max_line (fun _ -> function
+    | Protocol.Submit s -> handle_submit t s
+    | Protocol.Resubmit r -> handle_resubmit t r
+    | Protocol.Status id -> handle_status t id
+    | Protocol.Result id -> handle_result t id
+    | Protocol.Cancel id -> handle_cancel t id
+    | Protocol.Stats -> handle_stats t)

@@ -22,11 +22,18 @@ open Operon_util
 
    The parent is the single answer point, which is what makes crash
    retries idempotent: a job re-forwarded to a survivor shard recomputes
-   a byte-identical result (synthesis is a pure function of the
-   canonical request line), and whichever terminal envelope arrives
-   first wins. *)
+   a byte-identical result (synthesis is a pure function of the request,
+   and the forwarded line is the client's own request object with only
+   [job] set), and whichever terminal envelope arrives first wins. *)
 
-let serve_stage = Instrument.Serve
+(* Restart policy: a shard that dies within [min_uptime] seconds of its
+   fork counts as a fast crash; more than [max_consecutive] fast crashes
+   in a row trip the circuit breaker. Restarts wait [backoff_base]
+   seconds, doubling per consecutive crash up to [backoff_cap]. *)
+let min_uptime = 1.0
+let max_consecutive = 5
+let backoff_base = 0.25
+let backoff_cap = 8.0
 
 (* ------------------------------------------------------------------ *)
 (* Consistent hash ring                                                *)
@@ -82,7 +89,7 @@ type shard = {
 
 type job = {
   j_id : string;
-  j_line : string;  (* canonical request line, replayable verbatim *)
+  j_line : string;  (* the forwarded request line, replayed verbatim *)
   j_fp : string;  (* design fingerprint: the routing key *)
   mutable j_shard : int;
   mutable j_retried : bool;
@@ -96,13 +103,8 @@ type t = {
   workers : int;
   queue_capacity : int option;
   registry_capacity : int option;
-  min_uptime : float;
-  max_consecutive : int;
-  backoff_base : float;
-  backoff_cap : float;
   resolve : case:string -> seed:int option -> Signal.design option;
   params : Operon_optical.Params.t;
-  sink : Instrument.sink;
   mu : Mutex.t;
   cond : Condition.t;
   jobs : (string, job) Hashtbl.t;
@@ -163,7 +165,7 @@ let shard_main ~workers ~queue_capacity ~registry_capacity ~resolve ~params
   let waiters_mu = Mutex.create () in
   let waiters = ref [] in
   let push_result job =
-    let req = Printf.sprintf {|{"op":"result","job":%s}|} (Protocol.jstr job) in
+    let req = Printf.sprintf {|{"op":"result","job":%s}|} (Export.jstr job) in
     match Service.handle_line svc req with
     | Some env -> ignore (shard_write wmu wfd env)
     | None -> ()
@@ -173,11 +175,13 @@ let shard_main ~workers ~queue_capacity ~registry_capacity ~resolve ~params
     match input_line ic with
     | exception End_of_file -> ()
     | line -> (
-        match Service.handle_line svc line with
+        match Service.handle_line ~max_line:max_int svc line with
         | None -> loop ()
         | Some reply ->
             ignore (shard_write wmu wfd reply);
-            (match line_op_job line with
+            (* An accepted job is read off the shard's own ack, whose [op]
+               is canonical whatever case the client wrote it in. *)
+            (match line_op_job reply with
             | Some ("submit" | "resubmit"), Some id when envelope_ok reply ->
                 let th = Thread.create push_result id in
                 Mutex.lock waiters_mu;
@@ -343,18 +347,12 @@ let send_sync t shard proc line =
             Some sw
         | _ -> None)
   in
-  let sent =
-    match sw with
-    | None -> None
-    | Some sw ->
-        if Transport.write_all proc.pr_wfd (line ^ "\n") then Some sw
-        else begin
-          (* broken pipe: the reader/monitor will fail the waiter *)
-          Some sw
-        end
-  in
+  (* A broken pipe is not checked here: the reader/monitor fails the
+     waiter. *)
+  if Option.is_some sw then
+    ignore (Transport.write_all proc.pr_wfd (line ^ "\n"));
   Mutex.unlock proc.pr_wmu;
-  sent
+  sw
 
 let await_sync t sw =
   with_mu t (fun () ->
@@ -362,6 +360,11 @@ let await_sync t sw =
         Condition.wait t.cond t.mu
       done;
       sw.sw_reply)
+
+(* [send_sync] then [await_sync]: [None] when the shard is gone before
+   it answers. *)
+let round_trip t shard proc line =
+  Option.bind (send_sync t shard proc line) (await_sync t)
 
 (* Re-forward a crash-orphaned job to a survivor, at most once. Runs in
    a detached thread (the monitor must not block on pipe writes). The
@@ -381,11 +384,7 @@ let retry_job t job =
       with_mu t (fun () ->
           job.j_shard <- shard.sh_index;
           job.j_started <- Timer.now ());
-      let reply =
-        match send_sync t shard proc job.j_line with
-        | None -> None
-        | Some sw -> await_sync t sw
-      in
+      let reply = round_trip t shard proc job.j_line in
       with_mu t (fun () ->
           match reply with
           | Some r when envelope_ok r -> ()  (* requeued; terminal will come *)
@@ -403,8 +402,8 @@ let retry_job t job =
                 Condition.broadcast t.cond
               end)
 
-let backoff_delay t consecutive =
-  Float.min t.backoff_cap (t.backoff_base *. (2.0 ** float_of_int (consecutive - 1)))
+let backoff_delay consecutive =
+  Float.min backoff_cap (backoff_base *. (2.0 ** float_of_int (consecutive - 1)))
 
 let rec schedule_restart t shard delay =
   ignore
@@ -414,7 +413,6 @@ let rec schedule_restart t shard delay =
          with_mu t (fun () ->
              if (not t.stopping) && shard.sh_state = Starting then begin
                shard.sh_restarts <- shard.sh_restarts + 1;
-               Instrument.incr t.sink serve_stage "shard_restarts" 1;
                ignore (spawn_locked t shard)
              end))
        ())
@@ -447,15 +445,13 @@ and handle_death t pid status =
             else begin
               (match status with
               | Unix.WEXITED _ ->
-                  shard.sh_crash_exits <- shard.sh_crash_exits + 1;
-                  Instrument.incr t.sink serve_stage "crash_exits" 1
+                  shard.sh_crash_exits <- shard.sh_crash_exits + 1
               | Unix.WSIGNALED _ | Unix.WSTOPPED _ ->
-                  shard.sh_crash_signals <- shard.sh_crash_signals + 1;
-                  Instrument.incr t.sink serve_stage "crash_signals" 1);
+                  shard.sh_crash_signals <- shard.sh_crash_signals + 1);
               let uptime = Timer.now () -. proc.pr_started in
               shard.sh_consecutive <-
-                (if uptime < t.min_uptime then shard.sh_consecutive + 1 else 1);
-              let broken = shard.sh_consecutive > t.max_consecutive in
+                (if uptime < min_uptime then shard.sh_consecutive + 1 else 1);
+              let broken = shard.sh_consecutive > max_consecutive in
               shard.sh_state <- (if broken then Broken else Starting);
               (* Orphans: this shard's in-flight jobs. *)
               let orphans =
@@ -472,8 +468,7 @@ and handle_death t pid status =
               List.iter
                 (fun j ->
                   j.j_retried <- true;
-                  shard.sh_retries <- shard.sh_retries + 1;
-                  Instrument.incr t.sink serve_stage "shard_retries" 1)
+                  shard.sh_retries <- shard.sh_retries + 1)
                 retry;
               List.iter
                 (fun j ->
@@ -491,7 +486,7 @@ and handle_death t pid status =
   | Some (shard, broken, retry) ->
       List.iter (fun j -> ignore (Thread.create (fun () -> retry_job t j) ())) retry;
       if not broken then
-        schedule_restart t shard (backoff_delay t shard.sh_consecutive)
+        schedule_restart t shard (backoff_delay shard.sh_consecutive)
 
 let all_reaped t =
   with_mu t (fun () ->
@@ -520,8 +515,7 @@ let monitor_loop t =
 (* ------------------------------------------------------------------ *)
 
 let create ?(shards = 2) ?(workers = 1) ?queue_capacity ?registry_capacity
-    ?(min_uptime = 1.0) ?(max_consecutive = 5) ?(backoff_base = 0.25)
-    ?(backoff_cap = 8.0) ~resolve ~params () =
+    ~resolve ~params () =
   if shards < 1 then invalid_arg "Supervisor.create: shards must be >= 1";
   let shard i =
     { sh_index = i;
@@ -546,13 +540,8 @@ let create ?(shards = 2) ?(workers = 1) ?queue_capacity ?registry_capacity
     workers;
     queue_capacity;
     registry_capacity;
-    min_uptime;
-    max_consecutive;
-    backoff_base;
-    backoff_cap;
     resolve;
     params;
-    sink = Instrument.create ();
     mu = Mutex.create ();
     cond = Condition.create ();
     jobs = Hashtbl.create 64;
@@ -570,8 +559,6 @@ let start t =
         (fun s -> if s.sh_state = Starting then ignore (spawn_locked t s))
         t.shards);
   t.monitor <- Some (Thread.create (fun () -> monitor_loop t) ())
-
-let sink t = t.sink
 
 let pids t =
   with_mu t (fun () ->
@@ -591,26 +578,17 @@ let fresh_job_id_locked t =
   in
   go ()
 
-let duplicate_id ~op id =
-  Protocol.error ~job:id ~op ~kind:"validation"
-    ~detail:(Printf.sprintf "job id %S already exists" id)
-    ()
-
-let no_live_shard ~op ?job () =
-  Protocol.error ?job ~op ~kind:"busy" ~detail:"no live shard" ()
-
 (* Deadline-aware shedding: reject at dispatch when the job's whole
    deadline cannot even cover the target shard's observed p95 service
    time — the job would all but surely expire after consuming a shard
    slot. Needs >= 8 observations before it trusts the window. *)
-let shed_check_locked t shard ~op ~job deadline =
+let shed_check_locked shard ~op ~job deadline =
   match deadline with
   | None -> None
   | Some d -> (
       match observed_p95 shard with
       | Some p95 when d < p95 ->
           shard.sh_shed <- shard.sh_shed + 1;
-          Instrument.incr t.sink serve_stage "jobs_shed" 1;
           Some
             (Protocol.error ~job ~op
                ~kind:(Fault.kind_name Fault.Shed)
@@ -622,15 +600,11 @@ let shed_check_locked t shard ~op ~job deadline =
                ())
       | _ -> None)
 
-(* Forward a registered job's canonical line and relay the shard's ack.
+(* Forward a registered job's line and relay the shard's ack.
    If the shard dies before acking, the monitor has either retried the
    job (answer: accepted) or set its terminal (answer: that failure). *)
 let dispatch t shard proc job ~op =
-  let reply =
-    match send_sync t shard proc job.j_line with
-    | None -> None
-    | Some sw -> await_sync t sw
-  in
+  let reply = round_trip t shard proc job.j_line in
   with_mu t (fun () ->
       match reply with
       | Some r ->
@@ -644,121 +618,86 @@ let dispatch t shard proc job ~op =
           | _ ->
               (* retried onto a survivor: accepted after all *)
               Protocol.ok ~job:job.j_id ~op
-                [ ("state", Protocol.jstr "queued");
-                  ("retried", Protocol.jbool true) ]))
+                [ ("state", Export.jstr "queued"); ("retried", "true") ]))
 
-let handle_submit t (s : Protocol.submit) =
-  let op = "submit" in
-  match t.resolve ~case:s.Protocol.sub_case ~seed:s.Protocol.sub_seed with
-  | None ->
-      Protocol.error ?job:s.Protocol.sub_job ~op ~kind:"validation"
-        ~detail:(Printf.sprintf "unknown case %S" s.Protocol.sub_case)
-        ()
-  | Some design ->
-      let design =
-        match s.Protocol.sub_mutate with
-        | None -> design
-        | Some m ->
-            Mutate.design ~ratio:m.Protocol.mut_ratio ~seed:m.Protocol.mut_seed
-              design
-      in
-      let fp = Registry.fingerprint design in
-      let outcome =
-        with_mu t (fun () ->
-            match s.Protocol.sub_job with
-            | Some id when Hashtbl.mem t.jobs id -> `Reply (duplicate_id ~op id)
-            | chosen -> (
-                match route_locked t fp with
-                | None -> `Reply (no_live_shard ~op ?job:chosen ())
-                | Some (shard, proc) -> (
-                    let id =
-                      match chosen with
-                      | Some id -> id
-                      | None -> fresh_job_id_locked t
-                    in
-                    match
-                      shed_check_locked t shard ~op ~job:id
-                        s.Protocol.sub_deadline
-                    with
-                    | Some shed -> `Reply shed
-                    | None ->
-                        let job =
-                          { j_id = id;
-                            j_line = Protocol.submit_to_json ~job:id s;
-                            j_fp = fp;
-                            j_shard = shard.sh_index;
-                            j_retried = false;
-                            j_started = Timer.now ();
-                            j_terminal = None }
-                        in
-                        Hashtbl.replace t.jobs id job;
-                        `Dispatch (shard, proc, job))))
-      in
-      (match outcome with
-      | `Reply r -> r
-      | `Dispatch (shard, proc, job) -> dispatch t shard proc job ~op)
-
-let handle_resubmit t (r : Protocol.resubmit) =
-  let op = "resubmit" in
+(* Admission, shared by submit and resubmit: refuse a client id already
+   taken, pick the target shard ([target] answers the refusal when there
+   is none), shed against its p95, register the job under the client's id
+   or a fresh one, and forward its line. *)
+let admit t json ~op ~chosen ~deadline ~fp target =
   let outcome =
     with_mu t (fun () ->
-        match Hashtbl.find_opt t.jobs r.Protocol.re_parent with
-        | None ->
-            `Reply
-              (Protocol.error ?job:r.Protocol.re_job ~op ~kind:"unknown_job"
-                 ~detail:
-                   (Printf.sprintf "no such parent job %S" r.Protocol.re_parent)
-                 ())
-        | Some parent -> (
-            match r.Protocol.re_job with
-            | Some id when Hashtbl.mem t.jobs id -> `Reply (duplicate_id ~op id)
-            | chosen -> (
-                (* Affinity: the parent's shard holds the prepared
-                   artifacts the ECO path warm-starts from. *)
-                let home = t.shards.(parent.j_shard) in
-                match home.sh_state with
-                | Running proc -> (
-                    let id =
-                      match chosen with
-                      | Some id -> id
-                      | None -> fresh_job_id_locked t
+        match chosen with
+        | Some id when Hashtbl.mem t.jobs id ->
+            Error (Protocol.duplicate_job ~op id)
+        | _ -> (
+            match target () with
+            | Error reply -> Error reply
+            | Ok (shard, proc) -> (
+                let id =
+                  match chosen with
+                  | Some id -> id
+                  | None -> fresh_job_id_locked t
+                in
+                match shed_check_locked shard ~op ~job:id deadline with
+                | Some shed -> Error shed
+                | None ->
+                    let job =
+                      { j_id = id;
+                        j_line = Protocol.forward_line ~job:id json;
+                        j_fp = fp;
+                        j_shard = shard.sh_index;
+                        j_retried = false;
+                        j_started = Timer.now ();
+                        j_terminal = None }
                     in
-                    match
-                      shed_check_locked t home ~op ~job:id
-                        r.Protocol.re_deadline
-                    with
-                    | Some shed -> `Reply shed
-                    | None ->
-                        let job =
-                          { j_id = id;
-                            j_line = Protocol.resubmit_to_json ~job:id r;
-                            j_fp = parent.j_fp;
-                            j_shard = home.sh_index;
-                            j_retried = false;
-                            j_started = Timer.now ();
-                            j_terminal = None }
-                        in
-                        Hashtbl.replace t.jobs id job;
-                        `Dispatch (home, proc, job))
-                | Starting | Broken ->
-                    `Reply
-                      (Protocol.error ?job:chosen ~op
-                         ~kind:(Fault.kind_name Fault.Shard_crash)
-                         ~detail:
-                           (Printf.sprintf
-                              "parent job %S's shard %d is down; its \
-                               artifacts are lost"
-                              r.Protocol.re_parent parent.j_shard)
-                         ()))))
+                    Hashtbl.replace t.jobs id job;
+                    Ok (shard, proc, job))))
   in
   match outcome with
-  | `Reply r -> r
-  | `Dispatch (shard, proc, job) -> dispatch t shard proc job ~op
+  | Error reply -> reply
+  | Ok (shard, proc, job) -> dispatch t shard proc job ~op
 
-let unknown_job ~op id =
-  Protocol.error ~job:id ~op ~kind:"unknown_job"
-    ~detail:(Printf.sprintf "no such job %S" id)
-    ()
+let handle_submit t json (s : Protocol.submit) =
+  match Service.submitted_design ~resolve:t.resolve s with
+  | Error reply -> reply
+  | Ok design ->
+      let chosen = s.Protocol.sub_job in
+      let fp = Registry.fingerprint design in
+      admit t json ~op:"submit" ~chosen ~deadline:s.Protocol.sub_deadline ~fp
+        (fun () ->
+          match route_locked t fp with
+          | Some target -> Ok target
+          | None ->
+              Error
+                (Protocol.error ?job:chosen ~op:"submit" ~kind:"busy"
+                   ~detail:"no live shard" ()))
+
+let handle_resubmit t json (r : Protocol.resubmit) =
+  let op = "resubmit" and chosen = r.Protocol.re_job in
+  match with_mu t (fun () -> Hashtbl.find_opt t.jobs r.Protocol.re_parent) with
+  | None ->
+      Protocol.error ?job:chosen ~op ~kind:"unknown_job"
+        ~detail:(Printf.sprintf "no such parent job %S" r.Protocol.re_parent)
+        ()
+  | Some parent ->
+      admit t json ~op ~chosen ~deadline:r.Protocol.re_deadline ~fp:parent.j_fp
+        (fun () ->
+          (* Affinity: the parent's shard holds the prepared artifacts the
+             ECO path warm-starts from. *)
+          let home = t.shards.(parent.j_shard) in
+          match home.sh_state with
+          | Running proc -> Ok (home, proc)
+          | Starting | Broken ->
+              Error
+                (Protocol.error ?job:chosen ~op
+                   ~kind:(Fault.kind_name Fault.Shard_crash)
+                   ~detail:
+                     (Printf.sprintf
+                        "parent job %S's shard %d is down; its artifacts are \
+                         lost"
+                        r.Protocol.re_parent parent.j_shard)
+                   ()))
 
 (* Status/cancel of a finished job is answered from the parent's own
    terminal record — a restarted shard has a fresh scheduler that no
@@ -777,7 +716,7 @@ let terminal_state env =
         | None -> "failed")
     | Error _ -> "failed"
 
-let forward_simple t ~op id =
+let forward_simple t json ~op id =
   let target =
     with_mu t (fun () ->
         match Hashtbl.find_opt t.jobs id with
@@ -792,12 +731,12 @@ let forward_simple t ~op id =
                 | Starting | Broken -> `Down)))
   in
   match target with
-  | `Unknown -> unknown_job ~op id
+  | `Unknown -> Protocol.unknown_job ~op id
   | `Terminal env -> (
       let state = terminal_state env in
       match op with
       | "status" ->
-          Protocol.ok ~job:id ~op [ ("state", Protocol.jstr state) ]
+          Protocol.ok ~job:id ~op [ ("state", Export.jstr state) ]
       | _ ->
           Protocol.error ~job:id ~op ~kind:"validation"
             ~detail:(Printf.sprintf "job is already %s" state)
@@ -806,11 +745,7 @@ let forward_simple t ~op id =
       Protocol.error ~job:id ~op ~kind:"busy"
         ~detail:"job's shard is restarting; try again" ()
   | `Forward (shard, proc) -> (
-      let line =
-        Printf.sprintf {|{"op":%s,"job":%s}|} (Protocol.jstr op)
-          (Protocol.jstr id)
-      in
-      match send_sync t shard proc line with
+      match send_sync t shard proc (Protocol.Json.to_string json) with
       | None ->
           Protocol.error ~job:id ~op ~kind:"busy"
             ~detail:"job's shard is restarting; try again" ()
@@ -825,17 +760,18 @@ let forward_simple t ~op id =
 let handle_result t id =
   with_mu t (fun () ->
       match Hashtbl.find_opt t.jobs id with
-      | None -> unknown_job ~op:"result" id
+      | None -> Protocol.unknown_job ~op:"result" id
       | Some j ->
           while j.j_terminal = None do
             Condition.wait t.cond t.mu
           done;
           Option.get j.j_terminal)
 
-(* Aggregated stats: the sum of every live shard's service counters,
-   plus the supervisor's own fault-tolerance counters (global and per
-   shard). Shards are queried synchronously one by one — every shard op
-   is non-blocking, so this is bounded by pipe round-trips. *)
+(* Aggregated stats: every live shard's counters summed field by field
+   over {!Service}'s counter set, plus the fault-tolerance counters each
+   shard record keeps (summed in the [supervisor] block, listed in the
+   [shards] array). Shards are queried synchronously one by one — every
+   shard op is non-blocking, so this is bounded by pipe round-trips. *)
 let handle_stats t =
   let procs =
     with_mu t (fun () ->
@@ -845,39 +781,25 @@ let handle_stats t =
                | Running p -> Some (s, p)
                | _ -> None))
   in
-  let int_field j k =
-    match Protocol.Json.member k j with
-    | Some (Protocol.Json.Num n) -> int_of_float n
-    | _ -> 0
+  let replies =
+    List.filter_map
+      (fun (shard, proc) ->
+        Option.bind (round_trip t shard proc {|{"op":"stats"}|}) (fun line ->
+            Result.to_option (Protocol.Json.parse line)))
+      procs
   in
-  let totals = Hashtbl.create 8 in
-  let add k v = Hashtbl.replace totals k (v + Option.value ~default:0 (Hashtbl.find_opt totals k)) in
-  let reg_totals = Hashtbl.create 4 in
-  let add_reg k v = Hashtbl.replace reg_totals k (v + Option.value ~default:0 (Hashtbl.find_opt reg_totals k)) in
-  List.iter
-    (fun (shard, proc) ->
-      match send_sync t shard proc {|{"op":"stats"}|} with
-      | None -> ()
-      | Some sw -> (
-          match await_sync t sw with
-          | None -> ()
-          | Some line -> (
-              match Protocol.Json.parse line with
-              | Error _ -> ()
-              | Ok j ->
-                  List.iter
-                    (fun k -> add k (int_field j k))
-                    [ "submitted"; "completed"; "failed"; "rejected";
-                      "cancelled"; "expired"; "queue_depth"; "workers" ];
-                  (match Protocol.Json.member "registry" j with
-                  | Some reg ->
-                      List.iter
-                        (fun k -> add_reg k (int_field reg k))
-                        [ "entries"; "hits"; "misses"; "evictions" ]
-                  | None -> ()))))
-    procs;
-  let total k = Option.value ~default:0 (Hashtbl.find_opt totals k) in
-  let reg k = Option.value ~default:0 (Hashtbl.find_opt reg_totals k) in
+  let sum block counters =
+    List.map
+      (fun (k, _) ->
+        ( k,
+          List.fold_left
+            (fun acc j ->
+              match Option.bind (block j) (Protocol.Json.member k) with
+              | Some (Protocol.Json.Num n) -> acc + int_of_float n
+              | _ -> acc)
+            0 replies ))
+      counters
+  in
   let shard_json s =
     let state =
       match s.sh_state with
@@ -888,79 +810,44 @@ let handle_stats t =
     Printf.sprintf
       "{\"index\":%d,\"state\":%s,\"restarts\":%d,\"retries\":%d,\"shed\":%d,\
        \"crash_exits\":%d,\"crash_signals\":%d,\"samples\":%d,\"p95_seconds\":%s}"
-      s.sh_index (Protocol.jstr state) s.sh_restarts s.sh_retries s.sh_shed
+      s.sh_index (Export.jstr state) s.sh_restarts s.sh_retries s.sh_shed
       s.sh_crash_exits s.sh_crash_signals
       (min s.sh_ntimes window_size)
       (match observed_p95 s with
-      | Some p -> Protocol.jfloat p
+      | Some p -> Export.jfloat p
       | None -> "null")
   in
-  let shards_json, counters =
+  let extra =
     with_mu t (fun () ->
-        ( "["
-          ^ String.concat ","
-              (Array.to_list (Array.map shard_json t.shards))
-          ^ "]",
-          List.map
-            (fun name -> (name, Instrument.counter t.sink serve_stage name))
-            [ "shard_restarts"; "shard_retries"; "jobs_shed"; "crash_exits";
-              "crash_signals" ] ))
+        let total f =
+          string_of_int (Array.fold_left (fun acc s -> acc + f s) 0 t.shards)
+        in
+        [ ( "supervisor",
+            Export.jobj
+              [ ("shards", string_of_int (Array.length t.shards));
+                ("restarts", total (fun s -> s.sh_restarts));
+                ("retries", total (fun s -> s.sh_retries));
+                ("shed", total (fun s -> s.sh_shed));
+                ("crash_exits", total (fun s -> s.sh_crash_exits));
+                ("crash_signals", total (fun s -> s.sh_crash_signals)) ] );
+          ( "shards",
+            "["
+            ^ String.concat "," (Array.to_list (Array.map shard_json t.shards))
+            ^ "]" ) ])
   in
-  let counter name = List.assoc name counters in
-  Protocol.ok ~op:"stats"
-    ([ ("submitted", Protocol.jint (total "submitted"));
-       ("completed", Protocol.jint (total "completed"));
-       ("failed", Protocol.jint (total "failed"));
-       ("rejected", Protocol.jint (total "rejected"));
-       ("cancelled", Protocol.jint (total "cancelled"));
-       ("expired", Protocol.jint (total "expired"));
-       ("queue_depth", Protocol.jint (total "queue_depth"));
-       ("workers", Protocol.jint (total "workers"));
-       ( "registry",
-         Printf.sprintf
-           "{\"entries\":%d,\"hits\":%d,\"misses\":%d,\"evictions\":%d,\
-            \"capacity\":%s}"
-           (reg "entries") (reg "hits") (reg "misses") (reg "evictions")
-           (match t.registry_capacity with
-           | None -> "null"
-           | Some c -> string_of_int c) );
-       ( "supervisor",
-         Printf.sprintf
-           "{\"shards\":%d,\"restarts\":%d,\"retries\":%d,\"shed\":%d,\
-            \"crash_exits\":%d,\"crash_signals\":%d}"
-           (Array.length t.shards)
-           (counter "shard_restarts")
-           (counter "shard_retries")
-           (counter "jobs_shed")
-           (counter "crash_exits")
-           (counter "crash_signals") );
-       ("shards", shards_json) ])
+  Service.stats_reply ~extra
+    ~counts:(sum Option.some Service.stats_counters)
+    ~registry:(sum (Protocol.Json.member "registry") Service.registry_counters)
+    ~capacity:t.registry_capacity ()
 
-let handle_line t line =
-  if String.trim line = "" then None
-  else if String.length line > Service.max_line_bytes then
-    Some
-      (Protocol.error ~kind:"parse_error" ~offset:Service.max_line_bytes
-         ~detail:
-           (Printf.sprintf "request line exceeds %d bytes"
-              Service.max_line_bytes)
-         ())
-  else
-    Some
-      (try
-         match Protocol.parse_request line with
-         | Error e ->
-             Protocol.error ?op:e.Protocol.err_op
-               ?offset:e.Protocol.err_offset ~kind:e.Protocol.err_kind
-               ~detail:e.Protocol.err_detail ()
-         | Ok (Protocol.Submit s) -> handle_submit t s
-         | Ok (Protocol.Resubmit r) -> handle_resubmit t r
-         | Ok (Protocol.Status id) -> forward_simple t ~op:"status" id
-         | Ok (Protocol.Result id) -> handle_result t id
-         | Ok (Protocol.Cancel id) -> forward_simple t ~op:"cancel" id
-         | Ok Protocol.Stats -> handle_stats t
-       with exn ->
-         Protocol.error ~kind:"fault" ~detail:(Printexc.to_string exn) ())
+let handle_line t =
+  Protocol.handle_line (fun json -> function
+    | Protocol.Submit s -> handle_submit t json s
+    | Protocol.Resubmit r -> handle_resubmit t json r
+    | Protocol.Status id -> forward_simple t json ~op:"status" id
+    | Protocol.Result id -> handle_result t id
+    | Protocol.Cancel id -> forward_simple t json ~op:"cancel" id
+    | Protocol.Stats -> handle_stats t)
 
 (* ------------------------------------------------------------------ *)
 (* Shutdown                                                            *)

@@ -12,21 +12,25 @@
       one design land on the shard that already holds it prepared, at
       any shard count; [resubmit] follows its parent job's shard (the
       ECO artifacts live there);
+    - forwards the client's own request object with only [job] set
+      ({!Protocol.forward_line}), so a shard runs exactly what the
+      client sent, and answers the same bytes the in-process service
+      does;
     - detects shard death via [waitpid], classifies the crash (exit vs.
-      signal), restarts with exponential backoff and trips a circuit
-      breaker after [max_consecutive] crash-loop deaths (uptime below
-      [min_uptime]);
+      signal), restarts after a backoff of 0.25 s doubling per
+      consecutive crash up to 8 s, and trips a circuit breaker after 5
+      crash-loop deaths in a row (uptime under 1 s);
     - re-forwards a dead shard's in-flight jobs to a survivor {e at most
       once} per job — idempotent because synthesis is a pure function
-      of the canonical request line, so a retried job's result is
-      byte-identical to a single-shot run;
+      of the request and the replay is the same forwarded line, so a
+      retried job's result is byte-identical to a single-shot run;
     - sheds at dispatch: a job whose whole deadline is below the target
       shard's observed p95 service time (last 64 completions, at least
       8 observed) is rejected with a ["shed"] envelope instead of
       consuming a shard slot;
-    - accounts per-shard restarts, retries, sheds and crash kinds in an
-      {!Operon_engine.Instrument} sink (stage [Serve]) and in the
-      [stats] envelope ([supervisor] and [shards] fields).
+    - counts restarts, retries, sheds and crash kinds per shard; the
+      [stats] envelope sums them in its [supervisor] block and lists
+      them in its [shards] array.
 
     Concurrency rule: the parent runs {e systhreads only}. The OCaml 5
     runtime refuses [Unix.fork] once any domain has ever been created
@@ -43,10 +47,6 @@ val create :
   ?workers:int ->
   ?queue_capacity:int ->
   ?registry_capacity:int ->
-  ?min_uptime:float ->
-  ?max_consecutive:int ->
-  ?backoff_base:float ->
-  ?backoff_cap:float ->
   resolve:(case:string -> seed:int option -> Signal.design option) ->
   params:Operon_optical.Params.t ->
   unit ->
@@ -65,15 +65,12 @@ val start : t -> unit
 (** Fork the shards and start the [waitpid] monitor. *)
 
 val handle_line : t -> string -> string option
-(** One request line to one response line — the same contract as
-    {!Service.handle_line}, same envelopes byte-for-byte for jobs that
-    run undisturbed. [None] for blank lines; never raises. [result]
-    blocks until the job's terminal envelope arrives from its shard (or
-    the crash-retry path resolves it). *)
-
-val sink : t -> Operon_engine.Instrument.sink
-(** The supervisor's counters under stage [Serve]: [shard_restarts],
-    [shard_retries], [jobs_shed], [crash_exits], [crash_signals]. *)
+(** One request line to one response line — the same framing as
+    {!Service.handle_line} ({!Protocol.handle_line}), same envelopes
+    byte-for-byte for jobs that run undisturbed. [None] for blank
+    lines; never raises. [result] blocks until the job's terminal
+    envelope arrives from its shard (or the crash-retry path resolves
+    it). *)
 
 val pids : t -> int list
 (** The pids of the currently {e running} shard children, in shard

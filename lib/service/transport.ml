@@ -119,13 +119,7 @@ let session t conn =
   in
   try loop () with
   | Line_too_long ->
-      ignore
-        (write_all conn.c_fd
-           (Protocol.error ~kind:"parse_error" ~offset:t.max_line
-              ~detail:
-                (Printf.sprintf "request line exceeds %d bytes" t.max_line)
-              ()
-           ^ "\n"))
+      ignore (write_all conn.c_fd (Protocol.line_too_long t.max_line ^ "\n"))
   | Timed_out ->
       ignore
         (write_all conn.c_fd
@@ -170,7 +164,7 @@ let accept_loop t l =
   in
   loop ()
 
-let start ?(read_timeout = 300.0) ?(max_line = Service.max_line_bytes)
+let start ?(read_timeout = 300.0) ?(max_line = Protocol.max_line_bytes)
     ~listeners ~handle () =
   let t =
     { listeners;
@@ -218,3 +212,18 @@ let close_in_child t =
     t.conns
 
 let names t = List.map (fun l -> l.l_name) t.listeners
+
+let serve_channel ~handle ic oc =
+  let rec loop () =
+    match input_line ic with
+    | exception End_of_file -> ()
+    | line ->
+        (match handle line with
+        | Some response ->
+            output_string oc response;
+            output_char oc '\n';
+            flush oc
+        | None -> ());
+        loop ()
+  in
+  loop ()

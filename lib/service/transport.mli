@@ -53,9 +53,9 @@ val start :
   unit ->
   t
 (** Start accepting. [read_timeout] defaults to 300 s (0 disables);
-    [max_line] defaults to {!Service.max_line_bytes}. [handle] may
+    [max_line] defaults to {!Protocol.max_line_bytes}. [handle] may
     block (the [result] op does) — each connection has its own
-    thread. *)
+    thread. With no listeners nothing is started. *)
 
 val stop : t -> unit
 (** Close listeners (unlinking Unix-socket paths), shut down live
@@ -68,3 +68,9 @@ val close_in_child : t -> unit
 
 val names : t -> string list
 (** Human-readable listener names (["unix:/path"], ["tcp:8080"]). *)
+
+val serve_channel :
+  handle:(string -> string option) -> in_channel -> out_channel -> unit
+(** The stdio session: answer each line of [ic] on [oc] through
+    [handle], one flushed response line per request, until
+    end-of-input. Unbounded line length — the cap is [handle]'s. *)

@@ -1,5 +1,5 @@
-(* Tests for the graph substrate: union-find, heap ordering, MST
-   algorithms agreeing with each other, and shortest paths. *)
+(* Tests for the graph substrate: union-find, heap ordering and MST
+   algorithms agreeing with each other. *)
 
 open Operon_graph
 
@@ -103,48 +103,6 @@ let test_prim_dense_trivial () =
   Alcotest.(check (list (pair int int))) "n=0" [] (Mst.prim_dense 0 (fun _ _ -> 0.0));
   Alcotest.(check (list (pair int int))) "n=1" [] (Mst.prim_dense 1 (fun _ _ -> 0.0))
 
-(* --- shortest paths --- *)
-
-let line_graph () =
-  let g = Wgraph.create 4 in
-  Wgraph.add_edge g 0 1 1.0;
-  Wgraph.add_edge g 1 2 2.0;
-  Wgraph.add_edge g 2 3 3.0;
-  Wgraph.add_edge g 0 3 10.0;
-  g
-
-let test_dijkstra () =
-  let r = Spath.dijkstra (line_graph ()) 0 in
-  check_float "dist 3" 6.0 r.Spath.dist.(3);
-  Alcotest.(check (list int)) "path" [ 0; 1; 2; 3 ] (Spath.path_to r 3)
-
-let test_dijkstra_unreachable () =
-  let g = Wgraph.create 3 in
-  Wgraph.add_edge g 0 1 1.0;
-  let r = Spath.dijkstra g 0 in
-  check_float "unreachable" infinity r.Spath.dist.(2);
-  Alcotest.(check (list int)) "empty path" [] (Spath.path_to r 2)
-
-let test_dijkstra_negative_rejected () =
-  let g = Wgraph.create 2 in
-  Wgraph.add_edge g 0 1 (-1.0) ;
-  Alcotest.check_raises "negative" (Invalid_argument "Spath.dijkstra: negative weight")
-    (fun () -> ignore (Spath.dijkstra g 0))
-
-let test_bellman_ford_agrees () =
-  let g = line_graph () in
-  let d = Spath.dijkstra g 0 in
-  match Spath.bellman_ford g 0 with
-  | Some b ->
-      Array.iteri (fun i dv -> check_float (Printf.sprintf "dist %d" i) dv b.Spath.dist.(i)) d.Spath.dist
-  | None -> Alcotest.fail "no negative cycle expected"
-
-let test_bellman_ford_negative_cycle () =
-  (* An undirected negative edge is a negative cycle. *)
-  let g = Wgraph.create 2 in
-  Wgraph.add_edge g 0 1 (-1.0);
-  Alcotest.(check bool) "detected" true (Spath.bellman_ford g 0 = None)
-
 (* --- properties --- *)
 
 let random_graph_gen =
@@ -184,17 +142,6 @@ let prop_mst_spanning =
       List.iter (fun { Wgraph.u; v; _ } -> ignore (Dsu.union dsu_mst u v)) (Mst.kruskal g);
       Dsu.count dsu_all = Dsu.count dsu_mst)
 
-let prop_dijkstra_triangle =
-  QCheck.Test.make ~name:"dijkstra satisfies edge relaxation" ~count:300 arb_graph
-    (fun spec ->
-      let g = build spec in
-      let r = Spath.dijkstra g 0 in
-      List.for_all
-        (fun { Wgraph.u; v; w } ->
-          r.Spath.dist.(v) <= r.Spath.dist.(u) +. w +. 1e-9
-          && r.Spath.dist.(u) <= r.Spath.dist.(v) +. w +. 1e-9)
-        (Wgraph.edges g))
-
 let prop_heap_sorts =
   QCheck.Test.make ~name:"heap pops in order" ~count:300
     QCheck.(list (float_bound_exclusive 100.0))
@@ -225,11 +172,4 @@ let () =
           Alcotest.test_case "dense matches" `Quick test_prim_dense_matches;
           Alcotest.test_case "dense trivial" `Quick test_prim_dense_trivial;
           QCheck_alcotest.to_alcotest prop_mst_algorithms_agree;
-          QCheck_alcotest.to_alcotest prop_mst_spanning ] );
-      ( "spath",
-        [ Alcotest.test_case "dijkstra" `Quick test_dijkstra;
-          Alcotest.test_case "unreachable" `Quick test_dijkstra_unreachable;
-          Alcotest.test_case "negative rejected" `Quick test_dijkstra_negative_rejected;
-          Alcotest.test_case "bellman-ford agrees" `Quick test_bellman_ford_agrees;
-          Alcotest.test_case "negative cycle" `Quick test_bellman_ford_negative_cycle;
-          QCheck_alcotest.to_alcotest prop_dijkstra_triangle ] ) ]
+          QCheck_alcotest.to_alcotest prop_mst_spanning ] ) ]

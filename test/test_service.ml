@@ -1,7 +1,9 @@
 (* Batch synthesis service: served results byte-identical to single-shot
    runs at any worker count, structured busy rejection on a full queue,
    cancellation and deadline expiry as error envelopes that leave the
-   pool serving, and exact stats counters over a scripted session. *)
+   pool serving, exact stats counters over a scripted session, and
+   fuzzers for the protocol's reader, its exact printer, the line the
+   shard fleet forwards and the export/ECO baseline reader. *)
 
 open Operon_optical
 open Operon
@@ -205,7 +207,7 @@ let test_protocol_errors () =
        Alcotest.(check bool) "parse offset in range" true
          (n >= 0.0 && n <= 5.0)
    | _ -> Alcotest.fail "parse_error envelope missing offset");
-  (let long = "{\"op\":\"stats\"," ^ String.make Service.max_line_bytes ' ' in
+  (let long = "{\"op\":\"stats\"," ^ String.make Protocol.max_line_bytes ' ' in
    Alcotest.(check string) "oversized line" "parse_error"
      (error_kind (parse (handle svc long))));
   Alcotest.(check string) "unknown op" "validation"
@@ -273,6 +275,250 @@ let test_protocol_bounds () =
           Alcotest.(check bool) ("detail has " ^ part) true (find_sub d part <> None))
         [ {|"seed"|}; "[-2^62, 2^62)"; "4.6116860184273879e+18" ]
   | Ok _ -> Alcotest.fail "seed max_int accepted"
+
+(* ------------------------------------------------------------------ *)
+(* Fuzzers: the reader never raises, the printer is exact              *)
+(* ------------------------------------------------------------------ *)
+
+module Json = Protocol.Json
+
+let never_raises f x = match f x with _ -> true | exception _ -> false
+
+(* Literal texts a request field may carry: well-formed values, values at
+   and past every bound, exact-print cases (a ratio that a 9-digit print
+   rounds, a budget no double holds, an underflow) and wrong types. *)
+let field_texts =
+  let open QCheck.Gen in
+  let nums =
+    [ "0"; "1"; "-1"; "7"; "42"; "0.1"; "0.25"; "0.2500000001"; "1e400";
+      "-1e400"; "1e-400"; "60"; "1e300"; "2.5E-3"; "-0"; "1.";
+      "0.30000000000000004"; "4611686018427387392"; "4611686018427387903";
+      "123456789.123456789" ]
+  in
+  let strs =
+    [ {|"tiny"|}; {|"small"|}; {|"nosuch"|}; {|"lr"|}; {|"ILP"|}; {|"a"|};
+      {|""|}; {|"jé\n\/"|}; {|"😀"|} ]
+  in
+  let others = [ "true"; "false"; "null"; "[]"; "[0.5,2]"; "{}" ] in
+  frequency
+    [ (4, oneofl nums);
+      (2, oneofl strs);
+      (1, oneofl others);
+      (1, map (Printf.sprintf "%.17g") (float_range (-1e6) 1e6)) ]
+
+let obj_text fields =
+  "{" ^ String.concat "," (List.map (fun (k, v) -> Printf.sprintf "%S:%s" k v) fields) ^ "}"
+
+(* A subset of [keys], shuffled, each with a value from [value]. *)
+let fields_gen keys value =
+  let open QCheck.Gen in
+  flatten_l
+    (List.map (fun k -> opt ~ratio:0.6 (map (fun v -> (k, v)) (value k))) keys)
+  >|= List.filter_map Fun.id
+  >>= shuffle_l
+
+let request_line_gen =
+  let open QCheck.Gen in
+  let mostly good = frequency [ (5, oneofl good); (1, field_texts) ] in
+  let mutate =
+    fields_gen [ "ratio"; "seed" ] (function
+      | "ratio" -> mostly [ "0.2500000001"; "0.1"; "1"; "0.5"; "1e-300" ]
+      | _ -> mostly [ "1"; "7"; "1e19" ])
+    >|= obj_text
+  in
+  let thermal =
+    fields_gen
+      [ "hotspots"; "amplitude"; "decay"; "grid"; "ambient"; "map_seed"; "weights" ]
+      (function
+        | "weights" -> mostly [ "[0,0.5,1]"; "[2]"; "[]"; "[1e400]" ]
+        | _ -> mostly [ "2"; "0.15"; "24"; "45.5"; "1000.5"; "1e307" ])
+    >|= obj_text
+  in
+  let value = function
+    | "op" ->
+        oneofl
+          [ {|"submit"|}; {|"submit"|}; {|"resubmit"|}; {|"SUBMIT"|};
+            {|"status"|}; {|"stats"|}; {|"frobnicate"|}; "1" ]
+    | "case" -> mostly [ {|"tiny"|}; {|"small"|} ]
+    | "job" -> mostly [ {|"a"|}; {|"job-1"|}; {|"jé\n"|}; "null" ]
+    | "parent_job" -> mostly [ {|"a"|}; {|"job-1"|} ]
+    | "seed" -> mostly [ "1"; "7"; "42.0" ]
+    | "mode" -> mostly [ {|"lr"|}; {|"ilp"|}; {|"ILP"|} ]
+    | "ilp_budget" -> mostly [ "60"; "0.2500000001"; "1e300"; "1e400"; "5e-324" ]
+    | "priority" -> mostly [ "0"; "3"; "-2" ]
+    | "deadline" -> mostly [ "0"; "1.5"; "0.1"; "1e-9" ]
+    | "cache" | "warm" -> mostly [ "true"; "false" ]
+    | "mutate" -> frequency [ (3, mutate); (1, field_texts) ]
+    | "thermal" -> frequency [ (3, thermal); (1, field_texts) ]
+    | _ -> field_texts
+  in
+  fields_gen
+    [ "op"; "case"; "job"; "parent_job"; "seed"; "mode"; "ilp_budget";
+      "priority"; "deadline"; "cache"; "warm"; "mutate"; "thermal"; "junk" ]
+    value
+  >|= obj_text
+
+(* Arbitrary bytes, and valid-looking requests truncated or with one
+   byte overwritten. *)
+let mangled_gen =
+  let open QCheck.Gen in
+  let truncated =
+    request_line_gen >>= fun l ->
+    int_bound (String.length l) >|= fun n -> String.sub l 0 n
+  in
+  let flipped =
+    request_line_gen >>= fun l ->
+    pair (int_bound (String.length l - 1)) char >|= fun (i, c) ->
+    String.mapi (fun j x -> if j = i then c else x) l
+  in
+  frequency
+    [ (1, string_size ~gen:char (int_bound 64));
+      (2, truncated);
+      (2, flipped);
+      (1, request_line_gen) ]
+
+let finite_json_gen =
+  let open QCheck.Gen in
+  let num =
+    frequency
+      [ (3, float_range (-1e6) 1e6);
+        (2, map (fun f -> if Float.is_finite f then f else 0.0) float);
+        (1, oneofl [ -0.0; 5e-324; max_float; -.max_float; 0.1; 0.2500000001 ]) ]
+  in
+  let str = string_size ~gen:char (int_bound 8) in
+  sized_size (int_bound 4)
+  @@ fix (fun self n ->
+         let leaf =
+           frequency
+             [ (1, return Json.Null);
+               (1, map (fun b -> Json.Bool b) bool);
+               (3, map (fun f -> Json.Num f) num);
+               (3, map (fun s -> Json.Str s) str) ]
+         in
+         if n = 0 then leaf
+         else
+           frequency
+             [ (2, leaf);
+               (1, map (fun l -> Json.Arr l) (list_size (int_bound 4) (self (n - 1))));
+               ( 1,
+                 map (fun l -> Json.Obj l)
+                   (list_size (int_bound 4) (pair str (self (n - 1))))) ])
+
+let prop_json_parse_total =
+  QCheck.Test.make ~name:"Json.parse never raises" ~count:2000
+    (QCheck.make ~print:String.escaped mangled_gen)
+    (never_raises Json.parse)
+
+let prop_json_round_trip =
+  QCheck.Test.make ~name:"Json.to_string round-trips exactly" ~count:1000
+    (QCheck.make ~print:Json.to_string finite_json_gen)
+    (fun j -> Json.parse (Json.to_string j) = Ok j)
+
+let prop_parse_request_total =
+  QCheck.Test.make ~name:"parse_request never raises" ~count:2000
+    (QCheck.make ~print:String.escaped mangled_gen)
+    (never_raises Protocol.parse_request)
+
+let with_job id = function
+  | Protocol.Submit s -> Protocol.Submit { s with Protocol.sub_job = Some id }
+  | Protocol.Resubmit r -> Protocol.Resubmit { r with Protocol.re_job = Some id }
+  | other -> other
+
+(* What a shard parses is what the client sent, with only the job id the
+   fleet assigned: the property the fleet's byte-identity rests on. *)
+let prop_forwarded_request =
+  QCheck.Test.make ~name:"forwarded line parses back to the client's request"
+    ~count:2000
+    (QCheck.make ~print:Fun.id request_line_gen)
+    (fun line ->
+      match Protocol.parse_request line with
+      | Ok (json, ((Protocol.Submit _ | Protocol.Resubmit _) as request)) -> (
+          match Protocol.parse_request (Protocol.forward_line ~job:"job-7" json) with
+          | Ok (_, forwarded) -> forwarded = with_job "job-7" request
+          | Error _ -> false)
+      | Ok _ | Error _ -> true)
+
+(* A ratio that a 9-digit print rounds to 0.25 reaches the shard
+   exactly, and a budget no double holds is refused at its literal, by
+   the reader both serving modes share. *)
+let test_forwarding_exact () =
+  (match
+     Protocol.parse_request
+       {|{"op":"submit","case":"tiny","mutate":{"ratio":0.2500000001}}|}
+   with
+  | Ok (json, _) -> (
+      match Protocol.parse_request (Protocol.forward_line ~job:"m" json) with
+      | Ok (_, Protocol.Submit { Protocol.sub_mutate = Some m; sub_job; _ }) ->
+          Alcotest.(check (float 0.0)) "ratio kept exactly" 0.2500000001
+            m.Protocol.mut_ratio;
+          Alcotest.(check (option string)) "job set" (Some "m") sub_job
+      | _ -> Alcotest.fail "forwarded submit did not parse back")
+  | Error _ -> Alcotest.fail "ratio request rejected");
+  let line = {|{"op":"submit","case":"tiny","ilp_budget":1e400}|} in
+  match Protocol.parse_request line with
+  | Error e ->
+      Alcotest.(check string) "overflow is a parse error" "parse_error"
+        e.Protocol.err_kind;
+      Alcotest.(check (option int)) "offset of the literal"
+        (find_sub line "1e400") e.Protocol.err_offset
+  | Ok _ -> Alcotest.fail "a budget no double holds was accepted"
+
+(* Mutations of a real export document: any node of its [design] block
+   replaced by a value of another shape or an extreme number, or a
+   member dropped. The reader answers [Error], never an exception. *)
+let prop_design_of_export_total =
+  let doc =
+    lazy
+      (let config = Flow.Config.make ~cache:true params in
+       match
+         Json.parse
+           (Export.flow_to_json ~timings:false
+              (Flow.synthesize config (Cases.tiny ())))
+       with
+       | Ok j -> j
+       | Error (_, e) -> failwith e)
+  in
+  let replacement =
+    QCheck.Gen.oneofl
+      [ None; Some Json.Null; Some (Json.Num 0.0); Some (Json.Num (-1.0));
+        Some (Json.Num 1e308); Some (Json.Num nan); Some (Json.Num infinity);
+        Some (Json.Str "x"); Some (Json.Arr []); Some (Json.Arr [ Json.Num 1.0 ]);
+        Some (Json.Obj []) ]
+  in
+  let rec size = function
+    | Json.Arr items -> List.fold_left (fun n j -> n + size j) 1 items
+    | Json.Obj fields -> List.fold_left (fun n (_, j) -> n + size j) 1 fields
+    | _ -> 1
+  in
+  (* Replace (or drop, for [None]) the [k]-th node in preorder. *)
+  let mutate k r json =
+    let k = ref (k mod size json) in
+    let rec go j =
+      let here = !k = 0 in
+      decr k;
+      if here then r
+      else
+        match j with
+        | Json.Arr items -> Some (Json.Arr (List.filter_map go items))
+        | Json.Obj fields ->
+            Some
+              (Json.Obj
+                 (List.filter_map
+                    (fun (key, v) -> Option.map (fun v -> (key, v)) (go v))
+                    fields))
+        | leaf -> Some leaf
+    in
+    Option.value ~default:Json.Null (go json)
+  in
+  QCheck.Test.make ~name:"design_of_export never raises on mutated exports"
+    ~count:500
+    QCheck.(make Gen.(list_size (int_range 1 3) (pair (int_bound 1_000_000) replacement)))
+    (fun edits ->
+      let doc = Lazy.force doc in
+      let design = Option.get (Json.member "design" doc) in
+      let design = List.fold_left (fun j (k, r) -> mutate k r j) design edits in
+      never_raises Design_io.design_of_export
+        (Json.Obj [ ("design", design) ]))
 
 (* ------------------------------------------------------------------ *)
 (* Registry eviction vs. held entry locks                              *)
@@ -379,7 +625,12 @@ let () =
             test_cancel_and_deadline ] );
       ( "protocol",
         [ Alcotest.test_case "error envelopes" `Quick test_protocol_errors;
-          Alcotest.test_case "integer and thermal bounds" `Quick test_protocol_bounds ] );
+          Alcotest.test_case "integer and thermal bounds" `Quick test_protocol_bounds;
+          Alcotest.test_case "forwarding is exact" `Quick test_forwarding_exact ] );
+      ( "fuzz",
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_json_parse_total; prop_json_round_trip; prop_parse_request_total;
+            prop_forwarded_request; prop_design_of_export_total ] );
       ( "registry",
         [ QCheck_alcotest.to_alcotest prop_locked_entry_survives_eviction ] );
       ( "stats",

@@ -129,7 +129,20 @@ let test_round_trip () =
         (error_kind (parse (handle t "{not json")));
       Alcotest.(check string) "oversized line is parse_error" "parse_error"
         (error_kind
-           (parse (handle t (String.make (Service.max_line_bytes + 1) 'x'))));
+           (parse (handle t (String.make (Protocol.max_line_bytes + 1) 'x'))));
+      (* the forwarded print of a request can outgrow the client's line
+         (each raw control byte escapes to six); the shard still takes
+         it, as the in-process service does *)
+      let junk = String.make (Protocol.max_line_bytes / 4) '\001' in
+      let wide =
+        Printf.sprintf
+          {|{"op":"submit","job":"wide","case":"tiny","seed":3,"junk":"%s"}|}
+          junk
+      in
+      Alcotest.(check bool) "wide request accepted" true
+        (ok_field (parse (handle t wide)));
+      Alcotest.(check bool) "wide request completes" true
+        (ok_field (parse (result t ~job:"wide")));
       let stats = parse (handle t {|{"op":"stats"}|}) in
       Alcotest.(check int) "supervisor reports both shards" 2
         (supervisor_counter "shards" stats);
