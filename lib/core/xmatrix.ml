@@ -19,15 +19,14 @@ type counters = { mutable hits : int; mutable misses : int }
 (* The rows of one net, packed into one byte block. Row [k] (net i
    against its k-th neighbour m = neighbors.(i).(k)) starts at byte
    [start.(k)] of [bytes]; rows follow each other in slot order and
-   [start.(deg)] is the block's length. A row is a header of [ni * nm]
-   cells (ni, nm the two candidate counts), [ow] bytes each, then its
-   counts, [cw] bytes each. Header cell [j * nm + n] holds 0 when every
-   count of candidate (i, j) against candidate (m, n) is zero, and
-   otherwise 1 + the index among the row's counts of that entry's first
-   count; the entry has one count per optical path of (i, j). Values are
-   unsigned little-endian, and [ow] and [cw] are the narrowest of 1, 2, 4
-   and 8 bytes that hold the net's largest header value and count. *)
-type block = { bytes : Bytes.t; start : int array; ow : int; cw : int }
+   [start.(deg)] is the block's length. A row holds one mask per optical
+   path of i, candidate by candidate (path [p] of candidate [j] is mask
+   [base.(j) + p]), then one mask per candidate of m, all of one width.
+   The masks are over the pair's crossing list: bit [c] of a path's mask
+   is set when the path runs over crossing [c]'s i-edge, bit [c] of a
+   candidate's mask when the candidate labels crossing [c]'s m-edge
+   optical. The row's width follows from its length (see [width]). *)
+type block = { bytes : Bytes.t; start : int array; base : int array }
 
 type table = {
   blocks : block array;  (* blocks.(i): every row of net i *)
@@ -46,7 +45,9 @@ type t = {
 }
 
 (* [Loss.crossing_bundled] of one parameter set, tabulated for the small
-   counts that make up nearly every entry; larger counts call through. *)
+   counts that make up nearly every entry; larger counts call through.
+   The table holds every count of a single-word mask (at most 32), which
+   the readers look up directly. *)
 type bundled = { params : Params.t; small : float array }
 
 let bundled params = { params; small = Array.init 64 (Loss.crossing_bundled params) }
@@ -61,20 +62,21 @@ let compute_counts cands i j m n =
         other.Candidate.opt_segments)
 
 (* Edge geometry of one net's candidates, shared by every pair the net
-   takes part in. Candidates labelling the same topology value share one
-   slot, so the crossing predicate is evaluated once per (edge, edge) of
-   two slots rather than once per (segment, segment) of every candidate
-   pair; equal but physically distinct topologies get separate slots and
-   simply share nothing. Only a slot's live edges (optical in some of its
-   candidates) take part. They are numbered from 0 across the net, slot
-   by slot: slot [k] holds the edges [first.(k)] to [first.(k + 1) - 1]. *)
+   takes part in. Candidates labelling the same topology value share its
+   edges, so the crossing predicate is evaluated once per (edge, edge) of
+   two topologies rather than once per (segment, segment) of every
+   candidate pair; equal but physically distinct topologies get separate
+   edges and simply share nothing. Only live edges (optical in some
+   candidate of their topology) take part, numbered from 0 across the
+   net. Two inverse indexes say which masks a crossing of an edge sets:
+   the optical paths that run over it, numbered candidate by candidate
+   from [base.(j)], and the candidates that label it optical. *)
 type shape = {
-  slot : int array;  (* candidate -> topology slot *)
-  first : int array;  (* slot -> its first live edge; one past the last at the end *)
   segs : Segment.t array;  (* live edge -> its segment *)
   boxes : float array;  (* [Segment.boxes] of [segs] *)
-  opt_edges : int array array;  (* candidate -> its optical edges *)
-  path_edges : int array array array;  (* candidate -> path -> its edges *)
+  base : int array;  (* candidate -> its first path; the path count at the end *)
+  edge_paths : int array array;  (* live edge -> the paths over it *)
+  edge_cands : int array array;  (* live edge -> the candidates labelling it optical *)
 }
 
 let is_optical (c : Candidate.t) v =
@@ -82,8 +84,7 @@ let is_optical (c : Candidate.t) v =
 
 (* The topology slot of every candidate, per slot the number of each
    node's edge among the live edges (-1 when no candidate of the slot
-   labels it optical), the slots' first edges and the live edges'
-   segments. *)
+   labels it optical), and the live edges' segments, slot by slot. *)
 let live_edges (cands : Candidate.t array) =
   let topos = ref [||] in
   let slot =
@@ -102,11 +103,9 @@ let live_edges (cands : Candidate.t array) =
     (fun j c ->
       Array.iteri (fun v _ -> if is_optical c v then live.(slot.(j)).(v) <- 0) live.(slot.(j)))
     cands;
-  let first = Array.make (Array.length topos + 1) 0 in
   let edges = ref [] and count = ref 0 in
   Array.iteri
     (fun k topo ->
-      first.(k) <- !count;
       Array.iteri
         (fun v used ->
           if used >= 0 then begin
@@ -116,39 +115,42 @@ let live_edges (cands : Candidate.t array) =
           end)
         live.(k))
     topos;
-  first.(Array.length topos) <- !count;
-  (slot, live, first, Array.of_list (List.rev !edges))
+  (slot, live, Array.of_list (List.rev !edges))
 
 let optical_edges cands =
-  let _, _, _, segs = live_edges cands in
+  let _, _, segs = live_edges cands in
   segs
 
 let shape_of (cands : Candidate.t array) =
-  let slot, live, first, segs = live_edges cands in
-  let opt_edges =
-    Array.mapi
-      (fun j c ->
-        let index = live.(slot.(j)) in
-        List.init (Array.length index) Fun.id
-        |> List.filter_map (fun v -> if is_optical c v then Some index.(v) else None)
-        |> Array.of_list)
-      cands
-  in
-  let path_edges =
-    Array.mapi
-      (fun j (c : Candidate.t) ->
-        let index = live.(slot.(j)) in
-        Array.map
-          (fun (path : Candidate.path) ->
-            let rec up v acc =
-              if v = path.Candidate.start_node then Array.of_list acc
-              else up (Topology.parent c.Candidate.topo v) (index.(v) :: acc)
-            in
-            up path.Candidate.sink_node [])
-          c.Candidate.paths)
-      cands
-  in
-  { slot; first; segs; boxes = Segment.boxes segs; opt_edges; path_edges }
+  let slot, live, segs = live_edges cands in
+  let base = Array.make (Array.length cands + 1) 0 in
+  Array.iteri
+    (fun j (c : Candidate.t) -> base.(j + 1) <- base.(j) + Array.length c.Candidate.paths)
+    cands;
+  let edge_paths = Array.make (Array.length segs) [] in
+  let edge_cands = Array.make (Array.length segs) [] in
+  Array.iteri
+    (fun j (c : Candidate.t) ->
+      let index = live.(slot.(j)) in
+      Array.iteri
+        (fun v e -> if is_optical c v then edge_cands.(e) <- j :: edge_cands.(e))
+        index;
+      Array.iteri
+        (fun p (path : Candidate.path) ->
+          let rec up v =
+            if v <> path.Candidate.start_node then begin
+              edge_paths.(index.(v)) <- (base.(j) + p) :: edge_paths.(index.(v));
+              up (Topology.parent c.Candidate.topo v)
+            end
+          in
+          up path.Candidate.sink_node)
+        c.Candidate.paths)
+    cands;
+  { segs;
+    boxes = Segment.boxes segs;
+    base;
+    edge_paths = Array.map Array.of_list edge_paths;
+    edge_cands = Array.map Array.of_list edge_cands }
 
 (* The crossing edge pairs of an undirected neighbour pair (si, sm): every
    pair (u, v) of a live edge of [si] and a live edge of [sm] that cross
@@ -176,191 +178,131 @@ let crossings_of si sm =
   done;
   Array.sub !buf 0 !len
 
-(* Fixed-width unsigned little-endian values in a block. A setter keeps
-   the low [8 * w] bits of its value; [width v] bytes keep all of them. *)
-let width v =
-  if v < 0x100 then 1 else if v < 0x10000 then 2 else if v < 0x1_0000_0000 then 4 else 8
+(* Masks. A mask over [k] crossings is one word of 1, 2 or 4 bytes up to
+   32 crossings and otherwise one 8-byte word per 63 crossings, with bit
+   [c] in word [c / 63] at bit [c mod 63], so that every word is an
+   OCaml int. Words are native-endian: a block is only ever read by the
+   process that wrote it. *)
+let mask_bytes k =
+  if k <= 8 then 1 else if k <= 16 then 2 else if k <= 32 then 4 else 8 * ((k + 62) / 63)
 
-let[@inline] get32 b pos = Bytes.get_uint16_le b pos lor (Bytes.get_uint16_le b (pos + 2) lsl 16)
+(* The words of a mask of [w] bytes, each of [Int.min w 8] bytes. *)
+let[@inline] words w = (w + 7) / 8
 
-let[@inline] get b w pos =
+(* The mask width of a row of [len] bytes holding [masks] masks; a row
+   of 1, 2 or 4-byte masks needs no division. *)
+let[@inline] width ~len ~masks =
+  if len = masks then 1
+  else if len = 2 * masks then 2
+  else if len = 4 * masks then 4
+  else len / masks
+
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+
+(* The mask word of [w] bytes (1, 2, 4 or 8) at byte [pos] of [b]. *)
+let[@inline] word b w pos =
   if w = 1 then Bytes.get_uint8 b pos
-  else if w = 2 then Bytes.get_uint16_le b pos
-  else if w = 4 then get32 b pos
-  else get32 b pos lor (get32 b (pos + 4) lsl 32)
+  else if w = 2 then Bytes.get_uint16_ne b pos
+  else if w = 4 then Int32.to_int (get32 b pos) land 0xffff_ffff
+  else Int64.to_int (get64 b pos)
 
-let set32 b pos v =
-  Bytes.set_uint16_le b pos v;
-  Bytes.set_uint16_le b (pos + 2) (v lsr 16)
-
-let set b w pos v =
+let set_word b w pos v =
   if w = 1 then Bytes.set_uint8 b pos v
-  else if w = 2 then Bytes.set_uint16_le b pos v
-  else if w = 4 then set32 b pos v
+  else if w = 2 then Bytes.set_uint16_ne b pos v
+  else if w = 4 then set32 b pos (Int32.of_int v)
+  else set64 b pos (Int64.of_int v)
+
+(* The set bits of a mask word: looked up for a word below 256, the
+   common case, else counted in parallel over all 63 bits (SWAR; [odd]
+   has every even-numbered bit set, bit 62 included). *)
+let byte_bits =
+  String.init 256 (fun x ->
+      Char.chr (List.fold_left (fun n b -> n + ((x lsr b) land 1)) 0 [ 0; 1; 2; 3; 4; 5; 6; 7 ]))
+
+let odd = 0x1555_5555_5555_5555 lor (1 lsl 62)
+
+let[@inline] popcount x =
+  if x land -256 = 0 then Char.code byte_bits.[x]
   else begin
-    set32 b pos v;
-    set32 b (pos + 4) (v lsr 32)
+    let x = x - ((x lsr 1) land odd) in
+    let x = (x land 0x3333_3333_3333_3333) + ((x lsr 2) land 0x3333_3333_3333_3333) in
+    let x = (x + (x lsr 4)) land 0x0f0f_0f0f_0f0f_0f0f in
+    (x * 0x0101_0101_0101_0101) lsr 56
   end
 
-(* The byte at which the counts of the entry with header value [e] start,
-   in the row of [header] cells at byte [row] of [blk]. *)
-let[@inline] counts_at blk row header e = row + (header * blk.ow) + ((e - 1) * blk.cw)
+(* The crossings two masks of [w] bytes, at bytes [a] and [c] of [b],
+   have in common. *)
+let common b w a c =
+  let ww = Int.min w 8 and n = ref 0 in
+  for x = 0 to words w - 1 do
+    n := !n + popcount (word b ww (a + (8 * x)) land word b ww (c + (8 * x)))
+  done;
+  !n
 
-(* What a net's rows hold so far: entries with a non-zero count, the
-   largest header value and the largest count. *)
-type tally = { mutable entries : int; mutable top : int; mutable peak : int }
+(* Row [(i, m)] of [cross], the pair's crossing list, into [b] at byte
+   [row] with masks of [w] bytes. [x_first] says whether [si] is the
+   first net of the pair [cross] was listed for; the row of the second
+   net reads the same list transposed, which is exact because
+   [Segment.crosses_properly] is symmetric. Each crossing sets its bit in
+   the masks the two inverse indexes name. The masks are gathered in
+   [scratch], one int per mask word, which is left zeroed. *)
+let fill b ~row ~w cross ~x_first si sm ~scratch =
+  let words = words w and ww = Int.min w 8 in
+  let low = (1 lsl edge_bits) - 1 and paths = si.base.(Array.length si.base - 1) in
+  for c = 0 to Array.length cross - 1 do
+    let u = if x_first then cross.(c) lsr edge_bits else cross.(c) land low in
+    let v = if x_first then cross.(c) land low else cross.(c) lsr edge_bits in
+    let at = c / 63 and bit = 1 lsl (c mod 63) in
+    let ps = si.edge_paths.(u) and ns = sm.edge_cands.(v) in
+    for x = 0 to Array.length ps - 1 do
+      let s = (ps.(x) * words) + at in
+      scratch.(s) <- scratch.(s) lor bit
+    done;
+    for x = 0 to Array.length ns - 1 do
+      let s = ((paths + ns.(x)) * words) + at in
+      scratch.(s) <- scratch.(s) lor bit
+    done
+  done;
+  for mask = 0 to paths + Array.length sm.base - 2 do
+    for x = 0 to words - 1 do
+      let s = (mask * words) + x in
+      if scratch.(s) <> 0 then begin
+        set_word b ww (row + (mask * w) + (8 * x)) scratch.(s);
+        scratch.(s) <- 0
+      end
+    done
+  done
 
-(* The row of net [sx] against its neighbour [sy] (layout at [block]),
-   assembled into [scratch] as one int per cell; returns the number of
-   cells used. [x_first] says whether [sx] is the first net of the pair
-   [cross] was listed for; the row of the second net reads the same list
-   transposed, which is exact because [Segment.crosses_properly] is
-   symmetric. For each candidate (y, n), its optical edges are marked in
-   [mark], and each crossing adds one to the count of its x-edge in
-   [counts] when its y-edge is marked. A path's count is then the sum over
-   its edges, which equals [Segment.count_crossings] of the path's
-   segments against n's optical segments. [hot.(a)] records whether any
-   edge of slot [a] crosses n; candidates of a slot without any are
-   skipped. Entries are appended in (n, j) order after the header, and
-   each one is added to [tally]. *)
-let assemble cross ~x_first sx sy ~scratch ~counts ~mark ~hot ~tally =
-  let nx = Array.length sx.slot and ny = Array.length sy.slot in
-  let header = nx * ny in
-  Array.fill scratch 0 header 0;
-  let used = ref header in
-  (* The x-edge and the y-edge of a stored crossing. *)
-  let low = (1 lsl edge_bits) - 1 in
-  let x_of c = if x_first then c lsr edge_bits else c land low in
-  let y_of c = if x_first then c land low else c lsr edge_bits in
-  for n = 0 to ny - 1 do
-    let opt = sy.opt_edges.(n) in
-    if Array.length opt > 0 then begin
-      for y = 0 to Array.length opt - 1 do
-        mark.(opt.(y)) <- 1
+(* The candidate pairs (j, n) of the row at byte [row] of [b], masks of
+   [w] bytes, with a crossing on some path of (i, j) that (m, n) labels
+   optical: the OR of j's path masks meets n's mask. [any] holds one int
+   per mask word. *)
+let row_entries b ~row ~w ~base ~nm ~any =
+  let words = words w and ww = Int.min w 8 and ni = Array.length base - 1 in
+  let cands = row + (base.(ni) * w) and entries = ref 0 in
+  for j = 0 to ni - 1 do
+    let crossed = ref false in
+    for x = 0 to words - 1 do
+      let paths = ref 0 in
+      for p = base.(j) to base.(j + 1) - 1 do
+        paths := !paths lor word b ww (row + (p * w) + (8 * x))
       done;
-      for q = 0 to Array.length cross - 1 do
-        let u = x_of cross.(q) in
-        counts.(u) <- counts.(u) + mark.(y_of cross.(q))
-      done;
-      for a = 0 to Array.length sx.first - 2 do
-        let any = ref false in
-        for u = sx.first.(a) to sx.first.(a + 1) - 1 do
-          if counts.(u) > 0 then any := true
+      any.(x) <- !paths;
+      if !paths <> 0 then crossed := true
+    done;
+    if !crossed then
+      for n = 0 to nm - 1 do
+        let x = ref 0 in
+        while !x < words && any.(!x) land word b ww (cands + (n * w) + (8 * !x)) = 0 do
+          incr x
         done;
-        hot.(a) <- !any
-      done;
-      for j = 0 to nx - 1 do
-        let a = sx.slot.(j) and paths = sx.path_edges.(j) in
-        if hot.(a) && Array.length paths > 0 then begin
-          let start = !used and peak = ref 0 in
-          for p = 0 to Array.length paths - 1 do
-            let edges = paths.(p) and total = ref 0 in
-            for e = 0 to Array.length edges - 1 do
-              total := !total + counts.(edges.(e))
-            done;
-            if !total > !peak then peak := !total;
-            scratch.(start + p) <- !total
-          done;
-          if !peak > 0 then begin
-            let v = start - header + 1 in
-            scratch.((j * ny) + n) <- v;
-            used := start + Array.length paths;
-            tally.entries <- tally.entries + 1;
-            tally.top <- Int.max tally.top v;
-            tally.peak <- Int.max tally.peak !peak
-          end
-        end
-      done;
-      for q = 0 to Array.length cross - 1 do
-        counts.(x_of cross.(q)) <- 0
-      done;
-      for y = 0 to Array.length opt - 1 do
-        mark.(opt.(y)) <- 0
+        if !x < words then incr entries
       done
-    end
   done;
-  !used
-
-(* Row [k] of [blk], a row of [header] cells, decoded into [scratch] like
-   a fresh assembly (ECO reuse), its entries added to [tally]; returns the
-   number of cells. *)
-let decode blk k ~header ~scratch ~tally =
-  let row = blk.start.(k) in
-  let data = counts_at blk row header 1 in
-  let len = (blk.start.(k + 1) - data) / blk.cw in
-  for h = 0 to header - 1 do
-    let v = get blk.bytes blk.ow (row + (h * blk.ow)) in
-    scratch.(h) <- v;
-    if v > 0 then begin
-      tally.entries <- tally.entries + 1;
-      tally.top <- Int.max tally.top v
-    end
-  done;
-  for c = 0 to len - 1 do
-    let v = get blk.bytes blk.cw (data + (c * blk.cw)) in
-    scratch.(header + c) <- v;
-    tally.peak <- Int.max tally.peak v
-  done;
-  header + len
-
-(* A net's block under construction: rows [0, k) written into [buf] at
-   widths [ow] and [cw], [start.(k)] bytes used; row [r] has [headers.(r)]
-   header cells. *)
-type writer = {
-  mutable buf : Bytes.t;
-  mutable ow : int;
-  mutable cw : int;
-  start : int array;
-  headers : int array;
-}
-
-(* Re-encode rows [0, k) at the wider widths [ow] and [cw]. Header values
-   are count indices, so no value changes, only its width. *)
-let widen wr k ~ow ~cw =
-  let cells r = (wr.start.(r + 1) - wr.start.(r) - (wr.headers.(r) * wr.ow)) / wr.cw in
-  let size = ref 0 in
-  for r = 0 to k - 1 do
-    size := !size + (wr.headers.(r) * ow) + (cells r * cw)
-  done;
-  let dst = Bytes.create (Int.max (2 * !size) (Bytes.length wr.buf)) in
-  let pos = ref 0 in
-  for r = 0 to k - 1 do
-    let src = wr.start.(r) and header = wr.headers.(r) and len = cells r in
-    for h = 0 to header - 1 do
-      set dst ow (!pos + (h * ow)) (get wr.buf wr.ow (src + (h * wr.ow)))
-    done;
-    let from = src + (header * wr.ow) and into = !pos + (header * ow) in
-    for c = 0 to len - 1 do
-      set dst cw (into + (c * cw)) (get wr.buf wr.cw (from + (c * wr.cw)))
-    done;
-    wr.start.(r) <- !pos;
-    pos := into + (len * cw)
-  done;
-  wr.start.(k) <- !pos;
-  wr.buf <- dst;
-  wr.ow <- ow;
-  wr.cw <- cw
-
-(* Append row [k], [used] cells of [scratch] of which [headers.(k)] are
-   header cells, widening the block first when [tally] outgrew it. *)
-let put wr k scratch used tally =
-  let ow = Int.max wr.ow (width tally.top) and cw = Int.max wr.cw (width tally.peak) in
-  if ow <> wr.ow || cw <> wr.cw then widen wr k ~ow ~cw;
-  let header = wr.headers.(k) and pos = wr.start.(k) in
-  let into = pos + (header * ow) in
-  let fin = into + ((used - header) * cw) in
-  if fin > Bytes.length wr.buf then begin
-    let grown = Bytes.create (Int.max fin (2 * Bytes.length wr.buf)) in
-    Bytes.blit wr.buf 0 grown 0 pos;
-    wr.buf <- grown
-  end;
-  for h = 0 to header - 1 do
-    set wr.buf ow (pos + (h * ow)) scratch.(h)
-  done;
-  for c = header to used - 1 do
-    set wr.buf cw (into + ((c - header) * cw)) scratch.(c)
-  done;
-  wr.start.(k + 1) <- fin
+  !entries
 
 (* The slot of [m] in the ascending neighbour row [row], or -1. *)
 let find_slot row m =
@@ -442,48 +384,49 @@ let build ?(exec = Executor.sequential) ?reuse cands neighbors =
       pair_net
   in
   (* One task per net: its block, both directions of a pair reading the
-     pair's one crossing list. Each row is assembled into the task's int
-     scratch, sized for its largest row, and written into the block at
-     the widths the net's values so far need; a value too wide for them
-     re-encodes the rows already written. The block is cut from the
-     task's buffer in one copy. A net's rows sit together, in the order
-     the selection engines walk them. *)
+     pair's one crossing list. A row's size follows from its crossing
+     count and the two nets' path and candidate counts, so the block is
+     allocated once at its final size; a kept row is a byte copy of the
+     previous table's. A net's rows sit together, in the order the
+     selection engines walk them. *)
   let built =
     Executor.parallel_mapi exec
       (fun i ms ->
         let si = shapes.(i) in
-        let ni = Array.length si.slot in
-        let paths = Array.fold_left (fun acc ps -> acc + Array.length ps) 0 si.path_edges in
-        let widest f = Array.fold_left (fun acc m -> Int.max acc (f shapes.(m))) 0 ms in
-        let scratch = Array.make ((ni + paths) * widest (fun s -> Array.length s.slot)) 0 in
-        let counts = Array.make (Array.length si.segs) 0 in
-        let mark = Array.make (widest (fun s -> Array.length s.segs)) 0 in
-        let hot = Array.make (Array.length si.first) false in
-        let headers = Array.map (fun m -> ni * Array.length cands.(m)) ms in
-        let wr =
-          { buf = Bytes.create (Int.max 16 (2 * Array.fold_left ( + ) 0 headers));
-            ow = 1;
-            cw = 1;
-            start = Array.make (Array.length ms + 1) 0;
-            headers }
-        in
-        let tally = { entries = 0; top = 0; peak = 0 } and reused = ref 0 in
+        let paths = si.base.(Array.length si.base - 1) in
+        let kept = Array.map (prev_row i) ms in
+        let start = Array.make (Array.length ms + 1) 0 in
+        let widest = ref 1 and cells = ref 0 in
         Array.iteri
           (fun k m ->
-            let used =
-              match prev_row i m with
-              | Some (blk, pk) ->
-                  incr reused;
-                  decode blk pk ~header:headers.(k) ~scratch ~tally
-              | None ->
-                  assemble crossings.(pair_of i k) ~x_first:(i < m) si shapes.(m) ~scratch
-                    ~counts ~mark ~hot ~tally
+            let masks = paths + Array.length cands.(m) in
+            let len =
+              match kept.(k) with
+              | Some (blk, pk) -> blk.start.(pk + 1) - blk.start.(pk)
+              | None -> masks * mask_bytes (Array.length crossings.(pair_of i k))
             in
-            put wr k scratch used tally)
+            let row_words = words (width ~len ~masks) in
+            widest := Int.max !widest row_words;
+            cells := Int.max !cells (masks * row_words);
+            start.(k + 1) <- start.(k) + len)
           ms;
-        let size = wr.start.(Array.length ms) in
-        let bytes = if size = Bytes.length wr.buf then wr.buf else Bytes.sub wr.buf 0 size in
-        ({ bytes; start = wr.start; ow = wr.ow; cw = wr.cw }, tally.entries, !reused))
+        let bytes = Bytes.make start.(Array.length ms) '\000' in
+        let scratch = Array.make !cells 0 and any = Array.make !widest 0 in
+        let entries = ref 0 and reused = ref 0 in
+        Array.iteri
+          (fun k m ->
+            let row = start.(k) and nm = Array.length cands.(m) in
+            let w = width ~len:(start.(k + 1) - row) ~masks:(paths + nm) in
+            (match kept.(k) with
+            | Some (blk, pk) ->
+                incr reused;
+                Bytes.blit blk.bytes blk.start.(pk) bytes row (start.(k + 1) - row)
+            | None ->
+                fill bytes ~row ~w crossings.(pair_of i k) ~x_first:(i < m) si shapes.(m)
+                  ~scratch);
+            entries := !entries + row_entries bytes ~row ~w ~base:si.base ~nm ~any)
+          ms;
+        ({ bytes; start; base = si.base }, !entries, !reused))
       neighbors
   in
   { cands;
@@ -507,59 +450,83 @@ let mirror t ~i ~k =
   | Some tb -> tb.mirror.(i).(k)
   | None -> invalid_arg "Xmatrix.mirror: direct matrix"
 
-(* The readers. A table read finds an entry's header cell in its row and
-   counts one hit; a direct matrix counts the entry's crossings from the
-   geometry and one miss. The row reader makes such a read for every
-   candidate of [i] in a single call, counting one hit or miss per
-   header cell. Zero counts add nothing: every sum they feed starts at
-   (or above) +0.0 and only grows, where adding +0.0 changes no bit. *)
+(* The readers. A table read of entry (j, n) in row (i, m) counts one
+   hit: the count of path [p] of (i, j) against (m, n) is the popcount
+   of the AND of their two masks. A direct matrix counts the entry's
+   crossings from the geometry and one miss. The row reader makes such a
+   read for every candidate of [i] in a single call, counting one hit or
+   miss per candidate. Zero counts add nothing: every sum they feed
+   starts at (or above) +0.0 and only grows, where adding +0.0 changes
+   no bit. *)
 
 let add_losses t b ~i ~k ~j ~m ~n acc off =
-  let paths = t.cands.(i).(j).Candidate.paths in
   match t.table with
   | Some tb ->
       t.counters.hits <- t.counters.hits + 1;
       let blk = tb.blocks.(i) in
-      let nm = Array.length t.cands.(m) and row = blk.start.(k) in
-      let e = get blk.bytes blk.ow (row + (((j * nm) + n) * blk.ow)) in
-      if e > 0 then begin
-        let at = counts_at blk row (Array.length t.cands.(i) * nm) e in
-        for p = 0 to Array.length paths - 1 do
-          let c = get blk.bytes blk.cw (at + (p * blk.cw)) in
-          if c > 0 then acc.(off + p) <- acc.(off + p) +. bundled_loss b c
-        done
+      let bytes = blk.bytes and base = blk.base and row = blk.start.(k) in
+      let paths = base.(Array.length base - 1) in
+      let w = width ~len:(blk.start.(k + 1) - row) ~masks:(paths + Array.length t.cands.(m)) in
+      let at = row + (base.(j) * w) and c = row + ((paths + n) * w) in
+      if w <= 4 then begin
+        let cm = word bytes w c in
+        if cm <> 0 then
+          for p = 0 to base.(j + 1) - base.(j) - 1 do
+            let x = word bytes w (at + (p * w)) land cm in
+            if x <> 0 then acc.(off + p) <- acc.(off + p) +. b.small.(popcount x)
+          done
       end
+      else
+        for p = 0 to base.(j + 1) - base.(j) - 1 do
+          let x = common bytes w (at + (p * w)) c in
+          if x > 0 then acc.(off + p) <- acc.(off + p) +. bundled_loss b x
+        done
   | None ->
       t.counters.misses <- t.counters.misses + 1;
+      let paths = t.cands.(i).(j).Candidate.paths in
       let other = t.cands.(m).(n).Candidate.opt_segments in
       for p = 0 to Array.length paths - 1 do
         let c = Segment.count_crossings paths.(p).Candidate.segments other in
         if c > 0 then acc.(off + p) <- acc.(off + p) +. bundled_loss b c
       done
 
-(* Row [(m, i)] holds candidate (m, n)'s entries against every candidate
-   of [i] in one run of header cells, [n * ni] to [n * ni + ni - 1]. *)
+(* Row [(m, i)] holds the masks of (m, n)'s paths and, side by side, of
+   every candidate of [i]. Paths are the outer loop; each [acc.(j)]
+   still receives its terms in path order. *)
 let add_weighted_row t b ~i ~k ~m ~n w acc =
   let ci = t.cands.(i) in
-  let ni = Array.length ci and paths = t.cands.(m).(n).Candidate.paths in
+  let ni = Array.length ci in
   match t.table with
   | Some tb ->
       t.counters.hits <- t.counters.hits + ni;
       let blk = tb.blocks.(m) in
-      let ow = blk.ow and cw = blk.cw and row = blk.start.(tb.mirror.(i).(k)) in
-      let h = row + (n * ni * ow) and header = Array.length t.cands.(m) * ni in
-      for j = 0 to ni - 1 do
-        let e = get blk.bytes ow (h + (j * ow)) in
-        if e > 0 then begin
-          let at = counts_at blk row header e in
-          for q = 0 to Array.length paths - 1 do
-            let c = get blk.bytes cw (at + (q * cw)) in
-            if c > 0 then acc.(j) <- acc.(j) +. (w.(q) *. bundled_loss b c)
+      let km = tb.mirror.(i).(k) in
+      let bytes = blk.bytes and base = blk.base and row = blk.start.(km) in
+      let paths = base.(Array.length base - 1) in
+      let wd = width ~len:(blk.start.(km + 1) - row) ~masks:(paths + ni) in
+      let at = row + (base.(n) * wd) and cs = row + (paths * wd) in
+      if wd <= 4 then
+        for q = 0 to base.(n + 1) - base.(n) - 1 do
+          let pm = word bytes wd (at + (q * wd)) in
+          if pm <> 0 then begin
+            let wq = w.(q) in
+            for j = 0 to ni - 1 do
+              let x = pm land word bytes wd (cs + (j * wd)) in
+              if x <> 0 then acc.(j) <- acc.(j) +. (wq *. b.small.(popcount x))
+            done
+          end
+        done
+      else
+        for q = 0 to base.(n + 1) - base.(n) - 1 do
+          let wq = w.(q) in
+          for j = 0 to ni - 1 do
+            let x = common bytes wd (at + (q * wd)) (cs + (j * wd)) in
+            if x > 0 then acc.(j) <- acc.(j) +. (wq *. bundled_loss b x)
           done
-        end
-      done
+        done
   | None ->
       t.counters.misses <- t.counters.misses + ni;
+      let paths = t.cands.(m).(n).Candidate.paths in
       for j = 0 to ni - 1 do
         let other = ci.(j).Candidate.opt_segments in
         for q = 0 to Array.length paths - 1 do
@@ -569,21 +536,16 @@ let add_weighted_row t b ~i ~k ~m ~n w acc =
       done
 
 let slot_counts t ~i ~k ~j ~m ~n =
-  let np = Array.length t.cands.(i).(j).Candidate.paths in
   match t.table with
   | Some tb ->
       t.counters.hits <- t.counters.hits + 1;
       let blk = tb.blocks.(i) in
-      let nm = Array.length t.cands.(m) and row = blk.start.(k) in
-      let e = get blk.bytes blk.ow (row + (((j * nm) + n) * blk.ow)) in
-      let counts = Array.make np 0 in
-      if e > 0 then begin
-        let at = counts_at blk row (Array.length t.cands.(i) * nm) e in
-        for p = 0 to np - 1 do
-          counts.(p) <- get blk.bytes blk.cw (at + (p * blk.cw))
-        done
-      end;
-      counts
+      let base = blk.base and row = blk.start.(k) in
+      let paths = base.(Array.length base - 1) in
+      let w = width ~len:(blk.start.(k + 1) - row) ~masks:(paths + Array.length t.cands.(m)) in
+      Array.init
+        (base.(j + 1) - base.(j))
+        (fun p -> common blk.bytes w (row + ((base.(j) + p) * w)) (row + ((paths + n) * w)))
   | None ->
       t.counters.misses <- t.counters.misses + 1;
       compute_counts t.cands i j m n

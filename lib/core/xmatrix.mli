@@ -12,17 +12,20 @@
     (Domain-parallel via {!Operon_util.Executor}).
 
     Each net's rows are packed into one byte block, in slot order, with
-    a table of where each row starts. Row [(i, m)] is a header with one
-    cell per candidate pair, holding [0] when every count of that entry is
-    zero and otherwise where the entry's per-path counts start among the
-    row's counts, followed by the non-zero entries' counts. Header cells
-    and counts use the narrowest fixed width (1, 2, 4 or 8 bytes) that
-    holds the net's largest value, so every count is stored exactly. Each
-    pair also records its mirror slot, the slot of [i] in [m]'s neighbour
-    row. The layout is private: consumers address an entry by net,
-    neighbour slot and the two candidates, and a reader decodes it in
-    place, adding that entry's losses into a float array the consumer
-    owns.
+    a table of where each row starts. Row [(i, m)] is a set of bitmasks
+    over the pair's crossings, numbered [0 .. k - 1]: one mask per
+    optical path of [i], whose bit [c] says the path runs over crossing
+    [c]'s edge of [i], then one mask per candidate of [m], whose bit [c]
+    says the candidate labels crossing [c]'s edge of [m] optical. The
+    count of path [p] of [(i, j)] against [(m, n)] is the popcount of
+    the AND of their two masks. A row's masks share one width, the
+    narrowest for its [k]: one word of 1, 2 or 4 bytes up to 32
+    crossings, then one 8-byte word per 63 crossings; the width follows
+    from the row's length, so no row stores it. Each pair also records
+    its mirror slot, the slot of [i] in [m]'s neighbour row. The layout
+    is private: consumers address an entry by net, neighbour slot and the
+    two candidates, and a reader counts it in place, adding that entry's
+    losses into a float array the consumer owns.
 
     Counts are exact integers, so a loss derived from a cached count is
     bit-identical to recomputing the geometry from scratch; consumers
@@ -47,7 +50,9 @@ type t
 type stats = {
   enabled : bool;  (** false for a {!direct} matrix *)
   pairs : int;  (** directed neighbour pairs precomputed at build time *)
-  entries : int;  (** candidate pairs with a non-zero count actually stored *)
+  entries : int;
+      (** candidate pairs [(j, n)] of a directed pair with a non-zero
+          count: some path of [(i, j)] crosses [(m, n)] *)
   build_seconds : float;  (** wall-clock spent precomputing *)
   hits : int;  (** reads answered from the table *)
   misses : int;  (** reads that recomputed the geometry *)
@@ -64,21 +69,22 @@ val build :
     fans out on [exec] (default sequential) twice. First, one task per
     undirected pair lists the crossings between the two nets' distinct
     optical edges, testing each edge pair once and skipping pairs whose
-    bboxes are disjoint. Then one task per net assembles that net's rows
-    in slot order and writes its block; rows [(i, m)] and [(m, i)] read
-    the pair's one list, the second transposed. Results are merged in
-    deterministic order, so the matrix contents do not depend on the
-    backend. [neighbors] must be
+    bboxes are disjoint. Then one task per net writes that net's block,
+    allocated once at its final size: each of its rows sets one bit per
+    crossing in the masks of the paths and candidates that cross there.
+    Rows [(i, m)] and [(m, i)] read the pair's one list, the second
+    transposed. Results are merged in deterministic order, so the matrix
+    contents do not depend on the backend. [neighbors] must be
     symmetric with ascending rows and no net in its own row (as built by
     [Selection.make_ctx]); raises [Invalid_argument] otherwise.
 
     [reuse = (prev, keep)] is the ECO fast path: when [keep i m] holds —
     the caller certifies both nets' candidate arrays are carried over
     from [prev] unchanged — and [prev] has rows for the pair, both rows
-    [(i, m)] and [(m, i)] are copied from [prev] instead of recomputed,
-    re-encoded when the new net's block stores its values at other
-    widths. [keep] must be symmetric. Contents are bit-identical either
-    way; only {!reused_rows} and the build time differ. A [direct] [prev]
+    [(i, m)] and [(m, i)] are byte copies of [prev]'s: the pair's
+    crossing list, and so its masks, are the same. [keep] must be
+    symmetric. Contents are bit-identical either way; only
+    {!reused_rows} and the build time differ. A [direct] [prev]
     contributes nothing. *)
 
 val optical_edges : Candidate.t array -> Operon_geom.Segment.t array
@@ -104,11 +110,11 @@ val find_slot : int array -> int -> int
     Every reader addresses a neighbour by its slot: [m] must be
     [neighbors.(i).(k)] of the rows the matrix was built with (a direct
     matrix ignores [k]). Every entry read counts exactly one hit (table:
-    one header cell) or one miss (direct: the entry recounted from the
-    geometry); the single-entry readers read one entry per call, the row
-    reader {!add_weighted_row} one per candidate of [i]. A count of zero
-    adds nothing, so every sum a reader feeds must start at or above
-    [+0.0]. *)
+    the entry counted from its masks) or one miss (direct: the entry
+    recounted from the geometry); the single-entry readers read one entry
+    per call, the row reader {!add_weighted_row} one per candidate of
+    [i]. A count of zero adds nothing, so every sum a reader feeds must
+    start at or above [+0.0]. *)
 
 type bundled
 (** [Loss.crossing_bundled] of one parameter set, tabulated for small
@@ -130,9 +136,9 @@ val add_weighted_row :
     neighbour candidate [(m, n)], path [q] weighted by [w.(q)]: for each
     path [q] of [(m, n)] in order,
     [acc.(j) <- acc.(j) +. w.(q) *. loss_q]. It reads [m]'s row through
-    the mirror slot, whose header holds [(m, n)]'s entries against all of
-    [i]'s candidates side by side, so the caller addresses it from [i]'s
-    side. One header cell, and one hit or miss, per candidate of [i]. *)
+    the mirror slot, which holds [(m, n)]'s path masks and the masks of
+    all of [i]'s candidates side by side, so the caller addresses it from
+    [i]'s side. One hit or miss per candidate of [i]. *)
 
 val slot_counts : t -> i:int -> k:int -> j:int -> m:int -> n:int -> int array
 (** The crossings between each optical path of candidate [(i, j)] and

@@ -321,9 +321,9 @@ let horizontal ~id ~y x0 x1 = simple_cands id (p x0 y) (p x1 y)
    from (x, 0) up to y = 2, and [bars] optical horizontals at y = 1 (plus
    the all-electrical one), bar [n] across the first [spokes - 7n]
    spokes: every entry of the star's row is non-zero, with one count per
-   spoke, 1 up to the bar's reach and 0 beyond, so the largest header
-   value is [(copies * bars - 1) * spokes + 1] and no two bars' entries
-   read alike. *)
+   spoke, 1 up to the bar's reach and 0 beyond, so the row holds
+   [copies * bars * spokes] counts and no two bars' entries read
+   alike. *)
 let star_and_bars ~id ~x ~spokes ~copies ~bars =
   let at s = x +. (0.01 *. float_of_int (s + 1)) in
   let tips = Array.init spokes (fun s -> p (at s) 2.0) in
@@ -346,12 +346,12 @@ let geometry_counts (ctx : Selection.ctx) ~i ~j ~m ~n =
         ctx.Selection.cands.(m).(n).Candidate.opt_segments)
     ctx.Selection.cands.(i).(j).Candidate.paths
 
-(* Values wider than one and two bytes: a path crossing a segment 300
-   times (counts need two bytes on both sides of the pair), and a row of
-   67,200 counts, whose largest header value needs four bytes. Before
-   that row, the star's rows against two short ticks across its first
-   spokes need two-byte header values, so the star's block widens twice,
-   the second time with two rows already written. *)
+(* Masks of several words and a wide row: a path crossing a segment 300
+   times (five 63-bit words per mask, on both sides of the pair), and the
+   star's row against the bars, whose 4,338 crossings give each of its
+   5,600 path masks and 13 bar masks 69 words and the row 67,200 counts.
+   Before that row, the star's rows against two short ticks across its
+   first spokes hold one-byte masks. *)
 let test_wide_values () =
   let zig = [ zigzag ~id:0 ~x:0.0 ~y:0.0 300; horizontal ~id:1 ~y:0.0 (-1.0) 4.0 ] in
   let star, bars = star_and_bars ~id:5 ~x:20.0 ~spokes:400 ~copies:14 ~bars:12 in
@@ -374,15 +374,15 @@ let test_wide_values () =
   Alcotest.(check bool) "readers agree with direct" true
     (agrees_with_direct xmat ctx (Prng.create 1))
 
-(* ECO reuse of rows whose nets' blocks change width. Net 0 fans three
+(* ECO reuse copies a kept pair's rows byte for byte. Net 0 fans three
    near-horizontal paths out of (-1, 0), as four identical candidates;
    net 1's three vertical bars reach one, two and all three of them.
    Net 2, 25 copies of a chain zigzagging 300 times across the fan, is
-   present in one build and absent from the other: with it, net 0's
-   largest count is 300 and its largest header value 298, so its block
-   widens from one byte to two for both, and the kept rows (0, 1) and
-   (1, 0) are re-encoded, in both directions. *)
-let test_reuse_changes_width () =
+   present in one build and absent from the other, so net 0's block
+   holds a 15-word row against it (900 crossings) in one and not in the
+   other; the kept rows (0, 1) and (1, 0) are copied in both
+   directions. *)
+let test_reuse_keeps_pair () =
   let tip s = p 4.0 ((0.1 *. float_of_int s) +. 0.05) in
   let fan =
     tree_net ~id:0
@@ -418,6 +418,59 @@ let test_reuse_changes_width () =
       Alcotest.(check int) "entries as a cold build"
         (Xmatrix.stats (build ())).Xmatrix.entries (Xmatrix.stats xmat).Xmatrix.entries)
     [ (narrow, wide); (wide, narrow) ]
+
+(* A zigzag against a bar for each crossing count on both sides of a
+   mask-width boundary: one byte up to 8 crossings, two up to 16, four
+   up to 32, then one 63-bit word per 63 crossings. Each zigzag net has
+   two identical optical candidates, so every row holds several masks.
+   Every reader must agree with the geometry and with a direct matrix,
+   in both directions, in a cold build and in an ECO build that keeps
+   every other pair. *)
+let test_mask_widths () =
+  let counts = [ 8; 9; 16; 17; 32; 33; 63; 64; 126; 127 ] in
+  let nets =
+    List.concat
+      (List.mapi
+         (fun x c ->
+           let x0 = 10.0 *. float_of_int x in
+           let zig =
+             match zigzag ~id:(2 * x) ~x:x0 ~y:0.0 c with
+             | optical :: rest -> optical :: optical :: rest
+             | [] -> []
+           in
+           [ zig; horizontal ~id:((2 * x) + 1) ~y:0.0 (x0 -. 1.0) (x0 +. 2.0) ])
+         counts)
+  in
+  let ctx = Selection.make_ctx params (Array.of_list nets) in
+  let check name xmat =
+    let ctx = { ctx with Selection.xmat } in
+    List.iteri
+      (fun x c ->
+        let zig = 2 * x and bar = (2 * x) + 1 in
+        Alcotest.(check (array int)) (Printf.sprintf "%s: zigzag %d's neighbour" name c) [| bar |]
+          ctx.Selection.neighbors.(zig);
+        Alcotest.(check (array int)) (Printf.sprintf "%s: %d crossings" name c) [| c |]
+          (Xmatrix.slot_counts xmat ~i:zig ~k:0 ~j:1 ~m:bar ~n:0);
+        Alcotest.(check (array int)) (Printf.sprintf "%s: %d crossings, other side" name c) [| c |]
+          (Xmatrix.slot_counts xmat ~i:bar ~k:0 ~j:0 ~m:zig ~n:1);
+        Alcotest.(check (array int)) (Printf.sprintf "%s: %d against geometry" name c)
+          (geometry_counts ctx ~i:zig ~j:0 ~m:bar ~n:0)
+          (Xmatrix.slot_counts xmat ~i:zig ~k:0 ~j:0 ~m:bar ~n:0))
+      counts;
+    Alcotest.(check bool) (name ^ ": rows match geometry") true (check_rows xmat ctx);
+    Alcotest.(check bool) (name ^ ": readers agree with direct") true
+      (agrees_with_direct xmat ctx (Prng.create 3))
+  in
+  let cold = ctx.Selection.xmat in
+  check "cold" cold;
+  let eco =
+    Xmatrix.build ~reuse:(cold, fun i m -> i / 4 = m / 4 && i mod 4 < 2 && m mod 4 < 2)
+      ctx.Selection.cands ctx.Selection.neighbors
+  in
+  Alcotest.(check int) "every other pair's rows reused" (2 * 5) (Xmatrix.reused_rows eco);
+  check "eco" eco;
+  Alcotest.(check int) "entries as a cold build" (Xmatrix.stats cold).Xmatrix.entries
+    (Xmatrix.stats eco).Xmatrix.entries
 
 (* Reads decode in place: a sweep of every table entry through both
    loss readers allocates nothing. *)
@@ -839,10 +892,9 @@ let () =
           QCheck_alcotest.to_alcotest prop_neighbor_rows_match_pooled_rule ] );
       ( "packed",
         [ QCheck_alcotest.to_alcotest prop_packed_equals_direct;
-          Alcotest.test_case "counts and offsets wider than 1 and 2 bytes" `Quick
-            test_wide_values;
-          Alcotest.test_case "eco reuse across a width change" `Quick
-            test_reuse_changes_width;
+          Alcotest.test_case "multi-word masks, a wide star row" `Quick test_wide_values;
+          Alcotest.test_case "eco reuse copies a kept pair" `Quick test_reuse_keeps_pair;
+          Alcotest.test_case "mask widths at word boundaries" `Quick test_mask_widths;
           Alcotest.test_case "reads allocate nothing" `Quick test_reads_allocate_nothing ] );
       ( "parity",
         [ QCheck_alcotest.to_alcotest prop_random_design_parity;
