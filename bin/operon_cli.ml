@@ -75,14 +75,6 @@ let solver_core_arg =
   in
   Arg.(value & opt string "sparse" & info [ "solver-core" ] ~docv:"CORE" ~doc)
 
-let no_cache_arg =
-  let doc =
-    "Disable the precomputed crossing-matrix cache and recompute \
-     crossing geometry per query. Results are bit-identical; selection \
-     is slower. Mainly for benchmarking and debugging."
-  in
-  Arg.(value & flag & info [ "no-cache" ] ~doc)
-
 let inject_arg =
   let doc =
     "Inject a deterministic fault at STAGE:NET:KIND. STAGE is baselines \
@@ -251,19 +243,14 @@ let validate_partition s =
       | Some r -> fail_usage "--partition region count must be >= 1 (got %d)" r
       | None -> fail_usage "bad --partition %S (expected off, auto or N)" s)
 
-let make_config ?(no_cache = false) ?(solver_core = "sparse") ?thermal
-    ?partition params mode budget jobs strict inject_specs =
+let make_config ?(solver_core = "sparse") ?thermal ?partition params mode
+    budget jobs strict inject_specs =
   let jobs = validate_jobs jobs in
   let jobs = if jobs = 0 then Operon_util.Executor.default_jobs () else jobs in
   Flow.Config.make ~mode:(validate_mode mode)
     ~ilp_budget:(validate_budget budget) ~jobs ~strict
-    ~injections:(validate_injections inject_specs) ~cache:(not no_cache)
+    ~injections:(validate_injections inject_specs)
     ~solver_core:(validate_solver_core solver_core) ?thermal ?partition params
-
-let make_runctx ?no_cache params mode budget jobs strict inject_specs =
-  let cfg = make_config ?no_cache params mode budget jobs strict inject_specs in
-  Operon_engine.Runctx.create ~seed:cfg.Flow.Config.seed
-    (Flow.Config.to_runctx_config cfg)
 
 let apply_mutate mutate mutate_seed design =
   match mutate with
@@ -278,7 +265,9 @@ let apply_mutate mutate mutate_seed design =
 (* The run/export back half: cold synthesis, or — with --eco-from — an
    incremental re-preparation against the design recorded in a previous
    export. Either way the flow result is bit-identical to a cold run of
-   [design]; the ECO path only reports what it saved, on stderr. *)
+   [design]; the ECO path only reports what it saved, on stderr, and its
+   trace holds the re-preparation's stages as a cold run's holds the
+   preparation's. *)
 let synthesize_cli ?eco_from config design =
   match eco_from with
   | None -> Flow.synthesize config design
@@ -287,7 +276,8 @@ let synthesize_cli ?eco_from config design =
       | Error msg -> fail_usage "--eco-from: %s" msg
       | Ok baseline ->
           let prev = Flow.prepare config baseline in
-          let p = Flow.prepare_eco ~prev config design in
+          let sink = Operon_engine.Instrument.create () in
+          let p = Flow.prepare_eco ~sink ~prev config design in
           (match p.Flow.p_eco with
            | Some e when e.Flow.cold_fallback ->
                Printf.eprintf
@@ -302,7 +292,7 @@ let synthesize_cli ?eco_from config design =
                  e.Flow.interaction_dirty e.Flow.added e.Flow.removed
                  e.Flow.xrows_reused
            | None -> ());
-          Flow.select_prepared config p)
+          Flow.select_prepared ~sink config p)
 
 let print_trace result =
   print_endline
@@ -330,8 +320,8 @@ let with_design name seed f =
         exit 1)
 
 let run_cmd =
-  let run case seed mode budget jobs trace strict inject no_cache solver_core
-      mutate mutate_seed eco_from thermal_map thermal_weights partition =
+  let run case seed mode budget jobs trace strict inject solver_core mutate
+      mutate_seed eco_from thermal_map thermal_weights partition =
     let seed = validate_seed seed in
     let thermal = validate_thermal thermal_map thermal_weights in
     let partition = validate_partition partition in
@@ -339,8 +329,8 @@ let run_cmd =
         let design = apply_mutate mutate mutate_seed design in
         let params = Operon_optical.Params.default in
         let config =
-          make_config ~no_cache ~solver_core ?thermal ~partition params mode
-            budget jobs strict inject
+          make_config ~solver_core ?thermal ~partition params mode budget jobs
+            strict inject
         in
         let result = synthesize_cli ?eco_from config design in
         let nets, hnets, hpins = Processing.stats result.Flow.hnets in
@@ -408,9 +398,9 @@ let run_cmd =
   let doc = "Run the full OPERON flow on a case." in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(const run $ case_arg $ seed_arg $ mode_arg $ budget_arg $ jobs_arg
-          $ trace_arg $ strict_arg $ inject_arg $ no_cache_arg
-          $ solver_core_arg $ mutate_arg $ mutate_seed_arg $ eco_from_arg
-          $ thermal_map_arg $ thermal_weights_arg $ partition_arg)
+          $ trace_arg $ strict_arg $ inject_arg $ solver_core_arg $ mutate_arg
+          $ mutate_seed_arg $ eco_from_arg $ thermal_map_arg
+          $ thermal_weights_arg $ partition_arg)
 
 let stats_cmd =
   let run case seed =
@@ -449,8 +439,8 @@ let wdm_cmd =
     let seed = validate_seed seed in
     with_design case seed (fun design ->
         let params = Operon_optical.Params.default in
-        let rc = make_runctx params "lr" 60.0 jobs strict inject in
-        let result = Flow.run_ctx rc design in
+        let config = make_config params "lr" 60.0 jobs strict inject in
+        let result = Flow.synthesize config design in
         let a = result.Flow.assignment in
         Printf.printf "connections:   %d\n" (Array.length result.Flow.placement.Wdm_place.conns);
         Printf.printf "initial WDMs:  %d\n" a.Assign.initial_count;
@@ -480,9 +470,8 @@ let export_cmd =
     in
     Arg.(value & flag & info [ "no-timings" ] ~doc)
   in
-  let run case seed mode budget jobs strict inject no_cache solver_core
-      no_timings out mutate mutate_seed eco_from thermal_map thermal_weights
-      partition =
+  let run case seed mode budget jobs strict inject solver_core no_timings out
+      mutate mutate_seed eco_from thermal_map thermal_weights partition =
     let seed = validate_seed seed in
     let thermal = validate_thermal thermal_map thermal_weights in
     let partition = validate_partition partition in
@@ -490,8 +479,8 @@ let export_cmd =
         let design = apply_mutate mutate mutate_seed design in
         let params = Operon_optical.Params.default in
         let config =
-          make_config ~no_cache ~solver_core ?thermal ~partition params mode
-            budget jobs strict inject
+          make_config ~solver_core ?thermal ~partition params mode budget jobs
+            strict inject
         in
         let result = synthesize_cli ?eco_from config design in
         let conns = result.Flow.placement.Wdm_place.conns in
@@ -514,10 +503,9 @@ let export_cmd =
   let doc = "Run the flow and export the synthesized design as JSON." in
   Cmd.v (Cmd.info "export" ~doc)
     Term.(const run $ case_arg $ seed_arg $ mode_arg $ budget_arg $ jobs_arg
-          $ strict_arg $ inject_arg $ no_cache_arg $ solver_core_arg
-          $ no_timings_arg $ out_arg $ mutate_arg $ mutate_seed_arg
-          $ eco_from_arg $ thermal_map_arg $ thermal_weights_arg
-          $ partition_arg)
+          $ strict_arg $ inject_arg $ solver_core_arg $ no_timings_arg $ out_arg
+          $ mutate_arg $ mutate_seed_arg $ eco_from_arg $ thermal_map_arg
+          $ thermal_weights_arg $ partition_arg)
 
 let thermal_map_cmd =
   let hotspots_arg =
@@ -602,8 +590,8 @@ let timing_cmd =
     let seed = validate_seed seed in
     with_design case seed (fun design ->
         let params = Operon_optical.Params.default in
-        let rc = make_runctx params mode budget jobs false [] in
-        let result = Flow.run_ctx rc design in
+        let config = make_config params mode budget jobs false [] in
+        let result = Flow.synthesize config design in
         let d = Operon_optical.Delay.default in
         let sel = Timing.selection d result.Flow.ctx result.Flow.choice in
         let reference = Timing.electrical_reference d result.Flow.ctx in

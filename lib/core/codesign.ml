@@ -298,13 +298,10 @@ let for_hypernet_counted ?(max_cands = 16) ?(max_total = 10) ~(counts : xcounts)
         kept = List.length kept } )
   end
 
-let for_hypernet_stats ?max_cands ?max_total ?(crossing_est = fun _ -> 0)
-    params hnet =
+let for_hypernet ?max_cands ?max_total ?(crossing_est = fun _ -> 0) params
+    hnet =
   let counts = crossing_counts ~crossing_est hnet in
-  for_hypernet_counted ?max_cands ?max_total ~counts params hnet
-
-let for_hypernet ?max_cands ?max_total ?crossing_est params hnet =
-  fst (for_hypernet_stats ?max_cands ?max_total ?crossing_est params hnet)
+  fst (for_hypernet_counted ?max_cands ?max_total ~counts params hnet)
 
 let electrical_only params hnet =
   let terminals = Hypernet.centers hnet in

@@ -57,17 +57,6 @@ type gen_stats = {
   kept : int;  (** after the [max_total] truncation *)
 }
 
-val for_hypernet_stats :
-  ?max_cands:int ->
-  ?max_total:int ->
-  ?crossing_est:(Segment.t -> int) ->
-  Params.t ->
-  Hypernet.t ->
-  Candidate.t list * gen_stats
-(** {!for_hypernet} plus generation/prune counters for the pipeline's
-    instrumentation sink. Equivalent to {!crossing_counts} followed by
-    {!for_hypernet_counted}. *)
-
 type xcounts = int array array
 (** The crossing counts one hyper net's candidate generation consumes:
     one row per baseline topology (in {!Bi1s.baselines} order), indexed
@@ -103,8 +92,9 @@ val for_hypernet_counted :
   Params.t ->
   Hypernet.t ->
   Candidate.t list * gen_stats
-(** {!for_hypernet_stats} with every crossing estimate supplied up
-    front. Given the counts a cold run would have queried, the output is
+(** {!for_hypernet} with every crossing estimate supplied up front,
+    plus generation/prune counters for the pipeline's instrumentation
+    sink. Given the counts a cold run would have queried, the output is
     bit-identical to the cold run's — the heart of the ECO per-net
     memoization. Raises [Invalid_argument] on a shape mismatch. *)
 

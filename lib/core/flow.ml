@@ -2,7 +2,7 @@ open Operon_util
 open Operon_steiner
 open Operon_engine
 
-type mode = Runctx.mode = Ilp | Lr
+type mode = Ilp | Lr
 
 module Config = struct
   (* Thermal-reliability scenario: a static temperature map of the die
@@ -32,7 +32,6 @@ module Config = struct
     jobs : int;
     strict : bool;
     injections : Fault.injection list;
-    cache : bool;
     seed : int;
     solver_core : Operon_solver.Solver.core;
     thermal : thermal option;
@@ -43,19 +42,18 @@ module Config = struct
 
   let make ?processing ?(mode = Lr) ?(ilp_budget = 3000.0)
       ?(max_cands_per_net = 10) ?(jobs = 1) ?(strict = false)
-      ?(injections = []) ?(cache = true) ?(seed = 42)
+      ?(injections = []) ?(seed = 42)
       ?(solver_core = Operon_solver.Solver.Sparse) ?thermal
       ?(partition = Off) params =
     (match Operon_optical.Params.validate params with
      | Ok () -> ()
      | Error msg -> invalid_arg ("Config.make: " ^ msg));
     { params; processing; mode; ilp_budget; max_cands_per_net; jobs; strict;
-      injections; cache; seed; solver_core; thermal; partition }
+      injections; seed; solver_core; thermal; partition }
 
   let default params = make params
 
   let with_jobs jobs t = { t with jobs }
-  let with_cache cache t = { t with cache }
 
   let with_thermal ?(weights = default_thermal_weights) map t =
     if Array.length weights = 0 then
@@ -69,18 +67,8 @@ module Config = struct
                w))
       weights;
     { t with thermal = Some { map; weights = Array.copy weights } }
-
-  let to_runctx_config t =
-    { Runctx.params = t.params;
-      mode = t.mode;
-      ilp_budget = t.ilp_budget;
-      max_cands_per_net = t.max_cands_per_net;
-      jobs = t.jobs;
-      strict = t.strict;
-      injections = t.injections;
-      cache = t.cache;
-      solver_core = t.solver_core }
 end
+
 
 (* One evaluated point of the thermal Pareto sweep: the selection found
    at one objective weight, with its physical power and its worst-case
@@ -140,6 +128,29 @@ type t = {
   partition : partition_stats option;
 }
 
+type eco_stats = {
+  nets_reused : int;
+  nets_recomputed : int;
+  xrows_reused : int;
+  dirty : int;
+  interaction_dirty : int;
+  added : int;
+  removed : int;
+  dirty_closure : int;
+  cold_fallback : bool;
+}
+
+type prepared = {
+  p_design : Signal.design;
+  p_config : Config.t;
+  p_hnets : Hypernet.t array;
+  p_cands : Candidate.t list array;
+  p_xcounts : Codesign.xcounts array;
+  p_ctx : Selection.ctx;
+  p_faults : Fault.t list;
+  p_eco : eco_stats option;
+}
+
 (* Region-count policy. [Auto] aims for [auto_region_nets] nets per
    region and stays flat (returns [None]) below two regions' worth —
    partitioning a small design buys nothing and costs a stitch. An
@@ -160,10 +171,12 @@ let resolve_partition (p : Config.partition) ~nets =
 (* The six pipeline stages (paper Figure 2).                          *)
 (* ------------------------------------------------------------------ *)
 
-let stage_processing processing =
+let stage_processing (cfg : Config.t) =
   Pipeline.stage Instrument.Processing (fun rc design ->
-      let params = rc.Runctx.config.Runctx.params in
-      let hnets = Processing.run ?config:processing rc.Runctx.rng params design in
+      let params = cfg.Config.params in
+      let hnets =
+        Processing.run ?config:cfg.Config.processing rc.Runctx.rng params design
+      in
       let nets, hn, hpins = Processing.stats hnets in
       (* Crossing loss is bundled by the design's expected waveguide channel
          occupancy; the adjusted parameters travel inside the ctx. *)
@@ -186,7 +199,7 @@ let stage_processing processing =
    A net whose baseline task faults is quarantined: it contributes no
    optical segments and the codesign stage will route it all-electrical. *)
 (* The per-net contribution to the design-wide crossing index. Also the
-   unit of the ECO delta indices, so both paths share one definition. *)
+   unit of the ECO delta indices, so both share one definition. *)
 let baseline_tree_segments (hnet : Hypernet.t) =
   let terminals = Hypernet.centers hnet in
   if Array.length terminals <= 1 then [||]
@@ -219,14 +232,6 @@ let stage_baselines =
         (Array.length segments);
       let index = Crossing.build_index ~die:design.Signal.die segments in
       (design, params, hnets, index))
-
-(* The outcome of a net quarantined upstream, which skips the DP: its
-   all-electrical fallback as its only candidate. *)
-let quarantined_cands params hnet =
-  `Fresh
-    ( Codesign.electrical_only params hnet,
-      { Codesign.raw = 1; deduped = 1; kept = 1 },
-      ([||] : Codesign.xcounts) )
 
 (* Merge per-net co-design outcomes on the coordinator, in net-id order:
    a [`Fresh] net's DP counters are charged, a [`Kept] net (an ECO
@@ -266,43 +271,136 @@ let merge_codesign rc params hnets results =
       (Array.length quarantined);
   (cand_lists, xcounts, reused)
 
-let stage_codesign =
+(* What the co-design fan-out does with one net: carry its previous
+   candidates over with these counts, replay the DP on patched counts,
+   or count against the design-wide index as a cold run does. A cold
+   preparation recounts every net; only an ECO re-preparation keeps or
+   patches. *)
+type net_plan =
+  | Keep of Candidate.t list * Codesign.xcounts
+  | Patch of Codesign.xcounts
+  | Recount
+
+(* The ECO per-net decision against a previous preparation. Delta
+   indices over just the changed nets' baseline trees, old and new:
+   crossing counts are additive over any partition of the design's
+   segment set, and the grid geometry (die, cell count) matches the
+   design-wide index, so for an unchanged net [cached - old_delta +
+   new_delta] is exactly the count a cold recount would produce. The
+   new delta mirrors the design-wide index: a net the baselines stage
+   quarantined contributes no segments there, so none to the delta
+   either. *)
+let eco_plan (prev : prepared) (diff : Design_diff.t) ~die ~is_quarantined
+    hnets =
+  let status = diff.Design_diff.status in
+  let delta hs ~keep =
+    let acc = ref [] in
+    Array.iteri
+      (fun i (h : Hypernet.t) ->
+        if status.(i) = Design_diff.Dirty && keep h then
+          match baseline_tree_segments h with
+          | segs -> acc := segs :: !acc
+          | exception _ -> ())
+      hs;
+    Crossing.build_index ~die (Array.concat !acc)
+  in
+  let idx_old = delta prev.p_hnets ~keep:(fun _ -> true) in
+  let idx_new =
+    delta hnets ~keep:(fun h -> not (is_quarantined h.Hypernet.id))
+  in
+  fun i (hnet : Hypernet.t) ->
+    let cached = prev.p_xcounts.(i) in
+    if not diff.Design_diff.closure.(i) then
+      (* No changed geometry overlaps this net's bbox: no queried
+         segment's count can have moved. *)
+      Keep (prev.p_cands.(i), cached)
+    else if status.(i) = Design_diff.Dirty then
+      (* The net itself changed: cached counts are keyed to topologies
+         that no longer exist. *)
+      Recount
+    else
+      (* Clean content key, but inside the closure: same terminals, same
+         topologies, same queried segments — patch the cached counts
+         with the delta. Counts that come out unchanged certify the
+         whole candidate list (and its Xmatrix rows) for reuse. *)
+      let id = hnet.Hypernet.id in
+      let sub s = Crossing.count_crossings idx_old ~exclude_net:id s in
+      let add s = Crossing.count_crossings idx_new ~exclude_net:id s in
+      match Codesign.adjust_counts ~sub ~add hnet cached with
+      | Some counts when counts = cached -> Keep (prev.p_cands.(i), counts)
+      | Some counts -> Patch counts
+      | None ->
+          (* Unreachable for a clean-keyed net (identical terminals
+             imply identical topology shapes); recount to stay safe. *)
+          Recount
+
+(* Co-design, one task per net. [reuse] is an ECO re-preparation's
+   previous preparation and design diff; without it every net recounts,
+   which is the cold preparation. *)
+let stage_codesign (cfg : Config.t) ?reuse () =
   Pipeline.stage Instrument.Codesign (fun rc (design, params, hnets, index) ->
-      let max_total = rc.Runctx.config.Runctx.max_cands_per_net in
+      let max_total = cfg.Config.max_cands_per_net in
       (* Nets already quarantined upstream (baselines faults) skip the DP
          outright: their crossing estimates would be built from segments
          that were never generated. *)
       let upstream = Runctx.quarantined rc in
       let is_quarantined id = Array.exists (fun q -> q = id) upstream in
+      let plan =
+        match reuse with
+        | None -> fun _ _ -> Recount
+        | Some (prev, diff) ->
+            eco_plan prev diff ~die:design.Signal.die ~is_quarantined hnets
+      in
+      let previous = Option.map (fun (prev, _) -> prev.p_cands) reuse in
       (* Per-net PRNG streams, split off in net-id order *before* the
-         fan-out. Any randomized decision a per-net task ever makes must
-         draw from its own stream, never from [rc.rng], so that results
-         cannot depend on domain scheduling. Today's DP kernels are fully
-         deterministic and retire the stream unused; the split discipline
-         is the contract parallel candidate generation relies on. *)
+         fan-out, for every net whether it is kept or not. Any randomized
+         decision a per-net task ever makes must draw from its own
+         stream, never from [rc.rng], so that results cannot depend on
+         domain scheduling. Today's DP kernels are fully deterministic
+         and retire the stream unused; the split discipline is the
+         contract parallel candidate generation relies on. *)
       let net_rngs = Array.map (fun _ -> Prng.split rc.Runctx.rng) hnets in
       let results =
         Executor.try_parallel_mapi rc.Runctx.exec
           (fun i hnet ->
-            Runctx.check_inject rc ~stage:Instrument.Codesign ~net:hnet.Hypernet.id ();
+            let id = hnet.Hypernet.id in
+            Runctx.check_inject rc ~stage:Instrument.Codesign ~net:id ();
             let _net_rng = net_rngs.(i) in
-            if is_quarantined hnet.Hypernet.id then
-              quarantined_cands params hnet
-            else
-              let crossing_est = Crossing.estimator index ~net:hnet.Hypernet.id in
-              let counts = Codesign.crossing_counts ~crossing_est hnet in
+            (* A DP whose output equals the previous candidate list
+               still certifies full reuse — the list is carried over and
+               its crossing-matrix rows and neighbour links stay valid,
+               since both depend only on the candidate values. Only the
+               refreshed counts must be kept: they are this run's true
+               counts, the base the next ECO patch builds on. A moved
+               net rarely changes its neighbours' DP outcome, so most of
+               an ECO closure collapses back to reuse. *)
+            let dp counts =
               let cands, stats =
                 Codesign.for_hypernet_counted ~max_total ~counts params hnet
               in
-              `Fresh (cands, stats, counts))
+              match previous with
+              | Some old when old.(i) = cands -> `Kept (old.(i), counts)
+              | _ -> `Fresh (cands, stats, counts)
+            in
+            if is_quarantined id then
+              `Fresh
+                ( Codesign.electrical_only params hnet,
+                  { Codesign.raw = 1; deduped = 1; kept = 1 },
+                  ([||] : Codesign.xcounts) )
+            else
+              match plan i hnet with
+              | Keep (cands, counts) -> `Kept (cands, counts)
+              | Patch counts -> dp counts
+              | Recount ->
+                  let crossing_est = Crossing.estimator index ~net:id in
+                  dp (Codesign.crossing_counts ~crossing_est hnet))
           hnets
       in
-      let cand_lists, xcounts, _ = merge_codesign rc params hnets results in
-      (design, params, hnets, cand_lists, xcounts))
+      let cand_lists, xcounts, reused = merge_codesign rc params hnets results in
+      (design, params, hnets, cand_lists, xcounts, reused))
 
-(* Building the selection context is charged to Codesign, as it was when
-   the two lived in one stage; it is split out so the ECO path can build
-   the context with per-net reuse on recycled candidate lists. *)
+(* The selection context is built under the Codesign stage, so its
+   matrix counters land there. *)
 let record_xmatrix sink ctx =
   let xs = Xmatrix.stats ctx.Selection.xmat in
   if xs.Xmatrix.enabled then begin
@@ -312,23 +410,25 @@ let record_xmatrix sink ctx =
       (int_of_float (Float.round (xs.Xmatrix.build_seconds *. 1000.0)))
   end
 
-let stage_ctx partition =
+(* The selection context. A partitioned run builds per-region crossing
+   matrices during selection; precomputing the design-wide matrix here
+   would be thrown-away work, so the full context stays direct (the
+   partitioned path reports the aggregated per-region matrix stats
+   instead). With [reuse], the kept nets' neighbour links and matrix
+   rows are carried over from the previous context. *)
+let stage_ctx (cfg : Config.t) ?reuse () =
   Pipeline.stage Instrument.Codesign
-    (fun rc (design, params, hnets, cand_lists, xcounts) ->
-      (* A partitioned run builds per-region crossing caches during
-         selection; precomputing the design-wide matrix here would be
-         thrown-away work, so the full context stays direct (the
-         partitioned path reports the aggregated per-region cache
-         stats instead). *)
+    (fun rc (design, params, hnets, cand_lists, xcounts, reused) ->
       let cache =
-        rc.Runctx.config.Runctx.cache
-        && resolve_partition partition ~nets:(Array.length cand_lists) = None
+        resolve_partition cfg.Config.partition ~nets:(Array.length cand_lists)
+        = None
       in
+      let reuse = Option.map (fun (prev, _) -> (prev.p_ctx, reused)) reuse in
       let ctx =
-        Selection.make_ctx ~exec:rc.Runctx.exec ~cache params cand_lists
+        Selection.make_ctx ~exec:rc.Runctx.exec ~cache ?reuse params cand_lists
       in
       record_xmatrix rc.Runctx.sink ctx;
-      (design, params, hnets, cand_lists, xcounts, ctx))
+      (design, hnets, cand_lists, xcounts, reused, ctx))
 
 type selected = {
   s_design : Signal.design;
@@ -371,15 +471,15 @@ let engine_names = function
    that crashes, the all-electrical selection (the paper's Eq. 6
    baseline) cannot fail. Every failed hop is a Select fault, returned
    as data; a strict run raises the first one instead. Safe in a Domain
-   task: besides [ctx], it reads only [rc]'s immutable config. *)
-let select_region rc ?initial ctx =
-  let cfg = rc.Runctx.config in
-  let budget_seconds = cfg.Runctx.ilp_budget in
+   task: besides [ctx], it reads only [rc]'s immutable injections and the
+   configuration. *)
+let select_region rc (cfg : Config.t) ?initial ctx =
+  let budget_seconds = cfg.Config.ilp_budget in
   let run = function
     | "ilp" ->
         Runctx.check_inject rc ~stage:Instrument.Select ();
         let r =
-          Ilp_select.select ~budget_seconds ~core:cfg.Runctx.solver_core
+          Ilp_select.select ~budget_seconds ~core:cfg.Config.solver_core
             ?initial ctx
         in
         ( r.Ilp_select.choice, Some r, None,
@@ -411,12 +511,12 @@ let select_region rc ?initial ctx =
         | exception e ->
             let bt = Printexc.get_raw_backtrace () in
             let fault = Fault.of_exn ~stage:Instrument.Select e bt in
-            if cfg.Runctx.strict then
+            if cfg.Config.strict then
               Printexc.raise_with_backtrace (Fault.Error fault) bt;
             go (name :: path) (fault :: faults) rest)
   in
   let path, faults, (choice, ilp, lr, counters) =
-    go [] [] (engine_names cfg.Runctx.mode)
+    go [] [] (engine_names cfg.Config.mode)
   in
   { ro_choice = choice;
     ro_path = List.rev path;
@@ -430,11 +530,10 @@ let select_region rc ?initial ctx =
    of the design-wide context — its member nets' candidate lists under a
    private crossing matrix, plus the matching rows of the thermal
    profile and of the warm start. *)
-let select_slice rc ?initial (ctx : Selection.ctx) ids =
+let select_slice rc cfg ?initial (ctx : Selection.ctx) ids =
   let rows a = Array.map (fun i -> a.(i)) ids in
   let sub =
-    Selection.make_ctx ~cache:rc.Runctx.config.Runctx.cache
-      ctx.Selection.params
+    Selection.make_ctx ctx.Selection.params
       (Array.map Array.to_list (rows ctx.Selection.cands))
   in
   let sub =
@@ -458,7 +557,7 @@ let select_slice rc ?initial (ctx : Selection.ctx) ids =
         Some (rows init)
     | _ -> None
   in
-  select_region rc ?initial sub
+  select_region rc cfg ?initial sub
 
 (* Selection runs the engine chain on every region of a plan, on the
    Domain pool, and merges in region order. The flat flow is the
@@ -475,9 +574,8 @@ let select_slice rc ?initial (ctx : Selection.ctx) ids =
    through its convergence tests, so partitioned LR is only
    power-bounded, not bit-equal (DESIGN.md §16). A real exception in the
    plan or the stitch degrades to the one-region plan. *)
-let stage_select partition =
+let stage_select (cfg : Config.t) =
   Pipeline.stage Instrument.Select (fun rc (design, hnets, ctx, initial) ->
-      let cfg = rc.Runctx.config in
       let sink = rc.Runctx.sink in
       let count key v = Instrument.incr sink Instrument.Select key v in
       (match initial with Some _ -> count "warm_start" 1 | None -> ());
@@ -489,7 +587,7 @@ let stage_select partition =
         let floor r =
           { ro_choice =
               Array.map (fun i -> ctx.Selection.elec_idx.(i)) regions.(r);
-            ro_path = engine_names cfg.Runctx.mode @ [ "electrical" ];
+            ro_path = engine_names cfg.Config.mode @ [ "electrical" ];
             ro_ilp = None;
             ro_lr = None;
             ro_counters = [];
@@ -536,7 +634,7 @@ let stage_select partition =
         let before = Xmatrix.stats ctx.Selection.xmat in
         let sel, outs =
           solve ~hops [| Array.init n Fun.id |] (fun _ ->
-              select_region rc ?initial ctx)
+              select_region rc cfg ?initial ctx)
         in
         let after = outs.(0).ro_cache in
         count "cache_hits" (after.Xmatrix.hits - before.Xmatrix.hits);
@@ -553,7 +651,7 @@ let stage_select partition =
                 ~neighbors:ctx.Selection.neighbors)
         in
         let sel, outs =
-          solve plan.Partition.regions (select_slice rc ?initial ctx)
+          solve plan.Partition.regions (select_slice rc cfg ?initial ctx)
         in
         (* Corridor stitch: regional solutions are feasible within their
            regions, so repairing (and then improving) just the corridor
@@ -602,7 +700,7 @@ let stage_select partition =
             Some
               ( plan,
                 stats,
-                { Xmatrix.enabled = cfg.Runctx.cache;
+                { Xmatrix.enabled = true;
                   pairs = sum (fun a c -> a + c.Xmatrix.pairs) 0 outs;
                   entries = sum (fun a c -> a + c.Xmatrix.entries) 0 outs;
                   build_seconds =
@@ -610,7 +708,7 @@ let stage_select partition =
                   hits = sum (fun a c -> a + c.Xmatrix.hits) 0 outs;
                   misses = sum (fun a c -> a + c.Xmatrix.misses) 0 outs } ) }
       in
-      match resolve_partition partition ~nets:n with
+      match resolve_partition cfg.Config.partition ~nets:n with
       | None -> flat []
       | Some regions -> (
           match partitioned regions with
@@ -700,7 +798,7 @@ let stage_wdm =
    solves are exact sub-problems. Cross-region track sharing is
    forfeited; the partition-smoke CI job bounds the resulting
    track-count delta. *)
-let stage_assign =
+let stage_assign (cfg : Config.t) =
   Pipeline.stage Instrument.Assign (fun rc (sel, placement, regional) ->
       let params = sel.s_ctx.Selection.params in
       let sink = rc.Runctx.sink in
@@ -737,7 +835,7 @@ let stage_assign =
       { design = sel.s_design;
         hnets = sel.s_hnets;
         ctx = sel.s_ctx;
-        mode = rc.Runctx.config.Runctx.mode;
+        mode = cfg.Config.mode;
         choice = sel.s_choice;
         power = Selection.power sel.s_ctx sel.s_choice;
         select_seconds = sel.s_seconds;
@@ -756,13 +854,8 @@ let stage_assign =
         thermal = None;
         partition = Option.map (fun (_, stats, _) -> stats) sel.s_partition })
 
-let prepare_pipeline processing partition =
-  Pipeline.(
-    stage_processing processing >>> stage_baselines >>> stage_codesign
-    >>> stage_ctx partition)
-
-let select_pipeline partition =
-  Pipeline.(stage_select partition >>> stage_wdm >>> stage_assign)
+let select_pipeline cfg =
+  Pipeline.(stage_select cfg >>> stage_wdm >>> stage_assign cfg)
 
 (* ------------------------------------------------------------------ *)
 (* Thermal Pareto sweep.                                              *)
@@ -830,8 +923,7 @@ let active_thermal (config : Config.t) =
    each exported point is recomputable from its choice vector alone. The
    first weight's selection carries on through the WDM stages as the
    flow's primary result. *)
-let thermal_run rc ?initial ?(partition = Config.Off) (spec : Config.thermal)
-    (design, hnets, ctx) =
+let thermal_run rc cfg ?initial (spec : Config.thermal) (design, hnets, ctx) =
   let sink = rc.Runctx.sink in
   let t0 = Timer.now () in
   let profile =
@@ -846,7 +938,7 @@ let thermal_run rc ?initial ?(partition = Config.Off) (spec : Config.thermal)
           if w = 0.0 then ctx else Selection.with_thermal ctx profile ~weight:w
         in
         let sel =
-          Pipeline.run rc (stage_select partition)
+          Pipeline.run rc (stage_select cfg)
             (design, hnets, ctx_w, initial)
         in
         let pt =
@@ -867,7 +959,9 @@ let thermal_run rc ?initial ?(partition = Config.Off) (spec : Config.thermal)
   Instrument.incr sink Instrument.Pareto "front" (List.length front);
   Instrument.incr sink Instrument.Pareto "dropped" (swept - List.length front);
   let _, first_sel = sels.(0) in
-  let flow = Pipeline.run rc Pipeline.(stage_wdm >>> stage_assign) first_sel in
+  let flow =
+    Pipeline.run rc Pipeline.(stage_wdm >>> stage_assign cfg) first_sel
+  in
   { flow with
     thermal =
       Some
@@ -878,301 +972,141 @@ let thermal_run rc ?initial ?(partition = Config.Off) (spec : Config.thermal)
           tr_seconds = Timer.now () -. t0 } }
 
 (* ------------------------------------------------------------------ *)
-(* Prepared artifacts and the ECO re-preparation path.                *)
-(* ------------------------------------------------------------------ *)
-
-type eco_stats = {
-  nets_reused : int;
-  nets_recomputed : int;
-  xrows_reused : int;
-  dirty : int;
-  interaction_dirty : int;
-  added : int;
-  removed : int;
-  dirty_closure : int;
-  cold_fallback : bool;
-}
-
-type prepared = {
-  p_design : Signal.design;
-  p_config : Config.t;
-  p_hnets : Hypernet.t array;
-  p_cands : Candidate.t list array;
-  p_xcounts : Codesign.xcounts array;
-  p_ctx : Selection.ctx;
-  p_quarantined : int array;
-  p_eco : eco_stats option;
-}
-
-(* ------------------------------------------------------------------ *)
 (* Entry points.                                                      *)
 (* ------------------------------------------------------------------ *)
 
-let run_ctx ?processing ?(partition = Config.Off) rc design =
-  let design, _params, hnets, _cands, _xcounts, ctx =
-    Pipeline.run rc (prepare_pipeline processing partition) design
-  in
-  Pipeline.run rc (select_pipeline partition) (design, hnets, ctx, None)
-
-(* A fresh run-context for one Config-driven entry point; callers seed
-   via [Config.seed]. *)
-let runctx_of ?sink (cfg : Config.t) =
-  let rc = Runctx.create ~seed:cfg.Config.seed (Config.to_runctx_config cfg) in
-  match sink with None -> rc | Some sink -> { rc with Runctx.sink = sink }
-
-let prepare_rc rc (config : Config.t) design =
-  Pipeline.run rc
-    (prepare_pipeline config.Config.processing config.Config.partition)
-    design
+(* Fresh run state for one Config-driven entry point; callers seed via
+   [Config.seed]. *)
+let runctx ?sink (cfg : Config.t) =
+  Runctx.create ~seed:cfg.Config.seed ~jobs:cfg.Config.jobs ?sink
+    ~strict:cfg.Config.strict ~injections:cfg.Config.injections ()
 
 (* Selection and the WDM stages draw no randomness; the seed only
    matters to the (already finished) processing stage. *)
 let select_rc rc ?initial (config : Config.t) (design, hnets, ctx) =
   match active_thermal config with
   | None ->
-      Pipeline.run rc
-        (select_pipeline config.Config.partition)
-        (design, hnets, ctx, initial)
-  | Some spec ->
-      thermal_run rc ?initial ~partition:config.Config.partition spec
-        (design, hnets, ctx)
+      Pipeline.run rc (select_pipeline config) (design, hnets, ctx, initial)
+  | Some spec -> thermal_run rc config ?initial spec (design, hnets, ctx)
 
-let synthesize ?sink config design =
-  let rc = runctx_of ?sink config in
-  let design, _params, hnets, _cands, _xcounts, ctx =
-    prepare_rc rc config design
+let select_with ?sink ?initial config design hnets ctx =
+  select_rc (runctx ?sink config) ?initial config (design, hnets, ctx)
+
+(* The preparation's faults open the selection's log, so the result
+   reports them; they are not recorded again, because the preparation
+   already counted them in its own sink. *)
+let select_prepared ?sink ?initial config p =
+  let rc = runctx ?sink config in
+  List.iter (Fault.record rc.Runctx.faults) p.p_faults;
+  select_rc rc ?initial config (p.p_design, p.p_hnets, p.p_ctx)
+
+(* The configuration slice preparation actually reads. Two preparations
+   with equal slices and equal designs produce identical artifacts, so
+   per-net reuse across them is sound. *)
+let prep_config_equal (a : Config.t) (b : Config.t) =
+  a.Config.seed = b.Config.seed
+  && a.Config.max_cands_per_net = b.Config.max_cands_per_net
+  && a.Config.params = b.Config.params
+  && a.Config.processing = b.Config.processing
+
+(* The one preparation path. Without [prev] it is the cold preparation;
+   with [prev] an ECO re-preparation, whose co-design stage keeps,
+   patches or recounts each net against [prev] — or, when [prev] cannot
+   be certified comparable, recounts every net exactly as the cold
+   preparation does and reports a cold fallback. *)
+let prepare_run ?sink ?prev (config : Config.t) design =
+  let rc = runctx ?sink config in
+  let sink = rc.Runctx.sink in
+  (* Processing always runs in full: it is cheap, and running it makes
+     the hyper nets — and the PRNG state every later stage sees — the
+     cold run's, by construction. *)
+  let ((_, params, hnets) as processed) =
+    Pipeline.run rc (stage_processing config) design
   in
-  select_rc rc config (design, hnets, ctx)
-
-let prepared_of rc config (design, _params, hnets, cands, xcounts, ctx) eco =
+  (* Gates: anything that could make the previous artifacts incomparable
+     to what a cold preparation of [design] computes. Injections perturb
+     per-net work, a faulted preparation's quarantined nets hold
+     fallbacks rather than true DP output, and a differing preparation
+     config changes every net's artifacts. *)
+  let reuse =
+    match prev with
+    | Some prev
+      when config.Config.injections = []
+           && prev.p_config.Config.injections = []
+           && prev.p_faults = []
+           && prep_config_equal config prev.p_config ->
+        let diff =
+          Instrument.timed sink Instrument.Eco (fun () ->
+              Design_diff.diff ~neighbors:prev.p_ctx.Selection.neighbors
+                prev.p_hnets hnets)
+        in
+        if diff.Design_diff.compatible && params = prev.p_ctx.Selection.params
+        then Some (prev, diff)
+        else None
+    | _ -> None
+  in
+  let design, hnets, cands, xcounts, reused, ctx =
+    Pipeline.run rc
+      Pipeline.(
+        stage_baselines
+        >>> stage_codesign config ?reuse ()
+        >>> stage_ctx config ?reuse ())
+      processed
+  in
+  let eco =
+    Option.map
+      (fun _ ->
+        let n = Array.length hnets in
+        let nets_reused =
+          Array.fold_left (fun acc r -> if r then acc + 1 else acc) 0 reused
+        in
+        let e =
+          { nets_reused;
+            nets_recomputed = n - nets_reused;
+            xrows_reused = Xmatrix.reused_rows ctx.Selection.xmat;
+            dirty = 0;
+            interaction_dirty = 0;
+            added = 0;
+            removed = 0;
+            dirty_closure = n;
+            cold_fallback = true }
+        in
+        match reuse with
+        | None ->
+            Instrument.incr sink Instrument.Eco "cold_fallback" 1;
+            e
+        | Some (_, diff) ->
+            List.iter
+              (fun (key, v) -> Instrument.incr sink Instrument.Eco key v)
+              [ ("nets_reused", e.nets_reused);
+                ("nets_recomputed", e.nets_recomputed);
+                ("xrows_reused", e.xrows_reused) ];
+            { e with
+              dirty = diff.Design_diff.n_dirty;
+              interaction_dirty = diff.Design_diff.n_interaction;
+              added = diff.Design_diff.n_added;
+              removed = diff.Design_diff.n_removed;
+              dirty_closure = Design_diff.closure_size diff;
+              cold_fallback = false })
+      prev
+  in
   { p_design = design;
     p_config = config;
     p_hnets = hnets;
     p_cands = cands;
     p_xcounts = xcounts;
     p_ctx = ctx;
-    p_quarantined = Runctx.quarantined rc;
+    p_faults = Runctx.faults rc;
     p_eco = eco }
 
-let prepare ?sink config design =
-  let rc = runctx_of ?sink config in
-  prepared_of rc config (prepare_rc rc config design) None
+let prepare ?sink config design = prepare_run ?sink config design
+
+let prepare_eco ?sink ~prev config design =
+  prepare_run ?sink ~prev config design
 
 let prepare_with ?sink config design =
   let p = prepare ?sink config design in
   (p.p_hnets, p.p_ctx)
 
-let select_with ?sink ?initial config design hnets ctx =
-  select_rc (runctx_of ?sink config) ?initial config (design, hnets, ctx)
-
-let select_prepared ?sink ?initial config p =
-  select_with ?sink ?initial config p.p_design p.p_hnets p.p_ctx
-
-(* --- ECO re-preparation --- *)
-
-(* The configuration slice [prepare] actually reads. Two preparations
-   with equal slices and equal designs produce identical artifacts, so
-   per-net reuse across them is sound. *)
-let prep_config_equal (a : Config.t) (b : Config.t) =
-  a.Config.seed = b.Config.seed
-  && a.Config.max_cands_per_net = b.Config.max_cands_per_net
-  && a.Config.cache = b.Config.cache
-  && a.Config.params = b.Config.params
-  && a.Config.processing = b.Config.processing
-
-let cold_eco_stats n =
-  { nets_reused = 0;
-    nets_recomputed = n;
-    xrows_reused = 0;
-    dirty = 0;
-    interaction_dirty = 0;
-    added = 0;
-    removed = 0;
-    dirty_closure = n;
-    cold_fallback = true }
-
-let prepare_eco ?sink ~(prev : prepared) config design =
-  let cold () =
-    let p = prepare ?sink config design in
-    (match sink with
-     | Some s -> Instrument.incr s Instrument.Eco "cold_fallback" 1
-     | None -> ());
-    { p with p_eco = Some (cold_eco_stats (Array.length p.p_hnets)) }
-  in
-  (* Gates: anything that could make the previous artifacts incomparable
-     to what a cold preparation of [design] would compute falls back to
-     the cold path. Injections perturb per-net work, a quarantined net's
-     stored candidates are fallbacks rather than true DP output, and a
-     differing preparation config changes every net's artifacts. *)
-  if
-    config.Config.injections <> []
-    || prev.p_config.Config.injections <> []
-    || Array.length prev.p_quarantined > 0
-    || not (prep_config_equal config prev.p_config)
-  then cold ()
-  else begin
-    let rc = runctx_of ?sink config in
-    let sink = rc.Runctx.sink in
-    (* Processing always runs in full: it is cheap, and running it makes
-       the hyper nets — and the PRNG state every later stage sees — the
-       cold run's, by construction. *)
-    let design, params, hnets =
-      Pipeline.run rc (stage_processing config.Config.processing) design
-    in
-    let diff =
-      Instrument.timed sink Instrument.Eco (fun () ->
-          Design_diff.diff ~neighbors:prev.p_ctx.Selection.neighbors
-            prev.p_hnets hnets)
-    in
-    if
-      (not diff.Design_diff.compatible)
-      || params <> prev.p_ctx.Selection.params
-    then cold ()
-    else begin
-      (* Baselines are recomputed for every net: the crossing index is a
-         single design-wide structure and rebuilding it exactly matches
-         the cold run's; per-net baseline cost is negligible next to the
-         co-design DP. *)
-      let design, params, hnets, index =
-        Pipeline.run rc stage_baselines (design, params, hnets)
-      in
-      let closure = diff.Design_diff.closure in
-      let status = diff.Design_diff.status in
-      let cand_lists, xcounts, ctx, reused =
-        Instrument.timed sink Instrument.Codesign (fun () ->
-            let max_total = rc.Runctx.config.Runctx.max_cands_per_net in
-            let upstream = Runctx.quarantined rc in
-            let is_quarantined id = Array.exists (fun q -> q = id) upstream in
-            (* Delta indices over just the changed nets' baseline trees,
-               old and new. Crossing counts are additive over any
-               partition of the design's segment set, and the grid
-               geometry (die, cell count) matches the design-wide index,
-               so for an unchanged net [cached - old_delta + new_delta]
-               is exactly the count a cold recount would produce.
-               The new delta mirrors the design-wide index: a net the
-               baselines stage just quarantined contributes no segments
-               there, so it contributes none to the delta either. *)
-            let delta hs ~keep =
-              let acc = ref [] in
-              Array.iteri
-                (fun i (h : Hypernet.t) ->
-                  if status.(i) = Design_diff.Dirty && keep h then
-                    match baseline_tree_segments h with
-                    | segs -> acc := segs :: !acc
-                    | exception _ -> ())
-                hs;
-              Crossing.build_index ~die:design.Signal.die (Array.concat !acc)
-            in
-            let idx_old = delta prev.p_hnets ~keep:(fun _ -> true) in
-            let idx_new =
-              delta hnets ~keep:(fun h -> not (is_quarantined h.Hypernet.id))
-            in
-            (* Same per-net split discipline as the cold stage: streams
-               are split for every net, reused or not, so the PRNG state
-               and any randomized per-net decision match the cold run. *)
-            let net_rngs =
-              Array.map (fun _ -> Prng.split rc.Runctx.rng) hnets
-            in
-            (* A recomputation whose output equals the previous candidate
-               list still certifies full reuse — the list is carried over
-               and its crossing-matrix rows and neighbour links stay
-               valid, since both depend only on the candidate values.
-               Only the refreshed counts must be kept: they are this
-               run's true counts, the base the next ECO patch builds on.
-               This matters because a moved net rarely changes its
-               neighbours' DP outcome: their counts shift, but the same
-               trees win, so most of the closure collapses back to
-               reuse. *)
-            let fresh i hnet counts =
-              let cands, s =
-                Codesign.for_hypernet_counted ~max_total ~counts params hnet
-              in
-              if cands = prev.p_cands.(i) then `Kept (prev.p_cands.(i), counts)
-              else `Fresh (cands, s, counts)
-            in
-            (* Dirty nets recount against the design-wide index, the
-               one a cold run queries, so a recount here agrees with a
-               cold run. *)
-            let full_recount i (hnet : Hypernet.t) =
-              let crossing_est =
-                Crossing.estimator index ~net:hnet.Hypernet.id
-              in
-              fresh i hnet (Codesign.crossing_counts ~crossing_est hnet)
-            in
-            let results =
-              Executor.try_parallel_mapi rc.Runctx.exec
-                (fun i hnet ->
-                  Runctx.check_inject rc ~stage:Instrument.Codesign
-                    ~net:hnet.Hypernet.id ();
-                  let _net_rng = net_rngs.(i) in
-                  if not closure.(i) then
-                    (* No changed geometry overlaps this net's bbox: no
-                       queried segment's count can have moved. *)
-                    `Kept (prev.p_cands.(i), prev.p_xcounts.(i))
-                  else if is_quarantined hnet.Hypernet.id then
-                    quarantined_cands params hnet
-                  else if status.(i) = Design_diff.Dirty then
-                    (* The net itself changed: cached counts are keyed to
-                       topologies that no longer exist. Recount against
-                       the design-wide index. *)
-                    full_recount i hnet
-                  else begin
-                    (* Clean content key, but inside the closure: same
-                       terminals, same topologies, same queried segments
-                       — patch the cached counts with the delta. Counts
-                       that come out unchanged certify the whole
-                       candidate list (and its Xmatrix rows) for reuse;
-                       changed counts replay the DP locally, with no
-                       design-wide index queries at all. *)
-                    let id = hnet.Hypernet.id in
-                    let sub s = Crossing.count_crossings idx_old ~exclude_net:id s in
-                    let add s = Crossing.count_crossings idx_new ~exclude_net:id s in
-                    match
-                      Codesign.adjust_counts ~sub ~add hnet prev.p_xcounts.(i)
-                    with
-                    | Some counts when counts = prev.p_xcounts.(i) ->
-                        `Kept (prev.p_cands.(i), counts)
-                    | Some counts -> fresh i hnet counts
-                    | None ->
-                        (* Unreachable for a clean-keyed net (identical
-                           terminals imply identical topology shapes);
-                           recount from scratch to stay safe. *)
-                        full_recount i hnet
-                  end)
-                hnets
-            in
-            let cand_lists, xcounts, reused =
-              merge_codesign rc params hnets results
-            in
-            (* A net that faulted during recomputation holds a fallback
-               candidate, not the cold DP output; it was never marked
-               reused, so it is never certified for Xmatrix row reuse. *)
-            let ctx =
-              Selection.make_ctx ~exec:rc.Runctx.exec
-                ~cache:rc.Runctx.config.Runctx.cache
-                ~reuse:(prev.p_ctx, reused) params cand_lists
-            in
-            record_xmatrix sink ctx;
-            (cand_lists, xcounts, ctx, reused))
-      in
-      let nets_reused =
-        Array.fold_left (fun acc r -> if r then acc + 1 else acc) 0 reused
-      in
-      let nets_recomputed = Array.length hnets - nets_reused in
-      let xrows_reused = Xmatrix.reused_rows ctx.Selection.xmat in
-      Instrument.incr sink Instrument.Eco "nets_reused" nets_reused;
-      Instrument.incr sink Instrument.Eco "nets_recomputed" nets_recomputed;
-      Instrument.incr sink Instrument.Eco "xrows_reused" xrows_reused;
-      prepared_of rc config (design, params, hnets, cand_lists, xcounts, ctx)
-        (Some
-           { nets_reused;
-             nets_recomputed;
-             xrows_reused;
-             dirty = diff.Design_diff.n_dirty;
-             interaction_dirty = diff.Design_diff.n_interaction;
-             added = diff.Design_diff.n_added;
-             removed = diff.Design_diff.n_removed;
-             dirty_closure = Design_diff.closure_size diff;
-             cold_fallback = false })
-    end
-  end
+let synthesize ?(sink = Instrument.create ()) config design =
+  select_prepared ~sink config (prepare ~sink config design)

@@ -5,19 +5,21 @@
     assignment.
 
     Each arrow is an {!Operon_engine.Pipeline} stage threading one
-    {!Operon_engine.Runctx.t}: the run-context carries the configuration
-    (parameters, mode, budgets, worker count), the deterministic PRNG,
-    the {!Operon_util.Executor.t} parallel backend, and the
-    {!Operon_engine.Instrument} sink every stage reports wall-clock and
-    counters into. The per-hypernet baseline and co-design work fans out
+    {!Operon_engine.Runctx.t}, the run state: the deterministic PRNG,
+    the {!Operon_util.Executor.t} parallel backend, the fault log, and
+    the {!Operon_engine.Instrument} sink every stage reports wall-clock
+    and counters into. The configuration is one {!Config.t}, which the
+    stages read directly. The per-hypernet baseline and co-design work fans out
     on the executor; results are merged in net-id order and each net owns
     a pre-split PRNG stream, so runs are bit-identical whatever [jobs]
     setting executed them.
 
     Entry points take a {!Config.t}: build one with {!Config.default} or
     {!Config.make}, refine it with the [with_*] setters, and hand it to
-    {!synthesize} (whole flow), {!prepare_with} (candidate generation
-    only) or {!select_with} (selection + WDM on existing candidates).
+    {!synthesize} (whole flow), {!prepare} (candidate generation only;
+    {!prepare_eco} against a previous preparation) or {!select_prepared}
+    (selection + WDM on prepared candidates). {!synthesize} is exactly
+    {!prepare} followed by {!select_prepared}.
 
     Fault tolerance: unless [strict] is set, a per-net failure in the
     Baselines or Codesign stages quarantines just that hyper net — it is
@@ -37,7 +39,8 @@
 open Operon_optical
 open Operon_engine
 
-type mode = Runctx.mode = Ilp | Lr
+type mode = Ilp | Lr
+(** Candidate-selection engine: exact ILP or Lagrangian relaxation. *)
 
 (** Everything a flow run is parameterized by, in one value. *)
 module Config : sig
@@ -75,9 +78,6 @@ module Config : sig
     strict : bool;  (** fail fast instead of degrading gracefully *)
     injections : Fault.injection list;
         (** deterministic fault-injection sites (tests/CI) *)
-    cache : bool;
-        (** precompute the {!Xmatrix} crossing cache (default [true];
-            results are bit-identical either way) *)
     seed : int;  (** PRNG seed of the run *)
     solver_core : Operon_solver.Solver.core;
         (** LP engine behind ILP selection (default [Sparse]; [Dense]
@@ -101,8 +101,8 @@ module Config : sig
 
   val default : Params.t -> t
   (** LR mode, 3000 s budget (the paper's cap), 10 candidates per net,
-      sequential, graceful degradation, no injections, cache enabled,
-      seed 42 (the repo-wide reproducibility seed). *)
+      sequential, graceful degradation, no injections, seed 42 (the
+      repo-wide reproducibility seed), sparse solver core, flat. *)
 
   val make :
     ?processing:Processing.config ->
@@ -112,7 +112,6 @@ module Config : sig
     ?jobs:int ->
     ?strict:bool ->
     ?injections:Fault.injection list ->
-    ?cache:bool ->
     ?seed:int ->
     ?solver_core:Operon_solver.Solver.core ->
     ?thermal:thermal ->
@@ -124,17 +123,12 @@ module Config : sig
       when the parameters fail it. *)
 
   val with_jobs : int -> t -> t
-  val with_cache : bool -> t -> t
 
   val with_thermal :
     ?weights:float array -> Operon_thermal.Thermal_map.t -> t -> t
   (** Attach a thermal scenario ([weights] defaults to
       {!default_thermal_weights}). Raises [Invalid_argument] on an empty
       ladder or a negative / non-finite weight. *)
-
-  val to_runctx_config : t -> Runctx.config
-  (** The engine-level view of this configuration (drops [processing]
-      and [seed], which live above the run-context). *)
 end
 
 (** One evaluated point of the thermal Pareto sweep: the selection found
@@ -222,10 +216,11 @@ type t = {
 }
 
 val synthesize : ?sink:Instrument.sink -> Config.t -> Signal.design -> t
-(** The complete flow under a configuration. The returned selection is
-    feasible and the WDM stages are run on it. [sink] overrides the
-    fresh per-run instrumentation sink (pass one to accumulate several
-    runs into a single report). *)
+(** The complete flow under a configuration: {!prepare}, then
+    {!select_prepared}, both reporting into one sink. The returned
+    selection is feasible and the WDM stages are run on it. [sink]
+    overrides the fresh per-run instrumentation sink (pass one to
+    accumulate several runs into a single report). *)
 
 (** Per-run statistics of an {!prepare_eco} incremental re-preparation.
     Also mirrored into the run trace as [eco] counters ([nets_reused],
@@ -262,15 +257,19 @@ type prepared = {
           the cacheable artifact an ECO re-preparation patches with the
           changed nets' delta instead of re-querying the whole design *)
   p_ctx : Selection.ctx;
-  p_quarantined : int array;
+  p_faults : Fault.t list;
+      (** the preparation's fault log: one entry per quarantined hyper
+          net, which {!select_prepared} reports *)
   p_eco : eco_stats option;  (** [Some] iff produced by {!prepare_eco} *)
 }
 
 val prepare : ?sink:Instrument.sink -> Config.t -> Signal.design -> prepared
 (** Processing plus candidate generation: hyper nets, then co-design
     candidates for each (crossing estimates taken against the other
-    nets' optical baselines). The returned context carries the crossing
-    cache per [config.cache]. *)
+    nets' optical baselines). The returned context carries the
+    design-wide {!Xmatrix} crossing matrix when the flow is flat; a
+    partitioned configuration leaves it direct, since each region builds
+    its own matrix during selection. *)
 
 val prepare_eco :
   ?sink:Instrument.sink ->
@@ -279,19 +278,21 @@ val prepare_eco :
   Signal.design ->
   prepared
 (** Incremental re-preparation of a revised [design] against a previous
-    preparation. Hyper-net extraction and baselines always re-run in
-    full (they are cheap and fix the PRNG state to the cold run's);
-    {!Design_diff} then classifies each net, and only nets in the dirty
-    closure go back through the co-design DP — the rest reuse their
-    previous candidate lists and crossing-matrix rows.
+    preparation. It runs the stages of {!prepare}: hyper-net extraction
+    and baselines in full (they are cheap and fix the PRNG state to the
+    cold run's); {!Design_diff} then classifies each net, and inside the
+    co-design fan-out each net is kept, replayed on patched crossing
+    counts, or recounted — only nets in the dirty closure go back
+    through the DP, the rest reuse their previous candidate lists and
+    crossing-matrix rows.
 
     Invariant: the returned artifacts are bit-identical to
     [prepare config design], so any selection run on them matches a
     cold run byte for byte. Whenever that cannot be certified — fault
-    injections on either run, quarantined nets in [prev], a different
-    preparation-relevant config, or an incompatible diff — the whole
-    preparation falls back to the cold path and [cold_fallback] is set
-    in the returned [p_eco]. *)
+    injections on either run, faults in [prev], a different
+    preparation-relevant config, or an incompatible diff — every net
+    recounts as in the cold path and [cold_fallback] is set in the
+    returned [p_eco]. *)
 
 val prepare_with :
   ?sink:Instrument.sink ->
@@ -312,11 +313,11 @@ val select_with :
 (** Selection + WDM stages on an existing candidate context — lets
     Table 1 compare ILP and LR on identical candidates without
     re-preparing. The context already fixed the candidate set and its
-    cache; of the configuration, [mode], [ilp_budget], [solver_core],
-    [strict], [injections], [partition], [thermal], [jobs] and, for the
-    per-region matrices of a partitioned run, [cache] still take effect
-    here ([params], [processing], [max_cands_per_net] and [seed] do
-    not). [initial] warm-starts the solver
+    crossing matrix; of the configuration, [mode], [ilp_budget],
+    [solver_core], [strict], [injections], [partition], [thermal] and
+    [jobs] still take effect here ([params], [processing],
+    [max_cands_per_net] and [seed] do not). [initial] warm-starts the
+    solver
     from a previous run's [choice] (see {!Ilp_select.select} and
     {!Lr_select.select}); it is sanitized against the context and
     silently dropped when infeasible, and it never changes the set of
@@ -324,14 +325,6 @@ val select_with :
 
 val select_prepared :
   ?sink:Instrument.sink -> ?initial:int array -> Config.t -> prepared -> t
-(** [select_with] over a {!prepared} value's own design and artifacts. *)
-
-val run_ctx :
-  ?processing:Processing.config ->
-  ?partition:Config.partition ->
-  Runctx.t ->
-  Signal.design ->
-  t
-(** The whole pipeline under an explicit run-context — the low-level
-    escape hatch when the caller owns the {!Runctx.t} (custom executor,
-    shared fault log). Most callers want {!synthesize}. *)
+(** [select_with] over a {!prepared} value's own design and artifacts.
+    The result's [faults] and [quarantined_nets] open with the
+    preparation's ([p_faults]); they are not counted again in [sink]. *)

@@ -2,14 +2,9 @@ open Operon_geom
 open Operon_cluster
 open Operon_optical
 
-type config = {
-  merge_threshold : float;
-  kmeans_max_iter : int;
-  kmeans_threshold : float;
-}
+type config = { merge_threshold : float }
 
-let default_config =
-  { merge_threshold = 0.05; kmeans_max_iter = 50; kmeans_threshold = 1e-3 }
+let default_config = { merge_threshold = 0.05 }
 
 (* A bit is keyed by the centroid of its pins: bits whose pins sit close
    together end up in the same hyper net. *)

@@ -15,8 +15,6 @@ open Operon_optical
 type config = {
   merge_threshold : float;
       (** hyper-pin merge distance, cm (default 0.05 = 500 um) *)
-  kmeans_max_iter : int;
-  kmeans_threshold : float;  (** variance-decrease stopping ratio *)
 }
 
 val default_config : config

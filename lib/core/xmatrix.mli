@@ -34,7 +34,8 @@
 
     A {!direct} matrix answers the same reads by recomputing the one
     entry asked for from the geometry (every read counts as a miss) — the
-    uncached reference mode used by the parity tests and [--no-cache].
+    uncached reference mode used by the parity tests and the ledger, and
+    the design-wide context of a partitioned flow.
     Cached and direct matrices go through the same readers.
 
     Like {!Operon_engine.Instrument}, the hit/miss statistics are plain

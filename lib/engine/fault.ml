@@ -7,9 +7,6 @@ type kind =
   | Shard_crash
   | Shed
 
-let all_kinds =
-  [ Injected; Crash; Capacity; Budget; Validation; Shard_crash; Shed ]
-
 let kind_name = function
   | Injected -> "injected"
   | Crash -> "crash"

@@ -4,7 +4,7 @@
     failure crossing a stage boundary is captured as a {!t} carrying the
     stage it happened in, the hyper net concerned (when the failure is
     per-net), a machine-readable {!kind} and a human-readable detail.
-    Faults are accumulated in the run-context's {!log}; non-strict runs
+    Faults are accumulated in the run state's {!log}; non-strict runs
     degrade (a quarantined net falls back to its all-electrical route,
     a failed solver falls down the ILP → LR → greedy chain) while strict
     runs re-raise the structured {!Error} immediately.
@@ -25,8 +25,6 @@ type kind =
   | Shed
       (** rejected at dispatch: the job's remaining deadline could not
           cover the target shard's observed p95 service time *)
-
-val all_kinds : kind list
 
 val kind_name : kind -> string
 

@@ -2,7 +2,7 @@
 
     Each flow stage reports wall-clock seconds and named integer counters
     (candidates generated, states pruned, selection iterations, WDM track
-    counts, ...) into the run-context's sink. The sink is what [--trace]
+    counts, ...) into the run state's sink. The sink is what [--trace]
     renders and what a timed export serializes as its [trace].
 
     The sink is plain mutable state owned by the coordinating domain: it

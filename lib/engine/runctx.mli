@@ -1,58 +1,39 @@
-(** The run-context threaded through every pipeline stage.
+(** The run state threaded through every pipeline stage.
 
-    One value carries everything a stage may consult: the immutable
-    {!config} (optical parameters, selection mode, solver budgets,
-    candidate caps, worker count, fault policy), the deterministic PRNG
-    the run was seeded with, the {!Operon_util.Executor.t} parallel
-    backend, the {!Instrument.sink} the stage reports into, and the
-    {!Fault.log} the run's degradations accumulate in. Later scaling work
-    (sharding, caching, async) extends this record rather than adding
-    parameters to every stage signature. *)
+    One value carries what a run accumulates or shares while it runs:
+    the deterministic PRNG the run was seeded with, the
+    {!Operon_util.Executor.t} parallel backend, the {!Instrument.sink}
+    the stage reports into, and the {!Fault.log} the run's degradations
+    accumulate in — plus the two fault-policy values {!degrade} and
+    {!check_inject} read. The run's configuration (parameters, engine,
+    budgets, candidate caps) lives in [Flow.Config]; stages that need it
+    take it as an argument. *)
 
 open Operon_util
-open Operon_optical
-
-type mode = Ilp | Lr
-(** Candidate-selection engine: exact ILP or Lagrangian relaxation. *)
-
-val mode_name : mode -> string
-
-type config = {
-  params : Params.t;  (** optical device/loss parameters *)
-  mode : mode;
-  ilp_budget : float;  (** selection wall-clock cap, seconds *)
-  max_cands_per_net : int;  (** co-design candidates kept per hyper net *)
-  jobs : int;  (** executor workers; 1 = sequential *)
-  strict : bool;
-      (** fail fast with {!Fault.Error} instead of degrading gracefully *)
-  injections : Fault.injection list;
-      (** deterministic fault-injection sites (tests/CI) *)
-  cache : bool;
-      (** precompute the crossing-matrix cache during candidate-context
-          construction (numbers are bit-identical either way) *)
-  solver_core : Operon_solver.Solver.core;
-      (** LP engine behind ILP selection: [Sparse] (revised simplex,
-          the default) or [Dense] (pre-redesign tableau, parity runs) *)
-}
-
-val default_config : Params.t -> config
-(** LR mode, 3000 s ILP budget (the paper's cap), 10 candidates per net,
-    sequential execution, graceful degradation, no injections, crossing
-    cache enabled, sparse solver core. *)
 
 type t = {
-  config : config;
   rng : Prng.t;
   exec : Executor.t;
   sink : Instrument.sink;
   faults : Fault.log;
+  strict : bool;
+      (** fail fast with {!Fault.Error} instead of degrading gracefully *)
+  injections : Fault.injection list;
+      (** deterministic fault-injection sites (tests/CI) *)
 }
 
-val create : ?rng:Prng.t -> ?seed:int -> config -> t
-(** Fresh context: an executor built from [config.jobs], an empty sink
-    and an empty fault log. The PRNG is [rng] when given, else
-    [Prng.create seed] ([seed] defaults to 42, the repo-wide
-    reproducibility seed). *)
+val create :
+  ?seed:int ->
+  ?jobs:int ->
+  ?sink:Instrument.sink ->
+  ?strict:bool ->
+  ?injections:Fault.injection list ->
+  unit ->
+  t
+(** Fresh run state: [Prng.create seed] ([seed] defaults to 42, the
+    repo-wide reproducibility seed), an executor of [jobs] workers
+    (default 1, sequential), [sink] or a fresh one, an empty fault log,
+    graceful degradation and no injections unless given. *)
 
 val record_fault : t -> Fault.t -> unit
 (** Append to the fault log and bump the stage's ["faults"] counter in
@@ -81,4 +62,4 @@ val quarantined : t -> int array
 val check_inject : t -> stage:Instrument.stage -> ?net:int -> unit -> unit
 (** Raise {!Fault.Error} if a configured injection matches this
     (stage, net) site; otherwise a no-op. Safe to call from worker
-    domains — it only reads the immutable config. *)
+    domains — it only reads the immutable [injections]. *)

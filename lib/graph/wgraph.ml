@@ -1,22 +1,19 @@
 type edge = { u : int; v : int; w : float }
 
-type t = { adj : (int * float) list array; mutable m : int }
+type t = { adj : (int * float) list array }
 
 let create n =
   if n < 0 then invalid_arg "Wgraph.create: negative size";
-  { adj = Array.make n []; m = 0 }
+  { adj = Array.make n [] }
 
 let vertex_count g = Array.length g.adj
-
-let edge_count g = g.m
 
 let add_edge g u v w =
   let n = Array.length g.adj in
   if u < 0 || u >= n || v < 0 || v >= n then
     invalid_arg "Wgraph.add_edge: vertex out of range";
   g.adj.(u) <- (v, w) :: g.adj.(u);
-  if u <> v then g.adj.(v) <- (u, w) :: g.adj.(v);
-  g.m <- g.m + 1
+  if u <> v then g.adj.(v) <- (u, w) :: g.adj.(v)
 
 let neighbors g u = g.adj.(u)
 
@@ -36,6 +33,3 @@ let complete_of_weights n f =
     done
   done;
   g
-
-let total_weight g =
-  List.fold_left (fun acc { w; _ } -> acc +. w) 0.0 (edges g)

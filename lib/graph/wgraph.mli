@@ -9,8 +9,6 @@ val create : int -> t
 
 val vertex_count : t -> int
 
-val edge_count : t -> int
-
 val add_edge : t -> int -> int -> float -> unit
 (** Add an undirected edge; parallel edges are allowed. Raises
     [Invalid_argument] on out-of-range vertices. *)
@@ -24,5 +22,3 @@ val edges : t -> edge list
 val complete_of_weights : int -> (int -> int -> float) -> t
 (** [complete_of_weights n f] builds the complete graph where edge (i,j)
     weighs [f i j]; used for geometric MSTs over pin sets. *)
-
-val total_weight : t -> float

@@ -276,11 +276,10 @@ type submit = {
   sub_job : string option;
   sub_case : string;
   sub_seed : int option;
-  sub_mode : Operon_engine.Runctx.mode;
+  sub_mode : Operon.Flow.mode;
   sub_budget : float;
   sub_priority : int;
   sub_deadline : float option;
-  sub_cache : bool;
   sub_mutate : mutate_spec option;
   sub_thermal : thermal_spec option;
 }
@@ -290,11 +289,10 @@ type resubmit = {
   re_job : string option;
   re_case : string option;
   re_seed : int option;
-  re_mode : Operon_engine.Runctx.mode;
+  re_mode : Operon.Flow.mode;
   re_budget : float;
   re_priority : int;
   re_deadline : float option;
-  re_cache : bool;
   re_mutate : mutate_spec option;
   re_warm : bool;
 }
@@ -371,8 +369,8 @@ let parse_job_fields json =
   in
   let mode =
     match String.lowercase_ascii (str_field ~default:"lr" json "mode") with
-    | "lr" -> Operon_engine.Runctx.Lr
-    | "ilp" -> Operon_engine.Runctx.Ilp
+    | "lr" -> Operon.Flow.Lr
+    | "ilp" -> Operon.Flow.Ilp
     | other -> invalid "unknown mode %S (expected lr or ilp)" other
   in
   let budget =
@@ -389,8 +387,7 @@ let parse_job_fields json =
     | Some v when v < 0.0 -> invalid "field \"deadline\" must be >= 0"
     | d -> d
   in
-  let cache = bool_field ~default:true json "cache" in
-  (job, seed, mode, budget, priority, deadline, cache)
+  (job, seed, mode, budget, priority, deadline)
 
 let parse_mutate json =
   match Json.member "mutate" json with
@@ -491,15 +488,14 @@ let parse_thermal json =
 
 let parse_submit json =
   let sub_case = str_field json "case" in
-  let sub_job, sub_seed, sub_mode, sub_budget, sub_priority, sub_deadline,
-      sub_cache =
+  let sub_job, sub_seed, sub_mode, sub_budget, sub_priority, sub_deadline =
     parse_job_fields json
   in
   let sub_mutate = parse_mutate json in
   let sub_thermal = parse_thermal json in
   Submit
     { sub_job; sub_case; sub_seed; sub_mode; sub_budget; sub_priority;
-      sub_deadline; sub_cache; sub_mutate; sub_thermal }
+      sub_deadline; sub_mutate; sub_thermal }
 
 let parse_resubmit json =
   let re_parent =
@@ -507,7 +503,7 @@ let parse_resubmit json =
     | "" -> invalid "field \"parent_job\" must not be empty"
     | p -> p
   in
-  let re_job, re_seed, re_mode, re_budget, re_priority, re_deadline, re_cache =
+  let re_job, re_seed, re_mode, re_budget, re_priority, re_deadline =
     parse_job_fields json
   in
   let re_case = opt_str_field json "case" in
@@ -515,7 +511,7 @@ let parse_resubmit json =
   let re_warm = bool_field ~default:false json "warm" in
   Resubmit
     { re_parent; re_job; re_case; re_seed; re_mode; re_budget; re_priority;
-      re_deadline; re_cache; re_mutate; re_warm }
+      re_deadline; re_mutate; re_warm }
 
 let request_of_json json =
   match json with

@@ -99,12 +99,11 @@ type submit = {
   sub_job : string option;  (** client-chosen job id ([None] = server picks) *)
   sub_case : string;  (** design case name (registry key source) *)
   sub_seed : int option;  (** case generation seed override *)
-  sub_mode : Operon_engine.Runctx.mode;
+  sub_mode : Operon.Flow.mode;
   sub_budget : float;  (** selection wall-clock budget, seconds *)
   sub_priority : int;  (** higher runs first; FIFO within a priority *)
   sub_deadline : float option;
       (** seconds from submission the job must finish within *)
-  sub_cache : bool;  (** build the crossing-matrix cache *)
   sub_mutate : mutate_spec option;  (** perturb the design before synthesis *)
   sub_thermal : thermal_spec option;
       (** run a thermal Pareto sweep instead of a plain selection *)
@@ -115,11 +114,10 @@ type resubmit = {
   re_job : string option;
   re_case : string option;  (** [None] = inherit the parent's design *)
   re_seed : int option;
-  re_mode : Operon_engine.Runctx.mode;
+  re_mode : Operon.Flow.mode;
   re_budget : float;
   re_priority : int;
   re_deadline : float option;
-  re_cache : bool;
   re_mutate : mutate_spec option;
   re_warm : bool;
       (** warm-start selection from the parent's choice vector

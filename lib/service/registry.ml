@@ -77,9 +77,8 @@ let key (config : Flow.Config.t) design =
      records of immediates, so the polymorphic hash is stable within a
      process — the registry never outlives one. *)
   let prep_bits =
-    Printf.sprintf "seed=%d;cands=%d;cache=%b;params=%d;processing=%d"
+    Printf.sprintf "seed=%d;cands=%d;params=%d;processing=%d"
       config.Flow.Config.seed config.Flow.Config.max_cands_per_net
-      config.Flow.Config.cache
       (Hashtbl.hash config.Flow.Config.params)
       (Hashtbl.hash config.Flow.Config.processing)
   in

@@ -4,10 +4,10 @@
     baselines, the co-design DP and the crossing-matrix build
     ([Flow.prepare]) — depends only on the design's content and the
     preparation-relevant slice of the configuration (seed, candidate
-    cap, cache flag, optical parameters). The registry computes that key
-    once per submission and hands repeated requests the already-prepared
-    {!Operon.Flow.prepared}, so a fleet of jobs against the same design
-    pays for candidate generation once. ECO resubmissions pass
+    cap, optical parameters, processing overrides). The registry
+    computes that key once per submission and hands repeated requests
+    the already-prepared {!Operon.Flow.prepared}, so a fleet of jobs
+    against the same design pays for candidate generation once. ECO resubmissions pass
     {!find_or_prepare} the previous entry's artifacts, against which a
     revised design is re-prepared incrementally.
 
@@ -56,8 +56,8 @@ val fingerprint : Signal.design -> string
 
 val key : Flow.Config.t -> Signal.design -> string
 (** Registry key: the design {!fingerprint} combined with the
-    preparation-relevant configuration (seed, candidate cap, cache flag,
-    optical parameters, processing overrides). Selection-only settings
+    preparation-relevant configuration (seed, candidate cap, optical
+    parameters, processing overrides). Selection-only settings
     (mode, budget) deliberately do not participate, so an ILP and an LR
     job against one design share the prepared entry. *)
 

@@ -148,8 +148,7 @@ let run_job t job =
           in
           Registry.with_prepared entry (fun p ->
               job.eco <- p.Flow.p_eco;
-              Flow.select_with ?initial:job.initial config job.design
-                p.Flow.p_hnets p.Flow.p_ctx)
+              Flow.select_prepared ?initial:job.initial config p)
         with
         | flow -> finish t job (Completed flow)
         | exception Fault.Error f -> finish t job (Failed f)

@@ -21,12 +21,12 @@ let shutdown t = Scheduler.shutdown t.scheduler
 (* ------------------------------------------------------------------ *)
 
 let config_of_submit t ~design (s : Protocol.submit) =
-  (* Mirrors the single-shot CLI defaults ([make_runctx]): seed 42 for
+  (* Mirrors the single-shot CLI defaults ([make_config]): seed 42 for
      the flow PRNG (the submit seed reshapes the generated case, exactly
      like [--seed]), sequential execution inside the job. *)
   let config =
     Flow.Config.make ~mode:s.Protocol.sub_mode
-      ~ilp_budget:s.Protocol.sub_budget ~cache:s.Protocol.sub_cache t.params
+      ~ilp_budget:s.Protocol.sub_budget t.params
   in
   match s.Protocol.sub_thermal with
   | None -> config
@@ -124,8 +124,7 @@ let handle_resubmit t (r : Protocol.resubmit) =
               let design = apply_mutate design r.Protocol.re_mutate in
               let config =
                 Flow.Config.make ~mode:r.Protocol.re_mode
-                  ~ilp_budget:r.Protocol.re_budget
-                  ~cache:r.Protocol.re_cache t.params
+                  ~ilp_budget:r.Protocol.re_budget t.params
               in
               let initial =
                 if r.Protocol.re_warm then Some parent_flow.Flow.choice

@@ -52,9 +52,6 @@ let parallel_mapi exec f xs =
 
 let parallel_map exec f xs = parallel_mapi exec (fun _ x -> f x) xs
 
-let parallel_iter exec f xs =
-  ignore (parallel_map exec (fun x -> f x) xs)
-
 let try_parallel_mapi exec f xs =
   let of_cell = function
     | Value y -> Ok y

@@ -48,6 +48,3 @@ val try_parallel_mapi :
     is the fault-tolerant fan-out primitive — callers decide per item
     whether to quarantine (substitute a fallback) or propagate, instead
     of losing the whole batch to its lowest-index failure. *)
-
-val parallel_iter : t -> ('a -> unit) -> 'a array -> unit
-(** [parallel_map] for effects only. *)

@@ -53,7 +53,3 @@ let shuffle g a =
     a.(i) <- a.(j);
     a.(j) <- tmp
   done
-
-let choose g a =
-  if Array.length a = 0 then invalid_arg "Prng.choose: empty array";
-  a.(int g (Array.length a))

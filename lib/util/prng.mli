@@ -41,6 +41,3 @@ val gaussian : t -> mu:float -> sigma:float -> float
 
 val shuffle : t -> 'a array -> unit
 (** In-place Fisher-Yates shuffle. *)
-
-val choose : t -> 'a array -> 'a
-(** Uniformly random element. Raises [Invalid_argument] on empty arrays. *)

@@ -6,9 +6,6 @@ external monotonic_seconds : unit -> float = "operon_monotonic_seconds"
    only differences between two [now] readings are meaningful. *)
 let now () = monotonic_seconds ()
 
-(* Export timestamps and anything user-facing keep real time. *)
-let wall_clock () = Unix.gettimeofday ()
-
 let time f =
   let t0 = now () in
   let result = f () in

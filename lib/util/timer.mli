@@ -7,11 +7,6 @@ val now : unit -> float
     Immune to wall-clock jumps, which makes it the correct base for
     deadlines, retry backoff and latency measurement. *)
 
-val wall_clock : unit -> float
-(** Seconds since the Unix epoch ([gettimeofday]) — for export
-    timestamps and other user-facing absolute times, never for
-    deadlines. *)
-
 val time : (unit -> 'a) -> 'a * float
 (** [time f] runs [f ()] and returns its result with elapsed seconds. *)
 

@@ -153,6 +153,52 @@ let test_eco_cold_fallback () =
   Alcotest.(check string) "fallback still byte-identical" (export cold)
     (export eco)
 
+(* A preparation's faults travel with the prepared value: an ECO
+   re-preparation under an injected co-design crash falls back to the
+   cold path, and selecting on it reports the crash and the quarantined
+   net as the cold run does, counted once in the shared sink. *)
+let test_eco_reports_preparation_faults () =
+  let design = Cases.small () in
+  let injections =
+    match Operon_engine.Fault.injections_of_string "codesign:3:crash" with
+    | Ok l -> l
+    | Error msg -> Alcotest.fail msg
+  in
+  let cfg = Flow.Config.make ~injections params in
+  let cold = Flow.synthesize cfg design in
+  let prev = Flow.prepare cfg design in
+  let sink = Operon_engine.Instrument.create () in
+  let eco =
+    Flow.select_prepared ~sink cfg (Flow.prepare_eco ~sink ~prev cfg design)
+  in
+  Alcotest.(check (array int)) "net 3 quarantined" [| 3 |]
+    eco.Flow.quarantined_nets;
+  Alcotest.(check int) "one fault" 1 (List.length eco.Flow.faults);
+  Alcotest.(check int) "counted once" 1
+    (Operon_engine.Instrument.counter sink Operon_engine.Instrument.Codesign
+       "faults");
+  Alcotest.(check string) "eco export byte-identical to cold" (export cold)
+    (export eco)
+
+(* Cold and ECO preparation share the rule for the design-wide crossing
+   matrix: a partitioned configuration builds none on either path. *)
+let test_eco_partitioned_context () =
+  let design = Cases.small () in
+  let cfg = Flow.Config.make ~partition:(Flow.Config.Regions 4) params in
+  let prev = Flow.prepare cfg design in
+  let revised = Mutate.design ~ratio:0.1 ~seed:1 design in
+  let cold = Flow.prepare cfg revised in
+  let eco = Flow.prepare_eco ~prev cfg revised in
+  Alcotest.(check bool) "incremental path taken" false
+    (Option.get eco.Flow.p_eco).Flow.cold_fallback;
+  Alcotest.(check (pair bool bool)) "no design-wide matrix on either path"
+    (false, false)
+    ( Xmatrix.enabled cold.Flow.p_ctx.Selection.xmat,
+      Xmatrix.enabled eco.Flow.p_ctx.Selection.xmat );
+  Alcotest.(check string) "eco export byte-identical to cold"
+    (export (Flow.select_prepared cfg cold))
+    (export (Flow.select_prepared cfg eco))
+
 (* ------------------------------------------------------------------ *)
 (* Warm-started selection parity                                      *)
 (* ------------------------------------------------------------------ *)
@@ -671,8 +717,11 @@ let () =
         [ Alcotest.test_case "eco byte parity" `Quick test_eco_byte_parity;
           Alcotest.test_case "cold fallback on config change" `Quick
             test_eco_cold_fallback;
-          Alcotest.test_case "warm start parity" `Quick test_warm_start_parity
-        ] );
+          Alcotest.test_case "warm start parity" `Quick test_warm_start_parity;
+          Alcotest.test_case "eco reports preparation faults" `Quick
+            test_eco_reports_preparation_faults;
+          Alcotest.test_case "partitioned eco builds the cold context" `Quick
+            test_eco_partitioned_context ] );
       ( "registry",
         [ Alcotest.test_case "LRU capacity + evictions" `Quick
             test_registry_lru ] );

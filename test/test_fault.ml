@@ -118,12 +118,9 @@ let run_tiny ?(strict = false) ?(injections = "") ~jobs () =
     | Ok l -> l
     | Error msg -> Alcotest.fail msg
   in
-  let config =
-    { (Runctx.default_config Params.default) with
-      Runctx.jobs; strict; injections }
-  in
-  let rc = Runctx.create ~seed:42 config in
-  Flow.run_ctx rc design
+  Flow.synthesize
+    (Flow.Config.make ~jobs ~strict ~injections Params.default)
+    design
 
 let test_quarantine_codesign_fault () =
   let clean = run_tiny ~jobs:1 () in
@@ -225,11 +222,11 @@ let test_select_fallback_chain_ilp () =
     | Ok l -> l
     | Error msg -> Alcotest.fail msg
   in
-  let config =
-    { (Runctx.default_config Params.default) with
-      Runctx.mode = Runctx.Ilp; injections }
+  let r =
+    Flow.synthesize
+      (Flow.Config.make ~mode:Flow.Ilp ~injections Params.default)
+      design
   in
-  let r = Flow.run_ctx (Runctx.create ~seed:42 config) design in
   Alcotest.(check string) "ilp walks the whole chain" "ilp->lr->greedy"
     r.Flow.solver_path;
   Alcotest.(check bool) "still feasible" true

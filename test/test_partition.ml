@@ -107,9 +107,11 @@ let test_ctx_neighbors () =
 
 let test_ctx_neighbors_cache_invariant () =
   let design = Cases.small ~seed:7 () in
-  let base = Flow.Config.default params in
-  let _, with_cache = Flow.prepare_with base design in
-  let _, without = Flow.prepare_with (Flow.Config.with_cache false base) design in
+  let _, with_cache = Flow.prepare_with (Flow.Config.default params) design in
+  let without =
+    Selection.make_ctx ~cache:false params
+      (Array.map Array.to_list with_cache.Selection.cands)
+  in
   Alcotest.(check bool) "same neighbor sets" true
     (with_cache.Selection.neighbors = without.Selection.neighbors)
 
@@ -279,6 +281,8 @@ type pin = {
   cache : int * int * int * int;
   counters : (string * (string * int) list) list;
 }
+
+let mode_name = function Flow.Lr -> "lr" | Flow.Ilp -> "ilp"
 
 let choice_hash choice =
   Array.fold_left
@@ -481,8 +485,8 @@ let test_flow_pinned () =
         (fun jobs ->
           let r = pin_run ~jobs name mode in
           let label what =
-            Printf.sprintf "%s %s jobs %d: %s" name (Runctx.mode_name mode)
-              jobs what
+            Printf.sprintf "%s %s jobs %d: %s" name (mode_name mode) jobs
+              what
           in
           Alcotest.(check int64) (label "choice") pin.choice
             (choice_hash r.Flow.choice);
@@ -518,7 +522,7 @@ let test_partitioned_select_injection () =
         (fun jobs ->
           let r = pin_run ~injections ~jobs "split/2" mode in
           let label what =
-            Printf.sprintf "%s jobs %d: %s" (Runctx.mode_name mode) jobs what
+            Printf.sprintf "%s jobs %d: %s" (mode_name mode) jobs what
           in
           Alcotest.(check string) (label "solver path") path r.Flow.solver_path;
           Alcotest.(check (list (triple string string bool)))

@@ -155,9 +155,7 @@ let test_executor_batch_completes_after_failure () =
 (* Fanout combinator                                                  *)
 (* ------------------------------------------------------------------ *)
 
-let fanout_rc ?(strict = false) jobs =
-  Runctx.create
-    { (Runctx.default_config Params.default) with Runctx.jobs; strict }
+let fanout_rc ?strict jobs = Runctx.create ~jobs ?strict ()
 
 (* Parts 3 and 7 fail; every other part squares its input. *)
 let failing_part i =
@@ -301,14 +299,13 @@ let test_flow_small_deterministic () =
 let test_flow_tiny_deterministic () =
   check_identical "tiny" (Cases.tiny ~seed:3 ())
 
-let test_run_ctx_traces_all_stages () =
+let test_synthesize_traces_all_stages () =
   let design = Cases.tiny () in
-  let config =
-    { (Runctx.default_config Params.default) with Runctx.jobs = 2 }
+  let sink = Instrument.create () in
+  let result =
+    Flow.synthesize ~sink (Flow.Config.make ~jobs:2 Params.default) design
   in
-  let rc = Runctx.create ~seed:42 config in
-  let result = Flow.run_ctx rc design in
-  Alcotest.(check bool) "trace is the context sink" true (result.Flow.trace == rc.Runctx.sink);
+  Alcotest.(check bool) "trace is the given sink" true (result.Flow.trace == sink);
   List.iter
     (fun stage ->
       Alcotest.(check bool)
@@ -316,15 +313,15 @@ let test_run_ctx_traces_all_stages () =
         true
         (List.exists
            (fun (r : Instrument.record) -> r.Instrument.stage = stage)
-           (Instrument.records rc.Runctx.sink)))
+           (Instrument.records sink)))
     Instrument.all_stages;
   let nets, hn, _ = Processing.stats result.Flow.hnets in
   Alcotest.(check int) "nets counter" nets
-    (Instrument.counter rc.Runctx.sink Instrument.Processing "nets");
+    (Instrument.counter sink Instrument.Processing "nets");
   Alcotest.(check int) "hnets counter" hn
-    (Instrument.counter rc.Runctx.sink Instrument.Processing "hnets");
+    (Instrument.counter sink Instrument.Processing "hnets");
   Alcotest.(check bool) "codesign kept >= hnets" true
-    (Instrument.counter rc.Runctx.sink Instrument.Codesign "kept" >= hn)
+    (Instrument.counter sink Instrument.Codesign "kept" >= hn)
 
 let test_prepared_matches_run () =
   (* The staged entry point and the prepare/run_prepared split agree. *)
@@ -372,7 +369,7 @@ let () =
             test_flow_small_deterministic;
           Alcotest.test_case "tiny: jobs 4 = sequential" `Quick
             test_flow_tiny_deterministic;
-          Alcotest.test_case "run_ctx traces all stages" `Quick
-            test_run_ctx_traces_all_stages;
+          Alcotest.test_case "synthesize traces all stages" `Quick
+            test_synthesize_traces_all_stages;
           Alcotest.test_case "prepare/run_prepared agree" `Quick
             test_prepared_matches_run ] ) ]

@@ -60,7 +60,7 @@ let test_hyper_pins_merge_bus () =
   Alcotest.(check int) "root holds all 8 drivers" 8 root_pin.Hypernet.source_count
 
 let test_threshold_zero_no_merging () =
-  let config = { Processing.default_config with Processing.merge_threshold = 0.0 } in
+  let config = { Processing.merge_threshold = 0.0 } in
   let d = Signal.design ~die ~groups:[| bus 4 |] in
   let hnets = Processing.run ~config (Prng.create 1) params d in
   (* 4 bits x 2 pins, no merging: 8 hyper pins *)

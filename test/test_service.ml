@@ -90,9 +90,9 @@ let serve_tiny ~workers =
       result_payload res)
 
 let test_served_bytes_identical () =
-  (* The submit defaults mirror the protocol: lr, 60 s budget, cache on,
-     flow seed 42 — and "tiny" with no seed override. *)
-  let config = Flow.Config.make ~mode:Flow.Lr ~ilp_budget:60.0 ~cache:true params in
+  (* The submit defaults mirror the protocol: lr, 60 s budget, flow
+     seed 42 — and "tiny" with no seed override. *)
+  let config = Flow.Config.make ~mode:Flow.Lr ~ilp_budget:60.0 params in
   let single = Export.flow_to_json ~timings:false
       (Flow.synthesize config (Cases.tiny ())) in
   Alcotest.(check string) "1 worker = single-shot" single (serve_tiny ~workers:1);
@@ -469,11 +469,10 @@ let test_forwarding_exact () =
 let prop_design_of_export_total =
   let doc =
     lazy
-      (let config = Flow.Config.make ~cache:true params in
-       match
+      (match
          Json.parse
            (Export.flow_to_json ~timings:false
-              (Flow.synthesize config (Cases.tiny ())))
+              (Flow.synthesize (Flow.Config.make params) (Cases.tiny ())))
        with
        | Ok j -> j
        | Error (_, e) -> failwith e)

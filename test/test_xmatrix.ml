@@ -584,7 +584,8 @@ let check_losses_parity name ctx ctx_u choice =
     (Selection.worst_violation ctx_u choice)
     (Selection.worst_violation ctx choice)
 
-let check_design_parity ~ilp name design =
+(* With [ilp_budget], ILP selection is compared too. *)
+let check_design_parity ?ilp_budget name design =
   let _, ctx = Flow.prepare_with (Flow.Config.default params) design in
   let ctx_u = Selection.uncached ctx in
   Alcotest.(check bool) (name ^ ": rows match geometry") true
@@ -599,20 +600,21 @@ let check_design_parity ~ilp name design =
     (name ^ ": LR choice identical") lr_u.Lr_select.choice lr.Lr_select.choice;
   Alcotest.(check (float 0.0))
     (name ^ ": LR power identical") lr_u.Lr_select.power lr.Lr_select.power;
-  if ilp then begin
-    let r = Ilp_select.select ~budget_seconds:20.0 ctx in
-    let r_u = Ilp_select.select ~budget_seconds:20.0 ctx_u in
-    Alcotest.(check (array int))
-      (name ^ ": ILP choice identical") r_u.Ilp_select.choice r.Ilp_select.choice;
-    Alcotest.(check (float 0.0))
-      (name ^ ": ILP power identical") r_u.Ilp_select.power r.Ilp_select.power
-  end
+  Option.iter
+    (fun budget_seconds ->
+      let r = Ilp_select.select ~budget_seconds ctx in
+      let r_u = Ilp_select.select ~budget_seconds ctx_u in
+      Alcotest.(check (array int))
+        (name ^ ": ILP choice identical") r_u.Ilp_select.choice r.Ilp_select.choice;
+      Alcotest.(check (float 0.0))
+        (name ^ ": ILP power identical") r_u.Ilp_select.power r.Ilp_select.power)
+    ilp_budget
 
 let prop_random_design_parity =
   QCheck.Test.make ~name:"cached = uncached on random tiny designs" ~count:8
     QCheck.(int_range 1 10000)
     (fun seed ->
-      check_design_parity ~ilp:true
+      check_design_parity ~ilp_budget:20.0
         (Printf.sprintf "tiny/%d" seed)
         (Cases.tiny ~seed ());
       true)
@@ -641,18 +643,29 @@ let prop_contiguous_rows =
         [ 1; 4 ])
 
 let test_small_design_parity () =
-  check_design_parity ~ilp:false "small" (Cases.small ~seed:3 ())
+  check_design_parity "small" (Cases.small ~seed:3 ())
 
-(* Full-flow identity: cache on vs off, sequential vs jobs=4, LR and
-   ILP — the acceptance criterion of the PR. *)
+(* The full-size Table 1 designs: I2 and I4 under LR, and I2, I4 and I5
+   under ILP at the budget of the CLI's ILP exports, so branch and bound
+   runs to the same end on either context. *)
+let test_table1_design_parity () =
+  List.iter
+    (fun (name, ilp_budget) ->
+      check_design_parity ?ilp_budget name
+        (Gen.generate (Option.get (Cases.by_name name))))
+    [ ("I2", Some 1e5); ("I4", Some 1e5); ("I5", Some 1e5) ]
+
+(* Full-flow identity: the flow's crossing matrix vs direct geometry on
+   the same candidates, sequential vs jobs=4, LR and ILP. *)
 let test_flow_cache_identity () =
   let design = Cases.tiny ~seed:5 () in
   List.iter
     (fun mode ->
       let result jobs cache =
-        Flow.synthesize
-          (Flow.Config.make ~mode ~ilp_budget:20.0 ~jobs ~cache params)
-          design
+        let config = Flow.Config.make ~mode ~ilp_budget:20.0 ~jobs params in
+        let hnets, ctx = Flow.prepare_with config design in
+        let ctx = if cache then ctx else Selection.uncached ctx in
+        Flow.select_with config design hnets ctx
       in
       let reference = result 1 true in
       List.iter
@@ -900,6 +913,8 @@ let () =
         [ QCheck_alcotest.to_alcotest prop_random_design_parity;
           QCheck_alcotest.to_alcotest prop_contiguous_rows;
           Alcotest.test_case "small design" `Slow test_small_design_parity;
+          Alcotest.test_case "I2, I4, I5 designs (LR and ILP)" `Slow
+            test_table1_design_parity;
           Alcotest.test_case "flow cache identity (jobs 1/4)" `Quick
             test_flow_cache_identity ] );
       ( "incremental",
