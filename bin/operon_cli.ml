@@ -275,7 +275,7 @@ let synthesize_cli ?eco_from config design =
       match Operon_service.Design_io.load_export path with
       | Error msg -> fail_usage "--eco-from: %s" msg
       | Ok baseline ->
-          let prev = Flow.prepare config baseline in
+          let prev = lazy (Flow.prepare config baseline) in
           let sink = Operon_engine.Instrument.create () in
           let p = Flow.prepare_eco ~sink ~prev config design in
           (match p.Flow.p_eco with

@@ -188,72 +188,87 @@ type gen_stats = { raw : int; deduped : int; kept : int }
 
 type xcounts = int array array
 
+let baselines (hnet : Hypernet.t) =
+  let terminals = Hypernet.centers hnet in
+  if Array.length terminals <= 1 then [] else Bi1s.baselines terminals ~root:0
+
+(* Segments keyed by the exact bits of their endpoints, in order: float
+   equality would merge -0.0 with 0.0, and an undirected key would merge
+   a segment with its reverse, whose crossing test
+   ([Segment.has_intersection_point]) is not bit-symmetric. *)
+module Directed = Hashtbl.Make (struct
+  type t = Operon_geom.Segment.t
+
+  let same x y = Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+
+  let equal (s : t) (t : t) =
+    same s.a.x t.a.x && same s.a.y t.a.y && same s.b.x t.b.x && same s.b.y t.b.y
+
+  let hash = Hashtbl.hash
+end)
+
 (* The queried segments of one hyper net are a pure function of its
    terminals: every non-root node's parent edge, over every baseline
    topology, in Bi1s.baselines order. Materializing the counts up front
    (instead of letting the DP query lazily) pins that order down, which
    is what lets an ECO re-preparation patch a cached count table with
-   only the changed nets' contributions and replay the DP bit-exactly. *)
+   only the changed nets' contributions and replay the DP bit-exactly.
+   A segment recurs across topologies (the MST shares edges with the
+   BI1S tree, the star with both), so [crossing_est] runs once per
+   distinct directed segment; the second result is the number of runs. *)
+let count ~crossing_est topos =
+  let memo = Directed.create 32 and calls = ref 0 in
+  let row topo =
+    let root = Topology.root topo in
+    Array.init (Topology.node_count topo) (fun v ->
+        if v = root then 0
+        else
+          let s = Topology.segment_of_edge topo v in
+          match Directed.find_opt memo s with
+          | Some c -> c
+          | None ->
+              let c = crossing_est s in
+              incr calls;
+              Directed.add memo s c;
+              c)
+  in
+  let rows = Array.of_list (List.map row topos) in
+  (rows, !calls)
+
 let crossing_counts ~crossing_est (hnet : Hypernet.t) : xcounts =
-  let terminals = Hypernet.centers hnet in
-  if Array.length terminals <= 1 then [||]
-  else
-    Array.of_list
-      (List.map
-         (fun topo ->
-           let root = Topology.root topo in
-           Array.init (Topology.node_count topo) (fun v ->
-               if v = root then 0
-               else crossing_est (Topology.segment_of_edge topo v)))
-         (Bi1s.baselines terminals ~root:0))
+  fst (count ~crossing_est (baselines hnet))
 
-let adjust_counts ~sub ~add (hnet : Hypernet.t) (cached : xcounts) =
-  let terminals = Hypernet.centers hnet in
-  if Array.length terminals <= 1 then
-    if cached = [||] then Some [||] else None
-  else begin
-    let baselines = Bi1s.baselines terminals ~root:0 in
-    if List.length baselines <> Array.length cached then None
-    else
-      try
-        Some
-          (Array.of_list
-             (List.mapi
-                (fun ti topo ->
-                  let xc = cached.(ti) in
-                  let n = Topology.node_count topo in
-                  if Array.length xc <> n then raise Exit;
-                  let root = Topology.root topo in
-                  Array.init n (fun v ->
-                      if v = root then xc.(v)
-                      else
-                        let s = Topology.segment_of_edge topo v in
-                        xc.(v) - sub s + add s))
-                baselines))
-      with Exit -> None
-  end
+let adjust_counts ~sub ~add topos (cached : xcounts) =
+  if
+    List.length topos = Array.length cached
+    && List.for_all2
+         (fun topo xc -> Array.length xc = Topology.node_count topo)
+         topos (Array.to_list cached)
+  then
+    let delta, _ = count ~crossing_est:(fun s -> add s - sub s) topos in
+    Some (Array.map2 (Array.map2 ( + )) cached delta)
+  else None
 
-let for_hypernet_counted ?(max_cands = 16) ?(max_total = 10) ~(counts : xcounts)
-    params hnet =
+let generate ?(max_cands = 16) ?(max_total = 10) ~(counts : xcounts) params
+    hnet topos =
   let terminals = Hypernet.centers hnet in
   if Array.length terminals <= 1 then begin
     let topo = Bi1s.mst_tree Topology.L2 terminals ~root:0 in
     ([ Candidate.electrical params hnet topo ], { raw = 1; deduped = 1; kept = 1 })
   end
   else begin
-    let baselines = Bi1s.baselines terminals ~root:0 in
-    if List.length baselines <> Array.length counts then
-      invalid_arg "Codesign.for_hypernet_counted: counts shape mismatch";
+    if List.length topos <> Array.length counts then
+      invalid_arg "Codesign.generate: counts shape mismatch";
     let from_dp =
       List.concat
         (List.mapi
            (fun ti topo ->
              let xc = counts.(ti) in
              if Array.length xc <> Topology.node_count topo then
-               invalid_arg "Codesign.for_hypernet_counted: counts shape mismatch";
+               invalid_arg "Codesign.generate: counts shape mismatch";
              enumerate ~max_cands ~edge_crossings:(fun v -> xc.(v)) params hnet
                topo)
-           baselines)
+           topos)
     in
     (* Dedicated rectilinear-Steiner electrical fallback: the best
        realisation of the a_ie variable. *)
@@ -298,10 +313,14 @@ let for_hypernet_counted ?(max_cands = 16) ?(max_total = 10) ~(counts : xcounts)
         kept = List.length kept } )
   end
 
+let for_hypernet_counted ?max_cands ?max_total ~counts params hnet =
+  generate ?max_cands ?max_total ~counts params hnet (baselines hnet)
+
 let for_hypernet ?max_cands ?max_total ?(crossing_est = fun _ -> 0) params
     hnet =
-  let counts = crossing_counts ~crossing_est hnet in
-  fst (for_hypernet_counted ?max_cands ?max_total ~counts params hnet)
+  let topos = baselines hnet in
+  let counts, _ = count ~crossing_est topos in
+  fst (generate ?max_cands ?max_total ~counts params hnet topos)
 
 let electrical_only params hnet =
   let terminals = Hypernet.centers hnet in

@@ -46,10 +46,12 @@ val for_hypernet :
   Params.t ->
   Hypernet.t ->
   Candidate.t list
-(** Candidate set over all diverse baselines ({!Bi1s.baselines}) plus the
+(** Candidate set over all diverse baselines ({!baselines}) plus the
     dedicated rectilinear-Steiner electrical fallback, deduplicated and
     truncated to [max_total] (default 10) keeping the cheapest; the best
-    pure-electrical candidate is always retained (Formula (3)'s [a_ie]). *)
+    pure-electrical candidate is always retained (Formula (3)'s [a_ie]).
+    [crossing_est] is called once per distinct directed segment (see
+    {!count}). *)
 
 type gen_stats = {
   raw : int;  (** candidates materialized across all baselines *)
@@ -57,33 +59,65 @@ type gen_stats = {
   kept : int;  (** after the [max_total] truncation *)
 }
 
+val baselines : Hypernet.t -> Topology.t list
+(** The hyper net's baseline topologies: {!Bi1s.baselines} over its
+    terminals, rooted at pin 0, or [[]] for a trivial single-pin net.
+    The first is the Euclidean BI1S tree, whose edges are the net's
+    entries in the design-wide crossing index. Every per-net step below
+    reads this list; the flow builds it once per net, in its baselines
+    stage. *)
+
 type xcounts = int array array
 (** The crossing counts one hyper net's candidate generation consumes:
-    one row per baseline topology (in {!Bi1s.baselines} order), indexed
-    by node, holding the estimate for the node's parent edge (0 in the
+    one row per baseline topology (in {!baselines} order), indexed by
+    node, holding the estimate for the node's parent edge (0 in the
     root's slot). [[||]] for trivial single-pin nets. The shape and the
     queried segments are a pure function of the hyper net's terminals. *)
 
+val count :
+  crossing_est:(Segment.t -> int) -> Topology.t list -> xcounts * int
+(** [count ~crossing_est topos] materializes every crossing estimate
+    {!generate} reads on [topos], and the number of [crossing_est]
+    calls. A segment recurring across topologies is estimated once: the
+    calls are one per distinct directed segment, keyed by the exact bits
+    of its endpoints in order. Splitting the queries from the DP is what
+    makes the counts a cacheable per-net artifact: an ECO re-preparation
+    can patch them instead of re-querying the whole design's segment
+    index. *)
+
 val crossing_counts : crossing_est:(Segment.t -> int) -> Hypernet.t -> xcounts
-(** Materialize every crossing estimate {!for_hypernet_counted} will
-    read. Splitting the queries from the DP is what makes the counts a
-    cacheable per-net artifact: an ECO re-preparation can patch them
-    instead of re-querying the whole design's segment index. *)
+(** {!count} on the net's own {!baselines}, without the call count. *)
 
 val adjust_counts :
   sub:(Segment.t -> int) ->
   add:(Segment.t -> int) ->
-  Hypernet.t ->
+  Topology.t list ->
   xcounts ->
   xcounts option
-(** [adjust_counts ~sub ~add hnet cached] re-derives the count table for
-    an unchanged hyper net when {e other} nets moved: each cached entry
-    becomes [cached - sub seg + add seg], with [sub]/[add] counting
-    crossings against only the changed nets' old/new baseline segments.
-    Exact because crossing counts are additive over any partition of the
-    design's segment set. [None] if [cached]'s shape does not match the
-    net's topologies (the net itself changed — the caller must fall back
-    to a full recount). *)
+(** [adjust_counts ~sub ~add topos cached] re-derives the count table of
+    an unchanged hyper net, whose baselines are [topos], when {e other}
+    nets moved: each cached entry becomes [cached + add seg - sub seg],
+    with [sub]/[add] counting crossings against only the changed nets'
+    old/new baseline segments, each called once per distinct directed
+    segment. Exact because crossing counts are additive over any
+    partition of the design's segment set. [None] if [cached]'s shape
+    does not match [topos] (the net itself changed — the caller must
+    fall back to a full recount). *)
+
+val generate :
+  ?max_cands:int ->
+  ?max_total:int ->
+  counts:xcounts ->
+  Params.t ->
+  Hypernet.t ->
+  Topology.t list ->
+  Candidate.t list * gen_stats
+(** [generate ~counts params hnet topos] is {!for_hypernet} on the net's
+    {!baselines} [topos] with every crossing estimate supplied up front,
+    plus generation/prune counters for the pipeline's instrumentation
+    sink. Given the counts a cold run would have queried, the output is
+    bit-identical to the cold run's — the heart of the ECO per-net
+    memoization. Raises [Invalid_argument] on a shape mismatch. *)
 
 val for_hypernet_counted :
   ?max_cands:int ->
@@ -92,11 +126,7 @@ val for_hypernet_counted :
   Params.t ->
   Hypernet.t ->
   Candidate.t list * gen_stats
-(** {!for_hypernet} with every crossing estimate supplied up front,
-    plus generation/prune counters for the pipeline's instrumentation
-    sink. Given the counts a cold run would have queried, the output is
-    bit-identical to the cold run's — the heart of the ECO per-net
-    memoization. Raises [Invalid_argument] on a shape mismatch. *)
+(** {!generate} on the net's own {!baselines}. *)
 
 val electrical_only : Params.t -> Hypernet.t -> Candidate.t list
 (** The deterministic quarantine fallback: just the dedicated

@@ -3,24 +3,21 @@ open Operon_graph
 open Operon_util
 
 (* Entries live in flat arrays, entry [e] being the [e]-th input pair:
-   its net, its segment, its bbox ([Segment.boxes] layout) and the first
-   cell (column, row) of its bbox cell range. The buckets are one packed
-   array: bucket [b] (row-major over cells x cells) holds the entry
-   numbers [members.(start.(b))] to [members.(start.(b + 1) - 1)], in
-   ascending order. [sat] is the summed-area table of the bucket sizes,
-   (cells + 1) x (cells + 1), so the number of entries a walk over any
-   cell rectangle visits is known in O(1) before walking it. *)
+   its net, its segment and its bbox ([Segment.boxes] layout). The
+   buckets are one packed array over the cells, row-major: bucket [b]
+   lists every entry whose bbox cell range contains cell [b], in four
+   groups, each ascending — entries whose range starts in the cell's
+   column but not its row, in both, in its row but not its column, and
+   in neither. Group [g] of bucket [b] is [members.(start.((4 * b) + g))]
+   to [members.(start.((4 * b) + g + 1) - 1)]. *)
 type index = {
   die : Rect.t;
   cells : int;
   nets : int array;
   segs : Segment.t array;
   boxes : float array;
-  ci : int array;
-  cj : int array;
   start : int array;
   members : int array;
-  sat : int array;
 }
 
 let cell_range ~die ~cells xmin ymin xmax ymax =
@@ -34,65 +31,34 @@ let build_index ~die ?(cells = 32) segments =
   let n = Array.length segments in
   let nets = Array.map fst segments and segs = Array.map snd segments in
   let boxes = Segment.boxes segs in
-  let range e =
-    cell_range ~die ~cells boxes.(4 * e) boxes.((4 * e) + 1) boxes.((4 * e) + 2)
-      boxes.((4 * e) + 3)
-  in
-  let ci = Array.make n 0 and cj = Array.make n 0 in
-  (* Size every bucket first, then fill it: no intermediate lists. *)
-  let fill = Array.make ((cells * cells) + 1) 0 in
-  let each_bucket f =
+  (* Size every group first, then fill it: no intermediate lists. *)
+  let fill = Array.make ((4 * cells * cells) + 1) 0 in
+  let each_slot f =
     for e = 0 to n - 1 do
-      let i0, j0, i1, j1 = range e in
-      ci.(e) <- i0;
-      cj.(e) <- j0;
+      let i0, j0, i1, j1 =
+        cell_range ~die ~cells boxes.(4 * e) boxes.((4 * e) + 1)
+          boxes.((4 * e) + 2) boxes.((4 * e) + 3)
+      in
       for j = j0 to j1 do
         for i = i0 to i1 do
-          f e ((j * cells) + i)
+          let g =
+            if i = i0 then if j = j0 then 1 else 0 else if j = j0 then 2 else 3
+          in
+          f e ((4 * ((j * cells) + i)) + g)
         done
       done
     done
   in
-  each_bucket (fun _ b -> fill.(b + 1) <- fill.(b + 1) + 1);
-  let sat = Array.make ((cells + 1) * (cells + 1)) 0 in
-  let w = cells + 1 in
-  for j = 0 to cells - 1 do
-    for i = 0 to cells - 1 do
-      sat.(((j + 1) * w) + i + 1) <-
-        fill.((j * cells) + i + 1)
-        + sat.((j * w) + i + 1)
-        + sat.(((j + 1) * w) + i)
-        - sat.((j * w) + i)
-    done
-  done;
-  for b = 1 to cells * cells do
-    fill.(b) <- fill.(b) + fill.(b - 1)
+  each_slot (fun _ s -> fill.(s + 1) <- fill.(s + 1) + 1);
+  for s = 1 to 4 * cells * cells do
+    fill.(s) <- fill.(s) + fill.(s - 1)
   done;
   let start = Array.copy fill in
-  let members = Array.make start.(cells * cells) 0 in
-  each_bucket (fun e b ->
-      members.(fill.(b)) <- e;
-      fill.(b) <- fill.(b) + 1);
-  { die; cells; nets; segs; boxes; ci; cj; start; members; sat }
-
-(* The query's cell range, and whether walking its buckets visits fewer
-   entries than one pass over all of them. An entry spanning several
-   cells of the range is visited once per cell, which the summed-area
-   table counts too. A long query over a dense index covers so much of
-   the grid that the pass wins; a short one touches a handful of
-   buckets. [qbox] is the query's bbox in [Segment.boxes] layout. *)
-let plan idx qbox =
-  let ((i0, j0, i1, j1) as range) =
-    cell_range ~die:idx.die ~cells:idx.cells qbox.(0) qbox.(1) qbox.(2) qbox.(3)
-  in
-  let w = idx.cells + 1 and s = idx.sat in
-  let visits =
-    s.(((j1 + 1) * w) + i1 + 1) - s.((j0 * w) + i1 + 1) - s.(((j1 + 1) * w) + i0)
-    + s.((j0 * w) + i0)
-  in
-  (range, visits < Array.length idx.segs)
-
-let walks idx query = snd (plan idx (Segment.boxes [| query |]))
+  let members = Array.make start.(4 * cells * cells) 0 in
+  each_slot (fun e s ->
+      members.(fill.(s)) <- e;
+      fill.(s) <- fill.(s) + 1);
+  { die; cells; nets; segs; boxes; start; members }
 
 (* The counted event: a proper crossing with an intersection point,
    between the query (bbox [qbox]) and entry [e] of another net. *)
@@ -102,34 +68,33 @@ let counts idx e ~exclude_net qbox query =
   && Segment.crosses_properly idx.segs.(e) query
   && Segment.has_intersection_point idx.segs.(e) query
 
+(* An entry and the query share every cell in the overlap of their cell
+   ranges, and the query reads the entry only in the first of them: the
+   column is the later of the two ranges' first columns, the row the
+   later of their first rows. Past the query's first column a cell reads
+   only the entries whose range starts in that column, past its first
+   row only those starting in that row, so the groups a cell reads are
+   contiguous: all four in the query's first cell, the first two along
+   its first row, the middle two along its first column, and the second
+   alone elsewhere. Each pair is tested once, and each entry read at most
+   once per query. *)
 let count_crossings idx ~exclude_net query =
   let qbox = Segment.boxes [| query |] in
+  let i0, j0, i1, j1 =
+    cell_range ~die:idx.die ~cells:idx.cells qbox.(0) qbox.(1) qbox.(2) qbox.(3)
+  in
   let count = ref 0 in
-  match plan idx qbox with
-  | (i0, j0, i1, j1), true ->
-      (* An entry and the query share every bucket in the overlap of their
-         bbox ranges. Only the first of those, (max ci i0, max cj j0),
-         tests the pair, so each pair is tested exactly once, as in the
-         pass. *)
-      for j = j0 to j1 do
-        for i = i0 to i1 do
-          let b = (j * idx.cells) + i in
-          for x = idx.start.(b) to idx.start.(b + 1) - 1 do
-            let e = idx.members.(x) in
-            if
-              Int.max idx.ci.(e) i0 = i
-              && Int.max idx.cj.(e) j0 = j
-              && counts idx e ~exclude_net qbox query
-            then incr count
-          done
-        done
-      done;
-      !count
-  | _, false ->
-      for e = 0 to Array.length idx.segs - 1 do
-        if counts idx e ~exclude_net qbox query then incr count
-      done;
-      !count
+  for j = j0 to j1 do
+    for i = i0 to i1 do
+      let s = 4 * ((j * idx.cells) + i) in
+      let lo = if j = j0 then s else s + 1
+      and hi = if i > i0 then s + 2 else if j = j0 then s + 4 else s + 3 in
+      for x = idx.start.(lo) to idx.start.(hi) - 1 do
+        if counts idx idx.members.(x) ~exclude_net qbox query then incr count
+      done
+    done
+  done;
+  !count
 
 let estimator idx ~net seg = count_crossings idx ~exclude_net:net seg
 

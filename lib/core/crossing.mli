@@ -16,17 +16,12 @@ type index
 
 val build_index : die:Rect.t -> ?cells:int -> (int * Segment.t) array -> index
 (** [build_index ~die segments] indexes [(net_id, segment)] pairs on a
-    uniform [cells] x [cells] bucket grid (default 32). Each query then
-    either walks the buckets of its bbox cell range or makes one pass over
-    every entry, whichever visits fewer entries (see {!walks}); the count
-    is the same either way. *)
-
-val walks : index -> Segment.t -> bool
-(** Whether {!count_crossings} answers a query on this segment by walking
-    the buckets of its bbox cell range ([true]) or by one pass over every
-    entry ([false]). The walk visits an entry once per bucket it shares
-    with the range, but tests each (entry, query) pair only in the first
-    of those buckets, so both paths test each pair once. *)
+    uniform [cells] x [cells] bucket grid (default 32). A bucket lists
+    every entry whose bbox cell range contains its cell, grouped by
+    whether that range starts in the cell's column and in its row. A
+    query walks the cells of its own bbox cell range and reads each entry
+    only in the first cell the two ranges share, so it reads each entry
+    at most once and tests each (entry, query) pair once. *)
 
 val count_crossings : index -> exclude_net:int -> Segment.t -> int
 (** Proper crossings that have an intersection point

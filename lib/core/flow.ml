@@ -192,46 +192,53 @@ let stage_processing (cfg : Config.t) =
       Instrument.incr sink Instrument.Processing "hpins" hpins;
       (design, params, hnets))
 
-(* Optical baseline segments of every hyper net feed the crossing
-   estimator used while pruning the co-design DP. One task per net;
-   the executor preserves net order, so the concatenated segment array —
-   and hence the crossing index — is identical whichever backend ran it.
-   A net whose baseline task faults is quarantined: it contributes no
-   optical segments and the codesign stage will route it all-electrical. *)
-(* The per-net contribution to the design-wide crossing index. Also the
-   unit of the ECO delta indices, so both share one definition. *)
-let baseline_tree_segments (hnet : Hypernet.t) =
-  let terminals = Hypernet.centers hnet in
-  if Array.length terminals <= 1 then [||]
-  else
-    let topo = Bi1s.build Topology.L2 terminals ~root:0 in
-    Array.map (fun s -> (hnet.Hypernet.id, s)) (Topology.segments topo)
+(* A net's entries in the design-wide crossing index: the edges of its
+   first baseline topology, the Euclidean BI1S tree. Also the unit of
+   the ECO delta indices, so both share one definition. *)
+let index_entries (hnet : Hypernet.t) = function
+  | primary :: _ ->
+      Array.map (fun s -> (hnet.Hypernet.id, s)) (Topology.segments primary)
+  | [] -> [||]
 
+(* Every hyper net's baseline topologies, one task per net, built once:
+   their first members' edges feed the crossing estimator used while
+   pruning the co-design DP, and the codesign stage counts and runs the
+   DP on the same lists. The executor preserves net order, so the
+   concatenated segment array — and hence the crossing index — is
+   identical whichever backend ran it. A net whose baseline task faults
+   is quarantined: its outcome is [None], it contributes no optical
+   segments, and the codesign stage routes it all-electrical. *)
 let stage_baselines =
   Pipeline.stage Instrument.Baselines (fun rc (design, params, hnets) ->
       let results =
         Executor.try_parallel_mapi rc.Runctx.exec
           (fun _ hnet ->
             Runctx.check_inject rc ~stage:Instrument.Baselines ~net:hnet.Hypernet.id ();
-            baseline_tree_segments hnet)
+            Codesign.baselines hnet)
           hnets
       in
-      let per_net =
+      let topos =
         Array.mapi
           (fun i result ->
             match result with
-            | Ok segs -> segs
+            | Ok topos -> Some topos
             | Error (e, bt) ->
                 Runctx.degrade rc ~stage:Instrument.Baselines
                   ~net:hnets.(i).Hypernet.id e bt;
-                [||])
+                None)
           results
       in
-      let segments = Array.concat (Array.to_list per_net) in
+      let segments =
+        Array.concat
+          (Array.to_list
+             (Array.mapi
+                (fun i t -> index_entries hnets.(i) (Option.value t ~default:[]))
+                topos))
+      in
       Instrument.incr rc.Runctx.sink Instrument.Baselines "segments"
         (Array.length segments);
       let index = Crossing.build_index ~die:design.Signal.die segments in
-      (design, params, hnets, index))
+      (design, params, hnets, topos, index))
 
 (* Merge per-net co-design outcomes on the coordinator, in net-id order:
    a [`Fresh] net's DP counters are charged, a [`Kept] net (an ECO
@@ -252,11 +259,12 @@ let merge_codesign rc params hnets results =
             reused.(i) <- true;
             xcounts.(i) <- counts;
             cands
-        | Ok (`Fresh (cands, s, counts)) ->
+        | Ok (`Fresh (cands, s, counts, queries)) ->
             Instrument.incr sink Instrument.Codesign "raw" s.Codesign.raw;
             Instrument.incr sink Instrument.Codesign "kept" s.Codesign.kept;
             Instrument.incr sink Instrument.Codesign "pruned"
               (s.Codesign.raw - s.Codesign.kept);
+            Instrument.incr sink Instrument.Codesign "queries" queries;
             xcounts.(i) <- counts;
             cands
         | Error (e, bt) ->
@@ -287,28 +295,29 @@ type net_plan =
    segment set, and the grid geometry (die, cell count) matches the
    design-wide index, so for an unchanged net [cached - old_delta +
    new_delta] is exactly the count a cold recount would produce. The
-   new delta mirrors the design-wide index: a net the baselines stage
-   quarantined contributes no segments there, so none to the delta
-   either. *)
-let eco_plan (prev : prepared) (diff : Design_diff.t) ~die ~is_quarantined
-    hnets =
+   new delta mirrors the design-wide index: it reads the baselines
+   stage's topologies, and a net that stage quarantined contributes no
+   segments there, so none to the delta either. *)
+let eco_plan (prev : prepared) (diff : Design_diff.t) ~die topos hnets =
   let status = diff.Design_diff.status in
-  let delta hs ~keep =
+  let delta entries hs =
     let acc = ref [] in
     Array.iteri
       (fun i (h : Hypernet.t) ->
-        if status.(i) = Design_diff.Dirty && keep h then
-          match baseline_tree_segments h with
+        if status.(i) = Design_diff.Dirty then
+          match entries i h with
           | segs -> acc := segs :: !acc
           | exception _ -> ())
       hs;
     Crossing.build_index ~die (Array.concat !acc)
   in
-  let idx_old = delta prev.p_hnets ~keep:(fun _ -> true) in
-  let idx_new =
-    delta hnets ~keep:(fun h -> not (is_quarantined h.Hypernet.id))
+  let idx_old =
+    delta (fun _ h -> index_entries h (Codesign.baselines h)) prev.p_hnets
   in
-  fun i (hnet : Hypernet.t) ->
+  let idx_new =
+    delta (fun i h -> index_entries h (Option.value topos.(i) ~default:[])) hnets
+  in
+  fun i (hnet : Hypernet.t) t ->
     let cached = prev.p_xcounts.(i) in
     if not diff.Design_diff.closure.(i) then
       (* No changed geometry overlaps this net's bbox: no queried
@@ -326,7 +335,7 @@ let eco_plan (prev : prepared) (diff : Design_diff.t) ~die ~is_quarantined
       let id = hnet.Hypernet.id in
       let sub s = Crossing.count_crossings idx_old ~exclude_net:id s in
       let add s = Crossing.count_crossings idx_new ~exclude_net:id s in
-      match Codesign.adjust_counts ~sub ~add hnet cached with
+      match Codesign.adjust_counts ~sub ~add t cached with
       | Some counts when counts = cached -> Keep (prev.p_cands.(i), counts)
       | Some counts -> Patch counts
       | None ->
@@ -334,22 +343,17 @@ let eco_plan (prev : prepared) (diff : Design_diff.t) ~die ~is_quarantined
              imply identical topology shapes); recount to stay safe. *)
           Recount
 
-(* Co-design, one task per net. [reuse] is an ECO re-preparation's
-   previous preparation and design diff; without it every net recounts,
-   which is the cold preparation. *)
+(* Co-design, one task per net, on the baselines stage's topologies.
+   [reuse] is an ECO re-preparation's previous preparation and design
+   diff; without it every net recounts, which is the cold preparation. *)
 let stage_codesign (cfg : Config.t) ?reuse () =
-  Pipeline.stage Instrument.Codesign (fun rc (design, params, hnets, index) ->
+  Pipeline.stage Instrument.Codesign (fun rc (design, params, hnets, topos, index) ->
       let max_total = cfg.Config.max_cands_per_net in
-      (* Nets already quarantined upstream (baselines faults) skip the DP
-         outright: their crossing estimates would be built from segments
-         that were never generated. *)
-      let upstream = Runctx.quarantined rc in
-      let is_quarantined id = Array.exists (fun q -> q = id) upstream in
       let plan =
         match reuse with
-        | None -> fun _ _ -> Recount
+        | None -> fun _ _ _ -> Recount
         | Some (prev, diff) ->
-            eco_plan prev diff ~die:design.Signal.die ~is_quarantined hnets
+            eco_plan prev diff ~die:design.Signal.die topos hnets
       in
       let previous = Option.map (fun (prev, _) -> prev.p_cands) reuse in
       (* Per-net PRNG streams, split off in net-id order *before* the
@@ -366,34 +370,40 @@ let stage_codesign (cfg : Config.t) ?reuse () =
             let id = hnet.Hypernet.id in
             Runctx.check_inject rc ~stage:Instrument.Codesign ~net:id ();
             let _net_rng = net_rngs.(i) in
-            (* A DP whose output equals the previous candidate list
-               still certifies full reuse — the list is carried over and
-               its crossing-matrix rows and neighbour links stay valid,
-               since both depend only on the candidate values. Only the
-               refreshed counts must be kept: they are this run's true
-               counts, the base the next ECO patch builds on. A moved
-               net rarely changes its neighbours' DP outcome, so most of
-               an ECO closure collapses back to reuse. *)
-            let dp counts =
-              let cands, stats =
-                Codesign.for_hypernet_counted ~max_total ~counts params hnet
-              in
-              match previous with
-              | Some old when old.(i) = cands -> `Kept (old.(i), counts)
-              | _ -> `Fresh (cands, stats, counts)
-            in
-            if is_quarantined id then
-              `Fresh
-                ( Codesign.electrical_only params hnet,
-                  { Codesign.raw = 1; deduped = 1; kept = 1 },
-                  ([||] : Codesign.xcounts) )
-            else
-              match plan i hnet with
-              | Keep (cands, counts) -> `Kept (cands, counts)
-              | Patch counts -> dp counts
-              | Recount ->
-                  let crossing_est = Crossing.estimator index ~net:id in
-                  dp (Codesign.crossing_counts ~crossing_est hnet))
+            match topos.(i) with
+            | None ->
+                (* Quarantined upstream: the net has no baselines, so no
+                   crossing estimates and no DP. *)
+                `Fresh
+                  ( Codesign.electrical_only params hnet,
+                    { Codesign.raw = 1; deduped = 1; kept = 1 },
+                    ([||] : Codesign.xcounts),
+                    0 )
+            | Some t -> (
+                (* A DP whose output equals the previous candidate list
+                   still certifies full reuse — the list is carried over
+                   and its crossing-matrix rows and neighbour links stay
+                   valid, since both depend only on the candidate values.
+                   Only the refreshed counts must be kept: they are this
+                   run's true counts, the base the next ECO patch builds
+                   on. A moved net rarely changes its neighbours' DP
+                   outcome, so most of an ECO closure collapses back to
+                   reuse. *)
+                let dp counts queries =
+                  let cands, stats =
+                    Codesign.generate ~max_total ~counts params hnet t
+                  in
+                  match previous with
+                  | Some old when old.(i) = cands -> `Kept (old.(i), counts)
+                  | _ -> `Fresh (cands, stats, counts, queries)
+                in
+                match plan i hnet t with
+                | Keep (cands, counts) -> `Kept (cands, counts)
+                | Patch counts -> dp counts 0
+                | Recount ->
+                    let crossing_est = Crossing.estimator index ~net:id in
+                    let counts, queries = Codesign.count ~crossing_est t in
+                    dp counts queries))
           hnets
       in
       let cand_lists, xcounts, reused = merge_codesign rc params hnets results in
@@ -527,37 +537,18 @@ let select_region rc (cfg : Config.t) ?initial ctx =
     ro_cache = Xmatrix.stats ctx.Selection.xmat }
 
 (* One region of a partitioned plan: the engine on the region's slice
-   of the design-wide context — its member nets' candidate lists under a
-   private crossing matrix, plus the matching rows of the thermal
-   profile and of the warm start. *)
+   of the design-wide context, with the matching rows of the warm
+   start. *)
 let select_slice rc cfg ?initial (ctx : Selection.ctx) ids =
-  let rows a = Array.map (fun i -> a.(i)) ids in
-  let sub =
-    Selection.make_ctx ctx.Selection.params
-      (Array.map Array.to_list (rows ctx.Selection.cands))
-  in
-  let sub =
-    match ctx.Selection.thermal with
-    | None -> sub
-    | Some th ->
-        (* The penalty tensor is per-net and choice-independent, so a
-           slice of it is exactly the profile a regional
-           [thermal_profile] would compute. *)
-        Selection.with_thermal sub
-          { Selection.penalty = rows th.Selection.penalty;
-            tcost = rows th.Selection.tcost;
-            weight = 0.0 }
-          ~weight:th.Selection.weight
-  in
   let initial =
     match initial with
     | Some init when Array.length init = Array.length ctx.Selection.cands ->
         (* Per-net candidate indices translate directly; the engines
            sanitize out-of-range entries themselves. *)
-        Some (rows init)
+        Some (Array.map (fun i -> init.(i)) ids)
     | _ -> None
   in
-  select_region rc cfg ?initial sub
+  select_region rc cfg ?initial (Selection.slice ctx ids)
 
 (* Selection runs the engine chain on every region of a plan, on the
    Domain pool, and merges in region order. The flat flow is the
@@ -1013,7 +1004,9 @@ let prep_config_equal (a : Config.t) (b : Config.t) =
    with [prev] an ECO re-preparation, whose co-design stage keeps,
    patches or recounts each net against [prev] — or, when [prev] cannot
    be certified comparable, recounts every net exactly as the cold
-   preparation does and reports a cold fallback. *)
+   preparation does and reports a cold fallback. [prev] is forced only
+   past the run's own injection gate, so an injected run never builds
+   it. *)
 let prepare_run ?sink ?prev (config : Config.t) design =
   let rc = runctx ?sink config in
   let sink = rc.Runctx.sink in
@@ -1030,18 +1023,21 @@ let prepare_run ?sink ?prev (config : Config.t) design =
      config changes every net's artifacts. *)
   let reuse =
     match prev with
-    | Some prev
-      when config.Config.injections = []
-           && prev.p_config.Config.injections = []
-           && prev.p_faults = []
-           && prep_config_equal config prev.p_config ->
-        let diff =
-          Instrument.timed sink Instrument.Eco (fun () ->
-              Design_diff.diff ~neighbors:prev.p_ctx.Selection.neighbors
-                prev.p_hnets hnets)
-        in
-        if diff.Design_diff.compatible && params = prev.p_ctx.Selection.params
-        then Some (prev, diff)
+    | Some prev when config.Config.injections = [] ->
+        let prev = Lazy.force prev in
+        if
+          prev.p_config.Config.injections = []
+          && prev.p_faults = []
+          && prep_config_equal config prev.p_config
+        then
+          let diff =
+            Instrument.timed sink Instrument.Eco (fun () ->
+                Design_diff.diff ~neighbors:prev.p_ctx.Selection.neighbors
+                  prev.p_hnets hnets)
+          in
+          if diff.Design_diff.compatible && params = prev.p_ctx.Selection.params
+          then Some (prev, diff)
+          else None
         else None
     | _ -> None
   in

@@ -264,16 +264,19 @@ type prepared = {
 }
 
 val prepare : ?sink:Instrument.sink -> Config.t -> Signal.design -> prepared
-(** Processing plus candidate generation: hyper nets, then co-design
-    candidates for each (crossing estimates taken against the other
-    nets' optical baselines). The returned context carries the
-    design-wide {!Xmatrix} crossing matrix when the flow is flat; a
-    partitioned configuration leaves it direct, since each region builds
-    its own matrix during selection. *)
+(** Processing plus candidate generation: hyper nets, then each net's
+    baseline topologies ({!Codesign.baselines}, built once), then
+    co-design candidates for each (crossing estimates taken against the
+    other nets' optical baselines, one query per distinct directed
+    segment; the trace's [codesign] row counts them as [queries]). The
+    returned context carries the design-wide {!Xmatrix} crossing matrix
+    when the flow is flat; a partitioned configuration leaves it direct,
+    since each region builds its own matrix, on a {!Selection.slice} of
+    this context, during selection. *)
 
 val prepare_eco :
   ?sink:Instrument.sink ->
-  prev:prepared ->
+  prev:prepared Lazy.t ->
   Config.t ->
   Signal.design ->
   prepared
@@ -292,7 +295,8 @@ val prepare_eco :
     injections on either run, faults in [prev], a different
     preparation-relevant config, or an incompatible diff — every net
     recounts as in the cold path and [cold_fallback] is set in the
-    returned [p_eco]. *)
+    returned [p_eco]. [prev] is forced only when [config] has no
+    injections: an injected run falls back cold without building it. *)
 
 val prepare_with :
   ?sink:Instrument.sink ->

@@ -183,6 +183,32 @@ let make_ctx ?(exec = Executor.sequential) ?(cache = true) ?reuse params
 
 let uncached ctx = { ctx with xmat = Xmatrix.direct ctx.cands }
 
+let slice ctx ids =
+  let rows a = Array.map (fun i -> a.(i)) ids in
+  let local = Array.make (Array.length ctx.cands) (-1) in
+  Array.iteri (fun k i -> local.(i) <- k) ids;
+  (* [ids] ascending keeps every renumbered row ascending. *)
+  let neighbors =
+    Array.map
+      (fun i ->
+        Array.of_list
+          (Array.fold_right
+             (fun m acc -> if local.(m) >= 0 then local.(m) :: acc else acc)
+             ctx.neighbors.(i) []))
+      ids
+  in
+  let cands = rows ctx.cands in
+  { ctx with
+    cands;
+    bboxes = rows ctx.bboxes;
+    neighbors;
+    elec_idx = rows ctx.elec_idx;
+    xmat = Xmatrix.build cands neighbors;
+    thermal =
+      Option.map
+        (fun th -> { th with penalty = rows th.penalty; tcost = rows th.tcost })
+        ctx.thermal }
+
 let thermal_profile ctx map =
   let t_ref = ctx.params.Params.t_ref in
   (* Zero-penalty trim: outside the map's thermal support every sample

@@ -82,6 +82,15 @@ val uncached : ctx -> ctx
     (recompute-per-query) oracle with fresh counters — identical numbers,
     none of the speed. Used by parity tests and the ledger's checker. *)
 
+val slice : ctx -> int array -> ctx
+(** [slice ctx ids] is the context of the nets [ids] (ascending) alone,
+    renumbered [0 ..] in that order: their candidate, bbox, fallback and
+    thermal rows, and their neighbour rows restricted to [ids], under a
+    crossing matrix built for just these pairs (sequentially). It equals
+    [make_ctx] on the same candidate lists with the thermal rows
+    attached, without recomputing any neighbour test; a partitioned
+    selection runs each region on one. *)
+
 val thermal_profile : ctx -> Operon_thermal.Thermal_map.t -> thermal
 (** Precompute the detuning penalties of every candidate path against a
     thermal map: per path, one {!Operon_optical.Loss.detuning} term per

@@ -179,7 +179,9 @@ let find_or_prepare ?prev t ~config design =
   prepare_entry t ~key:design_key entry (fun () ->
       match prev with
       | None -> Flow.prepare entry.e_config entry.e_design
-      | Some prev -> Flow.prepare_eco ~prev entry.e_config entry.e_design);
+      | Some prev ->
+          Flow.prepare_eco ~prev:(Lazy.from_val prev) entry.e_config
+            entry.e_design);
   (entry, reused)
 
 let find_prepared t ~config design =

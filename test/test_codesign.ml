@@ -226,6 +226,82 @@ let prop_dp_optimal_on_random_small =
       | [] -> false
       | best :: _ -> Float.abs (best.Candidate.power -. exhaustive hnet topo) < 1e-6)
 
+(* The shared-topology path — one {!Codesign.baselines} list, counted
+   with one estimator call per distinct directed segment, then
+   {!Codesign.generate} — against an unmemoized count table over
+   {!Bi1s.baselines} and against {!Codesign.for_hypernet}. Pins are drawn
+   on a coarse grid, with duplicates of earlier pins and pins collinear
+   with two earlier ones, so baselines share edges and degenerate ones
+   occur. The estimator is a hash of the segment's exact endpoint bits in
+   order, so a memo that merged a segment with its reverse, or two
+   segments that compare equal as floats, would read a wrong count. *)
+let key (s : Segment.t) =
+  List.map Int64.bits_of_float [ s.a.x; s.a.y; s.b.x; s.b.y ]
+
+let prop_shared_topologies =
+  QCheck.Test.make ~name:"shared topologies match the per-net path" ~count:200
+    QCheck.(pair (int_range 2 8) (int_range 0 100_000))
+    (fun (n, seed) ->
+      let rng = Operon_util.Prng.create seed in
+      let coord () = float_of_int (Operon_util.Prng.int rng 7) *. 0.75 in
+      let centers = Array.make n (p 0.0 0.0) in
+      for i = 1 to n - 1 do
+        let earlier () = centers.(Operon_util.Prng.int rng i) in
+        centers.(i) <-
+          (match Operon_util.Prng.int rng 4 with
+           | 0 -> earlier ()
+           | 1 ->
+               let a = earlier () and b = earlier () in
+               let t = float_of_int (1 + Operon_util.Prng.int rng 3) in
+               Point.make
+                 (a.Point.x +. (t *. (b.Point.x -. a.Point.x)))
+                 (a.Point.y +. (t *. (b.Point.y -. a.Point.y)))
+           | _ -> p (coord ()) (coord ()))
+      done;
+      let hnet = hnet_of_centers ~bits:(1 + Operon_util.Prng.int rng 31) centers in
+      let est s = Hashtbl.hash (key s) mod 5 in
+      let baselines = Bi1s.baselines centers ~root:0 in
+      let distinct = Hashtbl.create 32 in
+      let reference =
+        Array.of_list
+          (List.map
+             (fun topo ->
+               let root = Topology.root topo in
+               Array.init (Topology.node_count topo) (fun v ->
+                   if v = root then 0
+                   else begin
+                     let s = Topology.segment_of_edge topo v in
+                     Hashtbl.replace distinct (key s) ();
+                     est s
+                   end))
+             baselines)
+      in
+      let seen = Hashtbl.create 32 and calls = ref 0 and repeated = ref false in
+      let counting s =
+        incr calls;
+        if Hashtbl.mem seen (key s) then repeated := true;
+        Hashtbl.replace seen (key s) ();
+        est s
+      in
+      let topos = Codesign.baselines hnet in
+      let counts, queries = Codesign.count ~crossing_est:counting topos in
+      let shared, _ = Codesign.generate ~counts params hnet topos in
+      let per_net = Codesign.for_hypernet ~crossing_est:est params hnet in
+      counts = reference
+      && Codesign.crossing_counts ~crossing_est:est hnet = reference
+      && (not !repeated)
+      && !calls = Hashtbl.length distinct
+      && queries = !calls
+      && List.length shared = List.length per_net
+      && List.for_all2
+           (fun (a : Candidate.t) (b : Candidate.t) ->
+             a.Candidate.labels = b.Candidate.labels
+             && Int64.equal
+                  (Int64.bits_of_float a.Candidate.power)
+                  (Int64.bits_of_float b.Candidate.power)
+             && a = b)
+           shared per_net)
+
 let () =
   Alcotest.run "codesign"
     [ ( "codesign",
@@ -242,4 +318,5 @@ let () =
           Alcotest.test_case "trivial hypernet" `Quick test_for_hypernet_trivial;
           Alcotest.test_case "fallback and cap" `Quick test_for_hypernet_has_fallback_and_cap;
           Alcotest.test_case "fig5 shapes" `Quick test_fig5_shapes;
-          QCheck_alcotest.to_alcotest prop_dp_optimal_on_random_small ] ) ]
+          QCheck_alcotest.to_alcotest prop_dp_optimal_on_random_small;
+          QCheck_alcotest.to_alcotest prop_shared_topologies ] ) ]

@@ -74,14 +74,14 @@ let test_index_matches_brute_force () =
       (Crossing.count_crossings idx ~exclude_net:exclude q)
   done
 
-(* Each query either walks the buckets of its cell range or scans every
-   entry once ([Crossing.walks]); both must give the brute-force count.
-   The 300 entries mix short segments with corridors, long runs across at
-   least half the die like the chip-crossing nets of I2 and I5. Short
-   queries walk and long ones scan, and every seed must exercise both.
-   A third of the queries are axis-aligned and lie exactly on a cell
-   boundary (the die's 32 cells are 0.3125 wide), where a computed
-   intersection point can round into the neighbouring cell. *)
+(* Each query walks the buckets of its cell range and reads an entry
+   only in the first cell the two ranges share; the count must be the
+   brute-force one. The 300 entries mix short segments with corridors,
+   long runs across at least half the die like the chip-crossing nets of
+   I2 and I5, so entries span many cells and are met first on every side
+   of a query's range. A third of the queries are axis-aligned and lie
+   exactly on a cell boundary (the die's 32 cells are 0.3125 wide), where
+   a computed intersection point can round into the neighbouring cell. *)
 let prop_grid_matches_brute_force =
   QCheck.Test.make ~name:"grid index matches brute force" ~count:20
     QCheck.(int_range 0 100_000)
@@ -119,12 +119,9 @@ let prop_grid_matches_brute_force =
             let y = boundary () in
             seg (coord ()) y (coord ()) y
       in
-      let walked = ref 0 and scanned = ref 0 in
-      let agree =
-        List.for_all
+      List.for_all
           (fun k ->
             let q = query k and exclude = Operon_util.Prng.int rng 7 in
-            if Crossing.walks idx q then incr walked else incr scanned;
             let want =
               Array.fold_left
                 (fun acc (net, s) ->
@@ -137,9 +134,39 @@ let prop_grid_matches_brute_force =
                 0 entries
             in
             Crossing.count_crossings idx ~exclude_net:exclude q = want)
-          (List.init 240 Fun.id)
+          (List.init 240 Fun.id))
+
+(* Every entry's bbox cell range is the whole grid, so every bucket lists
+   every entry, and each query covers every cell too: each entry must
+   still be counted once, in the query's first cell, as the brute-force
+   count says. The entries are near-diagonals in both directions, one
+   net each, that also cross one another. *)
+let test_die_spanning_entries () =
+  let rising k = seg (0.1 *. k) 0.2 (9.9 -. (0.1 *. k)) 9.8 in
+  let falling k = seg 0.2 (9.9 -. (0.1 *. k)) 9.8 (0.1 *. k) in
+  let entries =
+    Array.init 6 (fun k ->
+        let k' = float_of_int k in
+        (k, if k mod 2 = 0 then rising k' else falling k'))
+  in
+  let idx = Crossing.build_index ~die entries in
+  List.iter
+    (fun (q, exclude) ->
+      let want =
+        Array.fold_left
+          (fun acc (net, s) ->
+            if
+              net <> exclude
+              && Segment.crosses_properly s q
+              && Segment.intersection_point s q <> None
+            then acc + 1
+            else acc)
+          0 entries
       in
-      agree && !walked > 0 && !scanned > 0)
+      Alcotest.(check bool) "the query crosses an entry" true (want > 0);
+      Alcotest.(check int) "each entry counted once" want
+        (Crossing.count_crossings idx ~exclude_net:exclude q))
+    [ (rising 1.5, 9); (falling 1.5, 9); (rising 2.5, 1); (falling 0.5, 0) ]
 
 let test_estimator_closure () =
   let idx = Crossing.build_index ~die [| (0, seg 0.0 5.0 10.0 5.0) |] in
@@ -212,6 +239,8 @@ let () =
             test_disjoint_boxes_never_count;
           Alcotest.test_case "matches brute force" `Quick test_index_matches_brute_force;
           QCheck_alcotest.to_alcotest prop_grid_matches_brute_force;
+          Alcotest.test_case "die-spanning entries" `Quick
+            test_die_spanning_entries;
           Alcotest.test_case "estimator closure" `Quick test_estimator_closure ] );
       ( "interaction",
         [ Alcotest.test_case "components" `Quick test_components;

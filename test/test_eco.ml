@@ -104,7 +104,7 @@ let test_eco_byte_parity () =
       let prev = Flow.prepare cfg design in
       let revised = Mutate.design ~ratio:0.1 ~seed:7 design in
       let cold = Flow.select_prepared cfg (Flow.prepare cfg revised) in
-      let eco_p = Flow.prepare_eco ~prev cfg revised in
+      let eco_p = Flow.prepare_eco ~prev:(Lazy.from_val prev) cfg revised in
       let eco = Flow.select_prepared cfg eco_p in
       Alcotest.(check string)
         (name ^ ": eco export byte-identical to cold")
@@ -140,7 +140,7 @@ let test_eco_cold_fallback () =
   let revised = Mutate.design ~ratio:0.2 ~seed:3 design in
   (* A preparation-relevant config change cannot reuse anything. *)
   let cfg2 = Flow.Config.make ~max_cands_per_net:6 params in
-  let eco_p = Flow.prepare_eco ~prev cfg2 revised in
+  let eco_p = Flow.prepare_eco ~prev:(Lazy.from_val prev) cfg2 revised in
   (match eco_p.Flow.p_eco with
    | Some e ->
        Alcotest.(check bool) "fell back to cold" true e.Flow.cold_fallback;
@@ -169,7 +169,8 @@ let test_eco_reports_preparation_faults () =
   let prev = Flow.prepare cfg design in
   let sink = Operon_engine.Instrument.create () in
   let eco =
-    Flow.select_prepared ~sink cfg (Flow.prepare_eco ~sink ~prev cfg design)
+    Flow.select_prepared ~sink cfg
+      (Flow.prepare_eco ~sink ~prev:(Lazy.from_val prev) cfg design)
   in
   Alcotest.(check (array int)) "net 3 quarantined" [| 3 |]
     eco.Flow.quarantined_nets;
@@ -180,6 +181,35 @@ let test_eco_reports_preparation_faults () =
   Alcotest.(check string) "eco export byte-identical to cold" (export cold)
     (export eco)
 
+(* An injected run can reuse no baseline, so it never builds one: the
+   lazy previous preparation stays unforced, and the run still reports
+   the cold fallback, keeps the timed trace's stages in order and writes
+   the cold export. *)
+let test_injected_eco_skips_baseline () =
+  let design = Cases.small () in
+  let injections =
+    match Operon_engine.Fault.injections_of_string "codesign:3:crash" with
+    | Ok l -> l
+    | Error msg -> Alcotest.fail msg
+  in
+  let cfg = Flow.Config.make ~injections params in
+  let prev = lazy (Flow.prepare cfg design) in
+  let sink = Operon_engine.Instrument.create () in
+  let p = Flow.prepare_eco ~sink ~prev cfg design in
+  Alcotest.(check bool) "baseline never prepared" false (Lazy.is_val prev);
+  Alcotest.(check bool) "cold fallback reported" true
+    (Option.get p.Flow.p_eco).Flow.cold_fallback;
+  let eco = Flow.select_prepared ~sink cfg p in
+  Alcotest.(check (list string)) "trace stages"
+    [ "processing"; "baselines"; "codesign"; "eco"; "select"; "wdm"; "assign" ]
+    (List.map
+       (fun (r : Operon_engine.Instrument.record) ->
+         Operon_engine.Instrument.stage_name r.Operon_engine.Instrument.stage)
+       (Operon_engine.Instrument.records sink));
+  Alcotest.(check string) "eco export byte-identical to cold"
+    (export (Flow.synthesize cfg design))
+    (export eco)
+
 (* Cold and ECO preparation share the rule for the design-wide crossing
    matrix: a partitioned configuration builds none on either path. *)
 let test_eco_partitioned_context () =
@@ -188,7 +218,7 @@ let test_eco_partitioned_context () =
   let prev = Flow.prepare cfg design in
   let revised = Mutate.design ~ratio:0.1 ~seed:1 design in
   let cold = Flow.prepare cfg revised in
-  let eco = Flow.prepare_eco ~prev cfg revised in
+  let eco = Flow.prepare_eco ~prev:(Lazy.from_val prev) cfg revised in
   Alcotest.(check bool) "incremental path taken" false
     (Option.get eco.Flow.p_eco).Flow.cold_fallback;
   Alcotest.(check (pair bool bool)) "no design-wide matrix on either path"
@@ -225,7 +255,7 @@ let test_warm_start_parity () =
         (Flow.select_prepared cfg prev).Flow.choice
       in
       let revised = Mutate.design ~ratio:0.15 ~seed:11 design in
-      let p = Flow.prepare_eco ~prev cfg revised in
+      let p = Flow.prepare_eco ~prev:(Lazy.from_val prev) cfg revised in
       let ctx = p.Flow.p_ctx in
       let lr_cold = Lr_select.select ctx in
       let lr_warm = Lr_select.select ~initial ctx in
@@ -720,6 +750,8 @@ let () =
           Alcotest.test_case "warm start parity" `Quick test_warm_start_parity;
           Alcotest.test_case "eco reports preparation faults" `Quick
             test_eco_reports_preparation_faults;
+          Alcotest.test_case "injected eco skips the baseline" `Quick
+            test_injected_eco_skips_baseline;
           Alcotest.test_case "partitioned eco builds the cold context" `Quick
             test_eco_partitioned_context ] );
       ( "registry",

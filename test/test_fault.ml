@@ -189,6 +189,48 @@ let test_baselines_fault_quarantines () =
   Alcotest.(check bool) "pure electrical" true
     cands.(0).Candidate.pure_electrical
 
+(* Baseline faults on every third net of I3 (59 of 176): each injected
+   net is quarantined, in net order, and routed on exactly its
+   all-electrical fallback; the codesign stage reads each net's outcome
+   from the baselines stage rather than searching the quarantine list.
+   One and four workers give the same export. *)
+let test_many_baselines_faults () =
+  let design = Gen.generate Cases.i3 in
+  let ids = List.init 59 (fun k -> 3 * k) in
+  let injections =
+    match
+      Fault.injections_of_string
+        (String.concat ","
+           (List.map (fun i -> Printf.sprintf "baselines:%d:crash" i) ids))
+    with
+    | Ok l -> l
+    | Error msg -> Alcotest.fail msg
+  in
+  let run jobs =
+    Flow.synthesize (Flow.Config.make ~jobs ~injections Params.default) design
+  in
+  let r = run 1 in
+  Alcotest.(check int) "I3 hyper nets" 176 (Array.length r.Flow.hnets);
+  Alcotest.(check (array int)) "every injected net quarantined"
+    (Array.of_list ids) r.Flow.quarantined_nets;
+  Alcotest.(check int) "one baselines fault per injected net" 59
+    (List.length
+       (List.filter
+          (fun (f : Fault.t) -> f.Fault.stage = Instrument.Baselines)
+          r.Flow.faults));
+  let params = r.Flow.ctx.Selection.params in
+  List.iter
+    (fun i ->
+      let label what = Printf.sprintf "net %d: %s" i what in
+      Alcotest.(check bool) (label "only its electrical fallback") true
+        (r.Flow.ctx.Selection.cands.(i)
+        = Array.of_list (Codesign.electrical_only params r.Flow.hnets.(i)));
+      Alcotest.(check int) (label "fallback selected") 0 r.Flow.choice.(i))
+    ids;
+  Alcotest.(check string) "jobs 1 = jobs 4"
+    (Export.flow_to_json ~timings:false r)
+    (Export.flow_to_json ~timings:false (run 4))
+
 let test_strict_fails_fast () =
   (try
      ignore (run_tiny ~strict:true ~injections:"codesign:1:injected" ~jobs:1 ());
@@ -334,6 +376,8 @@ let () =
             test_quarantine_parallel_identical;
           Alcotest.test_case "baselines fault quarantines" `Quick
             test_baselines_fault_quarantines;
+          Alcotest.test_case "many baselines faults stay electrical" `Quick
+            test_many_baselines_faults;
           Alcotest.test_case "strict fails fast" `Quick test_strict_fails_fast;
           Alcotest.test_case "clean run reports nothing" `Quick
             test_clean_run_reports_nothing ] );

@@ -265,12 +265,107 @@ let test_inactive_partition () =
   Alcotest.(check string) "auto under threshold = flat" (no_timings off)
     (no_timings auto)
 
+(* --- Region contexts sliced from the design-wide context --- *)
+
+(* A partitioned region selects on [Selection.slice] of the design-wide
+   context. It must be the context [Selection.make_ctx] builds from the
+   region's candidate lists, with the thermal rows attached as a regional
+   profile would compute them: the same neighbour rows, bboxes and
+   fallbacks, and a crossing matrix with the same pairs, entries and
+   counts in every slot. Checked on the three partitioned CI designs,
+   with and without a thermal profile. *)
+let test_slice_equals_make_ctx () =
+  List.iter
+    (fun (name, design, regions) ->
+      let cfg =
+        Flow.Config.make ~partition:(Flow.Config.Regions regions) params
+      in
+      let plain = (Flow.prepare cfg design).Flow.p_ctx in
+      let map =
+        Operon_thermal.Thermal_map.synthetic ~hotspots:3 ~amplitude:25.0
+          ~decay:0.2 ~die:design.Signal.die (Operon_util.Prng.create 7)
+      in
+      let heated =
+        Selection.with_thermal plain (Selection.thermal_profile plain map)
+          ~weight:2.0
+      in
+      List.iter
+        (fun (variant, (ctx : Selection.ctx)) ->
+          let plan =
+            Partition.make ~regions ctx.Selection.bboxes
+              ~neighbors:ctx.Selection.neighbors
+          in
+          Array.iteri
+            (fun r ids ->
+              let label what =
+                Printf.sprintf "%s/%d %s region %d: %s" name regions variant r
+                  what
+              in
+              let rows a = Array.map (fun i -> a.(i)) ids in
+              let sliced = Selection.slice ctx ids in
+              let made =
+                Selection.make_ctx ctx.Selection.params
+                  (Array.map Array.to_list (rows ctx.Selection.cands))
+              in
+              let made =
+                match ctx.Selection.thermal with
+                | None -> made
+                | Some th ->
+                    Selection.with_thermal made
+                      { th with
+                        Selection.penalty = rows th.Selection.penalty;
+                        tcost = rows th.Selection.tcost }
+                      ~weight:th.Selection.weight
+              in
+              Alcotest.(check (array (array int))) (label "neighbour rows")
+                made.Selection.neighbors sliced.Selection.neighbors;
+              Alcotest.(check bool) (label "bboxes") true
+                (made.Selection.bboxes = sliced.Selection.bboxes);
+              Alcotest.(check (array int)) (label "elec_idx")
+                made.Selection.elec_idx sliced.Selection.elec_idx;
+              Alcotest.(check bool) (label "candidates") true
+                (made.Selection.cands = sliced.Selection.cands);
+              Alcotest.(check bool) (label "thermal rows") true
+                (made.Selection.thermal = sliced.Selection.thermal);
+              let ms = Xmatrix.stats made.Selection.xmat
+              and ss = Xmatrix.stats sliced.Selection.xmat in
+              Alcotest.(check (pair int int)) (label "matrix pairs, entries")
+                (ms.Xmatrix.pairs, ms.Xmatrix.entries)
+                (ss.Xmatrix.pairs, ss.Xmatrix.entries);
+              let differ = ref 0 in
+              Array.iteri
+                (fun i row ->
+                  Array.iteri
+                    (fun k m ->
+                      Array.iteri
+                        (fun j _ ->
+                          Array.iteri
+                            (fun n _ ->
+                              let counts x =
+                                Xmatrix.slot_counts x ~i ~k ~j ~m ~n
+                              in
+                              if
+                                counts made.Selection.xmat
+                                <> counts sliced.Selection.xmat
+                              then incr differ)
+                            sliced.Selection.cands.(m))
+                        sliced.Selection.cands.(i))
+                    row)
+                sliced.Selection.neighbors;
+              Alcotest.(check int) (label "slots whose counts differ") 0
+                !differ)
+            plan.Partition.regions)
+        [ ("plain", plain); ("thermal", heated) ])
+    [ ("small", Cases.small (), 4);
+      ("split", Cases.split (), 2);
+      ("I1", Gen.generate Cases.i1, 2) ]
+
 (* --- Flat and partitioned flows pinned to literals --- *)
 
 (* The choice (FNV-1a of the vector), the power bits, the solver path,
    the surviving track count, the crossing-matrix stats (pairs, entries,
-   hits, misses) and the Select/Wdm/Assign counters of tiny, small and
-   split, flat and partitioned, in both modes: whatever restructures
+   hits, misses) and the Codesign/Select/Wdm/Assign counters of tiny,
+   small and split, flat and partitioned, in both modes: whatever restructures
    selection or its fan-outs must reproduce them bit for bit. Each entry
    must hold at jobs 1 and at jobs 4. *)
 type pin = {
@@ -311,11 +406,20 @@ let pin_run ?(injections = []) ~jobs name mode =
 let stage_counters (r : Flow.t) =
   List.filter_map
     (fun (rcd : Instrument.record) ->
+      let row counters =
+        Some (Instrument.stage_name rcd.Instrument.stage, counters)
+      in
       match rcd.Instrument.stage with
+      | Instrument.Codesign ->
+          (* The matrix's own counters are the [cache] pin, and its build
+             time is not a count. *)
+          row
+            (List.filter
+               (fun (key, _) ->
+                 not (String.starts_with ~prefix:"xmatrix_" key))
+               (Instrument.counters rcd))
       | Instrument.Select | Instrument.Wdm | Instrument.Assign ->
-          Some
-            ( Instrument.stage_name rcd.Instrument.stage,
-              Instrument.counters rcd )
+          row (Instrument.counters rcd)
       | _ -> None)
     (Instrument.records r.Flow.trace)
 
@@ -328,7 +432,9 @@ let pinned =
         tracks = 4;
         cache = (6, 126, 99, 0);
         counters =
-          [ ( "select",
+          [ ( "codesign",
+              [ ("raw", 34); ("kept", 31); ("pruned", 3); ("queries", 16) ] );
+            ( "select",
               [ ("iterations", 2); ("demoted", 0); ("cache_hits", 99);
                 ("cache_misses", 0) ] );
             ( "wdm",
@@ -343,7 +449,9 @@ let pinned =
         tracks = 4;
         cache = (6, 126, 339, 0);
         counters =
-          [ ( "select",
+          [ ( "codesign",
+              [ ("raw", 34); ("kept", 31); ("pruned", 3); ("queries", 16) ] );
+            ( "select",
               [ ("components", 1); ("timed_out", 0); ("nodes", 1);
                 ("lp_solves", 1); ("pivots", 10); ("refactorizations", 0);
                 ("blocks_solved", 0); ("blocks_skipped", 0);
@@ -360,7 +468,9 @@ let pinned =
         tracks = 15;
         cache = (40, 1558, 761, 0);
         counters =
-          [ ( "select",
+          [ ( "codesign",
+              [ ("raw", 126); ("kept", 104); ("pruned", 22); ("queries", 75) ] );
+            ( "select",
               [ ("iterations", 3); ("demoted", 0); ("cache_hits", 761);
                 ("cache_misses", 0) ] );
             ( "wdm",
@@ -375,7 +485,9 @@ let pinned =
         tracks = 15;
         cache = (40, 1558, 2959, 0);
         counters =
-          [ ( "select",
+          [ ( "codesign",
+              [ ("raw", 126); ("kept", 104); ("pruned", 22); ("queries", 75) ] );
+            ( "select",
               [ ("components", 1); ("timed_out", 0); ("nodes", 1);
                 ("lp_solves", 1); ("pivots", 54); ("refactorizations", 0);
                 ("blocks_solved", 0); ("blocks_skipped", 0);
@@ -392,7 +504,9 @@ let pinned =
         tracks = 22;
         cache = (210, 2192, 2506, 0);
         counters =
-          [ ( "select",
+          [ ( "codesign",
+              [ ("raw", 192); ("kept", 170); ("pruned", 22); ("queries", 102) ] );
+            ( "select",
               [ ("iterations", 2); ("demoted", 0); ("cache_hits", 2506);
                 ("cache_misses", 0) ] );
             ( "wdm",
@@ -407,7 +521,9 @@ let pinned =
         tracks = 22;
         cache = (210, 2192, 5400, 0);
         counters =
-          [ ( "select",
+          [ ( "codesign",
+              [ ("raw", 192); ("kept", 170); ("pruned", 22); ("queries", 102) ] );
+            ( "select",
               [ ("components", 2); ("timed_out", 0); ("nodes", 2);
                 ("lp_solves", 2); ("pivots", 289); ("refactorizations", 3);
                 ("blocks_solved", 0); ("blocks_skipped", 0);
@@ -424,7 +540,9 @@ let pinned =
         tracks = 24;
         cache = (210, 2192, 2506, 0);
         counters =
-          [ ( "select",
+          [ ( "codesign",
+              [ ("raw", 192); ("kept", 170); ("pruned", 22); ("queries", 102) ] );
+            ( "select",
               [ ("iterations", 4); ("demoted", 0) ] );
             ( "wdm",
               [ ("regions", 2); ("connections", 53); ("tracks", 24) ] );
@@ -438,7 +556,9 @@ let pinned =
         tracks = 24;
         cache = (210, 2192, 5400, 0);
         counters =
-          [ ( "select",
+          [ ( "codesign",
+              [ ("raw", 192); ("kept", 170); ("pruned", 22); ("queries", 102) ] );
+            ( "select",
               [ ("components", 2); ("timed_out", 0); ("nodes", 2);
                 ("lp_solves", 2); ("pivots", 254); ("refactorizations", 3);
                 ("blocks_solved", 0); ("blocks_skipped", 0) ] );
@@ -454,7 +574,9 @@ let pinned =
         tracks = 24;
         cache = (12, 432, 226, 0);
         counters =
-          [ ( "select",
+          [ ( "codesign",
+              [ ("raw", 126); ("kept", 104); ("pruned", 22); ("queries", 75) ] );
+            ( "select",
               [ ("iterations", 10); ("demoted", 0) ] );
             ( "wdm",
               [ ("regions", 4); ("connections", 32); ("tracks", 24) ] );
@@ -468,7 +590,9 @@ let pinned =
         tracks = 24;
         cache = (12, 432, 856, 0);
         counters =
-          [ ( "select",
+          [ ( "codesign",
+              [ ("raw", 126); ("kept", 104); ("pruned", 22); ("queries", 75) ] );
+            ( "select",
               [ ("components", 4); ("timed_out", 0); ("nodes", 4);
                 ("lp_solves", 4); ("pivots", 29); ("refactorizations", 0);
                 ("blocks_solved", 0); ("blocks_skipped", 0) ] );
@@ -593,6 +717,8 @@ let () =
             test_partitioned_jobs_determinism_interacting;
           Alcotest.test_case "inactive partition" `Quick
             test_inactive_partition;
+          Alcotest.test_case "region context is a slice" `Quick
+            test_slice_equals_make_ctx;
           Alcotest.test_case "flat and partitioned flows pinned" `Quick
             test_flow_pinned;
           Alcotest.test_case "partitioned select injection" `Quick

@@ -633,7 +633,10 @@ let prop_contiguous_rows =
           let cfg = Flow.Config.with_jobs jobs (Flow.Config.default params) in
           let tiny = Flow.prepare cfg (Cases.tiny ~seed ()) in
           let prev = Flow.prepare cfg small in
-          let eco = Flow.prepare_eco ~prev cfg (Mutate.design ~ratio:0.1 ~seed small) in
+          let eco =
+            Flow.prepare_eco ~prev:(Lazy.from_val prev) cfg
+              (Mutate.design ~ratio:0.1 ~seed small)
+          in
           List.for_all
             (fun (ctx : Selection.ctx) ->
               Xmatrix.enabled ctx.Selection.xmat
