@@ -337,7 +337,8 @@ let micro () =
               (Hotspot.of_selection ~die:design.Signal.die ctx
                  (Selection.all_electrical ctx))));
         Test.make ~name:"partition/interacting-pairs" (Staged.stage (fun () ->
-            ignore (Crossing.interacting_pairs micro_bboxes))) ]
+            let idx = Operon_geom.Overlap.build micro_bboxes in
+            Operon_geom.Overlap.iter_pairs idx (fun _ _ -> ()))) ]
   in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
   let raw = Benchmark.all cfg [ Instance.monotonic_clock ] tests in

@@ -36,7 +36,7 @@ let () =
     (Format.asprintf "%a" Point.pp centers.(2));
 
   (* Baseline topologies (BI1S and friends). *)
-  let baselines = Bi1s.baselines (Hypernet.centers hnet) ~root:0 in
+  let baselines, _ = Bi1s.baselines (Hypernet.centers hnet) ~root:0 in
   Printf.printf "baseline topologies: %d\n" (List.length baselines);
   List.iteri
     (fun i topo ->

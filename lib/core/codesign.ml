@@ -171,26 +171,31 @@ let enumerate ?(max_cands = 16) ?(edge_crossings = fun _ -> 0) params hnet topo 
     List.sort (fun a b -> Float.compare a.Candidate.power b.Candidate.power) cands
   end
 
-let dp_power_of (c : Candidate.t) = c.Candidate.power
-
-let label_key (c : Candidate.t) =
-  let buf = Buffer.create (Array.length c.labels + 8) in
-  Buffer.add_string buf (string_of_int (Topology.node_count c.topo));
-  Buffer.add_char buf ':';
-  Array.iter
-    (fun l -> Buffer.add_char buf (match l with Candidate.Optical -> 'O' | Candidate.Electrical -> 'E'))
-    c.labels;
-  (* Distinguish same label strings on different topologies. *)
-  Buffer.add_string buf (Printf.sprintf ":%0.6f" (Topology.length Topology.L2 c.topo));
-  Buffer.contents buf
+(* The candidates on [topo], each with its dedup key: its labels, between
+   the topology's node count and L2 length, which tell equal label
+   strings on different topologies apart, formatted once per topology. *)
+let keyed topo cands =
+  let count = string_of_int (Topology.node_count topo) ^ ":" in
+  let length = Printf.sprintf ":%0.6f" (Topology.length Topology.L2 topo) in
+  List.map
+    (fun (c : Candidate.t) ->
+      let label v = match c.labels.(v) with Candidate.Optical -> 'O' | Candidate.Electrical -> 'E' in
+      (String.concat "" [ count; String.init (Array.length c.labels) label; length ], c))
+    cands
 
 type gen_stats = { raw : int; deduped : int; kept : int }
 
 type xcounts = int array array
 
+type baselines = { topos : Topology.t list; rsmt : Topology.t }
+
 let baselines (hnet : Hypernet.t) =
   let terminals = Hypernet.centers hnet in
-  if Array.length terminals <= 1 then [] else Bi1s.baselines terminals ~root:0
+  if Array.length terminals <= 1 then
+    { topos = []; rsmt = Bi1s.mst_tree Topology.L2 terminals ~root:0 }
+  else
+    let topos, rsmt = Bi1s.baselines terminals ~root:0 in
+    { topos; rsmt }
 
 (* Segments keyed by the exact bits of their endpoints, in order: float
    equality would merge -0.0 with 0.0, and an undirected key would merge
@@ -236,7 +241,7 @@ let count ~crossing_est topos =
   (rows, !calls)
 
 let crossing_counts ~crossing_est (hnet : Hypernet.t) : xcounts =
-  fst (count ~crossing_est (baselines hnet))
+  fst (count ~crossing_est (baselines hnet).topos)
 
 let adjust_counts ~sub ~add topos (cached : xcounts) =
   if
@@ -250,13 +255,10 @@ let adjust_counts ~sub ~add topos (cached : xcounts) =
   else None
 
 let generate ?(max_cands = 16) ?(max_total = 10) ~(counts : xcounts) params
-    hnet topos =
-  let terminals = Hypernet.centers hnet in
-  if Array.length terminals <= 1 then begin
-    let topo = Bi1s.mst_tree Topology.L2 terminals ~root:0 in
-    ([ Candidate.electrical params hnet topo ], { raw = 1; deduped = 1; kept = 1 })
-  end
-  else begin
+    hnet { topos; rsmt } =
+  match topos with
+  | [] -> ([ Candidate.electrical params hnet rsmt ], { raw = 1; deduped = 1; kept = 1 })
+  | _ ->
     if List.length topos <> Array.length counts then
       invalid_arg "Codesign.generate: counts shape mismatch";
     let from_dp =
@@ -266,24 +268,22 @@ let generate ?(max_cands = 16) ?(max_total = 10) ~(counts : xcounts) params
              let xc = counts.(ti) in
              if Array.length xc <> Topology.node_count topo then
                invalid_arg "Codesign.generate: counts shape mismatch";
-             enumerate ~max_cands ~edge_crossings:(fun v -> xc.(v)) params hnet
-               topo)
+             keyed topo
+               (enumerate ~max_cands ~edge_crossings:(fun v -> xc.(v)) params hnet topo))
            topos)
     in
     (* Dedicated rectilinear-Steiner electrical fallback: the best
        realisation of the a_ie variable. *)
-    let rsmt_elec = Candidate.electrical params hnet (Rsmt.tree terminals ~root:0) in
-    let all = rsmt_elec :: from_dp in
+    let all = keyed rsmt [ Candidate.electrical params hnet rsmt ] @ from_dp in
     (* Deduplicate identical labellings. *)
     let seen = Hashtbl.create 16 in
     let uniq =
-      List.filter
-        (fun c ->
-          let key = label_key c in
-          if Hashtbl.mem seen key then false
+      List.filter_map
+        (fun (key, c) ->
+          if Hashtbl.mem seen key then None
           else begin
             Hashtbl.add seen key ();
-            true
+            Some c
           end)
         all
     in
@@ -311,16 +311,15 @@ let generate ?(max_cands = 16) ?(max_total = 10) ~(counts : xcounts) params
       { raw = List.length all;
         deduped = List.length uniq;
         kept = List.length kept } )
-  end
 
 let for_hypernet_counted ?max_cands ?max_total ~counts params hnet =
   generate ?max_cands ?max_total ~counts params hnet (baselines hnet)
 
 let for_hypernet ?max_cands ?max_total ?(crossing_est = fun _ -> 0) params
     hnet =
-  let topos = baselines hnet in
-  let counts, _ = count ~crossing_est topos in
-  fst (generate ?max_cands ?max_total ~counts params hnet topos)
+  let b = baselines hnet in
+  let counts, _ = count ~crossing_est b.topos in
+  fst (generate ?max_cands ?max_total ~counts params hnet b)
 
 let electrical_only params hnet =
   let terminals = Hypernet.centers hnet in

@@ -59,13 +59,22 @@ type gen_stats = {
   kept : int;  (** after the [max_total] truncation *)
 }
 
-val baselines : Hypernet.t -> Topology.t list
-(** The hyper net's baseline topologies: {!Bi1s.baselines} over its
-    terminals, rooted at pin 0, or [[]] for a trivial single-pin net.
-    The first is the Euclidean BI1S tree, whose edges are the net's
-    entries in the design-wide crossing index. Every per-net step below
-    reads this list; the flow builds it once per net, in its baselines
-    stage. *)
+type baselines = {
+  topos : Topology.t list;
+      (** {!Bi1s.baselines} over the net's terminals, rooted at pin 0, or
+          [[]] for a trivial single-pin net. The first is the Euclidean
+          BI1S tree, whose edges are the net's entries in the design-wide
+          crossing index. *)
+  rsmt : Topology.t;
+      (** the tree of the electrical fallback: the rectilinear BI1S tree
+          {!Bi1s.baselines} built ({!Rsmt.tree}), or the one-node tree of
+          a single-pin net *)
+}
+
+val baselines : Hypernet.t -> baselines
+(** The hyper net's baseline topologies and fallback tree. Every per-net
+    step below reads them; the flow builds them once per net, in its
+    baselines stage. *)
 
 type xcounts = int array array
 (** The crossing counts one hyper net's candidate generation consumes:
@@ -110,10 +119,10 @@ val generate :
   counts:xcounts ->
   Params.t ->
   Hypernet.t ->
-  Topology.t list ->
+  baselines ->
   Candidate.t list * gen_stats
-(** [generate ~counts params hnet topos] is {!for_hypernet} on the net's
-    {!baselines} [topos] with every crossing estimate supplied up front,
+(** [generate ~counts params hnet b] is {!for_hypernet} on the net's
+    {!baselines} [b] with every crossing estimate supplied up front,
     plus generation/prune counters for the pipeline's instrumentation
     sink. Given the counts a cold run would have queried, the output is
     bit-identical to the cold run's — the heart of the ECO per-net
@@ -134,7 +143,3 @@ val electrical_only : Params.t -> Hypernet.t -> Candidate.t list
     baseline realisation of [a_ie]), with no DP and no crossing
     estimates. This is what a faulting hyper net is routed with so the
     rest of the design can proceed. *)
-
-val dp_power_of : Candidate.t -> float
-(** The power the DP bookkeeping assigns to a materialized candidate —
-    exposed for cross-checking against {!Candidate.of_labels} in tests. *)

@@ -1,6 +1,5 @@
 open Operon_geom
 open Operon_graph
-open Operon_util
 
 (* Entries live in flat arrays, entry [e] being the [e]-th input pair:
    its net, its segment and its bbox ([Segment.boxes] layout). The
@@ -120,20 +119,3 @@ let interaction_components bboxes =
   Hashtbl.fold (fun _ members acc -> Array.of_list members :: acc) groups []
   |> List.sort (fun a b -> compare a.(0) b.(0))
   |> Array.of_list
-
-let interacting_pairs bboxes =
-  let n = Array.length bboxes in
-  if n = 0 then []
-  else begin
-    (* Enumerate via the spatial index into a preallocated growable
-       buffer of (i * n + j) encodings, then sort — the index reports
-       pairs in grid order, and the historical contract is ascending
-       lexicographic. *)
-    let idx = Overlap.build bboxes in
-    let buf = Growbuf.create ~capacity:(4 * n) () in
-    Overlap.iter_pairs idx (fun i j -> Growbuf.push buf ((i * n) + j));
-    Growbuf.sort buf;
-    List.init (Growbuf.length buf) (fun k ->
-        let v = Growbuf.get buf k in
-        (v / n, v mod n))
-  end

@@ -36,7 +36,3 @@ val interaction_components : Rect.t array -> int array array
 (** Group nets whose bounding boxes overlap (transitively) into connected
     components — each becomes one independent selection subproblem.
     Input: per-net bounding box; output: arrays of net ids. *)
-
-val interacting_pairs : Rect.t array -> (int * int) list
-(** All pairs (i < j) with overlapping bounding boxes — the pairs whose
-    crossing variables the reduced formulation retains. *)

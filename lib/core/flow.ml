@@ -194,16 +194,18 @@ let stage_processing (cfg : Config.t) =
 
 (* A net's entries in the design-wide crossing index: the edges of its
    first baseline topology, the Euclidean BI1S tree. Also the unit of
-   the ECO delta indices, so both share one definition. *)
+   the ECO delta indices, so both share one definition. A net without
+   baselines has none. *)
 let index_entries (hnet : Hypernet.t) = function
-  | primary :: _ ->
+  | Some { Codesign.topos = primary :: _; _ } ->
       Array.map (fun s -> (hnet.Hypernet.id, s)) (Topology.segments primary)
-  | [] -> [||]
+  | _ -> [||]
 
-(* Every hyper net's baseline topologies, one task per net, built once:
-   their first members' edges feed the crossing estimator used while
-   pruning the co-design DP, and the codesign stage counts and runs the
-   DP on the same lists. The executor preserves net order, so the
+(* Every hyper net's baseline topologies and fallback tree, one task per
+   net, built once: the first topologies' edges feed the crossing
+   estimator used while pruning the co-design DP, and the codesign stage
+   counts and runs the DP on the same lists and routes the electrical
+   fallback on the same tree. The executor preserves net order, so the
    concatenated segment array — and hence the crossing index — is
    identical whichever backend ran it. A net whose baseline task faults
    is quarantined: its outcome is [None], it contributes no optical
@@ -232,7 +234,7 @@ let stage_baselines =
         Array.concat
           (Array.to_list
              (Array.mapi
-                (fun i t -> index_entries hnets.(i) (Option.value t ~default:[]))
+                (fun i t -> index_entries hnets.(i) t)
                 topos))
       in
       Instrument.incr rc.Runctx.sink Instrument.Baselines "segments"
@@ -312,11 +314,9 @@ let eco_plan (prev : prepared) (diff : Design_diff.t) ~die topos hnets =
     Crossing.build_index ~die (Array.concat !acc)
   in
   let idx_old =
-    delta (fun _ h -> index_entries h (Codesign.baselines h)) prev.p_hnets
+    delta (fun _ h -> index_entries h (Some (Codesign.baselines h))) prev.p_hnets
   in
-  let idx_new =
-    delta (fun i h -> index_entries h (Option.value topos.(i) ~default:[])) hnets
-  in
+  let idx_new = delta (fun i h -> index_entries h topos.(i)) hnets in
   fun i (hnet : Hypernet.t) t ->
     let cached = prev.p_xcounts.(i) in
     if not diff.Design_diff.closure.(i) then
@@ -335,7 +335,7 @@ let eco_plan (prev : prepared) (diff : Design_diff.t) ~die topos hnets =
       let id = hnet.Hypernet.id in
       let sub s = Crossing.count_crossings idx_old ~exclude_net:id s in
       let add s = Crossing.count_crossings idx_new ~exclude_net:id s in
-      match Codesign.adjust_counts ~sub ~add t cached with
+      match Codesign.adjust_counts ~sub ~add t.Codesign.topos cached with
       | Some counts when counts = cached -> Keep (prev.p_cands.(i), counts)
       | Some counts -> Patch counts
       | None ->
@@ -402,7 +402,7 @@ let stage_codesign (cfg : Config.t) ?reuse () =
                 | Patch counts -> dp counts 0
                 | Recount ->
                     let crossing_est = Crossing.estimator index ~net:id in
-                    let counts, queries = Codesign.count ~crossing_est t in
+                    let counts, queries = Codesign.count ~crossing_est t.Codesign.topos in
                     dp counts queries))
           hnets
       in

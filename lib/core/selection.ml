@@ -28,16 +28,28 @@ type ctx = {
   thermal : thermal option;
 }
 
-let optical_bbox (cands : Candidate.t array) =
-  let pts = ref [] in
-  Array.iter
-    (fun (c : Candidate.t) ->
-      Array.iter
-        (fun (s : Segment.t) ->
-          pts := s.Segment.a :: s.Segment.b :: !pts)
-        c.Candidate.opt_segments)
-    cands;
-  match !pts with [] -> None | l -> Some (Rect.of_points (Array.of_list l))
+(* The pairs i < j of nets whose optical boxes overlap, filed under the
+   upper net: net [j]'s partners below it are [below.(start.(j))] to
+   [below.(start.(j + 1) - 1)], in no particular order, the order in
+   which the spatial index over the nets with a box reports them. One
+   pass counts the pairs and a second files them: no second array of
+   pairs is needed to order them. *)
+let overlap_files bboxes =
+  let n = Array.length bboxes in
+  let compact = Array.of_list (List.filter (fun i -> bboxes.(i) <> None) (List.init n Fun.id)) in
+  let idx = Overlap.build (Array.map (fun i -> Option.get bboxes.(i)) compact) in
+  (* [compact] is ascending, so a < b implies i < j. *)
+  let start = Array.make (n + 1) 0 in
+  Overlap.iter_pairs idx (fun _ b -> start.(compact.(b) + 1) <- start.(compact.(b) + 1) + 1);
+  for j = 1 to n do
+    start.(j) <- start.(j) + start.(j - 1)
+  done;
+  let below = Array.make start.(n) 0 and cursor = Array.sub start 0 n in
+  Overlap.iter_pairs idx (fun a b ->
+      let j = compact.(b) in
+      below.(cursor.(j)) <- compact.(a);
+      cursor.(j) <- cursor.(j) + 1);
+  (start, below)
 
 let make_ctx ?(exec = Executor.sequential) ?(cache = true) ?reuse params
     cand_lists =
@@ -63,36 +75,17 @@ let make_ctx ?(exec = Executor.sequential) ?(cache = true) ?reuse params
         !best)
       cands
   in
-  let bboxes = Array.map optical_bbox cands in
+  (* Each net's live optical edges; the box around them is its optical
+     bounding box. *)
+  let edges = Array.map Xmatrix.edges cands in
+  let bboxes = Array.map Xmatrix.bbox edges in
   let n = Array.length cands in
-  (* Each net's distinct optical edges, for refining the bbox filter:
-     two nets are true neighbours only when some candidate pair actually
-     crosses — overlapping boxes of long parallel corridors are common
-     and coupling-free. Some candidate pair of [i] and [j] crosses exactly
-     when some distinct edge of [i] crosses one of [j], so each edge pair
-     whose bboxes meet is tested once. *)
-  let edges = Array.map Xmatrix.optical_edges cands in
-  let edge_boxes = Array.map Segment.boxes edges in
-  let exists_crossing i j =
-    let ei = edges.(i) and ej = edges.(j) in
-    let bi = edge_boxes.(i) and bj = edge_boxes.(j) in
-    let found = ref false and u = ref 0 in
-    while (not !found) && !u < Array.length ei do
-      let v = ref 0 in
-      while (not !found) && !v < Array.length ej do
-        if Segment.boxes_overlap bi !u bj !v && Segment.crosses_properly ei.(!u) ej.(!v)
-        then found := true;
-        incr v
-      done;
-      incr u
-    done;
-    !found
-  in
   (* ECO reuse: [ok.(i)] certifies net [i]'s candidate list is carried
      over from [prev] unchanged. For a pair of carried-over nets the
-     crossing geometry is identical, so the previous adjacency answers
-     the (expensive) edge-crossing question exactly; any pair touching
-     a recomputed net falls back to the geometry. *)
+     crossing geometry is identical, so the previous adjacency says
+     whether they link, and the previous matrix holds their rows; such a
+     pair reads no geometry. A cached context over a direct [prev] has
+     no rows to copy, so there the pair is listed like any other. *)
   let reuse =
     match reuse with
     | Some ((prev : ctx), ok)
@@ -100,67 +93,75 @@ let make_ctx ?(exec = Executor.sequential) ?(cache = true) ?reuse params
         Some (prev, ok)
     | _ -> None
   in
-  let crossing_pair i j =
-    match (bboxes.(i), bboxes.(j)) with
-    | Some bi, Some bj ->
-        Rect.overlaps bi bj && exists_crossing i j
-    | _ -> false
-  in
-  let linked =
+  let carried =
     match reuse with
-    | None -> crossing_pair
-    | Some (prev, ok) ->
-        fun i j ->
-          if ok.(i) && ok.(j) then Xmatrix.find_slot prev.neighbors.(i) j >= 0
-          else crossing_pair i j
+    | Some (prev, ok) when (not cache) || Xmatrix.enabled prev.xmat ->
+        fun i j -> if ok.(i) && ok.(j) then Some prev.neighbors.(i) else None
+    | _ -> fun _ _ -> None
   in
-  (* Enumerate candidate pairs through the spatial index over the
-     optical subset instead of the O(n²) sweep. Only bbox-overlapping
-     pairs can be linked: [crossing_pair] requires overlap outright, and
-     a reused adjacency row only ever contains pairs whose (identical,
-     certified by [ok]) geometry overlapped when the row was built — so
-     restricting [linked] to the index's pairs loses nothing. *)
-  let compact =
-    let buf = Growbuf.create ~capacity:n () in
-    for i = 0 to n - 1 do
-      if bboxes.(i) <> None then Growbuf.push buf i
-    done;
-    Growbuf.to_array buf
+  (* Two nets link when some candidate pair crosses: overlapping boxes of
+     long parallel corridors are common and coupling-free. Some candidate
+     pair of [i] and [j] crosses exactly when some live edge of [i]
+     crosses one of [j], so each pair of overlapping nets is listed once
+     and links when its list is not empty: one task per net [j] over its
+     partners below it returns how many link, which overwrite the file
+     from its front, and for a cached context their lists in the same
+     order. A direct context only asks whether a pair links. *)
+  let start, below = overlap_files bboxes in
+  let linked =
+    Executor.parallel_mapi exec
+      (fun j _ ->
+        let cross = Xmatrix.lister () in
+        let count = ref 0 and lists = ref [] in
+        let link i l =
+          below.(start.(j) + !count) <- i;
+          if cache then lists := l :: !lists;
+          incr count
+        in
+        for x = start.(j) to start.(j + 1) - 1 do
+          let i = below.(x) in
+          match carried i j with
+          | Some row -> if Xmatrix.find_slot row j >= 0 then link i [||]
+          | None ->
+              let l = cross ~first:(not cache) edges.(i) edges.(j) in
+              if Array.length l > 0 then link i l
+        done;
+        (!count, Array.of_list (List.rev !lists)))
+      cands
   in
-  let rects =
-    Array.map
-      (fun i ->
-        match bboxes.(i) with Some r -> r | None -> assert false)
-      compact
-  in
-  let pairs = Growbuf.create ~capacity:(4 * (n + 1)) () in
-  let idx = Overlap.build rects in
-  Overlap.iter_pairs idx (fun a b ->
-      (* [compact] is ascending, so a < b implies i < j. *)
-      let i = compact.(a) and j = compact.(b) in
-      if linked i j then Growbuf.push pairs ((i * n) + j));
-  (* Sorting the encoded pairs ascending makes the fill below emit every
-     row ascending — smaller partners (from pairs where the row is the
-     second coordinate, which sort first) before larger ones — the
-     property the ECO reuse's [Xmatrix.find_slot] and the ECO diff rely
-     on. *)
-  Growbuf.sort pairs;
-  let deg = Array.make n 0 in
-  Growbuf.iter
-    (fun v ->
-      deg.(v / n) <- deg.(v / n) + 1;
-      deg.(v mod n) <- deg.(v mod n) + 1)
-    pairs;
-  let neighbors = Array.init n (fun i -> Array.make deg.(i) 0) in
+  (* Ascending rows by counting. Visiting the nets [j] in ascending order
+     appends each to the rows of its linked partners below it, and the
+     pair's list to theirs, in ascending order; visiting the nets [i] in
+     ascending order then writes each into the rows of its partners above
+     it, ahead of those, in ascending order too. The ECO reuse's
+     [Xmatrix.find_slot] and the ECO diff rely on ascending rows. *)
+  let above = Array.make n 0 in
+  Array.iteri
+    (fun j (count, _) ->
+      for x = start.(j) to start.(j) + count - 1 do
+        above.(below.(x)) <- above.(below.(x)) + 1
+      done)
+    linked;
+  let neighbors = Array.mapi (fun j (count, _) -> Array.make (count + above.(j)) 0) linked in
+  let upper = Array.map (fun a -> Array.make (if cache then a else 0) [||]) above in
   let fill = Array.make n 0 in
-  Growbuf.iter
-    (fun v ->
-      let i = v / n and j = v mod n in
-      neighbors.(i).(fill.(i)) <- j;
-      fill.(i) <- fill.(i) + 1;
-      neighbors.(j).(fill.(j)) <- i;
-      fill.(j) <- fill.(j) + 1)
-    pairs;
+  Array.iteri
+    (fun j (count, lists) ->
+      for x = 0 to count - 1 do
+        let i = below.(start.(j) + x) in
+        neighbors.(i).(Array.length neighbors.(i) - above.(i) + fill.(i)) <- j;
+        if cache then upper.(i).(fill.(i)) <- lists.(x);
+        fill.(i) <- fill.(i) + 1
+      done)
+    linked;
+  Array.fill fill 0 n 0;
+  Array.iteri
+    (fun i row ->
+      for k = Array.length row - above.(i) to Array.length row - 1 do
+        neighbors.(row.(k)).(fill.(row.(k))) <- i;
+        fill.(row.(k)) <- fill.(row.(k)) + 1
+      done)
+    neighbors;
   let xmat =
     if cache then
       let xreuse =
@@ -169,7 +170,7 @@ let make_ctx ?(exec = Executor.sequential) ?(cache = true) ?reuse params
             (prev.xmat, fun i m -> ok.(i) && ok.(m)))
           reuse
       in
-      Xmatrix.build ~exec ?reuse:xreuse cands neighbors
+      Xmatrix.build ~exec ?reuse:xreuse ~lists:(edges, upper) cands neighbors
     else Xmatrix.direct cands
   in
   { params;
@@ -249,8 +250,6 @@ let with_thermal ctx profile ~weight =
   if Array.length profile.penalty <> Array.length ctx.cands then
     invalid_arg "Selection.with_thermal: profile shape mismatch";
   { ctx with thermal = Some { profile with weight } }
-
-let selected ctx choice i = ctx.cands.(i).(choice.(i))
 
 let power ctx choice =
   let acc = ref 0.0 in

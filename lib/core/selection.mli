@@ -2,9 +2,10 @@
 
     A {!ctx} precomputes, for the whole design: the candidate arrays, the
     optical bounding box of every hyper net, the Section 3.3 interaction
-    neighbourhoods (only nets with overlapping boxes can cross), each
-    net's electrical fallback, and the {!Xmatrix} crossing-count cache
-    shared by every consumer of the pairwise crossing term. Both the ILP
+    neighbourhoods (nets some pair of whose candidates cross; only nets
+    with overlapping boxes can), each net's electrical fallback, and the
+    {!Xmatrix} crossing-count cache shared by every consumer of the
+    pairwise crossing term. Both the ILP
     and the Lagrangian solver evaluate selections through this context,
     so "feasible" and "power" mean exactly the same thing to both.
 
@@ -41,7 +42,8 @@ type ctx = {
       (** optical bounding box per net ([None] if no candidate has optical
           geometry) *)
   neighbors : int array array;
-      (** nets whose optical boxes overlap this net's box *)
+      (** per net, ascending: the nets some candidate of which crosses
+          some candidate of this net *)
   elec_idx : int array;  (** per net: index of its cheapest pure-electrical
                              candidate — the Formula (3) [a_ie] variable *)
   xmat : Xmatrix.t;
@@ -62,20 +64,24 @@ val make_ctx :
   Params.t ->
   Candidate.t list array ->
   ctx
-(** Build the selection context. With [cache] (default [true]) the
-    crossing matrix is precomputed for every neighbour pair, fanning the
-    per-pair work out on [exec] (default sequential — pass the run's
-    executor to parallelize). Raises [Invalid_argument] if some net has
-    no candidates or lacks a pure-electrical fallback.
+(** Build the selection context. The crossings of every pair of nets
+    whose optical boxes overlap are listed once ({!Xmatrix.lister}); a
+    pair with any is a neighbour pair. With [cache] (default [true]) the
+    crossing matrix is written from the same lists, fanning out per net
+    on [exec] like the listing (default sequential — pass the run's
+    executor to parallelize); without it the matrix is direct and each
+    listing stops at its first crossing. Raises [Invalid_argument] if
+    some net has no candidates or lacks a pure-electrical fallback.
 
     [reuse = (prev, ok)] is the ECO fast path: [ok.(i)] certifies that
     net [i]'s candidate list is physically carried over from the
-    preparation that built [prev]. Pairs of carried-over nets answer the
-    neighbour test from [prev]'s adjacency (binary search on its sorted
-    rows) and share [prev]'s Xmatrix rows; pairs touching a recomputed
-    net evaluate the geometry as a cold build would. The resulting
-    context is bit-identical to a cold [make_ctx] on the same candidate
-    lists. Ignored when the array lengths disagree. *)
+    preparation that built [prev]. Pairs of carried-over nets take their
+    link from [prev]'s adjacency (binary search on its sorted rows) and
+    share [prev]'s Xmatrix rows without reading geometry (a cached
+    context over a direct [prev] lists them); pairs touching a
+    recomputed net evaluate the geometry as a cold build would. The
+    resulting context is bit-identical to a cold [make_ctx] on the same
+    candidate lists. Ignored when the array lengths disagree. *)
 
 val uncached : ctx -> ctx
 (** The same context with the crossing cache replaced by a direct
@@ -105,9 +111,6 @@ val with_thermal : ctx -> thermal -> weight:float -> ctx
     cache are shared (the penalties are choice-independent). Raises
     [Invalid_argument] on a negative or non-finite weight, or a profile
     built for a different candidate set. *)
-
-val selected : ctx -> int array -> int -> Candidate.t
-(** Candidate currently chosen for a net. *)
 
 val power : ctx -> int array -> float
 (** Total power of a selection (sum over nets of candidate power). *)

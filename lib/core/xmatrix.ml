@@ -68,23 +68,21 @@ let compute_counts cands i j m n =
    candidate pair; equal but physically distinct topologies get separate
    edges and simply share nothing. Only live edges (optical in some
    candidate of their topology) take part, numbered from 0 across the
-   net. Two inverse indexes say which masks a crossing of an edge sets:
-   the optical paths that run over it, numbered candidate by candidate
-   from [base.(j)], and the candidates that label it optical. *)
-type shape = {
+   net, slot by slot. *)
+type edges = {
   segs : Segment.t array;  (* live edge -> its segment *)
   boxes : float array;  (* [Segment.boxes] of [segs] *)
-  base : int array;  (* candidate -> its first path; the path count at the end *)
-  edge_paths : int array array;  (* live edge -> the paths over it *)
-  edge_cands : int array array;  (* live edge -> the candidates labelling it optical *)
+  hull : float array;  (* the box around every live edge, in the same layout *)
 }
 
 let is_optical (c : Candidate.t) v =
   Topology.parent c.Candidate.topo v >= 0 && c.Candidate.labels.(v) = Candidate.Optical
 
-(* The topology slot of every candidate, per slot the number of each
-   node's edge among the live edges (-1 when no candidate of the slot
-   labels it optical), and the live edges' segments, slot by slot. *)
+(* The topology slot of every candidate, the slots' topologies, and per
+   slot the number of each node's edge among the live edges (-1 when no
+   candidate of the slot labels it optical). The inverse indexes compute
+   these integers again rather than every net keeping them, which would
+   raise the peak heap of a design-wide context. *)
 let live_edges (cands : Candidate.t array) =
   let topos = ref [||] in
   let slot =
@@ -103,37 +101,79 @@ let live_edges (cands : Candidate.t array) =
     (fun j c ->
       Array.iteri (fun v _ -> if is_optical c v then live.(slot.(j)).(v) <- 0) live.(slot.(j)))
     cands;
-  let edges = ref [] and count = ref 0 in
-  Array.iteri
-    (fun k topo ->
+  let count = ref 0 in
+  Array.iter
+    (fun row ->
       Array.iteri
         (fun v used ->
           if used >= 0 then begin
-            live.(k).(v) <- !count;
-            incr count;
-            edges := Topology.segment_of_edge topo v :: !edges
+            row.(v) <- !count;
+            incr count
           end)
+        row)
+    live;
+  (slot, topos, live)
+
+let edges cands =
+  let _, topos, live = live_edges cands in
+  let segs = ref [] in
+  Array.iteri
+    (fun k topo ->
+      Array.iteri
+        (fun v e -> if e >= 0 then segs := Topology.segment_of_edge topo v :: !segs)
         live.(k))
     topos;
-  (slot, live, Array.of_list (List.rev !edges))
+  let segs = Array.of_list (List.rev !segs) in
+  let boxes = Segment.boxes segs in
+  let hull = [| infinity; infinity; neg_infinity; neg_infinity |] in
+  for u = 0 to Array.length segs - 1 do
+    hull.(0) <- Float.min hull.(0) boxes.(4 * u);
+    hull.(1) <- Float.min hull.(1) boxes.((4 * u) + 1);
+    hull.(2) <- Float.max hull.(2) boxes.((4 * u) + 2);
+    hull.(3) <- Float.max hull.(3) boxes.((4 * u) + 3)
+  done;
+  { segs; boxes; hull }
 
-let optical_edges cands =
-  let _, _, segs = live_edges cands in
-  segs
+let bbox e =
+  if Array.length e.segs = 0 then None
+  else Some (Rect.make ~xmin:e.hull.(0) ~ymin:e.hull.(1) ~xmax:e.hull.(2) ~ymax:e.hull.(3))
 
-let shape_of (cands : Candidate.t array) =
-  let slot, live, segs = live_edges cands in
+(* Which masks a crossing of a live edge sets, and which candidate pairs
+   of a row it makes entries: the optical paths that run over the edge,
+   numbered candidate by candidate from [base.(j)], each path's
+   candidate, and the candidates that label the edge optical, as a list
+   and as a bitmask of [cwords] words (candidate [n] is bit [n mod 63]
+   of word [n / 63]). *)
+type shape = {
+  base : int array;  (* candidate -> its first path; the path count at the end *)
+  path_cand : int array;  (* path -> its candidate *)
+  edge_paths : int array array;  (* live edge -> the paths over it *)
+  edge_cands : int array array;  (* live edge -> the candidates labelling it optical *)
+  cwords : int;
+  opt_mask : int array;  (* words [u * cwords ..]: [edge_cands.(u)] as a bitmask *)
+}
+
+let shape_of (cands : Candidate.t array) e =
+  let slot, _, live = live_edges cands and live_count = Array.length e.segs in
   let base = Array.make (Array.length cands + 1) 0 in
   Array.iteri
     (fun j (c : Candidate.t) -> base.(j + 1) <- base.(j) + Array.length c.Candidate.paths)
     cands;
-  let edge_paths = Array.make (Array.length segs) [] in
-  let edge_cands = Array.make (Array.length segs) [] in
+  let path_cand = Array.make base.(Array.length cands) 0 in
+  Array.iteri (fun j _ -> Array.fill path_cand base.(j) (base.(j + 1) - base.(j)) j) cands;
+  let cwords = (Array.length cands + 62) / 63 in
+  let opt_mask = Array.make (live_count * cwords) 0 in
+  let edge_paths = Array.make live_count [] and edge_cands = Array.make live_count [] in
   Array.iteri
     (fun j (c : Candidate.t) ->
       let index = live.(slot.(j)) in
       Array.iteri
-        (fun v e -> if is_optical c v then edge_cands.(e) <- j :: edge_cands.(e))
+        (fun v u ->
+          if is_optical c v then begin
+            edge_cands.(u) <- j :: edge_cands.(u);
+            let s = (u * cwords) + (j / 63) in
+            opt_mask.(s) <- opt_mask.(s) lor (1 lsl (j mod 63))
+          end)
         index;
       Array.iteri
         (fun p (path : Candidate.path) ->
@@ -146,37 +186,54 @@ let shape_of (cands : Candidate.t array) =
           up path.Candidate.sink_node)
         c.Candidate.paths)
     cands;
-  { segs;
-    boxes = Segment.boxes segs;
-    base;
+  { base;
+    path_cand;
     edge_paths = Array.map Array.of_list edge_paths;
-    edge_cands = Array.map Array.of_list edge_cands }
+    edge_cands = Array.map Array.of_list edge_cands;
+    cwords;
+    opt_mask }
 
-(* The crossing edge pairs of an undirected neighbour pair (si, sm): every
-   pair (u, v) of a live edge of [si] and a live edge of [sm] that cross
-   properly, each tested once and only when their bboxes meet. A pair is
-   stored as one int, [u] above bit [edge_bits] and [v] below it. *)
+(* The crossing edge pairs of two nets: every pair (u, v) of a live edge
+   of [a] and a live edge of [b] that cross properly, in (u, v) order. An
+   edge can only cross the other net where it meets that net's hull (the
+   test is closed, as [Segment.boxes_overlap] is), so only such edges are
+   tested, each pair once and only when their boxes meet. With [~first]
+   the listing stops at the first crossing. A pair is stored as one int,
+   [u] above bit [edge_bits] and [v] below it. A lister keeps its scratch
+   between calls, so it belongs to one domain. *)
 let edge_bits = 31
 
-let crossings_of si sm =
-  let buf = ref (Array.make 8 0) and len = ref 0 in
-  for u = 0 to Array.length si.segs - 1 do
-    for v = 0 to Array.length sm.segs - 1 do
-      if
-        Segment.boxes_overlap si.boxes u sm.boxes v
-        && Segment.crosses_properly si.segs.(u) sm.segs.(v)
-      then begin
-        if !len = Array.length !buf then begin
-          let grown = Array.make (2 * !len) 0 in
-          Array.blit !buf 0 grown 0 !len;
-          buf := grown
-        end;
-        !buf.(!len) <- (u lsl edge_bits) lor v;
-        incr len
+let lister () =
+  let near = ref [||] and found = ref (Array.make 8 0) in
+  fun ~first a b ->
+    let nb = Array.length b.segs in
+    if Array.length !near < nb then near := Array.make nb 0;
+    let near = !near and count = ref 0 in
+    for v = 0 to nb - 1 do
+      if Segment.boxes_overlap b.boxes v a.hull 0 then begin
+        near.(!count) <- v;
+        incr count
       end
-    done
-  done;
-  Array.sub !buf 0 !len
+    done;
+    let len = ref 0 in
+    (try
+       for u = 0 to Array.length a.segs - 1 do
+         if Segment.boxes_overlap a.boxes u b.hull 0 then
+           for x = 0 to !count - 1 do
+             let v = near.(x) in
+             if
+               Segment.boxes_overlap a.boxes u b.boxes v
+               && Segment.crosses_properly a.segs.(u) b.segs.(v)
+             then begin
+               if !len = Array.length !found then found := Array.append !found !found;
+               !found.(!len) <- (u lsl edge_bits) lor v;
+               incr len;
+               if first then raise Exit
+             end
+           done
+       done
+     with Exit -> ());
+    Array.sub !found 0 !len
 
 (* Masks. A mask over [k] crossings is one word of 1, 2 or 4 bytes up to
    32 crossings and otherwise one 8-byte word per 63 crossings, with bit
@@ -243,14 +300,18 @@ let common b w a c =
   !n
 
 (* Row [(i, m)] of [cross], the pair's crossing list, into [b] at byte
-   [row] with masks of [w] bytes. [x_first] says whether [si] is the
-   first net of the pair [cross] was listed for; the row of the second
-   net reads the same list transposed, which is exact because
-   [Segment.crosses_properly] is symmetric. Each crossing sets its bit in
-   the masks the two inverse indexes name. The masks are gathered in
-   [scratch], one int per mask word, which is left zeroed. *)
-let fill b ~row ~w cross ~x_first si sm ~scratch =
-  let words = words w and ww = Int.min w 8 in
+   [row] with masks of [w] bytes; returns the row's entries. [x_first]
+   says whether [si] is the first net of the pair [cross] was listed
+   for; the row of the second net reads the same list transposed, which
+   is exact because [Segment.crosses_properly] is symmetric. Each
+   crossing sets its bit in the masks the two inverse indexes name, and
+   ORs the candidates of [m] labelling its m-edge optical into the set of
+   the candidate of every path over its i-edge: an entry is a candidate
+   in such a set. The masks are gathered in [scratch], one int
+   per mask word, and the sets in [acc], [sm.cwords] ints per candidate
+   of [i]; both are left zeroed. *)
+let fill b ~row ~w cross ~x_first si sm ~scratch ~acc =
+  let words = words w and ww = Int.min w 8 and cw = sm.cwords in
   let low = (1 lsl edge_bits) - 1 and paths = si.base.(Array.length si.base - 1) in
   for c = 0 to Array.length cross - 1 do
     let u = if x_first then cross.(c) lsr edge_bits else cross.(c) land low in
@@ -259,7 +320,11 @@ let fill b ~row ~w cross ~x_first si sm ~scratch =
     let ps = si.edge_paths.(u) and ns = sm.edge_cands.(v) in
     for x = 0 to Array.length ps - 1 do
       let s = (ps.(x) * words) + at in
-      scratch.(s) <- scratch.(s) lor bit
+      scratch.(s) <- scratch.(s) lor bit;
+      for y = 0 to cw - 1 do
+        let s = (si.path_cand.(ps.(x)) * cw) + y in
+        acc.(s) <- acc.(s) lor sm.opt_mask.((v * cw) + y)
+      done
     done;
     for x = 0 to Array.length ns - 1 do
       let s = ((paths + ns.(x)) * words) + at in
@@ -274,33 +339,28 @@ let fill b ~row ~w cross ~x_first si sm ~scratch =
         scratch.(s) <- 0
       end
     done
-  done
+  done;
+  let entries = ref 0 in
+  for s = 0 to ((Array.length si.base - 1) * cw) - 1 do
+    entries := !entries + popcount acc.(s);
+    acc.(s) <- 0
+  done;
+  !entries
 
-(* The candidate pairs (j, n) of the row at byte [row] of [b], masks of
-   [w] bytes, with a crossing on some path of (i, j) that (m, n) labels
-   optical: the OR of j's path masks meets n's mask. [any] holds one int
-   per mask word. *)
-let row_entries b ~row ~w ~base ~nm ~any =
-  let words = words w and ww = Int.min w 8 and ni = Array.length base - 1 in
+(* The entries of the row at byte [row] of [b], masks of [w] bytes: the
+   candidate pairs (j, n) where some path mask of (i, j) meets n's
+   mask. *)
+let row_entries b ~row ~w ~base ~nm =
+  let ni = Array.length base - 1 in
   let cands = row + (base.(ni) * w) and entries = ref 0 in
   for j = 0 to ni - 1 do
-    let crossed = ref false in
-    for x = 0 to words - 1 do
-      let paths = ref 0 in
-      for p = base.(j) to base.(j + 1) - 1 do
-        paths := !paths lor word b ww (row + (p * w) + (8 * x))
+    for n = 0 to nm - 1 do
+      let p = ref base.(j) in
+      while !p < base.(j + 1) && common b w (row + (!p * w)) (cands + (n * w)) = 0 do
+        incr p
       done;
-      any.(x) <- !paths;
-      if !paths <> 0 then crossed := true
-    done;
-    if !crossed then
-      for n = 0 to nm - 1 do
-        let x = ref 0 in
-        while !x < words && any.(!x) land word b ww (cands + (n * w) + (8 * !x)) = 0 do
-          incr x
-        done;
-        if !x < words then incr entries
-      done
+      if !p < base.(j + 1) then incr entries
+    done
   done;
   !entries
 
@@ -313,7 +373,7 @@ let find_slot row m =
   done;
   if !lo < Array.length row && row.(!lo) = m then !lo else -1
 
-let build ?(exec = Executor.sequential) ?reuse cands neighbors =
+let build ?(exec = Executor.sequential) ?reuse ?lists cands neighbors =
   let t0 = Timer.now () in
   (* Mirror slots. Visiting the nets in ascending order meets the
      partners of each row in ascending order too, so with symmetric
@@ -352,79 +412,79 @@ let build ?(exec = Executor.sequential) ?reuse cands neighbors =
           if k >= 0 then Some (ptb.blocks.(i), k) else None
     | _ -> fun _ _ -> None
   in
-  (* The undirected pairs (i, m), i < m, numbered in (net, slot) order.
-     Rows are ascending, so [i]'s partners above it fill its row from slot
-     [lower.(i)] on, and slot [k] of that suffix is pair
-     [pair_base.(i) + k - lower.(i)]. *)
-  let n = Array.length neighbors in
+  (* Each undirected pair (i, m), i < m, has one crossing list:
+     [upper.(i).(k - lower.(i))] for the slot [k] of [m] in [i]'s row,
+     whose partners above [i] fill it from slot [lower.(i)] on. Handed
+     over by [lists], or listed here, one task per net; a carried-over
+     pair needs none. *)
   let lower =
     Array.mapi (fun i ms -> Array.fold_left (fun c m -> if m < i then c + 1 else c) 0 ms) neighbors
   in
-  let pair_base = Array.make (n + 1) 0 in
-  for i = 0 to n - 1 do
-    pair_base.(i + 1) <- pair_base.(i) + Array.length neighbors.(i) - lower.(i)
-  done;
-  let pair_net = Array.make pair_base.(n) 0 in
-  for i = 0 to n - 1 do
-    Array.fill pair_net pair_base.(i) (pair_base.(i + 1) - pair_base.(i)) i
-  done;
-  let pair_of i k =
+  let edges, upper =
+    match lists with
+    | Some lists -> lists
+    | None ->
+        let edges = Array.map edges cands in
+        ( edges,
+          Executor.parallel_mapi exec
+            (fun i ms ->
+              let cross = lister () in
+              Array.map
+                (fun m ->
+                  if Option.is_some (prev_row i m) then [||]
+                  else cross ~first:false edges.(i) edges.(m))
+                (Array.sub ms lower.(i) (Array.length ms - lower.(i))))
+            neighbors )
+  in
+  let crossings i k =
     let m = neighbors.(i).(k) in
-    if m > i then pair_base.(i) + k - lower.(i)
-    else pair_base.(m) + mirror.(i).(k) - lower.(m)
+    if m > i then upper.(i).(k - lower.(i)) else upper.(m).(mirror.(i).(k) - lower.(m))
   in
-  let shapes = Array.map shape_of cands in
-  (* One task per undirected pair: its crossing edge pairs, each tested
-     once. A carried-over pair needs none. *)
-  let crossings =
-    Executor.parallel_mapi exec
-      (fun p i ->
-        let m = neighbors.(i).(lower.(i) + p - pair_base.(i)) in
-        if Option.is_some (prev_row i m) then [||] else crossings_of shapes.(i) shapes.(m))
-      pair_net
-  in
+  let shapes = Array.map2 shape_of cands edges in
   (* One task per net: its block, both directions of a pair reading the
      pair's one crossing list. A row's size follows from its crossing
      count and the two nets' path and candidate counts, so the block is
      allocated once at its final size; a kept row is a byte copy of the
-     previous table's. A net's rows sit together, in the order the
-     selection engines walk them. *)
+     previous table's, whose entries are counted from its masks. A net's
+     rows sit together, in the order the selection engines walk them. *)
   let built =
     Executor.parallel_mapi exec
       (fun i ms ->
         let si = shapes.(i) in
-        let paths = si.base.(Array.length si.base - 1) in
+        let paths = si.base.(Array.length si.base - 1) and ni = Array.length cands.(i) in
         let kept = Array.map (prev_row i) ms in
         let start = Array.make (Array.length ms + 1) 0 in
-        let widest = ref 1 and cells = ref 0 in
+        let cells = ref 0 and sets = ref 0 in
         Array.iteri
           (fun k m ->
             let masks = paths + Array.length cands.(m) in
             let len =
               match kept.(k) with
               | Some (blk, pk) -> blk.start.(pk + 1) - blk.start.(pk)
-              | None -> masks * mask_bytes (Array.length crossings.(pair_of i k))
+              | None -> masks * mask_bytes (Array.length (crossings i k))
             in
-            let row_words = words (width ~len ~masks) in
-            widest := Int.max !widest row_words;
-            cells := Int.max !cells (masks * row_words);
+            cells := Int.max !cells (masks * words (width ~len ~masks));
+            sets := Int.max !sets (ni * shapes.(m).cwords);
             start.(k + 1) <- start.(k) + len)
           ms;
         let bytes = Bytes.make start.(Array.length ms) '\000' in
-        let scratch = Array.make !cells 0 and any = Array.make !widest 0 in
+        let scratch = Array.make !cells 0 and acc = Array.make !sets 0 in
         let entries = ref 0 and reused = ref 0 in
         Array.iteri
           (fun k m ->
             let row = start.(k) and nm = Array.length cands.(m) in
             let w = width ~len:(start.(k + 1) - row) ~masks:(paths + nm) in
-            (match kept.(k) with
-            | Some (blk, pk) ->
-                incr reused;
-                Bytes.blit blk.bytes blk.start.(pk) bytes row (start.(k + 1) - row)
-            | None ->
-                fill bytes ~row ~w crossings.(pair_of i k) ~x_first:(i < m) si shapes.(m)
-                  ~scratch);
-            entries := !entries + row_entries bytes ~row ~w ~base:si.base ~nm ~any)
+            entries :=
+              !entries
+              +
+              match kept.(k) with
+              | Some (blk, pk) ->
+                  incr reused;
+                  Bytes.blit blk.bytes blk.start.(pk) bytes row (start.(k + 1) - row);
+                  row_entries bytes ~row ~w ~base:si.base ~nm
+              | None ->
+                  fill bytes ~row ~w (crossings i k) ~x_first:(i < m) si shapes.(m) ~scratch
+                    ~acc)
           ms;
         ({ bytes; start; base = si.base }, !entries, !reused))
       neighbors
@@ -435,7 +495,7 @@ let build ?(exec = Executor.sequential) ?reuse cands neighbors =
         { blocks = Array.map (fun (blk, _, _) -> blk) built;
           mirror;
           neighbors;
-          pairs = 2 * pair_base.(n);
+          pairs = Array.fold_left (fun acc ms -> acc + Array.length ms) 0 neighbors;
           entries = Array.fold_left (fun acc (_, e, _) -> acc + e) 0 built;
           reused = Array.fold_left (fun acc (_, _, r) -> acc + r) 0 built;
           build_seconds = Timer.now () -. t0 };

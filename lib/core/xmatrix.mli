@@ -54,46 +54,63 @@ type stats = {
   entries : int;
       (** candidate pairs [(j, n)] of a directed pair with a non-zero
           count: some path of [(i, j)] crosses [(m, n)] *)
-  build_seconds : float;  (** wall-clock spent precomputing *)
+  build_seconds : float;
+      (** wall-clock spent in {!build}: writing the blocks, plus listing
+          the crossings when no [lists] were handed over *)
   hits : int;  (** reads answered from the table *)
   misses : int;  (** reads that recomputed the geometry *)
 }
 
+type edges
+(** One net's live optical edges — every edge some candidate labels
+    optical, once per topology value — with their boxes and the box
+    around them all. A segment crosses one exactly when it crosses some
+    candidate's [opt_segments]. *)
+
+val edges : Candidate.t array -> edges
+
+val bbox : edges -> Operon_geom.Rect.t option
+(** The net's optical bounding box, [None] without live edges. *)
+
+val lister : unit -> first:bool -> edges -> edges -> int array
+(** [lister ()] lists two nets' crossings: [list ~first a b] holds each
+    pair of a live edge of [a] and one of [b] that cross properly, in
+    lexicographic order, testing only the edges that meet the other
+    net's box; with [~first] it stops at the first. It keeps scratch
+    between calls: one domain may use it. *)
+
 val build :
   ?exec:Operon_util.Executor.t ->
   ?reuse:t * (int -> int -> bool) ->
+  ?lists:edges array * int array array array ->
   Candidate.t array array ->
   int array array ->
   t
 (** [build ~exec cands neighbors] precomputes the matrix for every
-    directed neighbour pair [(i, m)] with [m] in [neighbors.(i)]. The work
-    fans out on [exec] (default sequential) twice. First, one task per
-    undirected pair lists the crossings between the two nets' distinct
-    optical edges, testing each edge pair once and skipping pairs whose
-    bboxes are disjoint. Then one task per net writes that net's block,
-    allocated once at its final size: each of its rows sets one bit per
-    crossing in the masks of the paths and candidates that cross there.
-    Rows [(i, m)] and [(m, i)] read the pair's one list, the second
-    transposed. Results are merged in deterministic order, so the matrix
-    contents do not depend on the backend. [neighbors] must be
-    symmetric with ascending rows and no net in its own row (as built by
-    [Selection.make_ctx]); raises [Invalid_argument] otherwise.
+    directed neighbour pair [(i, m)] with [m] in [neighbors.(i)]. Each
+    undirected pair has one crossing list ({!lister}), its crossings
+    numbered in order. One task per net on [exec] (default sequential)
+    writes that net's block, allocated once at its final size: each
+    crossing sets one bit in the masks of the paths and candidates that
+    cross there and counts the row's {!stats.entries}. Rows [(i, m)] and
+    [(m, i)] read the pair's one list, the second transposed. Results
+    merge in net order, so the contents do not depend on the backend.
+    [neighbors] must be symmetric with ascending rows and no net in its
+    own row (as built by [Selection.make_ctx]); raises
+    [Invalid_argument] otherwise.
+
+    [lists = (edges, upper)] hands over lists already made:
+    [edges.(i) = edges cands.(i)], and [upper.(i).(x)] lists [i] against
+    the [x]-th net of its row above [i] ([[||]] for a pair [reuse]
+    keeps). Without it they are made here, one task per net.
 
     [reuse = (prev, keep)] is the ECO fast path: when [keep i m] holds —
     the caller certifies both nets' candidate arrays are carried over
     from [prev] unchanged — and [prev] has rows for the pair, both rows
-    [(i, m)] and [(m, i)] are byte copies of [prev]'s: the pair's
-    crossing list, and so its masks, are the same. [keep] must be
-    symmetric. Contents are bit-identical either way; only
-    {!reused_rows} and the build time differ. A [direct] [prev]
-    contributes nothing. *)
-
-val optical_edges : Candidate.t array -> Operon_geom.Segment.t array
-(** The distinct optical edges of one net's candidates: the segment of
-    every edge that some candidate labels optical, once per topology value
-    the candidates label. Any segment crosses one of these exactly when it
-    crosses some candidate's [opt_segments], which repeat the same
-    segments once per candidate. *)
+    are byte copies of [prev]'s (same list, same masks), whose entries
+    are counted from their masks. [keep] must be symmetric. Contents are
+    bit-identical either way; only {!reused_rows} and the build time
+    differ. A [direct] [prev] contributes nothing. *)
 
 val direct : Candidate.t array array -> t
 (** A cache-free matrix over the same candidates: every read recomputes

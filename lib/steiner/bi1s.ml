@@ -196,24 +196,28 @@ let shape_key t =
 let baselines terminals ~root =
   let n = Array.length terminals in
   if n = 0 then invalid_arg "Bi1s.baselines: no terminals";
-  if n = 1 then [ mst_tree Topology.L2 terminals ~root ]
+  if n = 1 then
+    let t = mst_tree Topology.L2 terminals ~root in
+    ([ t ], t)
   else begin
     let primary = build Topology.L2 terminals ~root in
+    let rect = build Topology.L1 terminals ~root in
     let cands =
       [ primary;
         subdivide primary ~max_len:1.5;
         mst_tree Topology.L2 terminals ~root;
-        build Topology.L1 terminals ~root ]
+        rect ]
       @ (if n <= 6 then [ star terminals ~root ] else [])
     in
     let seen = Hashtbl.create 8 in
-    List.filter
-      (fun t ->
-        let key = shape_key t in
-        if Hashtbl.mem seen key then false
-        else begin
-          Hashtbl.add seen key ();
-          true
-        end)
-      cands
+    ( List.filter
+        (fun t ->
+          let key = shape_key t in
+          if Hashtbl.mem seen key then false
+          else begin
+            Hashtbl.add seen key ();
+            true
+          end)
+        cands,
+      rect )
   end

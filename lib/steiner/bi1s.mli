@@ -35,7 +35,9 @@ val subdivide : Topology.t -> max_len:float -> Topology.t
     co-design DP intermediate EO/OE conversion sites — without them a
     two-pin net could only be entirely optical or entirely electrical. *)
 
-val baselines : Point.t array -> root:int -> Topology.t list
+val baselines : Point.t array -> root:int -> Topology.t list * Topology.t
 (** A small diverse set of baseline topologies for the co-design DP: the
     Euclidean BI1S tree, the Euclidean MST, the rectilinear BI1S tree, and
-    (for small nets) the root-star. Duplicate shapes are removed. *)
+    (for small nets) the root-star. Duplicate shapes are removed. Second,
+    the rectilinear BI1S tree itself ({!Rsmt.tree}), whether or not its
+    shape survived; for a single terminal, its one-node tree. *)

@@ -106,14 +106,16 @@ let test_dp_includes_electrical () =
     (List.exists (fun c -> c.Candidate.pure_electrical) cands)
 
 let test_dp_power_cross_check () =
-  (* dp_power_of must match the DP's own root pow_e via materialization *)
+  (* The power the DP's bookkeeping reached for a labelling is the power
+     of the candidate materialized from it. *)
   let centers = [| p 0.0 0.0; p 2.0 1.0; p 1.0 3.0 |] in
   let hnet = hnet_of_centers centers in
   let topo = Bi1s.build Topology.L2 centers ~root:0 in
   List.iter
     (fun c ->
+      let built = Candidate.of_labels params hnet c.Candidate.topo c.Candidate.labels in
       Alcotest.(check bool) "power consistent" true
-        (Float.abs (Codesign.dp_power_of c -. c.Candidate.power) < 1e-9))
+        (Float.abs (built.Candidate.power -. c.Candidate.power) < 1e-9))
     (Codesign.enumerate params hnet topo)
 
 let test_wide_bus_prefers_optical () =
@@ -260,7 +262,7 @@ let prop_shared_topologies =
       done;
       let hnet = hnet_of_centers ~bits:(1 + Operon_util.Prng.int rng 31) centers in
       let est s = Hashtbl.hash (key s) mod 5 in
-      let baselines = Bi1s.baselines centers ~root:0 in
+      let baselines, _ = Bi1s.baselines centers ~root:0 in
       let distinct = Hashtbl.create 32 in
       let reference =
         Array.of_list
@@ -283,24 +285,35 @@ let prop_shared_topologies =
         Hashtbl.replace seen (key s) ();
         est s
       in
-      let topos = Codesign.baselines hnet in
-      let counts, queries = Codesign.count ~crossing_est:counting topos in
-      let shared, _ = Codesign.generate ~counts params hnet topos in
+      let b = Codesign.baselines hnet in
+      let counts, queries = Codesign.count ~crossing_est:counting b.Codesign.topos in
+      let shared, _ = Codesign.generate ~counts params hnet b in
       let per_net = Codesign.for_hypernet ~crossing_est:est params hnet in
+      (* The electrical fallback routed on the baselines' rectilinear tree
+         is the one routed on a fresh [Rsmt.tree], and so is the DP's
+         output around it. *)
+      let rsmt = Rsmt.tree centers ~root:0 in
+      let on_rsmt, _ = Codesign.generate ~counts params hnet { b with Codesign.rsmt } in
+      let same (a : Candidate.t) (b : Candidate.t) =
+        a.Candidate.labels = b.Candidate.labels
+        && Int64.equal
+             (Int64.bits_of_float a.Candidate.power)
+             (Int64.bits_of_float b.Candidate.power)
+        && a = b
+      in
+      let same_lists xs ys = List.length xs = List.length ys && List.for_all2 same xs ys in
       counts = reference
       && Codesign.crossing_counts ~crossing_est:est hnet = reference
       && (not !repeated)
       && !calls = Hashtbl.length distinct
       && queries = !calls
-      && List.length shared = List.length per_net
-      && List.for_all2
-           (fun (a : Candidate.t) (b : Candidate.t) ->
-             a.Candidate.labels = b.Candidate.labels
-             && Int64.equal
-                  (Int64.bits_of_float a.Candidate.power)
-                  (Int64.bits_of_float b.Candidate.power)
-             && a = b)
-           shared per_net)
+      && same_lists shared per_net
+      && same
+           (Candidate.electrical params hnet b.Codesign.rsmt)
+           (Candidate.electrical params hnet rsmt)
+      && same_lists shared on_rsmt
+      && same_lists (Codesign.electrical_only params hnet)
+           [ Candidate.electrical params hnet rsmt ])
 
 let () =
   Alcotest.run "codesign"

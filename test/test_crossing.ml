@@ -193,10 +193,16 @@ let test_components_all_disjoint () =
   let comps = Crossing.interaction_components boxes in
   Alcotest.(check int) "all singletons" 5 (Array.length comps)
 
-let test_interacting_pairs () =
+(* The interacting pairs (i < j, boxes overlapping) the spatial index
+   reports, collected and sorted. *)
+let overlap_pairs boxes =
+  let acc = ref [] in
+  Overlap.iter_pairs (Overlap.build boxes) (fun i j -> acc := (i, j) :: !acc);
+  List.sort compare !acc
+
+let test_overlap_pairs () =
   let boxes = [| rect 0.0 0.0 2.0 2.0; rect 1.0 1.0 3.0 3.0; rect 9.0 9.0 10.0 10.0 |] in
-  Alcotest.(check (list (pair int int))) "single pair" [ (0, 1) ]
-    (Crossing.interacting_pairs boxes)
+  Alcotest.(check (list (pair int int))) "single pair" [ (0, 1) ] (overlap_pairs boxes)
 
 let prop_components_partition =
   QCheck.Test.make ~name:"components partition the nets" ~count:100
@@ -226,8 +232,7 @@ let prop_pairs_within_components =
       let comps = Crossing.interaction_components boxes in
       let comp_of = Array.make (Array.length boxes) (-1) in
       Array.iteri (fun ci members -> Array.iter (fun i -> comp_of.(i) <- ci) members) comps;
-      List.for_all (fun (i, j) -> comp_of.(i) = comp_of.(j))
-        (Crossing.interacting_pairs boxes))
+      List.for_all (fun (i, j) -> comp_of.(i) = comp_of.(j)) (overlap_pairs boxes))
 
 let () =
   Alcotest.run "crossing"
@@ -245,6 +250,6 @@ let () =
       ( "interaction",
         [ Alcotest.test_case "components" `Quick test_components;
           Alcotest.test_case "disjoint" `Quick test_components_all_disjoint;
-          Alcotest.test_case "pairs" `Quick test_interacting_pairs;
+          Alcotest.test_case "pairs" `Quick test_overlap_pairs;
           QCheck_alcotest.to_alcotest prop_components_partition;
           QCheck_alcotest.to_alcotest prop_pairs_within_components ] ) ]

@@ -67,11 +67,15 @@ let spec_gen =
       (quad (float_range 0.0 8.0) (float_range 0.0 8.0)
          (float_range 0.0 2.0) (float_range 0.0 2.0)))
 
+(* The pairs [Overlap.iter_pairs] reports, collected and sorted: the
+   index promises each overlapping pair once, in no particular order. *)
 let prop_pairs_match_naive =
   QCheck.Test.make ~name:"interacting_pairs = naive pairwise sweep"
     ~count:200 spec_gen (fun specs ->
       let boxes = boxes_of_specs specs in
-      Crossing.interacting_pairs boxes = naive_pairs boxes)
+      let acc = ref [] in
+      Overlap.iter_pairs (Overlap.build boxes) (fun i j -> acc := (i, j) :: !acc);
+      List.sort compare !acc = naive_pairs boxes)
 
 let prop_components_match_naive =
   QCheck.Test.make ~name:"interaction_components = naive DSU" ~count:200

@@ -177,7 +177,7 @@ let test_subdivide_noop () =
 
 let test_baselines_diverse () =
   let pts = [| p 0.0 0.0; p 2.0 0.0; p 0.0 2.0; p 2.0 2.0 |] in
-  let bs = Bi1s.baselines pts ~root:0 in
+  let bs, _ = Bi1s.baselines pts ~root:0 in
   Alcotest.(check bool) "at least two shapes" true (List.length bs >= 2);
   List.iter
     (fun t ->

@@ -374,6 +374,26 @@ let test_wide_values () =
   Alcotest.(check bool) "readers agree with direct" true
     (agrees_with_direct xmat ctx (Prng.create 1))
 
+(* Entries past 63 candidates, where a candidate bitmask takes two
+   words: net 0 has 70 copies of one optical candidate, net 1 66 optical
+   candidates on physically distinct copies of one topology, each with
+   an all-electrical candidate; every optical pair crosses once. *)
+let test_many_candidates () =
+  let copies k f = List.init k (fun _ -> f ()) in
+  let cands =
+    [| (match simple_cands 0 (p 0.0 2.0) (p 4.0 2.0) with
+       | optical :: rest -> copies 70 (fun () -> optical) @ rest
+       | [] -> []);
+       copies 66 (fun () -> List.hd (simple_cands 1 (p 2.0 0.0) (p 2.0 4.0)))
+       @ [ List.nth (simple_cands 1 (p 2.0 0.0) (p 2.0 4.0)) 1 ] |]
+  in
+  List.iter
+    (fun jobs ->
+      let ctx = Selection.make_ctx ~exec:(Executor.create ~jobs) params cands in
+      Alcotest.(check int) "entries" (2 * 70 * 66) (Xmatrix.stats ctx.Selection.xmat).Xmatrix.entries;
+      Alcotest.(check bool) "rows match geometry" true (check_rows ctx.Selection.xmat ctx))
+    [ 1; 4 ]
+
 (* ECO reuse copies a kept pair's rows byte for byte. Net 0 fans three
    near-horizontal paths out of (-1, 0), as four identical candidates;
    net 1's three vertical bars reach one, two and all three of them.
@@ -530,6 +550,51 @@ let pooled_neighbor_rows (cands : Candidate.t array array) =
   Array.init n (fun i ->
       Array.of_list (List.filter (fun j -> j <> i && linked i j) (List.init n Fun.id)))
 
+(* Nets at the boundary of the listing's hull test, whose overlap test is
+   closed. Net 0 is an L from (0, 0) to (4, 4) through (4, 0), so its
+   hull is [0, 4] x [0, 4]. Net 1 lies inside that hull, away from both
+   legs: the two boxes overlap, but no edge of net 0 meets net 1's hull,
+   so they do not link. Net 2 runs from (-1, 5) to (0, 4), an edge whose
+   box meets net 0's hull in the one point (0, 4), then down across the
+   bottom leg at x = 2.4 to (3, -1), so it links with one crossing; its
+   hull's side x = 3 touches net 1's and net 3's, and it crosses neither.
+   Net 3, a horizontal across the right leg at y = 2, has a hull of no
+   height. *)
+let hull_boundary_cands () =
+  [| chain_net ~id:0 (p 0.0 0.0) (p 4.0 4.0) [| p 4.0 0.0 |];
+     simple_cands 1 (p 3.0 1.0) (p 3.5 1.5);
+     chain_net ~id:2 (p (-1.0) 5.0) (p 3.0 (-1.0)) [| p 0.0 4.0 |];
+     simple_cands 3 (p 3.0 2.0) (p 5.0 2.0) |]
+
+(* Two single-edge nets whose boxes meet only on the line x = 6753,
+   across two ulps of y, found by a search over near-collinear pairs at
+   coordinates of ~1e4, beyond the bound under which the crossing
+   predicate is exact (DESIGN §17): [Segment.crosses_properly] reads the
+   two edges as crossing. The geometry oracles count that crossing, so
+   the listing, whose hull and box tests are closed, must list it. *)
+let touching_pair () =
+  [| simple_cands 0 (p 302.0 0x1.e36f0ae21ed5fp+11) (p 6753.0 0x1.d1dc93e8d03a4p+10);
+     simple_cands 1 (p 6753.0 0x1.d1dc93e8d03a5p+10) (p 13969.0 (-0x1.7a3a0883f8d2p+8)) |]
+
+let test_hull_boundary () =
+  List.iter
+    (fun (cache, jobs) ->
+      let name s = Printf.sprintf "%s (cache %b, jobs %d)" s cache jobs in
+      List.iter
+        (fun (cands, rows, (i, m)) ->
+          let ctx = Selection.make_ctx ~exec:(Executor.create ~jobs) ~cache params cands in
+          Alcotest.(check (array (array int))) (name "neighbour rows") rows
+            ctx.Selection.neighbors;
+          Alcotest.(check (array (array int))) (name "pooled rule")
+            (pooled_neighbor_rows ctx.Selection.cands) ctx.Selection.neighbors;
+          Alcotest.(check (array int)) (name "one crossing on the touching net's path") [| 1 |]
+            (Xmatrix.slot_counts ctx.Selection.xmat ~i ~k:0 ~j:0 ~m ~n:0);
+          Alcotest.(check bool) (name "rows match geometry") true
+            (check_rows ctx.Selection.xmat ctx))
+        [ (hull_boundary_cands (), [| [| 2; 3 |]; [||]; [| 0 |]; [| 0 |] |], (2, 0));
+          (touching_pair (), [| [| 1 |]; [| 0 |] |], (0, 1)) ])
+    [ (false, 1); (true, 1); (true, 4) ]
+
 let prop_neighbor_rows_match_pooled_rule =
   QCheck.Test.make ~name:"neighbour rows = pooled opt_segments rule" ~count:10
     QCheck.(int_range 1 10000)
@@ -540,12 +605,19 @@ let prop_neighbor_rows_match_pooled_rule =
       in
       List.for_all
         (fun cand_lists ->
-          let ctx = Selection.make_ctx ~cache:false params cand_lists in
-          ctx.Selection.neighbors = pooled_neighbor_rows ctx.Selection.cands)
+          List.for_all
+            (fun (cache, jobs) ->
+              let ctx =
+                Selection.make_ctx ~exec:(Executor.create ~jobs) ~cache params cand_lists
+              in
+              ctx.Selection.neighbors = pooled_neighbor_rows ctx.Selection.cands)
+            [ (false, 1); (true, 1); (false, 4); (true, 4) ])
         [ design_cands (Cases.tiny ~seed ());
           design_cands (Cases.small ~seed ());
           shared_topology_cands ();
-          crossing_pair () ])
+          crossing_pair ();
+          hull_boundary_cands ();
+          touching_pair () ])
 
 (* Parallel build (jobs=4) produces exactly the sequential matrix. *)
 let test_parallel_build_deterministic () =
@@ -905,12 +977,14 @@ let () =
             test_parallel_build_deterministic;
           Alcotest.test_case "shared-topology tables (jobs 1/4)" `Quick
             test_shared_topology_parity;
-          QCheck_alcotest.to_alcotest prop_neighbor_rows_match_pooled_rule ] );
+          QCheck_alcotest.to_alcotest prop_neighbor_rows_match_pooled_rule;
+          Alcotest.test_case "hull boundary" `Quick test_hull_boundary ] );
       ( "packed",
         [ QCheck_alcotest.to_alcotest prop_packed_equals_direct;
           Alcotest.test_case "multi-word masks, a wide star row" `Quick test_wide_values;
           Alcotest.test_case "eco reuse copies a kept pair" `Quick test_reuse_keeps_pair;
           Alcotest.test_case "mask widths at word boundaries" `Quick test_mask_widths;
+          Alcotest.test_case "entries past 63 candidates" `Quick test_many_candidates;
           Alcotest.test_case "reads allocate nothing" `Quick test_reads_allocate_nothing ] );
       ( "parity",
         [ QCheck_alcotest.to_alcotest prop_random_design_parity;
