@@ -500,7 +500,9 @@ let select_region rc (cfg : Config.t) ?initial ctx =
             ("pivots", r.Ilp_select.pivots);
             ("refactorizations", r.Ilp_select.refactorizations);
             ("blocks_solved", r.Ilp_select.blocks_solved);
-            ("blocks_skipped", r.Ilp_select.blocks_skipped) ] )
+            ("blocks_skipped", r.Ilp_select.blocks_skipped);
+            ("guard_rows", r.Ilp_select.guard_rows);
+            ("guard_skipped", r.Ilp_select.guard_skipped) ] )
     | "lr" ->
         Runctx.check_inject rc ~stage:Instrument.Select ();
         let r = Lr_select.select ~budget_seconds ?initial ctx in

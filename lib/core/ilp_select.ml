@@ -15,31 +15,48 @@ type result = {
   refactorizations : int;
   blocks_solved : int;
   blocks_skipped : int;
+  guard_rows : int;
+  guard_skipped : int;
   elapsed : float;
 }
 
 (* Per-[select] state over all nets, shared by every block program.
-   [pos.(i)] is net [i]'s index in the current block (-1 outside it) and
-   [seen.(m)] marks a frozen neighbour whose guard rows are already
-   built; [solve_block] sets both for its block and clears them again
-   before returning, so building a program costs no hash lookups.
-   [coupling] is the buffer coupling weights are read into, grown on
-   demand.
+   [pos.(i)] is net [i]'s index in the current block (-1 outside it).
+
+   [adj_n] and [adj_at] hold, for every net next to the current block,
+   the block nets adjacent to it, in its slot order: [adj_n.(m)] of them
+   (0 for every other net), the [s]-th being [adj_m.(adj_at.(m) + s)] at
+   slot [adj_k.(adj_at.(m) + s)] of [m]'s row. [solve_block] sets [pos]
+   and [adj_n] for its block and clears them again before returning, so
+   building a program costs no hash lookups. [adj_k], [adj_m] and the
+   [coupling] buffer that coupling weights are read into grow on demand.
 
    [terms.(m)] caches the crossing terms of net [m] at [current.(m)]
    against every neighbour at its current candidate, [[||]] until read:
    the loss [Xmatrix.add_losses] adds for slot [k] and path [q] sits at
    [k * paths + q]. Terms start at -0.0, the exact additive identity
    ([x +. -0.0 = x] for every [x]), which a zero count leaves in place,
-   so adding every term equals adding only the non-zero ones. A net's
-   terms are dropped whenever it or a neighbour changes choice
-   ([set_choice]); a guard constant therefore folds exactly the floats a
-   fresh read of its frozen slots would add, in the same order. *)
+   so adding every term equals adding only the non-zero ones.
+   [loss.(m).(q)] is path [q]'s full current loss: its intrinsic loss
+   (plus its thermal penalty) plus every term of the path, in slot order.
+   A net's terms and losses are dropped whenever it or a neighbour
+   changes choice ([set_choice]); a guard constant therefore folds
+   exactly the floats a fresh read of its frozen slots would add, in the
+   same order.
+
+   [guard_rows] and [guard_skipped] count the frozen neighbours' path
+   rows built and the ones left out because they cannot bind. *)
 type scratch = {
   pos : int array;
-  seen : bool array;
+  adj_n : int array;
+  adj_at : int array;
+  mutable adj_k : int array;
+  mutable adj_m : int array;
   terms : float array array;
+  loss : float array array;
   mutable coupling : float array;
+  mutable guard_rows : int;
+  mutable guard_skipped : int;
 }
 
 (* Every change to [current] after the start goes through here. *)
@@ -47,7 +64,12 @@ let set_choice sc neighbors current i j =
   if current.(i) <> j then begin
     current.(i) <- j;
     sc.terms.(i) <- [||];
-    Array.iter (fun m -> sc.terms.(m) <- [||]) neighbors.(i)
+    sc.loss.(i) <- [||];
+    Array.iter
+      (fun m ->
+        sc.terms.(m) <- [||];
+        sc.loss.(m) <- [||])
+      neighbors.(i)
   end
 
 (* Solve the Formula (3) ILP for the nets of [block], with every net
@@ -153,30 +175,56 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
         incr ny;
         v
   in
-  (* The block nets adjacent to a net, in slot order: [block_slots i]
-     stores the [s]-th one's slot in [i]'s row at [slot_k.(s)] and the net
-     at [slot_m.(s)], and returns their count. Each block net is looked up
-     in [i]'s ascending row, so the cost follows the block's size rather
-     than [i]'s degree. *)
+  (* Block adjacency, gathered once per block from the block nets' rows:
+     each net [m] next to the block gets the block nets adjacent to it
+     with [m]'s slot for each, the mirror of the block net's slot for
+     [m]. A direct matrix keeps no mirrors, so there the slot is looked
+     up. [touched] lists those nets in the order a walk of the block
+     nets' rows first meets them. The lists are filled back to front
+     from the highest block net down, so each ends up in ascending net
+     order, which is slot order. *)
+  let mirror =
+    if Xmatrix.enabled xmat then fun i k -> Xmatrix.mirror xmat ~i ~k
+    else fun i k -> Xmatrix.find_slot neighbors.(neighbors.(i).(k)) i
+  in
+  let adj_n = sc.adj_n and adj_at = sc.adj_at in
+  let touched = ref [] and total = ref 0 in
+  Array.iter
+    (fun i ->
+      Array.iter
+        (fun m ->
+          if adj_n.(m) = 0 then touched := m :: !touched;
+          adj_n.(m) <- adj_n.(m) + 1)
+        neighbors.(i);
+      total := !total + Array.length neighbors.(i))
+    block;
+  let touched = List.rev !touched in
+  if Array.length sc.adj_k < !total then begin
+    let size = Stdlib.max !total (2 * Array.length sc.adj_k) in
+    sc.adj_k <- Array.make size 0;
+    sc.adj_m <- Array.make size 0
+  end;
+  let adj_k = sc.adj_k and adj_m = sc.adj_m in
+  let ends = ref 0 in
+  List.iter
+    (fun m ->
+      ends := !ends + adj_n.(m);
+      adj_at.(m) <- !ends)
+    touched;
   let sorted_block = Array.copy block in
   Array.sort Int.compare sorted_block;
-  let slot_k = Array.make (Array.length block) 0 in
-  let slot_m = Array.make (Array.length block) 0 in
-  let block_slots i =
-    let ns = ref 0 in
-    Array.iter
-      (fun m ->
-        let k = Xmatrix.find_slot neighbors.(i) m in
-        if k >= 0 then begin
-          slot_k.(!ns) <- k;
-          slot_m.(!ns) <- m;
-          incr ns
-        end)
-      sorted_block;
-    !ns
-  in
+  for b = Array.length sorted_block - 1 downto 0 do
+    let i = sorted_block.(b) in
+    Array.iteri
+      (fun k m ->
+        let s = adj_at.(m) - 1 in
+        adj_at.(m) <- s;
+        adj_k.(s) <- mirror i k;
+        adj_m.(s) <- i)
+      neighbors.(i)
+  done;
   (* The coupling of candidate (i, j)'s [np] paths against every
-     admissible candidate of the first [ns] block slots, read into
+     admissible candidate of the block nets adjacent to [i], read into
      [sc.coupling] (valid until the next call): one read per (net,
      candidate) pair in slot then candidate order, the [r]-th pair owning
      entries [r * np] to [r * np + np - 1]. Entries start at -0.0, which
@@ -184,10 +232,11 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
      the count's bundled loss otherwise (-0.0 +. x = x for every
      x >= +0.0), so a clear sign bit marks a non-zero count even where
      its loss is +0.0. *)
-  let read_coupling ~i ~j ~np ns =
+  let read_coupling ~i ~j ~np =
+    let first = adj_at.(i) and last = adj_at.(i) + adj_n.(i) - 1 in
     let pairs = ref 0 in
-    for s = 0 to ns - 1 do
-      pairs := !pairs + nadm.(pos.(slot_m.(s)))
+    for s = first to last do
+      pairs := !pairs + nadm.(pos.(adj_m.(s)))
     done;
     let size = !pairs * np in
     if Array.length sc.coupling < size then
@@ -196,8 +245,8 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
     Array.fill w 0 size (-0.0);
     if np > 0 then begin
       let off = ref 0 in
-      for s = 0 to ns - 1 do
-        let k = slot_k.(s) and m = slot_m.(s) in
+      for s = first to last do
+        let k = adj_k.(s) and m = adj_m.(s) in
         let vars = x_var.(pos.(m)) in
         for n = 0 to Array.length vars - 1 do
           if vars.(n) >= 0 then begin
@@ -209,12 +258,12 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
     end;
     w
   in
-  (* Coupling terms of path [p], the last pair read first:
-     [term m n loss] for every pair crossing [p]. *)
-  let coupling w ~np ns p term =
+  (* Coupling terms of path [p] of the net [i] read into [w], the last
+     pair read first: [term m n loss] for every pair crossing [p]. *)
+  let coupling w ~np i p term =
     let terms = ref [] and off = ref p in
-    for s = 0 to ns - 1 do
-      let m = slot_m.(s) in
+    for s = adj_at.(i) to adj_at.(i) + adj_n.(i) - 1 do
+      let m = adj_m.(s) in
       let vars = x_var.(pos.(m)) in
       for n = 0 to Array.length vars - 1 do
         if vars.(n) >= 0 then begin
@@ -231,23 +280,49 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
   let block_rows = ref [] in
   Array.iter
     (fun (i, js) ->
-      let ns = block_slots i in
       List.iter
         (fun (j, adjusted) ->
           let np = Array.length adjusted in
-          let w = read_coupling ~i ~j ~np ns in
+          let w = read_coupling ~i ~j ~np in
           Array.iteri
             (fun p intrinsic ->
-              let terms = coupling w ~np ns p (fun m n w -> (y_of (i, j) (m, n), w)) in
+              let terms = coupling w ~np i p (fun m n w -> (y_of (i, j) (m, n), w)) in
               if terms <> [] then block_rows := ((i, j), intrinsic, terms) :: !block_rows)
             adjusted)
         js)
     admissible;
   (* Guard rows for frozen neighbours' paths: their loss must stay within
-     budget as block nets move. Each row's constant is the path's
-     intrinsic loss (plus its thermal penalty) plus the crossings from all
-     non-block neighbours of m, which are frozen too: m's cached terms,
-     slot by slot, skipping block slots. *)
+     budget as block nets move. A row's constant is the path's intrinsic
+     loss (plus its thermal penalty) plus the crossings from all
+     non-block neighbours of [m], which are frozen too: [m]'s cached
+     terms, slot by slot, skipping block slots.
+
+     A row is built only when it can bind: when its constant plus the
+     most the block can add exceeds [l_max - 1e-9]. The most the block
+     can add is, for each adjacent block net, its largest coupling over
+     its admissible candidates, summed over those nets. A row left out
+     has non-negative terms on x alone, so it holds at every point the
+     pick rows and [0, 1] bounds allow, fractional ones included: every
+     LP of the search keeps its feasible set and its optimum. The path's
+     full current loss bounds the constant from above (the terms are
+     non-negative and rounding is monotone), so the exact constant is
+     summed only for a row that bound cannot prove slack. *)
+  (* Path [q] of (m, jm): its intrinsic loss and thermal penalty, then
+     the terms [t] of the slots whose net passes [keep], in slot order. *)
+  let path_loss m jm np t q keep =
+    let path = cands.(m).(jm).Candidate.paths.(q) in
+    let c =
+      ref
+        (match thermal with
+         | None -> path.Candidate.intrinsic_loss
+         | Some th -> path.Candidate.intrinsic_loss +. th.Selection.penalty.(m).(jm).(q))
+    in
+    let row = neighbors.(m) in
+    for k = 0 to Array.length row - 1 do
+      if keep row.(k) then c := !c +. t.((k * np) + q)
+    done;
+    !c
+  in
   let guard_terms m jm np =
     if Array.length sc.terms.(m) = 0 then begin
       let row = neighbors.(m) in
@@ -255,52 +330,58 @@ let solve_block ?(max_cands_per_net = max_int) ?(max_pivots = max_int)
       Array.iteri
         (fun k f -> Xmatrix.add_losses xmat bundled ~i:m ~k ~j:jm ~m:f ~n:current.(f) t (k * np))
         row;
-      sc.terms.(m) <- t
+      sc.terms.(m) <- t;
+      sc.loss.(m) <- Array.init np (fun q -> path_loss m jm np t q (fun _ -> true))
     end;
     sc.terms.(m)
   in
+  (* The most the block can add to path [p] of the net [i] read into
+     [w], or -1.0 when no pair crosses [p]. *)
+  let worst w ~np i p =
+    let sum = ref 0.0 and crossed = ref false and off = ref p in
+    for s = adj_at.(i) to adj_at.(i) + adj_n.(i) - 1 do
+      let vars = x_var.(pos.(adj_m.(s))) in
+      let top = ref 0.0 in
+      for n = 0 to Array.length vars - 1 do
+        if vars.(n) >= 0 then begin
+          let x = w.(!off) in
+          if not (Float.sign_bit x) then begin
+            crossed := true;
+            if x > !top then top := x
+          end;
+          off := !off + np
+        end
+      done;
+      sum := !sum +. !top
+    done;
+    if !crossed then !sum else -1.0
+  in
+  let limit = l_max -. 1e-9 in
   let frozen_rows = ref [] in
-  let seen = sc.seen in
-  let seen_list = ref [] in
-  Array.iter
-    (fun i ->
-      Array.iter
-        (fun m ->
-          if (not (in_block m)) && not seen.(m) then begin
-            seen.(m) <- true;
-            seen_list := m :: !seen_list;
-            let jm = current.(m) in
-            let np = Array.length cands.(m).(jm).Candidate.paths in
-            if np > 0 then begin
-              let const =
-                Array.mapi
-                  (fun q (path : Candidate.path) ->
-                    match thermal with
-                    | None -> path.Candidate.intrinsic_loss
-                    | Some t ->
-                        path.Candidate.intrinsic_loss +. t.Selection.penalty.(m).(jm).(q))
-                  cands.(m).(jm).Candidate.paths
-              in
-              let t = guard_terms m jm np in
-              let row = neighbors.(m) in
-              for k = 0 to Array.length row - 1 do
-                if not (in_block row.(k)) then
-                  for q = 0 to np - 1 do
-                    const.(q) <- const.(q) +. t.((k * np) + q)
-                  done
-              done;
-              let ns = block_slots m in
-              let w = read_coupling ~i:m ~j:jm ~np ns in
-              Array.iteri
-                (fun q c ->
-                  let terms = coupling w ~np ns q (fun k n w -> (xv k n, w)) in
-                  if terms <> [] then frozen_rows := (c, terms) :: !frozen_rows)
-                const
+  List.iter
+    (fun m ->
+      let jm = current.(m) in
+      let np = Array.length cands.(m).(jm).Candidate.paths in
+      if np > 0 && not (in_block m) then begin
+        let t = guard_terms m jm np in
+        let loss = sc.loss.(m) in
+        let w = read_coupling ~i:m ~j:jm ~np in
+        for q = 0 to np - 1 do
+          let add = worst w ~np m q in
+          if add >= 0.0 then
+            if loss.(q) +. add <= limit then sc.guard_skipped <- sc.guard_skipped + 1
+            else begin
+              let c = path_loss m jm np t q (fun f -> not (in_block f)) in
+              if c +. add <= limit then sc.guard_skipped <- sc.guard_skipped + 1
+              else begin
+                frozen_rows := (c, coupling w ~np m q (fun k n w -> (xv k n, w))) :: !frozen_rows;
+                sc.guard_rows <- sc.guard_rows + 1
+              end
             end
-          end)
-        neighbors.(i))
-    block;
-  List.iter (fun m -> seen.(m) <- false) !seen_list;
+        done
+      end)
+    touched;
+  List.iter (fun m -> adj_n.(m) <- 0) touched;
   let total_vars = Stdlib.max 1 (!nx + !ny) in
   let yv idx = !nx + idx in
   (* Assemble the whole program as one immutable Problem: minimize the
@@ -464,8 +545,9 @@ let select ?(budget_seconds = 3000.0) ?(max_pivots = max_int)
   let blocks_solved = ref 0 and blocks_skipped = ref 0 in
   let n = Array.length ctx.Selection.cands in
   let sc =
-    { pos = Array.make n (-1); seen = Array.make n false; terms = Array.make n [||];
-      coupling = [||] }
+    { pos = Array.make n (-1); adj_n = Array.make n 0; adj_at = Array.make n 0;
+      adj_k = [||]; adj_m = [||]; terms = Array.make n [||]; loss = Array.make n [||];
+      coupling = [||]; guard_rows = 0; guard_skipped = 0 }
   in
   (* Descent bookkeeping: each net's block index in the component under
      descent, -1 elsewhere. *)
@@ -571,4 +653,6 @@ let select ?(budget_seconds = 3000.0) ?(max_pivots = max_int)
     refactorizations = !refactorizations;
     blocks_solved = !blocks_solved;
     blocks_skipped = !blocks_skipped;
+    guard_rows = sc.guard_rows;
+    guard_skipped = sc.guard_skipped;
     elapsed = Timer.now () -. t0 }

@@ -24,7 +24,9 @@
     passes of block-coordinate descent with exact block ILPs: each block
     of nets is re-optimized while the rest stays frozen, with guard rows
     keeping the frozen nets' paths legal, so the global selection remains
-    feasible and its power decreases monotonically. A block's program
+    feasible and its power decreases monotonically. A guard row that no
+    choice of the block nets can make bind is left out, as a presolve
+    would drop it: it is slack at every point of every LP relaxation. A block's program
     reads the current selection only within two hops of its nets (the
     block, its neighbours and theirs), so the second pass solves a block
     again only when a net within two hops changed choice since the
@@ -48,6 +50,10 @@ type result = {
   blocks_skipped : int;
       (** descent blocks not solved again because their program could
           not have changed since their last solve *)
+  guard_rows : int;  (** frozen neighbours' path rows built into block programs *)
+  guard_skipped : int;
+      (** frozen neighbours' path rows left out because no choice of
+          the block nets can make them bind *)
   elapsed : float;  (** seconds *)
 }
 

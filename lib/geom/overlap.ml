@@ -1,46 +1,46 @@
 (* Spatial overlap index over a set of axis-aligned rectangles.
 
-   A hash grid keyed by integer cell coordinates, with two defenses that
-   keep it robust on the inputs the pipeline actually produces:
+   - Exact-duplicate collapsing. The rects are sorted by their
+     coordinates, so equal rects end up side by side and form one group;
+     the index keeps one entry per distinct rect. The ILP engine hands
+     [Crossing.interaction_components] thousands of identical placeholder
+     points for electrical-only nets; without collapsing, those would
+     re-create the O(n^2) sweep this index exists to kill. Duplicate
+     groups are cliques (equal rects always overlap), so connectivity and
+     pair enumeration recover the full answer from group-level results.
 
-   - Exact-duplicate collapsing. Rects are grouped by exact coordinates
-     and the grid stores one entry per distinct rect. The ILP engine
-     hands [Crossing.interaction_components] thousands of identical
-     placeholder points for electrical-only nets; without collapsing,
-     those would pile into one bucket and re-create the O(n²) sweep this
-     index exists to kill. Duplicate groups are cliques (equal rects
-     always overlap), so connectivity and pair enumeration recover the
-     full answer from group-level results.
+   - Pairs by sort and sweep. The distinct rects are in ascending xmin,
+     so the partners of a rect that start at or after it in that order
+     are exactly the following rects up to the first one whose xmin
+     passes its xmax; of those, the ones that also meet it in y overlap.
+     Each pair is met once, from the one earlier in the order.
 
-   - Cell size from the mean distinct-rect dimensions, not the global
-     bounds. A single far outlier (the -1e9 placeholder point) would
-     otherwise stretch a bounds-derived grid until every real rect
-     shared one cell. With a size-derived cell, outliers just occupy
-     far-away hash cells of their own.
+   - Queries by hash grid. [query] and [overlaps_any] probe a grid keyed
+     by integer cell coordinates, built on the first query, so a caller
+     that only enumerates pairs builds no hash table. Cells are sized
+     from the mean distinct-rect dimensions, not the global bounds: a
+     single far outlier (the -1e9 placeholder point) would otherwise
+     stretch a bounds-derived grid until every real rect shared one cell.
+     A rect found in several cells is reported only from the cell holding
+     the min corner of its intersection with the query. Rects spanning
+     more than [max_span] cells go to a small overflow list checked
+     linearly, bounding insert cost. Below [flat_threshold] distinct
+     rects a query scans them all instead.
 
-   Each overlapping pair is reported exactly once: a pair is attributed
-   to the unique cell containing the min corner of the intersection
-   (max of the xmins, max of the ymins) — the same dedup trick as the
-   segment grid in [Crossing]. Rects spanning more than [max_span]
-   cells go to a small overflow list checked linearly, bounding insert
-   cost.
-
-   Below [flat_threshold] rects the index is a plain array and every
-   operation is the direct double loop — cheaper than hashing at small
-   n. Iteration order is unspecified everywhere; callers that need a
+   Iteration order is unspecified everywhere; callers that need a
    deterministic order sort what they collect. *)
 
 type grid = {
-  g_rects : Rect.t array;     (* original rects, by caller index *)
-  g_groups : int array array; (* distinct id -> member indices, ascending *)
-  g_reps : Rect.t array;      (* distinct id -> the shared rect *)
-  g_cell : float;             (* cell edge length, > 0 and finite *)
-  g_table : (int * int, int array) Hashtbl.t; (* cell -> distinct ids *)
-  g_large : int array;        (* distinct ids too big for the grid *)
-  g_is_large : bool array;    (* by distinct id *)
+  g_cell : float;  (* cell edge length, > 0 and finite *)
+  g_table : (int * int, int array) Hashtbl.t;  (* cell -> distinct ids *)
+  g_large : int array;  (* distinct ids too big for the grid *)
 }
 
-type t = Flat of Rect.t array | Grid of grid
+type t = {
+  reps : Rect.t array;  (* distinct rects, ascending xmin, then ymin, xmax, ymax *)
+  groups : int array array;  (* distinct id -> member indices, ascending *)
+  grid : grid Lazy.t;  (* over [reps]; forced by the first large query *)
+}
 
 let flat_threshold = 64
 
@@ -81,122 +81,86 @@ let cell_size reps =
     if Float.is_finite s && s > 0.0 then s else 1.0
   end
 
-let build rects =
-  let n = Array.length rects in
-  if n <= flat_threshold then Flat (Array.copy rects)
-  else begin
-    (* Collapse exact duplicates. Generic hashing of float records is
-       deterministic for a given input, which is all we rely on. *)
-    let by_rect : (Rect.t, int) Hashtbl.t = Hashtbl.create (2 * n) in
-    let members : int list array = Array.make n [] in
-    let reps_rev = ref [] and d = ref 0 in
-    for i = 0 to n - 1 do
-      let r = rects.(i) in
-      match Hashtbl.find_opt by_rect r with
-      | Some id -> members.(id) <- i :: members.(id)
-      | None ->
-          let id = !d in
-          incr d;
-          Hashtbl.add by_rect r id;
-          reps_rev := r :: !reps_rev;
-          members.(id) <- [ i ]
-    done;
-    let d = !d in
-    let reps = Array.of_list (List.rev !reps_rev) in
-    let groups =
-      Array.init d (fun id -> Array.of_list (List.rev members.(id)))
-    in
-    let cell = cell_size reps in
-    let cells : (int * int, int list ref) Hashtbl.t = Hashtbl.create (4 * d) in
-    let is_large = Array.make d false in
-    let large_rev = ref [] in
-    for id = 0 to d - 1 do
-      let r = reps.(id) in
-      let cx0 = cell_coord cell r.Rect.xmin
-      and cx1 = cell_coord cell r.Rect.xmax
-      and cy0 = cell_coord cell r.Rect.ymin
-      and cy1 = cell_coord cell r.Rect.ymax in
-      let span = (cx1 - cx0 + 1) * (cy1 - cy0 + 1) in
-      if span > max_span then begin
-        is_large.(id) <- true;
-        large_rev := id :: !large_rev
-      end
-      else
-        for cx = cx0 to cx1 do
-          for cy = cy0 to cy1 do
-            let key = (cx, cy) in
-            match Hashtbl.find_opt cells key with
-            | Some ids -> ids := id :: !ids
-            | None -> Hashtbl.add cells key (ref [ id ])
-          done
-        done
-    done;
-    let table = Hashtbl.create (Hashtbl.length cells) in
-    Hashtbl.iter
-      (fun key ids -> Hashtbl.add table key (Array.of_list (List.rev !ids)))
-      cells;
-    Grid
-      {
-        g_rects = Array.copy rects;
-        g_groups = groups;
-        g_reps = reps;
-        g_cell = cell;
-        g_table = table;
-        g_large = Array.of_list (List.rev !large_rev);
-        g_is_large = is_large;
-      }
-  end
-
-let iter_groups t f =
-  match t with
-  | Flat rects -> Array.iteri (fun i _ -> f [| i |]) rects
-  | Grid g -> Array.iter f g.g_groups
-
-(* Group-level pair sweep: [f ga gb] once per unordered pair of distinct
-   rects that overlap. In the flat case every index is its own group. *)
-let iter_group_pairs t f =
-  match t with
-  | Flat rects ->
-      let n = Array.length rects in
-      for i = 0 to n - 1 do
-        for j = i + 1 to n - 1 do
-          if Rect.overlaps rects.(i) rects.(j) then f [| i |] [| j |]
+let make_grid reps =
+  let d = Array.length reps in
+  let cell = cell_size reps in
+  let cells : (int * int, int list ref) Hashtbl.t = Hashtbl.create (4 * d) in
+  let large_rev = ref [] in
+  for id = 0 to d - 1 do
+    let r = reps.(id) in
+    let cx0 = cell_coord cell r.Rect.xmin
+    and cx1 = cell_coord cell r.Rect.xmax
+    and cy0 = cell_coord cell r.Rect.ymin
+    and cy1 = cell_coord cell r.Rect.ymax in
+    let span = (cx1 - cx0 + 1) * (cy1 - cy0 + 1) in
+    if span > max_span then large_rev := id :: !large_rev
+    else
+      for cx = cx0 to cx1 do
+        for cy = cy0 to cy1 do
+          let key = (cx, cy) in
+          match Hashtbl.find_opt cells key with
+          | Some ids -> ids := id :: !ids
+          | None -> Hashtbl.add cells key (ref [ id ])
         done
       done
-  | Grid g ->
-      Hashtbl.iter
-        (fun (cx, cy) bucket ->
-          let m = Array.length bucket in
-          for p = 0 to m - 1 do
-            for q = p + 1 to m - 1 do
-              let da = bucket.(p) and db = bucket.(q) in
-              let ra = g.g_reps.(da) and rb = g.g_reps.(db) in
-              if Rect.overlaps ra rb then begin
-                (* Attribute the pair to the cell holding the min corner
-                   of the intersection, so multi-cell overlaps fire
-                   exactly once. *)
-                let px = Float.max ra.Rect.xmin rb.Rect.xmin
-                and py = Float.max ra.Rect.ymin rb.Rect.ymin in
-                if
-                  cell_coord g.g_cell px = cx && cell_coord g.g_cell py = cy
-                then f g.g_groups.(da) g.g_groups.(db)
-              end
-            done
-          done)
-        g.g_table;
-      (* Overflow rects pair with everything; large-large pairs are taken
-         from the lower distinct id only. *)
-      Array.iter
-        (fun da ->
-          let ra = g.g_reps.(da) in
-          for db = 0 to Array.length g.g_reps - 1 do
-            if
-              db <> da
-              && ((not g.g_is_large.(db)) || db > da)
-              && Rect.overlaps ra g.g_reps.(db)
-            then f g.g_groups.(da) g.g_groups.(db)
-          done)
-        g.g_large
+  done;
+  let table = Hashtbl.create (Hashtbl.length cells) in
+  Hashtbl.iter
+    (fun key ids -> Hashtbl.add table key (Array.of_list (List.rev !ids)))
+    cells;
+  { g_cell = cell; g_table = table; g_large = Array.of_list (List.rev !large_rev) }
+
+let compare_rects (a : Rect.t) (b : Rect.t) =
+  let c = Float.compare a.Rect.xmin b.Rect.xmin in
+  if c <> 0 then c
+  else
+    let c = Float.compare a.Rect.ymin b.Rect.ymin in
+    if c <> 0 then c
+    else
+      let c = Float.compare a.Rect.xmax b.Rect.xmax in
+      if c <> 0 then c else Float.compare a.Rect.ymax b.Rect.ymax
+
+let build rects =
+  let n = Array.length rects in
+  (* By coordinates, then index: equal rects are consecutive, each run
+     with its indices ascending. *)
+  let order = Array.init n Fun.id in
+  Array.sort
+    (fun i j ->
+      let c = compare_rects rects.(i) rects.(j) in
+      if c <> 0 then c else Int.compare i j)
+    order;
+  let starts = ref [] in
+  for x = n - 1 downto 0 do
+    if x = 0 || compare_rects rects.(order.(x - 1)) rects.(order.(x)) <> 0 then
+      starts := x :: !starts
+  done;
+  let starts = Array.of_list !starts in
+  let d = Array.length starts in
+  let stop g = if g + 1 < d then starts.(g + 1) else n in
+  let reps = Array.map (fun s -> rects.(order.(s))) starts in
+  let groups = Array.init d (fun g -> Array.sub order starts.(g) (stop g - starts.(g))) in
+  { reps; groups; grid = lazy (make_grid reps) }
+
+let iter_groups t f = Array.iter f t.groups
+
+(* Group-level pair sweep: [f ga gb] once per unordered pair of distinct
+   rects that overlap. A rect after [ra] in the order starts at or after
+   [ra.xmin], so while it starts at or before [ra.xmax] the two meet in
+   x, and they overlap exactly when they meet in y too. *)
+let iter_group_pairs t f =
+  let reps = t.reps in
+  let d = Array.length reps in
+  for a = 0 to d - 1 do
+    let ra = reps.(a) in
+    let b = ref (a + 1) in
+    while !b < d && reps.(!b).Rect.xmin <= ra.Rect.xmax do
+      let rb = reps.(!b) in
+      if rb.Rect.ymin <= ra.Rect.ymax && ra.Rect.ymin <= rb.Rect.ymax then
+        f t.groups.(a) t.groups.(!b);
+      incr b
+    done
+  done
 
 (* Every overlapping pair (i, j) with i < j, exactly once. *)
 let iter_pairs t f =
@@ -214,60 +178,56 @@ let iter_pairs t f =
 
 (* All indices whose rect overlaps [r], exactly once each. *)
 let query t r f =
-  match t with
-  | Flat rects ->
-      Array.iteri (fun i ri -> if Rect.overlaps ri r then f i) rects
-  | Grid g ->
-      let linear () =
-        Array.iteri
-          (fun id rep ->
-            if Rect.overlaps rep r then Array.iter f g.g_groups.(id))
-          g.g_reps
-      in
-      let fx0 = Float.floor (r.Rect.xmin /. g.g_cell)
-      and fx1 = Float.floor (r.Rect.xmax /. g.g_cell)
-      and fy0 = Float.floor (r.Rect.ymin /. g.g_cell)
-      and fy1 = Float.floor (r.Rect.ymax /. g.g_cell) in
-      let span = (fx1 -. fx0 +. 1.0) *. (fy1 -. fy0 +. 1.0) in
-      if not (Float.is_finite span) || span > float_of_int query_span then
-        linear ()
-      else begin
-        let cx0 = int_of_float fx0
-        and cx1 = int_of_float fx1
-        and cy0 = int_of_float fy0
-        and cy1 = int_of_float fy1 in
-        for cx = cx0 to cx1 do
-          for cy = cy0 to cy1 do
-            match Hashtbl.find_opt g.g_table (cx, cy) with
-            | None -> ()
-            | Some bucket ->
-                Array.iter
-                  (fun id ->
-                    let rep = g.g_reps.(id) in
-                    if Rect.overlaps rep r then begin
-                      let px = Float.max rep.Rect.xmin r.Rect.xmin
-                      and py = Float.max rep.Rect.ymin r.Rect.ymin in
-                      if
-                        cell_coord g.g_cell px = cx
-                        && cell_coord g.g_cell py = cy
-                      then Array.iter f g.g_groups.(id)
-                    end)
-                  bucket
-          done
-        done;
-        Array.iter
-          (fun id ->
-            if Rect.overlaps g.g_reps.(id) r then Array.iter f g.g_groups.(id))
-          g.g_large
-      end
+  let linear () =
+    Array.iteri
+      (fun id rep -> if Rect.overlaps rep r then Array.iter f t.groups.(id))
+      t.reps
+  in
+  if Array.length t.reps <= flat_threshold then linear ()
+  else begin
+    let g = Lazy.force t.grid in
+    let fx0 = Float.floor (r.Rect.xmin /. g.g_cell)
+    and fx1 = Float.floor (r.Rect.xmax /. g.g_cell)
+    and fy0 = Float.floor (r.Rect.ymin /. g.g_cell)
+    and fy1 = Float.floor (r.Rect.ymax /. g.g_cell) in
+    let span = (fx1 -. fx0 +. 1.0) *. (fy1 -. fy0 +. 1.0) in
+    if not (Float.is_finite span) || span > float_of_int query_span then
+      linear ()
+    else begin
+      let cx0 = int_of_float fx0
+      and cx1 = int_of_float fx1
+      and cy0 = int_of_float fy0
+      and cy1 = int_of_float fy1 in
+      for cx = cx0 to cx1 do
+        for cy = cy0 to cy1 do
+          match Hashtbl.find_opt g.g_table (cx, cy) with
+          | None -> ()
+          | Some bucket ->
+              Array.iter
+                (fun id ->
+                  let rep = t.reps.(id) in
+                  if Rect.overlaps rep r then begin
+                    let px = Float.max rep.Rect.xmin r.Rect.xmin
+                    and py = Float.max rep.Rect.ymin r.Rect.ymin in
+                    if
+                      cell_coord g.g_cell px = cx
+                      && cell_coord g.g_cell py = cy
+                    then Array.iter f t.groups.(id)
+                  end)
+                bucket
+        done
+      done;
+      Array.iter
+        (fun id ->
+          if Rect.overlaps t.reps.(id) r then Array.iter f t.groups.(id))
+        g.g_large
+    end
+  end
 
 exception Found
 
 let overlaps_any t r =
-  match t with
-  | Flat rects -> Array.exists (fun ri -> Rect.overlaps ri r) rects
-  | Grid _ -> (
-      try
-        query t r (fun _ -> raise Found);
-        false
-      with Found -> true)
+  try
+    query t r (fun _ -> raise Found);
+    false
+  with Found -> true

@@ -1,24 +1,26 @@
 (** Spatial overlap index over axis-aligned rectangles.
 
     Replaces the O(n²) pairwise bbox sweeps in preparation: build once
-    in O(n), then enumerate all overlapping pairs in O(n + k) expected
-    (k = number of overlapping pairs) or query one rectangle against
-    the set. Internally a hash grid with exact-duplicate collapsing and
-    an overflow list for oversized rects, so adversarial inputs — many
-    identical placeholder points, one far outlier — degrade gracefully
-    instead of re-creating the quadratic sweep.
+    in O(n log n), then enumerate all overlapping pairs by sort and
+    sweep, in O(n + s) for the [s] pairs of distinct rectangles that
+    meet in x, or query one rectangle against the set through a hash
+    grid built on the first query. Exact duplicates are collapsed into
+    one entry, so adversarial inputs — many identical placeholder points,
+    one far outlier — degrade gracefully instead of re-creating the
+    quadratic sweep.
 
     Iteration order is unspecified for every function here; callers
     that need a deterministic order must sort what they collect. The
     reported {e sets} are exact: every overlapping pair (respectively
     every overlapping index) exactly once, under the closed-boundary
-    overlap test of {!Rect.overlaps}. *)
+    overlap test of {!Rect.overlaps}. An index is queried from one
+    domain at a time. *)
 
 type t
 
 val build : Rect.t array -> t
 (** Index the given rectangles; indices reported by the other functions
-    refer to positions in this array. The array is copied. *)
+    refer to positions in this array. *)
 
 val iter_pairs : t -> (int -> int -> unit) -> unit
 (** [iter_pairs t f] calls [f i j] with [i < j] exactly once for every

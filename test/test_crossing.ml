@@ -204,6 +204,29 @@ let test_overlap_pairs () =
   let boxes = [| rect 0.0 0.0 2.0 2.0; rect 1.0 1.0 3.0 3.0; rect 9.0 9.0 10.0 10.0 |] in
   Alcotest.(check (list (pair int int))) "single pair" [ (0, 1) ] (overlap_pairs boxes)
 
+(* The shapes the sweep must not miss or repeat: a box repeated four
+   times, boxes that touch along an edge or only at a corner, zero-width
+   and zero-height boxes and a point, a box that starts where another
+   ends, and one just past touching. *)
+let test_overlap_pairs_degenerate () =
+  let boxes =
+    [| rect 0.0 0.0 1.0 1.0; rect 1.0 0.0 2.0 1.0; rect 2.0 1.0 3.0 2.0;
+       rect 0.0 0.0 1.0 1.0; rect 0.0 0.0 1.0 1.0; rect 0.0 0.0 1.0 1.0;
+       rect 0.5 0.5 0.5 0.5; rect 0.0 3.0 4.0 3.0; rect 2.0 2.0 2.0 5.0;
+       rect 4.0 3.0 4.0 3.0; rect 5.0 5.0 6.0 6.0; rect 2.0000001 0.0 3.0 0.5;
+       rect 1.0 1.0 1.0 1.0 |]
+  in
+  let n = Array.length boxes in
+  let naive = ref [] in
+  for i = n - 1 downto 0 do
+    for j = n - 1 downto i + 1 do
+      if Rect.overlaps boxes.(i) boxes.(j) then naive := (i, j) :: !naive
+    done
+  done;
+  Alcotest.(check (list (pair int int))) "naive pairs" !naive (overlap_pairs boxes);
+  Alcotest.(check bool) "corner touch counts" true (List.mem (1, 2) !naive);
+  Alcotest.(check bool) "just past touching does not" false (List.mem (1, 11) !naive)
+
 let prop_components_partition =
   QCheck.Test.make ~name:"components partition the nets" ~count:100
     QCheck.(list_of_size Gen.(int_range 1 20)
@@ -251,5 +274,6 @@ let () =
         [ Alcotest.test_case "components" `Quick test_components;
           Alcotest.test_case "disjoint" `Quick test_components_all_disjoint;
           Alcotest.test_case "pairs" `Quick test_overlap_pairs;
+          Alcotest.test_case "pairs, degenerate boxes" `Quick test_overlap_pairs_degenerate;
           QCheck_alcotest.to_alcotest prop_components_partition;
           QCheck_alcotest.to_alcotest prop_pairs_within_components ] ) ]

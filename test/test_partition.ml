@@ -83,6 +83,65 @@ let prop_components_match_naive =
       let boxes = boxes_of_specs specs in
       Crossing.interaction_components boxes = naive_components boxes)
 
+(* Boxes on a coarse lattice, up to 150 of them: exact duplicates,
+   zero-width and zero-height boxes and boxes that touch along an edge
+   or at a corner are the common case rather than the rare one, and past
+   64 distinct boxes a query goes through the hash grid. *)
+let lattice_gen =
+  QCheck.(
+    list_of_size Gen.(int_range 0 150)
+      (quad (int_range 0 6) (int_range 0 6) (int_range 0 2) (int_range 0 2)))
+
+let lattice_boxes specs =
+  Array.of_list
+    (List.map
+       (fun (x, y, w, h) ->
+         let x = float_of_int x and y = float_of_int y in
+         rect x y (x +. float_of_int w) (y +. float_of_int h))
+       specs)
+
+(* Besides the pairs and components, each group holds the indices of one
+   distinct box, ascending, and every index is in exactly one group. *)
+let prop_lattice_pairs_match_naive =
+  QCheck.Test.make ~name:"lattice boxes: pairs, groups and components = naive" ~count:200
+    lattice_gen (fun specs ->
+      let boxes = lattice_boxes specs in
+      let acc = ref [] in
+      Overlap.iter_pairs (Overlap.build boxes) (fun i j -> acc := (i, j) :: !acc);
+      let groups = ref [] in
+      Overlap.iter_groups (Overlap.build boxes) (fun g -> groups := g :: !groups);
+      let ascending g = Array.for_all Fun.id (Array.mapi (fun k i -> k = 0 || g.(k - 1) < i) g) in
+      let equal g = Array.for_all (fun i -> boxes.(i) = boxes.(g.(0))) g in
+      List.sort compare !acc = naive_pairs boxes
+      && Crossing.interaction_components boxes = naive_components boxes
+      && List.for_all (fun g -> ascending g && equal g) !groups
+      && List.sort compare (List.concat_map Array.to_list !groups)
+         = List.init (Array.length boxes) Fun.id
+      && List.length (List.sort_uniq compare (List.map (fun g -> boxes.(g.(0))) !groups))
+         = List.length !groups)
+
+(* [query] and [overlaps_any] against a scan of every box, for lattice
+   query boxes (touching included) and an unbounded one. *)
+let prop_lattice_query_match_naive =
+  QCheck.Test.make ~name:"lattice boxes: query = naive" ~count:200
+    QCheck.(pair lattice_gen (list_of_size Gen.(int_range 1 10)
+                                (quad (int_range (-1) 7) (int_range (-1) 7)
+                                   (int_range 0 3) (int_range 0 3))))
+    (fun (specs, queries) ->
+      let boxes = lattice_boxes specs in
+      let idx = Overlap.build boxes in
+      let everything = rect neg_infinity neg_infinity infinity infinity in
+      Array.for_all
+        (fun q ->
+          let acc = ref [] in
+          Overlap.query idx q (fun i -> acc := i :: !acc);
+          let want =
+            List.filter (fun i -> Rect.overlaps boxes.(i) q)
+              (List.init (Array.length boxes) Fun.id)
+          in
+          List.sort compare !acc = want && Overlap.overlaps_any idx q = (want <> []))
+        (Array.append [| everything |] (lattice_boxes queries)))
+
 (* Neighbor rows of a real selection context: sorted ascending,
    symmetric, and a subset of the naive bbox-overlap relation — the
    index enumerates exactly the overlapping pairs, and the [linked]
@@ -459,6 +518,7 @@ let pinned =
               [ ("components", 1); ("timed_out", 0); ("nodes", 1);
                 ("lp_solves", 1); ("pivots", 10); ("refactorizations", 0);
                 ("blocks_solved", 0); ("blocks_skipped", 0);
+                ("guard_rows", 0); ("guard_skipped", 0);
                 ("cache_hits", 339); ("cache_misses", 0) ] );
             ( "wdm",
               [ ("connections", 8); ("tracks", 4) ] );
@@ -495,6 +555,7 @@ let pinned =
               [ ("components", 1); ("timed_out", 0); ("nodes", 1);
                 ("lp_solves", 1); ("pivots", 54); ("refactorizations", 0);
                 ("blocks_solved", 0); ("blocks_skipped", 0);
+                ("guard_rows", 0); ("guard_skipped", 0);
                 ("cache_hits", 2959); ("cache_misses", 0) ] );
             ( "wdm",
               [ ("connections", 32); ("tracks", 15) ] );
@@ -531,6 +592,7 @@ let pinned =
               [ ("components", 2); ("timed_out", 0); ("nodes", 2);
                 ("lp_solves", 2); ("pivots", 289); ("refactorizations", 3);
                 ("blocks_solved", 0); ("blocks_skipped", 0);
+                ("guard_rows", 0); ("guard_skipped", 0);
                 ("cache_hits", 5400); ("cache_misses", 0) ] );
             ( "wdm",
               [ ("connections", 53); ("tracks", 22) ] );
@@ -565,7 +627,8 @@ let pinned =
             ( "select",
               [ ("components", 2); ("timed_out", 0); ("nodes", 2);
                 ("lp_solves", 2); ("pivots", 254); ("refactorizations", 3);
-                ("blocks_solved", 0); ("blocks_skipped", 0) ] );
+                ("blocks_solved", 0); ("blocks_skipped", 0);
+                ("guard_rows", 0); ("guard_skipped", 0) ] );
             ( "wdm",
               [ ("regions", 2); ("connections", 53); ("tracks", 24) ] );
             ( "assign",
@@ -599,7 +662,8 @@ let pinned =
             ( "select",
               [ ("components", 4); ("timed_out", 0); ("nodes", 4);
                 ("lp_solves", 4); ("pivots", 29); ("refactorizations", 0);
-                ("blocks_solved", 0); ("blocks_skipped", 0) ] );
+                ("blocks_solved", 0); ("blocks_skipped", 0);
+                ("guard_rows", 0); ("guard_skipped", 0) ] );
             ( "wdm",
               [ ("regions", 4); ("connections", 32); ("tracks", 24) ] );
             ( "assign",
@@ -707,6 +771,8 @@ let () =
     [ ( "spatial-index",
         [ QCheck_alcotest.to_alcotest prop_pairs_match_naive;
           QCheck_alcotest.to_alcotest prop_components_match_naive;
+          QCheck_alcotest.to_alcotest prop_lattice_pairs_match_naive;
+          QCheck_alcotest.to_alcotest prop_lattice_query_match_naive;
           Alcotest.test_case "ctx neighbor rows" `Quick test_ctx_neighbors;
           Alcotest.test_case "cache-invariant neighbors" `Quick
             test_ctx_neighbors_cache_invariant ] );

@@ -135,6 +135,40 @@ let test_ilp_power_not_above_lr () =
   Alcotest.(check bool) "ilp <= lr" true
     (ilp.Ilp_select.power <= lr.Lr_select.power +. 1e-6)
 
+(* A frozen neighbour's path that one crossing would push over [l_max],
+   and a block net whose cheapest candidate makes that crossing: the
+   guard row of that path must be built and must bind. M runs from (0, 2)
+   to (4, 2) at [l_max] less half a crossing; I, from (2.5, 1) to
+   (2.5, 3), crosses it and H; H, from (0, 2.4) to (3, 2.4), crosses I
+   and four short verticals V. Every net has an optical and an
+   electrical candidate. By box centre the descent's blocks are
+   [V V V V H M] and [I], so M is frozen optical while I's block is
+   solved, from a start with I electrical. With M's guard row I must stay
+   electrical. Were the row left out, I would go optical and M would
+   break; the final [polish] would then demote M, the first violator, and
+   return a feasible selection that differs from the pinned one. *)
+let test_ilp_guard_row_binds () =
+  let nets =
+    [| simple_cands 0 (p 0.0 2.0) (p 4.0 2.0);
+       simple_cands 1 (p 2.5 1.0) (p 2.5 3.0);
+       simple_cands 2 (p 0.0 2.4) (p 3.0 2.4);
+       simple_cands 3 (p 0.2 2.2) (p 0.2 2.6);
+       simple_cands 4 (p 0.4 2.2) (p 0.4 2.6);
+       simple_cands 5 (p 0.6 2.2) (p 0.6 2.6);
+       simple_cands 6 (p 0.8 2.2) (p 0.8 2.6) |]
+  in
+  let ctx = Selection.make_ctx conflict_params nets in
+  Alcotest.(check (array int)) "M crosses I only" [| 1 |] ctx.Selection.neighbors.(0);
+  let cheaper i = Selection.objective ctx i 0 < Selection.objective ctx i 1 in
+  Alcotest.(check bool) "I is cheaper optical" true (cheaper 1);
+  let r =
+    Ilp_select.select ~budget_seconds:1e6 ~max_component_vars:4
+      ~initial:[| 0; 1; 0; 0; 0; 0; 0 |] ctx
+  in
+  Alcotest.(check bool) "descended" true (r.Ilp_select.timed_out > 0);
+  Alcotest.(check bool) "guard row built" true (r.Ilp_select.guard_rows > 0);
+  Alcotest.(check (array int)) "choice" [| 0; 1; 0; 0; 0; 0; 0 |] r.Ilp_select.choice
+
 let test_lr_feasible_conflict () =
   let ctx = Selection.make_ctx conflict_params (crossing_pair ()) in
   let r = Lr_select.select ctx in
@@ -287,7 +321,7 @@ let descent_cases =
            0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0; 0;
            0; 0 |] };
     { name = "I4/3+thermal";
-      lp = (276, 276, 3033, 5);
+      lp = (288, 288, 3040, 5);
       blocks = (46, 0);
       choice =
         [| 3; 6; 0; 3; 0; 0; 0; 0; 4; 2; 4; 0; 2; 0; 1; 0; 3; 1; 7; 2; 2; 2;
@@ -803,7 +837,8 @@ let () =
       ( "ilp",
         [ Alcotest.test_case "resolves conflict" `Quick test_ilp_resolves_conflict;
           Alcotest.test_case "no conflict both optical" `Quick test_ilp_no_conflict_both_optical;
-          Alcotest.test_case "not above lr" `Quick test_ilp_power_not_above_lr ] );
+          Alcotest.test_case "not above lr" `Quick test_ilp_power_not_above_lr;
+          Alcotest.test_case "guard row binds" `Quick test_ilp_guard_row_binds ] );
       ( "lr",
         [ Alcotest.test_case "feasible conflict" `Quick test_lr_feasible_conflict;
           Alcotest.test_case "improves over electrical" `Quick test_lr_improves_over_all_electrical;
